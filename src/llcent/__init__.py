@@ -15,6 +15,7 @@ from .errors import (
     AmbientMismatch,
     DivisionByZero,
     EngineDisagreement,
+    EngineInvariant,
     FieldMismatch,
     InfiniteField,
     InvalidOperator,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     EngineDisagreement,
+    EngineInvariant,
     InfiniteField,
     InvalidOperator,
     NonConstantProfile,
@@ -63,8 +64,10 @@ class EntropyConfig:
     def __post_init__(self):
         if self.plateau_streak < 1:
             raise ValueError("plateau_streak must be >= 1")
-        if self.max_trajectory_steps < 1 or self.max_chain_index < 0:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_trajectory_steps < 1:
+            raise ValueError("max_trajectory_steps must be >= 1")
+        if self.max_chain_index < 0:
+            raise ValueError("max_chain_index must be >= 0")
 
 
 DEFAULT_CONFIG = EntropyConfig()
@@ -152,14 +155,19 @@ def _trim_rows(profile, rows, a, top):
 
 
 def _rows_image(op, rows, lo, top, a):
-    """Images of window rows over (lo, top] modulo U_a; returns (rows, top)."""
-    from .operators import _action_rows
+    """Images of window rows over (lo, top] modulo U_a; returns (rows, top).
+
+    The images are over (a, top + width], the band's reach; they come
+    from the banded block application, which never forms the dense
+    action matrix.  With no rows or an empty window there is nothing to
+    map, and the empty result sits at the tail a.
+    """
+    from .operators import _apply_action
 
     f = op.profile.field
     if rows.shape[0] == 0 or top <= lo:
         return f.zeros(0, 0), a
-    action = _action_rows(op, lo, top, a, top + op.width)
-    return f.matmul(rows, action), top + op.width
+    return _apply_action(op, rows, lo, top, a, top + op.width), top + op.width
 
 
 def _incremental_trajectory(op, u, cfg, horizon, on_step=None):
@@ -192,8 +200,8 @@ def _incremental_trajectory(op, u, cfg, horizon, on_step=None):
         old_rank, old_piv = basis.rank, set(basis.pivots)
         basis = rref_union(basis, delta) if delta.shape[0] else basis
         alpha = basis.rank - old_rank
-        if increments:
-            assert alpha <= increments[-1], (
+        if increments and alpha > increments[-1]:
+            raise EngineInvariant(
                 f"trajectory increments must be non-increasing, got {increments + [alpha]}"
             )
         increments.append(alpha)
@@ -222,7 +230,7 @@ def trajectory_relative_entropy(
     """H(phi, U) by direct trajectory iteration.
 
     The recorded increments dim(T_{n+1}/T_n) must be non-increasing; a
-    violation is an engine bug and raises AssertionError.  A chain fixed
+    violation is an engine bug and raises EngineInvariant.  A chain fixed
     point forces every later increment to vanish, hence status EXACT with
     value 0; otherwise the plateau (or cap) rules decide.
     """
@@ -276,13 +284,21 @@ def limit_free_relative_entropy(
     # first image uses the whole subspace; later steps only its new part
     delta, delta_top = image_rows_mod_tail(inverse, u, a - drop)
     dims: list = []
+    stationary_c = None
     for step in range(1, cfg.max_trajectory_steps + 1):
         a_next = a - drop
-        # codimension of U_{a_next} inside the image of the pure tail U_a
-        tail_rows, tail_top = _image_rows_raw(inverse, a, f.zeros(0, 0), a, a_next)
-        c = SubspaceBasis.span(
-            f, tail_rows, ambient_dim=p.window_dim(a_next, tail_top)
-        ).rank
+        # codimension of U_{a_next} inside the image of the pure tail U_a.  Once
+        # a < b_lo the tail maps by the stationary blocks alone, into the
+        # constant-dimension region (validate), so c no longer depends on a.
+        if stationary_c is not None:
+            c = stationary_c
+        else:
+            tail_rows, tail_top = _image_rows_raw(inverse, a, f.zeros(0, 0), a, a_next)
+            c = SubspaceBasis.span(
+                f, tail_rows, ambient_dim=p.window_dim(a_next, tail_top)
+            ).rank
+            if a < inverse.b_lo:
+                stationary_c = c
         # expand the chain member to the deeper tail and absorb the new rows
         t_dims = p.window_dim(a_next, a)
         expanded = pad_basis_columns(basis, t_dims, 0)
@@ -308,8 +324,8 @@ def limit_free_relative_entropy(
         a = a_next
         new_rank = basis.rank
         d = new_rank - (rank + c)
-        if dims:
-            assert d <= dims[-1], (
+        if dims and d > dims[-1]:
+            raise EngineInvariant(
                 f"limit-free codimensions must be non-increasing, got {dims + [d]}"
             )
         dims.append(d)
@@ -369,8 +385,8 @@ def total_entropy(
             r = limit_free_relative_entropy(op, inverse, cm, cfg)
         else:
             r = trajectory_relative_entropy(op, cm, cfg)
-        if prev is not None and prev.reliable() and r.reliable():
-            assert r.value >= prev.value, (
+        if prev is not None and prev.reliable() and r.reliable() and r.value < prev.value:
+            raise EngineInvariant(
                 f"chain entropies must be non-decreasing, got {values + [r.value]}"
             )
         values.append(r.value)
@@ -427,8 +443,10 @@ def ent_dim_discrete(
     for step in range(1, cfg.max_trajectory_steps + 1):
         t_next = _trajectory_step(op, f, t)
         alpha = t_next.window_rank() - t.window_rank()
-        if increments:
-            assert alpha <= increments[-1], "dimension increments must be non-increasing"
+        if increments and alpha > increments[-1]:
+            raise EngineInvariant(
+                f"dimension increments must be non-increasing, got {increments + [alpha]}"
+            )
         increments.append(alpha)
         if t_next == t:
             return EntropyResult(0, Status.EXACT, tuple(increments), f, step)

@@ -58,6 +58,16 @@ class InfiniteField(LlcentError):
     """A finite field was required (e.g. for unit-size conversion)."""
 
 
+class EngineInvariant(AssertionError):
+    """An engine broke one of its own mathematical invariants (a bug).
+
+    Raised explicitly, so the checks also run under ``python -O``.  It
+    derives from AssertionError rather than LlcentError: it reports a
+    defect in the program, not a problem with the input, and the CLI
+    keeps treating it as an unexpected failure.
+    """
+
+
 class EngineDisagreement(LlcentError):
     """The two entropy engines returned different confirmed values."""
 

@@ -6,6 +6,14 @@ columns strictly increasing.  RREF is a canonical form, so two
 `SubspaceBasis` values describe the same subspace exactly when they
 compare equal.  Intersections use the Zassenhaus block construction;
 everything else is a single echelon pass.
+
+A reduced basis is the identity on its pivot columns, so reducing rows
+against it and merging new rows into it only touch the other ("free")
+columns: the residual vanishes on the old pivots, the new rows are
+eliminated over the free columns alone, and the back-substitution into
+the old rows clears their new pivot columns and updates only the columns
+that are pivots of neither.  The chain bases of the entropy engines are
+nearly full rank, so the free columns are a small share of the window.
 """
 
 from __future__ import annotations
@@ -128,6 +136,20 @@ class SubspaceBasis:
             and bool(np.array_equal(self.mat, other.mat))
         )
 
+    def free_columns(self) -> np.ndarray:
+        """Indices of the non-pivot columns, ascending."""
+        keep = np.ones(self.ambient_dim, dtype=bool)
+        keep[list(self.pivots)] = False
+        return np.flatnonzero(keep)
+
+    def _free_residual(self, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """The residuals of rows (see reduce_rows) on the free columns only."""
+        f = self.field
+        if self.rank == 0:
+            return f.normalize(rows[:, free])
+        coeffs = rows[:, list(self.pivots)]
+        return f.normalize(rows[:, free] - f.matmul(coeffs, self.mat[:, free]))
+
     def reduce_vector(self, v: np.ndarray) -> np.ndarray:
         """Residual of v after eliminating this basis; zero iff v is a member."""
         v = self.field.array(v).reshape(-1)
@@ -135,18 +157,24 @@ class SubspaceBasis:
             raise AmbientMismatch(
                 f"vector of length {v.shape[0]} in ambient {self.ambient_dim}"
             )
-        if self.rank == 0:
-            return v
-        coeffs = v[list(self.pivots)]
-        red = self.field.matmul(coeffs.reshape(1, -1), self.mat)[0]
-        return self.field.normalize(v - red)
+        return self.reduce_rows(v.reshape(1, -1))[0]
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Residuals of many rows at once (one matrix product)."""
+        """Residuals of many rows at once: the unique representatives of
+        rows modulo the span that vanish on every pivot column.
+
+        Since the basis is the identity on its pivots, only the free
+        columns are computed (one product of the pivot coordinates with
+        the basis restricted to the free columns); the pivot columns of
+        the residual are exactly zero.
+        """
+        f = self.field
         if rows.shape[0] == 0 or self.rank == 0:
-            return self.field.normalize(np.array(rows, copy=True))
-        coeffs = rows[:, list(self.pivots)]
-        return self.field.normalize(rows - self.field.matmul(coeffs, self.mat))
+            return f.normalize(np.array(rows, copy=True))
+        free = self.free_columns()
+        resid = f.zeros(rows.shape[0], self.ambient_dim)
+        resid[:, free] = self._free_residual(rows, free)
+        return resid
 
     def contains_vector(self, v) -> bool:
         return not bool(np.any(self.reduce_vector(v) != 0))
@@ -198,35 +226,42 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
 def rref_union(basis: SubspaceBasis, rows: np.ndarray) -> SubspaceBasis:
     """Canonical basis of span(basis) + span(rows), updating incrementally.
 
-    Reduces the new rows against the existing reduced basis, eliminates
-    among the survivors, then back-substitutes into the old rows; much
-    cheaper than re-reducing the whole stack when few rows are new.
+    Reduces the new rows against the existing basis (their residuals
+    vanish on the old pivots), eliminates among the survivors over the
+    free columns only, then back-substitutes into the old rows: their new
+    pivot columns become zero and only the columns that are pivots of
+    neither side change.  The result is the same canonical RREF that
+    re-reducing the whole stack gives, at a cost that scales with the
+    number of free columns rather than the ambient dimension.
     """
     field = basis.field
     if rows.shape[0] == 0:
         return basis
-    resid = basis.reduce_rows(field.array(rows))
-    new_mat, new_piv = _rref(field, resid)
-    if not new_piv:
+    free = basis.free_columns()
+    red, free_piv = _rref(field, basis._free_residual(field.array(rows), free))
+    if not free_piv:
         return basis
-    old = basis.mat
-    if basis.rank:
-        coeffs = old[:, new_piv]
-        old = field.normalize(old - field.matmul(coeffs, new_mat))
-    merged_rows = []
-    merged_piv = []
-    i = j = 0
-    while i < basis.rank or j < len(new_piv):
-        take_old = j >= len(new_piv) or (i < basis.rank and basis.pivots[i] < new_piv[j])
-        if take_old:
-            merged_rows.append(old[i])
-            merged_piv.append(basis.pivots[i])
-            i += 1
-        else:
-            merged_rows.append(new_mat[j])
-            merged_piv.append(new_piv[j])
-            j += 1
-    return SubspaceBasis(field, basis.ambient_dim, np.array(merged_rows), tuple(merged_piv))
+    new_piv = free[free_piv]
+    new_mat = field.zeros(len(free_piv), basis.ambient_dim)
+    new_mat[:, free] = red
+    if basis.rank == 0:
+        return SubspaceBasis(field, basis.ambient_dim, new_mat, tuple(new_piv.tolist()))
+    old, old_piv = basis.mat, basis.pivots
+    # red is the identity on its pivots, so over the free columns this one
+    # product clears the old rows' new pivot columns and updates the rest
+    upd = field.normalize(old[:, free] - field.matmul(old[:, new_piv], red))
+    # merge by pivot: new row i goes before the first old row with a larger pivot
+    slots = np.searchsorted(old_piv, new_piv)
+    pieces, start = [], 0
+    for i, stop in enumerate(slots.tolist()):
+        pieces += (old[start:stop], new_mat[i : i + 1])
+        start = stop
+    pieces.append(old[start:])
+    mat = np.concatenate(pieces, axis=0)
+    old_pos = np.arange(basis.rank) + np.searchsorted(new_piv, old_piv)
+    mat[old_pos[:, None], free] = upd
+    pivots = tuple(sorted(old_piv + tuple(new_piv.tolist())))
+    return SubspaceBasis(field, basis.ambient_dim, mat, pivots)
 
 
 def pad_basis_columns(basis: SubspaceBasis, before: int, after: int) -> SubspaceBasis:
@@ -241,7 +276,8 @@ def pad_basis_columns(basis: SubspaceBasis, before: int, after: int) -> Subspace
     mat = field.zeros(basis.rank, total)
     if basis.rank:
         mat[:, before : before + basis.ambient_dim] = basis.mat
-    return SubspaceBasis(field, total, mat, tuple(p + before for p in basis.pivots))
+    pivots = tuple(p + before for p in basis.pivots) if before else basis.pivots
+    return SubspaceBasis(field, total, mat, pivots)
 
 
 def subspace_combine(a: SubspaceBasis, b: SubspaceBasis, mode: str) -> SubspaceBasis:

@@ -33,7 +33,10 @@ from .spaces import BlockwisePattern, CompactOpenSubspace, LlcVector, Profile
 class BandedOperator:
     """A continuous endomorphism in banded eventually-stationary form."""
 
-    __slots__ = ("profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi", "_stationary_cache")
+    __slots__ = (
+        "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
+        "_stationary_cache", "_stacks",
+    )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
         f = profile.field
@@ -45,6 +48,7 @@ class BandedOperator:
         self.b_lo = min(self.columns) if self.columns else 0
         self.b_hi = max(self.columns) if self.columns else 0
         self._stationary_cache = {}
+        self._stacks = {}
 
     def _norm_blocks(self, f, blocks, d):
         out = {}
@@ -73,6 +77,21 @@ class BandedOperator:
         vec = LlcVector(self.profile, support)
         self._stationary_cache[(n, i)] = vec
         return vec
+
+    def stationary_stack(self, side: str):
+        """(shifts, stacked) for the nonzero stationary blocks of one side.
+
+        stacked holds the transposed blocks side by side, so one product
+        of level coordinates with it gives the image components at every
+        shift at once.  Cached: an operator's blocks never change.
+        """
+        stack = self._stacks.get(side)
+        if stack is None:
+            blocks = self.left_blocks if side == "left" else self.right_blocks
+            shifts = [j for j, block in blocks.items() if np.any(block != 0)]
+            stacked = np.concatenate([blocks[j].T for j in shifts], axis=1) if shifts else None
+            stack = self._stacks[side] = (shifts, stacked)
+        return stack
 
     def apply(self, v: LlcVector) -> LlcVector:
         if v.profile != self.profile:
@@ -297,6 +316,81 @@ def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_
     return mat
 
 
+def _stationary_image(f, x, stack, n0: int, dst_lo: int, dst_hi: int, dst_offs: dict, out):
+    """Add the images of the stationary source levels n0, n0+1, ... into out.
+
+    x holds the rows' coordinates at those levels as an (m, count, d)
+    array.  The component at level n+j of the image of level n is block j
+    applied to it, so a single product with the stacked blocks (see
+    `BandedOperator.stationary_stack`) covers every level and shift; the
+    shifted images are summed over the levels they reach, all of which
+    have dimension d, and added to out once.
+    """
+    m, count, d = x.shape
+    shifts, stacked = stack
+    if not shifts:
+        return
+    lo, hi = n0 + shifts[0], n0 + count - 1 + shifts[-1]  # levels reached
+    if hi > dst_hi:
+        raise ValueError("action window too small for the band")
+    img = f.matmul(x.reshape(m * count, d), stacked).reshape(m, count, len(shifts), d)
+    reach = f.zeros(m, (hi - lo + 1) * d).reshape(m, hi - lo + 1, d)
+    for k, j in enumerate(shifts):
+        reach[:, j - shifts[0] : j - shifts[0] + count] += img[:, :, k]
+    first = max(lo, dst_lo + 1)  # images at levels <= dst_lo are dropped
+    if first <= hi:
+        width = (hi - first + 1) * d
+        out[:, dst_offs[first] : dst_offs[first] + width] += reach[:, first - lo :].reshape(m, width)
+
+
+def _apply_action(
+    op: BandedOperator, rows: np.ndarray, src_lo: int, src_hi: int, dst_lo: int, dst_hi: int
+) -> np.ndarray:
+    """rows @ _action_rows(op, src_lo, src_hi, dst_lo, dst_hi), without
+    forming the dense action matrix.
+
+    rows are coordinates over the source window (src_lo, src_hi]; the
+    result is over (dst_lo, dst_hi], images at levels <= dst_lo dropped,
+    and raises ValueError when an image would land above dst_hi.  Source
+    levels left of b_lo and right of b_hi act by the stationary blocks,
+    one product per side for all such levels and shifts at once; `validate`
+    guarantees that those levels and their images lie in the constant
+    d_left / d_right regions of the profile.  Only the boundary levels
+    [b_lo, b_hi] go through the dense `_action_rows`, restricted to the
+    band of destination levels they can reach.
+    """
+    p = op.profile
+    f = p.field
+    left_hi = min(src_hi, op.b_lo - 1)  # last stationary level on the left
+    right_lo = max(src_lo, op.b_hi) + 1  # first stationary level on the right
+    has_left = src_lo < left_hi and p.d_left
+    has_right = right_lo <= src_hi and p.d_right
+    if not (has_left or has_right):
+        # only boundary levels (or empty ones): the dense action is the whole map
+        return f.matmul(rows, _action_rows(op, src_lo, src_hi, dst_lo, dst_hi))
+    m = rows.shape[0]
+    src_offs = p.window_offsets(src_lo, src_hi)
+    dst_offs = p.window_offsets(dst_lo, dst_hi)
+    out = f.zeros(m, p.window_dim(dst_lo, dst_hi))
+    if has_left:
+        x = rows[:, : src_offs[left_hi] + p.d_left].reshape(m, left_hi - src_lo, p.d_left)
+        _stationary_image(f, x, op.stationary_stack("left"), src_lo + 1, dst_lo, dst_hi, dst_offs, out)
+    if has_right:
+        x = rows[:, src_offs[right_lo] :].reshape(m, src_hi - right_lo + 1, p.d_right)
+        _stationary_image(f, x, op.stationary_stack("right"), right_lo, dst_lo, dst_hi, dst_offs, out)
+    lo, hi = max(src_lo + 1, op.b_lo), min(src_hi, op.b_hi)
+    if lo <= hi:
+        # bandedness keeps the images of levels lo..hi inside (lo-1-w, hi+w]
+        cut_hi = min(dst_hi, hi + op.width)
+        cut_lo = min(max(dst_lo, lo - 1 - op.width), cut_hi)
+        action = _action_rows(op, lo - 1, hi, cut_lo, cut_hi)
+        if action.shape[1]:
+            start = dst_offs[cut_lo + 1]
+            boundary = rows[:, src_offs[lo] : src_offs[hi] + p.dim(hi)]
+            out[:, start : start + action.shape[1]] += f.matmul(boundary, action)
+    return f.normalize(out)
+
+
 def _image_rows_raw(op: BandedOperator, tail: int, window_mat: np.ndarray, top: int, a: int):
     """Rows of op(U_tail + span(window rows over (tail, top])) mod U_a.
 
@@ -312,7 +406,6 @@ def _image_rows_raw(op: BandedOperator, tail: int, window_mat: np.ndarray, top: 
         return f.zeros(0, 0), a
     src_hi = max(top, tail)
     dst_hi = max(src_hi + op.width, a)
-    action = _action_rows(op, src_lo, src_hi, a, dst_hi)
     n_tail = p.window_dim(src_lo, tail)
     n_rows = window_mat.shape[0]
     ambient = window_mat.shape[1]
@@ -327,7 +420,7 @@ def _image_rows_raw(op: BandedOperator, tail: int, window_mat: np.ndarray, top: 
             # generator coordinates at levels <= src_lo map into U_a anyway
             drop = p.window_dim(tail, src_lo)
             srcs[n_tail:, : ambient - drop] = window_mat[:, drop:]
-    return f.matmul(srcs, action), dst_hi
+    return _apply_action(op, srcs, src_lo, src_hi, a, dst_hi), dst_hi
 
 
 def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):

@@ -1,7 +1,11 @@
 """Entropy engines: contract values, chain invariants, cross-validation."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +23,10 @@ from llcent.entropy import (
     trajectory_subspaces,
 )
 from llcent.errors import (
+    EngineInvariant,
     InfiniteField,
     InvalidOperator,
+    LlcentError,
     NonConstantProfile,
     NotAnInverse,
     NotDiscreteProfile,
@@ -353,3 +359,87 @@ def _random_subspace(rng, profile=P1, tail_lo=-3, top_hi=3):
                     support[(n, i)] = rng.randrange(1, profile.field.p)
         gens.append(LlcVector(profile, support))
     return CompactOpenSubspace.make(profile, tail, gens)
+
+
+class TestConfig:
+    def test_caps(self):
+        with pytest.raises(ValueError, match="max_trajectory_steps must be >= 1"):
+            EntropyConfig(max_trajectory_steps=0)
+        with pytest.raises(ValueError, match="max_chain_index must be >= 0"):
+            EntropyConfig(max_chain_index=-1)
+        with pytest.raises(ValueError, match="plateau_streak must be >= 1"):
+            EntropyConfig(plateau_streak=0)
+        assert EntropyConfig(max_chain_index=0).max_chain_index == 0
+
+
+# Forces each engine invariant to break: a fake rref_union whose rank gains
+# grow (so increments and codimensions increase), and a fake relative
+# engine whose chain values fall.  Prints the message each check raised.
+_BROKEN_INVARIANTS = """
+import sys
+import numpy as np
+import llcent.entropy as E
+import llcent.linalg as L
+from llcent.errors import EngineInvariant
+from llcent.fields import PrimeField
+from llcent.operators import make_shift
+from llcent.spaces import Profile, cofinal_chain
+
+assert sys.flags.optimize == 1
+try:
+    assert False
+except AssertionError:
+    sys.exit("assert statements still run")
+profile = Profile.constant(PrimeField(2), 2)
+right, left = make_shift(profile, "right"), make_shift(profile, "left")
+u = cofinal_chain(profile, 0)
+
+
+def growing_union(gains):
+    gains = iter(gains)
+
+    def fake(basis, rows):
+        n, k = basis.ambient_dim, basis.rank + next(gains)
+        return L.SubspaceBasis.span(basis.field, np.eye(n, dtype=np.int64)[:k], ambient_dim=n)
+
+    return fake
+
+
+def fired(run):
+    try:
+        run()
+    except EngineInvariant as exc:
+        return str(exc)
+    return "no error"
+
+
+real_union = L.rref_union
+L.rref_union = growing_union([1, 2])
+print(fired(lambda: E.trajectory_relative_entropy(right, u)))
+L.rref_union = growing_union([1, 2])
+print(fired(lambda: E.limit_free_relative_entropy(left, right, u)))
+L.rref_union = real_union
+values = iter([2, 1])
+E.trajectory_relative_entropy = lambda op, c, cfg: E.EntropyResult(next(values), E.Status.EXACT, (), c, 1)
+print(fired(lambda: E.total_entropy(right)))
+"""
+
+
+def test_invariants_hold_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "trajectory increments must be non-increasing, got [1, 2]",
+        "limit-free codimensions must be non-increasing, got [-1, 0]",
+        "chain entropies must be non-decreasing, got [2, 1]",
+    ]
+
+
+def test_engine_invariant_is_not_an_input_error():
+    assert issubclass(EngineInvariant, AssertionError)
+    assert not issubclass(EngineInvariant, LlcentError)

@@ -1,6 +1,7 @@
 """Field arithmetic: exactness, axioms, errors, serialization."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,3 +104,15 @@ def test_wide_products_stay_exact():
     a = p - 2
     assert F.mul(a, a) == pow(a, 2, p)
     assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("inner", [1, 2, 37])
+def test_large_prime_matmul_matches_python_ints(inner):
+    # for p = 2^31 - 1 only one product fits in int64, so inner > 1 is chunked
+    p = 2**31 - 1
+    F = PrimeField(p)
+    rng = random.Random(inner)
+    a = [[p - 1] * inner] + [[rng.randrange(p) for _ in range(inner)] for _ in range(3)]
+    b = [[p - 1, 0, 1] + [rng.randrange(p) for _ in range(2)] for _ in range(inner)]
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    assert F.matmul(F.array(a), F.array(b)).tolist() == want

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llcent.errors import AmbientMismatch, NotContained
 from llcent.fields import PrimeField, QQ
@@ -15,6 +17,7 @@ from llcent.linalg import (
     kernel_basis,
     quotient_dim,
     rref,
+    rref_union,
     subspace_combine,
 )
 
@@ -204,3 +207,73 @@ def test_rational_elimination_stays_reduced():
     for row in basis.mat:
         for x in row:
             assert isinstance(x, (Fraction, int))
+
+
+ECHELON_FIELDS = (F2, F3, PrimeField(2**31 - 1), QQ)
+
+
+@st.composite
+def basis_and_rows(draw):
+    """A reduced basis (random, empty or full) and rows to reduce or merge.
+
+    Some rows are drawn from the span of the basis, so they reduce to zero.
+    """
+    field = draw(st.sampled_from(ECHELON_FIELDS))
+    n = draw(st.integers(0, 9))
+    if field is QQ:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1)
+
+    def matrix(rows, cols=n):
+        cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return field.array(np.array(cells, dtype=object).reshape(rows, cols))
+
+    kind = draw(st.sampled_from(("random", "empty", "full")))
+    if kind == "empty":
+        basis = SubspaceBasis.zero(field, n)
+    elif kind == "full":
+        basis = SubspaceBasis.full(field, n)
+    else:
+        basis = SubspaceBasis.span(field, matrix(draw(st.integers(0, n + 1))), ambient_dim=n)
+    rows = matrix(draw(st.integers(0, 4)))
+    if basis.rank and draw(st.booleans()):
+        in_span = field.matmul(matrix(draw(st.integers(1, 3)), basis.rank), basis.mat)
+        rows = np.concatenate([rows, in_span], axis=0)
+    return field, basis, rows
+
+
+class TestPivotAwareEchelon:
+    """reduce_rows and rref_union against a full re-reduction of the stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=basis_and_rows())
+    def test_reduce_rows(self, case):
+        field, basis, rows = case
+        resid = basis.reduce_rows(rows)
+        assert resid.shape == rows.shape
+        # zero on the pivots and congruent to rows modulo the span: that pins it down
+        assert not np.any(resid[:, list(basis.pivots)] != 0)
+        stacked = SubspaceBasis.span(
+            field, np.concatenate([basis.mat, rows], axis=0), ambient_dim=basis.ambient_dim
+        )
+        with_resid = SubspaceBasis.span(
+            field, np.concatenate([basis.mat, resid], axis=0), ambient_dim=basis.ambient_dim
+        )
+        assert with_resid == stacked
+        assert basis.contains_rows(field.normalize(rows - resid))
+        for row, r in zip(rows, resid):
+            assert np.array_equal(basis.reduce_vector(row), r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=basis_and_rows())
+    def test_rref_union(self, case):
+        field, basis, rows = case
+        merged = rref_union(basis, rows)
+        stacked = SubspaceBasis.span(
+            field, np.concatenate([basis.mat, rows], axis=0), ambient_dim=basis.ambient_dim
+        )
+        assert merged == stacked
+        assert merged.mat.dtype == basis.mat.dtype
+        assert list(merged.pivots) == sorted(merged.pivots)
+        assert all(isinstance(p, int) for p in merged.pivots)

@@ -4,18 +4,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llcent.errors import InvarianceFailure, NonConstantProfile, ProfileMismatch
-from llcent.fields import PrimeField
+from llcent.fields import QQ, PrimeField
 from llcent.generators import (
     levelwise_change_of_basis,
     random_automorphism,
     random_endomorphism,
+    random_matrix,
     unipotent_pair,
 )
 from llcent.linalg import SubspaceBasis
 from llcent.operators import (
     BandedOperator,
+    _action_rows,
+    _apply_action,
     automorphism_image,
     compose,
     decompose_vc_vd,
@@ -348,3 +353,76 @@ class TestOperatorAdd:
         for n in range(-5, 6):
             v = unit(P1, n)
             assert total.apply(v) == f_op.apply(v).add(g_op.apply(v))
+
+
+class TestBandedApplication:
+    """_apply_action equals the product with the dense action matrix."""
+
+    FIELDS = (PrimeField(2), PrimeField(3), PrimeField(2**31 - 1), QQ)
+    # where the source window (src_lo, src_hi] sits against [b_lo, b_hi]
+    PLACEMENTS = ("across", "starts_below", "ends_above", "left_of", "right_of", "inside")
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from(TestBandedApplication.FIELDS))
+        if draw(st.booleans()):
+            profile = Profile.constant(field, draw(st.integers(0, 3)))
+        else:
+            dims = draw(st.dictionaries(st.integers(-3, 3), st.integers(0, 3), max_size=5))
+            profile = Profile.from_dims(field, dims, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        width = draw(st.integers(0, 2))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        op = random_endomorphism(rng, profile, width=width, boundary=draw(st.integers(0, 3)))
+        b_lo, b_hi = op.b_lo, op.b_hi
+        placement = draw(st.sampled_from(TestBandedApplication.PLACEMENTS))
+        span = st.integers(0, 6)
+        if placement == "across":
+            src_lo, src_hi = b_lo - 1 - draw(st.integers(1, 6)), b_hi + draw(st.integers(1, 6))
+        elif placement == "starts_below":
+            src_lo, src_hi = b_lo - 1 - draw(st.integers(1, 6)), draw(st.integers(b_lo, b_hi))
+        elif placement == "ends_above":
+            src_lo, src_hi = draw(st.integers(b_lo - 1, b_hi - 1)), b_hi + draw(st.integers(1, 6))
+        elif placement == "left_of":
+            src_hi = b_lo - 1 - draw(st.integers(0, 4))
+            src_lo = src_hi - draw(span)
+        elif placement == "right_of":
+            src_lo = b_hi + draw(st.integers(0, 4))
+            src_hi = src_lo + draw(span)
+        else:
+            src_lo = draw(st.integers(b_lo - 1, b_hi))
+            src_hi = draw(st.integers(src_lo, b_hi))
+        # dst_lo at or below src_lo - width keeps every image; above it cuts some off
+        dst_lo = draw(st.integers(src_lo - width - 2, max(src_hi, src_lo - width - 2)))
+        # one level short of the band's reach exercises the too-small window
+        dst_hi = max(dst_lo, src_hi + width - draw(st.sampled_from((0, 0, 0, 1))))
+        m = draw(st.integers(0, 4))
+        rows = random_matrix(rng, field, m, profile.window_dim(src_lo, src_hi))
+        return op, rows, (src_lo, src_hi, dst_lo, dst_hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=cases())
+    def test_matches_dense_action(self, case):
+        op, rows, window = case
+        f = op.profile.field
+        try:
+            want = f.matmul(rows, _action_rows(op, *window))
+        except ValueError:
+            with pytest.raises(ValueError, match="action window too small"):
+                _apply_action(op, rows, *window)
+            return
+        got = _apply_action(op, rows, *window)
+        assert got.shape == want.shape
+        assert np.array_equal(got, f.normalize(want))
+
+    def test_stationary_levels_never_build_the_dense_action(self, monkeypatch):
+        import llcent.operators as ops
+
+        def refuse(*args):
+            raise AssertionError("dense action built for stationary levels")
+
+        monkeypatch.setattr(ops, "_action_rows", refuse)
+        op = make_shift(P2, "right")
+        rows = F2.array([[1, 0, 0, 1, 1, 1]])  # levels -19, -18, -17
+        got = _apply_action(op, rows, -20, -17, -20, -16)
+        assert got.tolist() == [[0, 0, 1, 0, 0, 1, 1, 1]]

@@ -66,15 +66,12 @@ from .entropy import (
     EntropyResult,
     Status,
     UnitEntropy,
-    ent_dim_discrete,
     h_alg_value,
-    inverse_trajectory_subspaces,
     limit_free_relative_entropy,
     relative_entropy_both,
     shift_closed_form,
     total_entropy,
     trajectory_relative_entropy,
-    trajectory_subspaces,
 )
 from .theorems import PropertyReport, Verdict, check_addition, check_property
 from .specfile import SpecFile, parse_spec, serialize_spec, spec_from_dict, to_canonical_dict

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 from . import __version__
 from .entropy import (
+    ENGINES,
     EntropyConfig,
     EntropyResult,
     Status,
     h_alg_value,
     limit_free_relative_entropy,
+    relative_entropy_both,
     total_entropy,
     trajectory_relative_entropy,
 )
@@ -32,13 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import PrimeField
-from .specfile import (
-    SpecFile,
-    parse_spec,
-    pattern_to_json,
-    subspace_to_json,
-    to_canonical_dict,
-)
+from .spaces import cofinal_chain
+from .specfile import SpecFile, parse_spec, subspace_to_json, to_canonical_dict
 from .theorems import Verdict, check_addition, check_property
 
 EXIT_OK = 0
@@ -117,14 +114,6 @@ def _engine_choice(spec: SpecFile, flags: Flags) -> str:
     return engine
 
 
-def _statuses(results) -> list:
-    out = []
-    for r in results:
-        if isinstance(r, EntropyResult):
-            out.append(r.status)
-    return out
-
-
 def run_command(command: str, spec: SpecFile, flags: Flags):
     """Execute one CLI command; returns (report dict, exit code)."""
     cfg = _effective_config(spec, flags)
@@ -152,18 +141,16 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
                 raise ValidationError(["relative-entropy needs a subspace in the spec file"])
             engine = _engine_choice(spec, flags)
             report["engine"] = engine
-            if engine in ("trajectory", "both"):
-                r = trajectory_relative_entropy(spec.operator, spec.subspace, cfg)
-                seen.append(r)
-                report["results"]["trajectory"] = _entropy_json(r, spec.field)
-            if engine in ("limitfree", "both"):
-                r = limit_free_relative_entropy(spec.operator, spec.inverse, spec.subspace, cfg)
-                seen.append(r)
-                report["results"]["limitfree"] = _entropy_json(r, spec.field)
             if engine == "both":
-                a, b = seen[-2], seen[-1]
-                if a.reliable() and b.reliable() and a.value != b.value:
-                    raise EngineDisagreement(f"trajectory {a.value} vs limit-free {b.value}")
+                rt, rl = relative_entropy_both(spec.operator, spec.inverse, spec.subspace, cfg)
+                runs = {"trajectory": rt, "limitfree": rl}
+            elif engine == "trajectory":
+                runs = {"trajectory": trajectory_relative_entropy(spec.operator, spec.subspace, cfg)}
+            else:
+                runs = {"limitfree": limit_free_relative_entropy(spec.operator, spec.inverse, spec.subspace, cfg)}
+            for name, r in runs.items():
+                seen.append(r)
+                report["results"][name] = _entropy_json(r, spec.field)
 
         elif command == "compare-engines":
             if spec.inverse is None:
@@ -171,25 +158,21 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
             subspaces = (
                 [("subspace", spec.subspace)]
                 if spec.subspace is not None
-                else [(f"chain_{m}", None) for m in range(min(4, cfg.max_chain_index) + 1)]
+                else [
+                    (f"chain_{m}", cofinal_chain(spec.profile, m))
+                    for m in range(min(4, cfg.max_chain_index) + 1)
+                ]
             )
-            from .spaces import cofinal_chain
-
             pairs = {}
             for label, u in subspaces:
-                if u is None:
-                    u = cofinal_chain(spec.profile, int(label.split("_")[1]))
-                rt = trajectory_relative_entropy(spec.operator, u, cfg)
-                rl = limit_free_relative_entropy(spec.operator, spec.inverse, u, cfg)
+                rt, rl = relative_entropy_both(spec.operator, spec.inverse, u, cfg)
                 seen.extend([rt, rl])
-                agree = (not rt.reliable()) or (not rl.reliable()) or rt.value == rl.value
+                # relative_entropy_both raises on a disagreement, so every emitted pair agrees
                 pairs[label] = {
                     "trajectory": _entropy_json(rt, spec.field),
                     "limitfree": _entropy_json(rl, spec.field),
-                    "agree": agree,
+                    "agree": True,
                 }
-                if not agree:
-                    raise EngineDisagreement(f"{label}: trajectory {rt.value} vs limit-free {rl.value}")
             report["results"]["comparisons"] = pairs
 
         elif command == "shift-closed-form":
@@ -223,7 +206,7 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
         report["results"]["error"] = {"kind": "EngineDisagreement", "message": str(exc)}
         return report, EXIT_DISAGREEMENT
 
-    if code == EXIT_OK and cfg.strict and any(s is Status.LOWER_BOUND for s in _statuses(seen)):
+    if code == EXIT_OK and cfg.strict and any(r.status is Status.LOWER_BOUND for r in seen):
         code = EXIT_LOWER_BOUND
     return report, code
 
@@ -302,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "check":
             p.add_argument("property", choices=PROPERTIES)
         p.add_argument("specfile")
-        p.add_argument("--engine", choices=("trajectory", "limitfree", "both"))
+        p.add_argument("--engine", choices=ENGINES)
         p.add_argument("--max-iter", type=int)
         p.add_argument("--streak", type=int)
         p.add_argument("--chain-max", type=int)

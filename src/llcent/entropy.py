@@ -5,8 +5,16 @@ increment sequence dim(T_{n+1}/T_n) of the partial trajectory chain
 T_1 = U, T_{n+1} = U + phi(T_n).  The trajectory engine iterates that
 chain directly.  For topological automorphisms the limit-free engine
 instead grows U^(0) = U, U^(m+1) = U + phi^{-1} U^(m) and reads the
-single codimension dim(U^(m+1) / phi^{-1} U^(m)), which equals H(phi, U)
-once the chain stabilizes.
+single codimension d_m = dim(U^(m+1) / phi^{-1} U^(m)), which equals
+H(phi, U) once the chain stabilizes.
+
+Both chains are grown by one loop over a fixed tail.  The trajectory
+chain lives over tail(U).  With w the band width of phi, U_{tail - w}
+lies in phi^{-1} U_tail, so every U^(m) contains U_{a0} for
+a0 = tail(U) - w and the limit-free chain lives over (a0, top].  With
+t = dim(U_tail / U_{a0}) and c = dim(phi^{-1} U_tail / U_{a0}), the
+codimension is d_m = gain + t - c, where gain is the rank the step
+added; both chains are at a fixed point exactly when the gain is 0.
 
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
@@ -24,7 +32,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     EngineDisagreement,
@@ -33,19 +43,19 @@ from .errors import (
     InvalidOperator,
     NonConstantProfile,
     NotAnInverse,
-    NotDiscreteProfile,
     ProfileMismatch,
 )
 from .fields import PrimeField
+from .linalg import SubspaceBasis
 from .operators import (
     BandedOperator,
-    automorphism_image,
-    image_mod_tail,
+    _apply_action,
+    _image_rows_raw,
     image_rows_mod_tail,
     validate,
     verify_inverse,
 )
-from .spaces import CompactOpenSubspace, Profile, cofinal_chain, open_combine, open_quotient_dim
+from .spaces import CompactOpenSubspace, Profile, cofinal_chain
 
 
 class Status(enum.Enum):
@@ -71,6 +81,7 @@ class EntropyConfig:
 
 
 DEFAULT_CONFIG = EntropyConfig()
+ENGINES = ("trajectory", "limitfree", "both")
 
 
 @dataclass(frozen=True)
@@ -117,31 +128,8 @@ def _structural_horizon(op: BandedOperator, u: CompactOpenSubspace) -> int:
     return span_u + span_b + d_max * (2 * op.width + 1)
 
 
-def _trajectory_step(op, u, t):
-    """One chain step U + op(T) mod the tail of U, in a single elimination.
-
-    Reference implementation over canonical subspaces; the iterating
-    engines use the incremental loop below, which is tested against this.
-    """
-    import numpy as np
-
-    from .spaces import _padded_window_rows
-
-    rows, top = image_rows_mod_tail(op, t, u.tail)
-    b = max(top, u.top, u.tail)
-    f = op.profile.field
-    total = op.profile.window_dim(u.tail, b)
-    img_wide = f.zeros(rows.shape[0], total)
-    if rows.shape[0]:
-        img_wide[:, : rows.shape[1]] = rows
-    stacked = np.concatenate([_padded_window_rows(u, u.tail, b), img_wide], axis=0)
-    return CompactOpenSubspace.from_rows(op.profile, u.tail, stacked, b)
-
-
 def _trim_rows(profile, rows, a, top):
     """Drop trailing all-zero levels of a row block over (a, top]."""
-    import numpy as np
-
     while top > a:
         d = profile.dim(top)
         if d == 0:
@@ -154,38 +142,39 @@ def _trim_rows(profile, rows, a, top):
     return rows, top
 
 
-def _rows_image(op, rows, lo, top, a):
-    """Images of window rows over (lo, top] modulo U_a; returns (rows, top).
+def _rows_image(op, rows, a, top):
+    """Images of window rows over (a, top] modulo U_a; returns (rows, top).
 
     The images are over (a, top + width], the band's reach; they come
     from the banded block application, which never forms the dense
     action matrix.  With no rows or an empty window there is nothing to
     map, and the empty result sits at the tail a.
     """
-    from .operators import _apply_action
-
     f = op.profile.field
-    if rows.shape[0] == 0 or top <= lo:
+    if rows.shape[0] == 0 or top <= a:
         return f.zeros(0, 0), a
-    return _apply_action(op, rows, lo, top, a, top + op.width), top + op.width
+    return _apply_action(op, rows, a, top, a, top + op.width), top + op.width
 
 
-def _incremental_trajectory(op, u, cfg, horizon, on_step=None):
-    """Shared fast loop: T_{n+1} = T_n + op(new part of T_n), tail pinned.
+def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
+    """Grow X_1 = U, X_{n+1} = U + img_op(X_n) modulo U_{a0}; read gain + offset.
 
-    Keeps the chain as one growing reduced basis over (tail(U), top];
-    each step reduces only the freshly produced image rows.  Increments
-    are rank deltas, which equal the canonical codimensions because the
-    chain members nest over a common tail.
+    `basis` spans U modulo U_{a0} over (a0, u.top], and a0 must be a tail
+    that every chain member contains.  The first step maps all of U, tail
+    included, so later steps only map the rows the last step added.  The
+    chain is one growing reduced basis; a step's gain is its rank delta,
+    a codimension because the members nest over the common tail a0.  The
+    readings must be non-increasing (EngineInvariant otherwise); a zero
+    gain is a chain fixed point, hence EXACT.
     """
+    # imported at call time, so a patched linalg module is seen here too
     from .linalg import pad_basis_columns, rref_union
 
-    p = op.profile
+    p = img_op.profile
     f = p.field
-    a0 = u.tail
-    basis, top = u.window, u.top
-    delta, delta_top = image_rows_mod_tail(op, u, a0)
-    increments: list = []
+    top = u.top
+    delta, delta_top = image_rows_mod_tail(img_op, u, a0)
+    readings: list = []
     for step in range(1, cfg.max_trajectory_steps + 1):
         delta, delta_top = _trim_rows(p, delta, a0, delta_top)
         b = max(top, delta_top)
@@ -193,35 +182,21 @@ def _incremental_trajectory(op, u, cfg, horizon, on_step=None):
             basis = pad_basis_columns(basis, 0, p.window_dim(top, b))
             top = b
         if delta.shape[0] and delta_top < b:
-            pad = f.zeros(delta.shape[0], p.window_dim(delta_top, b))
-            import numpy as np
-
-            delta = np.concatenate([delta, pad], axis=1)
+            delta = np.concatenate([delta, f.zeros(delta.shape[0], p.window_dim(delta_top, b))], axis=1)
         old_rank, old_piv = basis.rank, set(basis.pivots)
         basis = rref_union(basis, delta) if delta.shape[0] else basis
-        alpha = basis.rank - old_rank
-        if increments and alpha > increments[-1]:
-            raise EngineInvariant(
-                f"trajectory increments must be non-increasing, got {increments + [alpha]}"
-            )
-        increments.append(alpha)
-        if on_step is not None:
-            on_step(step, basis, top, alpha)
-        if alpha == 0:
-            return EntropyResult(0, Status.EXACT, tuple(increments), u, step)
-        if _plateaued(increments, cfg.plateau_streak, horizon):
-            return EntropyResult(alpha, Status.PLATEAU, tuple(increments), u, step)
+        gain = basis.rank - old_rank
+        d = gain + offset
+        if readings and d > readings[-1]:
+            raise EngineInvariant(f"{noun} must be non-increasing, got {readings + [d]}")
+        readings.append(d)
+        if gain == 0:
+            return EntropyResult(d, Status.EXACT, tuple(readings), u, step)
+        if _plateaued(readings, cfg.plateau_streak, horizon):
+            return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
         new_rows = basis.mat[[i for i, piv in enumerate(basis.pivots) if piv not in old_piv]]
-        delta, delta_top = _rows_image(op, new_rows, a0, top, a0)
-    return EntropyResult(increments[-1], Status.LOWER_BOUND, tuple(increments), u, cfg.max_trajectory_steps)
-
-
-def trajectory_subspaces(op: BandedOperator, u: CompactOpenSubspace, count: int):
-    """The partial trajectory chain T_1 = U, ..., T_count as subspaces."""
-    chain = [u]
-    for _ in range(count - 1):
-        chain.append(_trajectory_step(op, u, chain[-1]))
-    return chain
+        delta, delta_top = _rows_image(img_op, new_rows, a0, top)
+    return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
 
 
 def trajectory_relative_entropy(
@@ -237,18 +212,9 @@ def trajectory_relative_entropy(
     _check_op(op)
     if u.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
-    return _incremental_trajectory(op, u, cfg, _structural_horizon(op, u))
-
-
-def inverse_trajectory_subspaces(
-    op: BandedOperator, inverse: BandedOperator, u: CompactOpenSubspace, count: int
-):
-    """The chain U^(0) = U, U^(m+1) = U + phi^{-1} U^(m), for automorphisms."""
-    chain = [u]
-    for _ in range(count):
-        img = automorphism_image(inverse, chain[-1], op.width)
-        chain.append(open_combine(u, img, "sum"))
-    return chain
+    return _grow_chain(
+        op, u, u.tail, u.window, 0, cfg, _structural_horizon(op, u), "trajectory increments"
+    )
 
 
 def limit_free_relative_entropy(
@@ -259,9 +225,11 @@ def limit_free_relative_entropy(
 ) -> EntropyResult:
     """H(phi, U) via the limit-free codimension, for verified automorphisms.
 
-    Tracks d_m = dim(U^(m+1) / phi^{-1} U^(m)); at a chain fixed point
-    U^(m+1) = U^(m) the subspace is inversely invariant and d_m is the
-    exact entropy value.
+    Tracks d_m = dim(U^(m+1) / phi^{-1} U^(m)) over the pinned tail
+    a0 = tail(U) - width(phi), as d_m = gain + t - c with the constants
+    t = dim(U_tail / U_{a0}) and c = dim(phi^{-1} U_tail / U_{a0}).  At a
+    chain fixed point U^(m+1) = U^(m) (gain 0) the subspace is inversely
+    invariant and d_m = t - c is the exact entropy value.
     """
     _check_op(op)
     _check_op(inverse)
@@ -269,75 +237,15 @@ def limit_free_relative_entropy(
         raise ProfileMismatch("subspace over a different profile")
     if not verify_inverse(op, inverse):
         raise NotAnInverse("limit-free engine needs a verified inverse pair")
-    import numpy as np
-
-    from .linalg import SubspaceBasis, pad_basis_columns, rref_union
-    from .operators import _image_rows_raw
-
     p = op.profile
-    f = p.field
-    drop = op.width  # the chain tail deepens by the forward band per step
+    a0 = u.tail - op.width
+    tail_rows, tail_top = _image_rows_raw(inverse, u.tail, p.field.zeros(0, 0), u.tail, a0)
+    c = SubspaceBasis.span(p.field, tail_rows, ambient_dim=p.window_dim(a0, tail_top)).rank
+    t = p.window_dim(a0, u.tail)
     horizon = max(_structural_horizon(op, u), _structural_horizon(inverse, u))
-    a = u.tail
-    basis, top = u.window, u.top
-    rank = basis.rank
-    # first image uses the whole subspace; later steps only its new part
-    delta, delta_top = image_rows_mod_tail(inverse, u, a - drop)
-    dims: list = []
-    stationary_c = None
-    for step in range(1, cfg.max_trajectory_steps + 1):
-        a_next = a - drop
-        # codimension of U_{a_next} inside the image of the pure tail U_a.  Once
-        # a < b_lo the tail maps by the stationary blocks alone, into the
-        # constant-dimension region (validate), so c no longer depends on a.
-        if stationary_c is not None:
-            c = stationary_c
-        else:
-            tail_rows, tail_top = _image_rows_raw(inverse, a, f.zeros(0, 0), a, a_next)
-            c = SubspaceBasis.span(
-                f, tail_rows, ambient_dim=p.window_dim(a_next, tail_top)
-            ).rank
-            if a < inverse.b_lo:
-                stationary_c = c
-        # expand the chain member to the deeper tail and absorb the new rows
-        t_dims = p.window_dim(a_next, a)
-        expanded = pad_basis_columns(basis, t_dims, 0)
-        units = f.zeros(t_dims, expanded.ambient_dim)
-        for i in range(t_dims):
-            units[i, i] = f.one
-        merged = np.concatenate([units, expanded.mat], axis=0)
-        basis = SubspaceBasis(
-            f, expanded.ambient_dim, merged,
-            tuple(range(t_dims)) + expanded.pivots,
-        )
-        delta, delta_top = _trim_rows(p, delta, a_next, delta_top)
-        b = max(top, delta_top)
-        if b > top:
-            basis = pad_basis_columns(basis, 0, p.window_dim(top, b))
-            top = b
-        if delta.shape[0] and delta_top < b:
-            delta = np.concatenate(
-                [delta, f.zeros(delta.shape[0], p.window_dim(delta_top, b))], axis=1
-            )
-        old_piv = set(basis.pivots)
-        basis = rref_union(basis, delta) if delta.shape[0] else basis
-        a = a_next
-        new_rank = basis.rank
-        d = new_rank - (rank + c)
-        if dims and d > dims[-1]:
-            raise EngineInvariant(
-                f"limit-free codimensions must be non-increasing, got {dims + [d]}"
-            )
-        dims.append(d)
-        fixed = new_rank == rank + t_dims
-        rank = new_rank
-        if fixed:
-            return EntropyResult(d, Status.EXACT, tuple(dims), u, step)
-        if _plateaued(dims, cfg.plateau_streak, horizon):
-            return EntropyResult(d, Status.PLATEAU, tuple(dims), u, step)
-        new_rows = basis.mat[[i for i, piv in enumerate(basis.pivots) if piv not in old_piv]]
-        delta, delta_top = _rows_image(inverse, new_rows, a, top, a - drop)
-    return EntropyResult(dims[-1], Status.LOWER_BOUND, tuple(dims), u, cfg.max_trajectory_steps)
+    return _grow_chain(
+        inverse, u, a0, u.expand_window(a0, u.top), t - c, cfg, horizon, "limit-free codimensions"
+    )
 
 
 def relative_entropy_both(op, inverse, u, cfg=DEFAULT_CONFIG):
@@ -364,11 +272,14 @@ def total_entropy(
     n_hi + width, or reports a lower bound at the chain cap.  With an
     inverse, each H is computed by both engines and cross-asserted
     (engine="both", the default when an inverse is supplied); engine may
-    also name a single engine, "limitfree" requiring the inverse.
+    also name a single engine, "limitfree" requiring the inverse.  Any
+    other engine name raises ValueError.
     """
     _check_op(op)
     if engine is None:
         engine = "both" if inverse is not None else "trajectory"
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if engine in ("both", "limitfree") and inverse is None:
         raise NotAnInverse("limit-free engine requires a verified inverse")
     profile = op.profile
@@ -420,40 +331,6 @@ def shift_closed_form(profile: Profile, direction: str, k: int) -> int:
     if direction == "left" or k == 0:
         return 0
     return k * profile.d_left
-
-
-def ent_dim_discrete(
-    op: BandedOperator, f: CompactOpenSubspace, cfg: EntropyConfig = DEFAULT_CONFIG
-) -> EntropyResult:
-    """Entropy on a discrete space via absolute trajectory dimensions.
-
-    On a profile that vanishes at levels <= 0 every tail is the zero
-    space, so dim T_n is just the window rank and the increments can be
-    read off absolutely; this is an independent route that must agree
-    with the quotient-based trajectory engine on the same inputs.
-    """
-    _check_op(op)
-    if not op.profile.is_discrete():
-        raise NotDiscreteProfile("ent_dim needs a discrete profile (levels <= 0 empty)")
-    if f.profile != op.profile:
-        raise ProfileMismatch("subspace over a different profile")
-    t = f
-    horizon = _structural_horizon(op, f)
-    increments: list = []
-    for step in range(1, cfg.max_trajectory_steps + 1):
-        t_next = _trajectory_step(op, f, t)
-        alpha = t_next.window_rank() - t.window_rank()
-        if increments and alpha > increments[-1]:
-            raise EngineInvariant(
-                f"dimension increments must be non-increasing, got {increments + [alpha]}"
-            )
-        increments.append(alpha)
-        if t_next == t:
-            return EntropyResult(0, Status.EXACT, tuple(increments), f, step)
-        if _plateaued(increments, cfg.plateau_streak, horizon):
-            return EntropyResult(alpha, Status.PLATEAU, tuple(increments), f, step)
-        t = t_next
-    return EntropyResult(increments[-1], Status.LOWER_BOUND, tuple(increments), f, cfg.max_trajectory_steps)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import SubspaceBasis, invert_matrix
+from .linalg import invert_matrix
 from .operators import (
     BandedOperator,
     compose,
@@ -20,7 +20,6 @@ from .operators import (
     scale_operator,
     verify_inverse,
     zero_operator,
-    _boundary_span,
 )
 from .spaces import BlockwisePattern, CompactOpenSubspace, LlcVector, Profile
 

@@ -11,7 +11,7 @@ canonical: re-serializing a parsed file is byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError

@@ -13,13 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .entropy import (
-    DEFAULT_CONFIG,
-    EntropyResult,
-    Status,
-    ent_dim_discrete,
-    total_entropy,
-)
+from .entropy import DEFAULT_CONFIG, total_entropy
 from .errors import InvarianceFailure, NotAnInverse
 from .operators import (
     BandedOperator,
@@ -62,14 +56,31 @@ def _conclude(name, inputs, sides, holds, witness="") -> PropertyReport:
     return PropertyReport(name, inputs, sides, verdict, "" if holds else witness)
 
 
-def _invariant_inverse(inverse, pattern):
-    """Restrict/induce the inverse along the pattern when it also leaves it invariant."""
-    if inverse is None:
-        return None, None
-    try:
-        return induce_on_subspace_and_quotient(inverse, pattern)
-    except InvarianceFailure:
-        return None, None
+def _split_entropies(op, pattern, cfg, inverse):
+    """ent of op, of its restriction to the pattern and of the induced quotient map.
+
+    The pattern must be op-invariant (InvarianceFailure otherwise).  The
+    inverse is restricted and induced too when it also leaves the pattern
+    invariant, and each part keeps it only where the pair verifies.
+    Returns (restricted, induced, sides).
+    """
+    restricted, induced = induce_on_subspace_and_quotient(op, pattern)
+    inv_r = inv_q = None
+    if inverse is not None:
+        try:
+            inv_r, inv_q = induce_on_subspace_and_quotient(inverse, pattern)
+        except InvarianceFailure:
+            pass
+    if inv_r is not None and not verify_inverse(restricted, inv_r):
+        inv_r = None
+    if inv_q is not None and not verify_inverse(induced, inv_q):
+        inv_q = None
+    sides = {
+        "ent": total_entropy(op, cfg, inverse),
+        "ent_restricted": total_entropy(restricted, cfg, inv_r),
+        "ent_quotient": total_entropy(induced, cfg, inv_q),
+    }
+    return restricted, induced, sides
 
 
 def check_addition(
@@ -84,23 +95,12 @@ def check_addition(
     Also cross-checks that restricting/quotienting the cofinal chain
     commutes with the pattern presentation.
     """
-    restricted, induced = induce_on_subspace_and_quotient(op, pattern)
-    sub_p, quot_p = restricted.profile, induced.profile
+    restricted, induced, sides = _split_entropies(op, pattern, cfg, inverse)
     for m in range(0, 3):
         u_in_w, u_in_q = blockwise_restrict_quotient(pattern, cofinal_chain(op.profile, m))
-        assert u_in_w == cofinal_chain(sub_p, m), "chain restriction mismatch"
-        assert u_in_q == cofinal_chain(quot_p, m), "chain quotient mismatch"
-
-    inv_r, inv_q = _invariant_inverse(inverse, pattern)
-    if inv_r is not None and not verify_inverse(restricted, inv_r):
-        inv_r = None
-    if inv_q is not None and not verify_inverse(induced, inv_q):
-        inv_q = None
-
-    total = total_entropy(op, cfg, inverse)
-    part_w = total_entropy(restricted, cfg, inv_r)
-    part_q = total_entropy(induced, cfg, inv_q)
-    sides = {"ent": total, "ent_restricted": part_w, "ent_quotient": part_q}
+        assert u_in_w == cofinal_chain(restricted.profile, m), "chain restriction mismatch"
+        assert u_in_q == cofinal_chain(induced.profile, m), "chain quotient mismatch"
+    total, part_w, part_q = sides["ent"], sides["ent_restricted"], sides["ent_quotient"]
     holds = total.value == part_w.value + part_q.value
     return _conclude(
         "addition",
@@ -181,16 +181,8 @@ def _check_weak_addition(cfg, op1, op2, inverse1=None, inverse2=None):
 
 
 def _check_monotonicity(cfg, op, pattern, inverse=None):
-    restricted, induced = induce_on_subspace_and_quotient(op, pattern)
-    inv_r, inv_q = _invariant_inverse(inverse, pattern)
-    if inv_r is not None and not verify_inverse(restricted, inv_r):
-        inv_r = None
-    if inv_q is not None and not verify_inverse(induced, inv_q):
-        inv_q = None
-    total = total_entropy(op, cfg, inverse)
-    part_w = total_entropy(restricted, cfg, inv_r)
-    part_q = total_entropy(induced, cfg, inv_q)
-    sides = {"ent": total, "ent_restricted": part_w, "ent_quotient": part_q}
+    restricted, _, sides = _split_entropies(op, pattern, cfg, inverse)
+    total, part_w, part_q = sides["ent"], sides["ent_restricted"], sides["ent_quotient"]
     holds = total.value >= part_w.value and total.value >= part_q.value
     witness = f"ent {total.value} below restriction {part_w.value} or quotient {part_q.value}"
     if restricted.profile.is_linearly_compact():

@@ -15,15 +15,12 @@ import pytest
 from llcent.entropy import (
     EntropyConfig,
     Status,
-    ent_dim_discrete,
     h_alg_value,
-    inverse_trajectory_subspaces,
     limit_free_relative_entropy,
     relative_entropy_both,
     shift_closed_form,
     total_entropy,
     trajectory_relative_entropy,
-    trajectory_subspaces,
 )
 from llcent.fields import PrimeField
 from llcent.generators import (
@@ -54,6 +51,7 @@ from llcent.spaces import (
 from llcent.theorems import Verdict, check_addition
 
 from _dense import dim_of, image_plus_tail_bits, span_set, subspace_bits
+from _oracles import ent_dim_discrete, inverse_trajectory_subspaces, trajectory_subspaces
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

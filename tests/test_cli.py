@@ -79,20 +79,21 @@ class TestExitCodes:
         assert report["results"]["trajectory"]["status"] == "LowerBound"
 
     def test_exit_4_engine_disagreement(self, tmp_path, capsys, monkeypatch):
-        import llcent.cli as cli
+        import llcent.entropy as entropy
 
-        real = cli.trajectory_relative_entropy
+        real = entropy.trajectory_relative_entropy
 
         def lying(op, u, cfg):
             r = real(op, u, cfg)
             return EntropyResult(r.value + 1, Status.PLATEAU, r.certificate, r.witness, r.iterations)
 
-        monkeypatch.setattr(cli, "trajectory_relative_entropy", lying)
+        monkeypatch.setattr(entropy, "trajectory_relative_entropy", lying)
         spec = SHIFT[:-1] + ',"subspace":{"chain_index":1}}'
         code = main(["relative-entropy", write(tmp_path, spec), "--engine", "both"])
         assert code == EXIT_DISAGREEMENT
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["error"]["kind"] == "EngineDisagreement"
+        assert "vs limit-free" in report["results"]["error"]["message"]
 
     def test_missing_file(self, capsys):
         assert main(["entropy", "/nonexistent/spec.json"]) == EXIT_SPEC_ERROR

@@ -12,15 +12,12 @@ import pytest
 from llcent.entropy import (
     EntropyConfig,
     Status,
-    ent_dim_discrete,
     h_alg_value,
-    inverse_trajectory_subspaces,
     limit_free_relative_entropy,
     relative_entropy_both,
     shift_closed_form,
     total_entropy,
     trajectory_relative_entropy,
-    trajectory_subspaces,
 )
 from llcent.errors import (
     EngineInvariant,
@@ -51,6 +48,8 @@ from llcent.spaces import (
     open_contains,
     open_quotient_dim,
 )
+
+from _oracles import ent_dim_discrete, inverse_trajectory_subspaces, trajectory_subspaces
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -168,6 +167,45 @@ class TestCrossEngine:
                 assert lhs == rhs
 
 
+class TestCertificates:
+    """Every certificate entry is the codimension of the reference chain."""
+
+    PROFILES = [
+        Profile.constant(F2, 1),
+        Profile.constant(F2, 2),
+        Profile.constant(F3, 1),
+        Profile.constant(F3, 2),
+        Profile.from_dims(F2, {-1: 1, 0: 2, 1: 1, 2: 3}, 2, 2),
+    ]
+
+    @staticmethod
+    def _cases():
+        for i, profile in enumerate(TestCertificates.PROFILES):
+            for seed in range(10):
+                rng = random.Random(1000 * i + seed)
+                op, inv = random_automorphism(rng, profile)
+                yield op, inv, _random_subspace(rng, profile, tail_lo=-2)
+
+    def test_trajectory_certificate_is_chain_codimensions(self):
+        for op, inv, u in self._cases():
+            for phi in (op, inv):
+                r = trajectory_relative_entropy(phi, u)
+                chain = trajectory_subspaces(phi, u, len(r.certificate) + 1)
+                codims = [open_quotient_dim(b, a) for a, b in zip(chain, chain[1:])]
+                assert list(r.certificate) == codims
+
+    def test_limit_free_certificate_is_inverse_chain_codimensions(self):
+        for op, inv, u in self._cases():
+            for phi, phi_inv in ((op, inv), (inv, op)):
+                r = limit_free_relative_entropy(phi, phi_inv, u)
+                chain = inverse_trajectory_subspaces(phi, phi_inv, u, len(r.certificate))
+                codims = [
+                    open_quotient_dim(b, automorphism_image(phi_inv, a, phi.width))
+                    for a, b in zip(chain, chain[1:])
+                ]
+                assert list(r.certificate) == codims
+
+
 class TestTotalEntropy:
     def test_bernoulli_values(self):
         beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
@@ -224,6 +262,15 @@ class TestTotalEntropy:
         r = total_entropy(beta, EntropyConfig(max_chain_index=1))
         assert r.status is Status.LOWER_BOUND
         assert r.value == 1
+
+    def test_unknown_engine_name_rejected(self):
+        # a misspelt name must not fall back to one engine and skip the cross-check
+        beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
+        for name in ("limit-free", "Both", "traj", ""):
+            with pytest.raises(ValueError, match="unknown engine"):
+                total_entropy(beta, inverse=lam, engine=name)
+            with pytest.raises(ValueError, match="unknown engine"):
+                total_entropy(beta, engine=name)
 
 
 class TestClosedForms:

@@ -102,6 +102,14 @@ def _check_op(op: BandedOperator):
         raise InvalidOperator(violations)
 
 
+def _check_pair(op: BandedOperator, inverse: BandedOperator):
+    """Both operators valid and inverse to each other, as the limit-free engine needs."""
+    _check_op(op)
+    _check_op(inverse)
+    if not verify_inverse(op, inverse):
+        raise NotAnInverse("limit-free engine needs a verified inverse pair")
+
+
 def _plateaued(seq, streak, horizon: int = 0) -> bool:
     """Last `streak` entries equal, with the window starting past `horizon`."""
     if len(seq) < streak or len(seq) - streak + 1 < horizon:
@@ -222,6 +230,8 @@ def limit_free_relative_entropy(
     inverse: BandedOperator,
     u: CompactOpenSubspace,
     cfg: EntropyConfig = DEFAULT_CONFIG,
+    *,
+    _verified: bool = False,
 ) -> EntropyResult:
     """H(phi, U) via the limit-free codimension, for verified automorphisms.
 
@@ -230,13 +240,14 @@ def limit_free_relative_entropy(
     t = dim(U_tail / U_{a0}) and c = dim(phi^{-1} U_tail / U_{a0}).  At a
     chain fixed point U^(m+1) = U^(m) (gain 0) the subspace is inversely
     invariant and d_m = t - c is the exact entropy value.
+
+    `_verified` skips the operator and inverse-pair checks; it is for
+    total_entropy, which runs them once before its chain loop.
     """
-    _check_op(op)
-    _check_op(inverse)
+    if not _verified:
+        _check_pair(op, inverse)
     if u.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
-    if not verify_inverse(op, inverse):
-        raise NotAnInverse("limit-free engine needs a verified inverse pair")
     p = op.profile
     a0 = u.tail - op.width
     tail_rows, tail_top = _image_rows_raw(inverse, u.tail, p.field.zeros(0, 0), u.tail, a0)
@@ -248,14 +259,18 @@ def limit_free_relative_entropy(
     )
 
 
-def relative_entropy_both(op, inverse, u, cfg=DEFAULT_CONFIG):
-    """Run both engines on U and cross-assert their values."""
-    r_traj = trajectory_relative_entropy(op, u, cfg)
-    r_lf = limit_free_relative_entropy(op, inverse, u, cfg)
+def _cross_check(r_traj: EntropyResult, r_lf: EntropyResult, u: CompactOpenSubspace):
     if r_traj.reliable() and r_lf.reliable() and r_traj.value != r_lf.value:
         raise EngineDisagreement(
             f"trajectory {r_traj.value} vs limit-free {r_lf.value} on {u!r}"
         )
+
+
+def relative_entropy_both(op, inverse, u, cfg=DEFAULT_CONFIG):
+    """Run both engines on U and cross-assert their values."""
+    r_traj = trajectory_relative_entropy(op, u, cfg)
+    r_lf = limit_free_relative_entropy(op, inverse, u, cfg)
+    _cross_check(r_traj, r_lf, u)
     return r_traj, r_lf
 
 
@@ -273,15 +288,18 @@ def total_entropy(
     inverse, each H is computed by both engines and cross-asserted
     (engine="both", the default when an inverse is supplied); engine may
     also name a single engine, "limitfree" requiring the inverse.  Any
-    other engine name raises ValueError.
+    other engine name raises ValueError.  The inverse pair is verified
+    once, before the chain loop.
     """
     _check_op(op)
     if engine is None:
         engine = "both" if inverse is not None else "trajectory"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine in ("both", "limitfree") and inverse is None:
-        raise NotAnInverse("limit-free engine requires a verified inverse")
+    if engine in ("both", "limitfree"):
+        if inverse is None:
+            raise NotAnInverse("limit-free engine requires a verified inverse")
+        _check_pair(op, inverse)
     profile = op.profile
     horizon = profile.n_hi + op.width
     values: list = []
@@ -289,13 +307,15 @@ def total_entropy(
     prev = None
     for m in range(cfg.max_chain_index + 1):
         cm = cofinal_chain(profile, m)
-        if engine == "both":
-            r_traj, r_lf = relative_entropy_both(op, inverse, cm, cfg)
-            r = r_traj if r_traj.reliable() else r_lf
-        elif engine == "limitfree":
-            r = limit_free_relative_entropy(op, inverse, cm, cfg)
+        if engine == "limitfree":
+            r = limit_free_relative_entropy(op, inverse, cm, cfg, _verified=True)
         else:
             r = trajectory_relative_entropy(op, cm, cfg)
+            if engine == "both":
+                r_lf = limit_free_relative_entropy(op, inverse, cm, cfg, _verified=True)
+                _cross_check(r, r_lf, cm)
+                if not r.reliable():
+                    r = r_lf
         if prev is not None and prev.reliable() and r.reliable() and r.value < prev.value:
             raise EngineInvariant(
                 f"chain entropies must be non-decreasing, got {values + [r.value]}"

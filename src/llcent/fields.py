@@ -3,9 +3,25 @@
 Matrices elsewhere in the package store raw entries (machine integers for
 GF(p), `fractions.Fraction` for the rationals) inside numpy arrays; the
 field object owns reduction, inversion and coercion so that every
-operation stays exact.  Prime field products are computed in 64-bit
-integers, which is safe for p up to 2^31; longer accumulations are
-chunked in :meth:`PrimeField.matmul`.
+operation stays exact.
+
+A GF(p) product of an (m x k) and a (k x n) matrix with entries in [0, p)
+has exact sums of at most k (p-1)^2; :meth:`PrimeField.matmul` picks the
+cheapest route on which that stays exact (the FFLAS approach of Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008):
+
+* **float64 BLAS** while k (p-1)^2 < 2^53, which float64 holds exactly
+  whatever the summation order, once the product has at least
+  ``FLOAT_MIN_MAC`` multiply-adds (below that numpy's int64 loop is faster
+  than the BLAS call and its conversions; ``tools/matmul_cutoff.py``
+  measures the crossover);
+* **direct int64** while k (p-1)^2 <= 2^62, which leaves int64 headroom;
+* **two 16-bit limbs** of the right operand otherwise (p near 2^31): each
+  limb product stays below 2^62 while k (p-1) 2^16 <= 2^62, i.e. k <= 2^15
+  for p = 2^31 - 1, and longer inner dimensions are summed in blocks of
+  that size.
+
+Every route returns int64 entries reduced into [0, p).
 """
 
 from __future__ import annotations
@@ -19,6 +35,15 @@ import numpy as np
 from .errors import DivisionByZero, FieldMismatch
 
 PRIME_CAP = 1 << 31
+
+# Exactness bounds of the PrimeField.matmul routes.
+FLOAT_EXACT = 1 << 53  # float64 represents every integer below this exactly
+INT64_SAFE = 1 << 62  # int64 sums up to this leave headroom below 2^63
+LIMB_BITS = 16
+LIMB_MASK = (1 << LIMB_BITS) - 1
+# Fewest multiply-adds for which the float64 route beats the int64 loop:
+# the crossover measured by tools/matmul_cutoff.py.
+FLOAT_MIN_MAC = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -40,12 +65,17 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """GF(p); elements are plain integers reduced into [0, p)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_float_inner", "_int64_inner", "_limb_inner")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not (2 <= p <= PRIME_CAP) or not is_prime(p):
             raise ValueError(f"p must be a prime in [2, 2^31], got {p!r}")
         self.p = p
+        # largest inner dimension each matmul route keeps exact
+        square = (p - 1) ** 2
+        self._float_inner = (FLOAT_EXACT - 1) // square
+        self._int64_inner = INT64_SAFE // square
+        self._limb_inner = INT64_SAFE // ((p - 1) << LIMB_BITS)
 
     # -- identity ---------------------------------------------------------
     @property
@@ -110,17 +140,29 @@ class PrimeField:
         return a % self.p
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        inner = a.shape[-1]
+        """Exact a @ b over GF(p) for entries in [0, p); int64, reduced into [0, p).
+
+        Routes, by inner dimension k (module docstring): float64 BLAS for
+        k (p-1)^2 < 2^53 and at least FLOAT_MIN_MAC multiply-adds, direct
+        int64 for k (p-1)^2 <= 2^62, else two 16-bit limbs of b summed in
+        inner blocks of at most 2^62 / ((p-1) 2^16).
+        """
+        rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
+        p = self.p
         if inner == 0:
-            return np.zeros((a.shape[0], b.shape[-1]), dtype=np.int64)
-        # keep partial sums below 2^62: inner * (p-1)^2 must fit
-        limit = (1 << 62) // max((self.p - 1) ** 2, 1)
-        if inner <= limit:
-            return (a @ b) % self.p
-        acc = np.zeros((a.shape[0], b.shape[-1]), dtype=np.int64)
-        step = max(1, limit)
+            return np.zeros((rows, cols), dtype=np.int64)
+        if inner <= self._float_inner and rows * inner * cols >= FLOAT_MIN_MAC:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+        if inner <= self._int64_inner:
+            return (a @ b) % p
+        # b = hi 2^16 + lo; (a @ hi) is reduced before the shift, so each
+        # block sum stays below 2^62 + 2^47 + p
+        hi, lo = b >> LIMB_BITS, b & LIMB_MASK
+        step = self._limb_inner
+        acc = 0
         for k in range(0, inner, step):
-            acc = (acc + a[:, k : k + step] @ b[k : k + step, :]) % self.p
+            s = slice(k, k + step)
+            acc = ((((a[:, s] @ hi[s]) % p) << LIMB_BITS) + a[:, s] @ lo[s] + acc) % p
         return acc
 
     def elements(self):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import EngineInvariant
 from .linalg import invert_matrix
 from .operators import (
     BandedOperator,
@@ -170,7 +171,8 @@ def random_automorphism(
             op = compose(op, fwd)
         inv = _reverse_inverse(factors)
         if op.width <= max_width and op.b_lo >= -boundary and op.b_hi <= boundary:
-            assert verify_inverse(op, inv), "generator produced a bad inverse pair"
+            if not verify_inverse(op, inv):
+                raise EngineInvariant("generator produced a bad inverse pair")
             return op, inv
     raise RuntimeError("could not fit an automorphism into the requested budget")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    EngineInvariant,
     InvarianceFailure,
     NonConstantProfile,
     NotAnInverse,
@@ -238,7 +239,8 @@ def compose(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
     # stationary rule must continue the explicit columns beyond the region
     for n in (b_lo - 1, b_hi + 1):
         for i in range(p.dim(n)):
-            assert out.column(n, i) == f_op.apply(g_op.column(n, i)), "compose: stationary mismatch"
+            if out.column(n, i) != f_op.apply(g_op.column(n, i)):
+                raise EngineInvariant("compose: stationary mismatch")
     return out
 
 
@@ -627,7 +629,8 @@ def decompose_vc_vd(op: BandedOperator) -> ComponentDecomposition:
     for n in range(b_lo, 1):
         for i in range(p.dim(n)):
             col = cd.column(n, i)
-            assert n > -w or col.is_zero(), "corner into the discrete side must kill deep tail levels"
+            if n <= -w and not col.is_zero():
+                raise EngineInvariant("corner into the discrete side must kill deep tail levels")
             if not col.is_zero():
                 cd_gens.append(col)
     if cd_gens:
@@ -646,7 +649,8 @@ def decompose_vc_vd(op: BandedOperator) -> ComponentDecomposition:
             else:
                 low = dc.column(n, i)
                 high = LlcVector(p, dd.column(n, i).support)
-            assert low.add(high) == op.column(n, i), "corner reassembly mismatch"
+            if low.add(high) != op.column(n, i):
+                raise EngineInvariant("corner reassembly mismatch")
 
     return ComponentDecomposition(op, cc, cd, dc, dd, c_profile, d_profile, cd_image_dim)
 

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .entropy import DEFAULT_CONFIG, total_entropy
-from .errors import InvarianceFailure, NotAnInverse
+from .errors import EngineInvariant, InvarianceFailure, NotAnInverse
 from .operators import (
     BandedOperator,
     compose,
@@ -98,8 +98,10 @@ def check_addition(
     restricted, induced, sides = _split_entropies(op, pattern, cfg, inverse)
     for m in range(0, 3):
         u_in_w, u_in_q = blockwise_restrict_quotient(pattern, cofinal_chain(op.profile, m))
-        assert u_in_w == cofinal_chain(restricted.profile, m), "chain restriction mismatch"
-        assert u_in_q == cofinal_chain(induced.profile, m), "chain quotient mismatch"
+        if u_in_w != cofinal_chain(restricted.profile, m):
+            raise EngineInvariant("chain restriction mismatch")
+        if u_in_q != cofinal_chain(induced.profile, m):
+            raise EngineInvariant("chain quotient mismatch")
     total, part_w, part_q = sides["ent"], sides["ent_restricted"], sides["ent_quotient"]
     holds = total.value == part_w.value + part_q.value
     return _conclude(

@@ -10,13 +10,8 @@ import math
 import random
 import time
 
-import pytest
-
 from llcent.entropy import (
-    EntropyConfig,
-    Status,
     h_alg_value,
-    limit_free_relative_entropy,
     relative_entropy_both,
     shift_closed_form,
     total_entropy,

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from llcent.cli import (
     EXIT_DISAGREEMENT,
     EXIT_LOWER_BOUND,

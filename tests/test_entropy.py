@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import llcent.entropy as entropy_module
 from llcent.entropy import (
     EntropyConfig,
     Status,
@@ -27,6 +28,7 @@ from llcent.errors import (
     NonConstantProfile,
     NotAnInverse,
     NotDiscreteProfile,
+    ProfileMismatch,
 )
 from llcent.fields import PrimeField, QQ
 from llcent.generators import random_automorphism, random_endomorphism
@@ -272,6 +274,28 @@ class TestTotalEntropy:
             with pytest.raises(ValueError, match="unknown engine"):
                 total_entropy(beta, engine=name)
 
+    @pytest.mark.parametrize("engine", ["both", "limitfree"])
+    def test_bad_inverse_rejected_before_the_chain(self, engine):
+        beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
+        broken = BandedOperator(P1, 1, lam.left_blocks, lam.right_blocks, {0: lam.columns[0]})
+        cases = [
+            (NotAnInverse, beta),
+            (ProfileMismatch, make_shift(Profile.constant(F2, 2), "left")),
+            (InvalidOperator, broken),
+        ]
+        for error, inverse in cases:
+            with pytest.raises(error):
+                total_entropy(beta, inverse=inverse, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["both", "limitfree"])
+    def test_inverse_pair_verified_once(self, engine, monkeypatch):
+        calls = []
+        real = entropy_module.verify_inverse
+        monkeypatch.setattr(entropy_module, "verify_inverse", lambda f, g: calls.append(1) or real(f, g))
+        r = total_entropy(make_shift(P1, "right"), inverse=make_shift(P1, "left"), engine=engine)
+        assert r.value == 1 and r.iterations > 1
+        assert len(calls) == 1
+
 
 class TestClosedForms:
     def test_contract_values(self):
@@ -420,17 +444,24 @@ class TestConfig:
 
 
 # Forces each engine invariant to break: a fake rref_union whose rank gains
-# grow (so increments and codimensions increase), and a fake relative
-# engine whose chain values fall.  Prints the message each check raised.
+# grow (so increments and codimensions increase), a fake relative engine
+# whose chain values fall, vector equality and zero tests that always say
+# no (compose, decompose_vc_vd), a chain restriction that returns nothing
+# (check_addition) and an inverse check that always fails (generators).
+# Prints the message each check raised.
 _BROKEN_INVARIANTS = """
+import random
 import sys
 import numpy as np
 import llcent.entropy as E
+import llcent.generators as G
 import llcent.linalg as L
+import llcent.operators as O
+import llcent.theorems as T
 from llcent.errors import EngineInvariant
 from llcent.fields import PrimeField
 from llcent.operators import make_shift
-from llcent.spaces import Profile, cofinal_chain
+from llcent.spaces import BlockwisePattern, LlcVector, Profile, cofinal_chain
 
 assert sys.flags.optimize == 1
 try:
@@ -466,9 +497,31 @@ print(fired(lambda: E.trajectory_relative_entropy(right, u)))
 L.rref_union = growing_union([1, 2])
 print(fired(lambda: E.limit_free_relative_entropy(left, right, u)))
 L.rref_union = real_union
+real_trajectory = E.trajectory_relative_entropy
 values = iter([2, 1])
 E.trajectory_relative_entropy = lambda op, c, cfg: E.EntropyResult(next(values), E.Status.EXACT, (), c, 1)
 print(fired(lambda: E.total_entropy(right)))
+E.trajectory_relative_entropy = real_trajectory
+
+real_eq, real_is_zero = LlcVector.__eq__, LlcVector.is_zero
+LlcVector.__eq__ = lambda self, other: False
+print(fired(lambda: O.compose(right, right)))
+print(fired(lambda: O.decompose_vc_vd(right)))
+LlcVector.__eq__ = real_eq
+LlcVector.is_zero = lambda self: False
+print(fired(lambda: O.decompose_vc_vd(right)))
+LlcVector.is_zero = real_is_zero
+
+real_split = T.blockwise_restrict_quotient
+pattern = BlockwisePattern.first_slots(profile, 1)
+T.blockwise_restrict_quotient = lambda pat, u: (None, real_split(pat, u)[1])
+print(fired(lambda: T.check_addition(right, pattern, inverse=left)))
+T.blockwise_restrict_quotient = lambda pat, u: (real_split(pat, u)[0], None)
+print(fired(lambda: T.check_addition(right, pattern, inverse=left)))
+T.blockwise_restrict_quotient = real_split
+
+G.verify_inverse = lambda f_op, g_op: False
+print(fired(lambda: G.random_automorphism(random.Random(0), profile)))
 """
 
 
@@ -484,6 +537,12 @@ def test_invariants_hold_under_optimize():
         "trajectory increments must be non-increasing, got [1, 2]",
         "limit-free codimensions must be non-increasing, got [-1, 0]",
         "chain entropies must be non-decreasing, got [2, 1]",
+        "compose: stationary mismatch",
+        "corner reassembly mismatch",
+        "corner into the discrete side must kill deep tail levels",
+        "chain restriction mismatch",
+        "chain quotient mismatch",
+        "generator produced a bad inverse pair",
     ]
 
 

@@ -4,7 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llcent.errors import DivisionByZero, FieldMismatch
 from llcent.fields import PrimeField, QQ, Scalar, field_arith, field_from_name, is_prime
@@ -108,7 +111,7 @@ def test_wide_products_stay_exact():
 
 @pytest.mark.parametrize("inner", [1, 2, 37])
 def test_large_prime_matmul_matches_python_ints(inner):
-    # for p = 2^31 - 1 only one product fits in int64, so inner > 1 is chunked
+    # for p = 2^31 - 1 only one product fits in int64, so inner > 1 takes the limb route
     p = 2**31 - 1
     F = PrimeField(p)
     rng = random.Random(inner)
@@ -116,3 +119,55 @@ def test_large_prime_matmul_matches_python_ints(inner):
     b = [[p - 1, 0, 1] + [rng.randrange(p) for _ in range(2)] for _ in range(inner)]
     want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
     assert F.matmul(F.array(a), F.array(b)).tolist() == want
+
+
+# Shapes (rows, inner, cols) around every PrimeField.matmul route boundary:
+# either side of FLOAT_MIN_MAC = 4096 multiply-adds; inner 1 and 2, the
+# direct int64 limit for p = 2^31 - 1; inner either side of its 2^15 limb
+# block, and 40000 (two blocks there, one long float sum for small p);
+# empty operands.
+KERNEL_PRIMES = (2, 3, 65521, 2**31 - 1)
+KERNEL_SHAPES = [
+    (16, 16, 15), (16, 16, 16), (17, 16, 16), (4, 1, 1024), (1, 4096, 1), (3, 1, 4), (3, 2, 5),
+    (2, 32768, 2), (2, 32769, 2), (1, 40000, 1), (0, 5, 3), (3, 5, 0), (3, 0, 2), (0, 0, 4),
+]
+
+
+def _kernel_case(p, rows, inner, cols, seed, extreme, strided):
+    """Operands with entries in [0, p): random, or all p - 1 (the largest sums);
+    strided ones are every other row and column of a larger array."""
+    rng = np.random.default_rng(seed)
+
+    def operand(r, c):
+        step = 2 if strided else 1
+        shape = (r * step, c * step)
+        full = np.full(shape, p - 1, dtype=np.int64) if extreme else rng.integers(0, p, shape, dtype=np.int64)
+        return full[::step, ::step]
+
+    return PrimeField(p), operand(rows, inner), operand(inner, cols)
+
+
+@st.composite
+def kernel_cases(draw):
+    tiny = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+    shape = draw(st.sampled_from(KERNEL_SHAPES) | tiny)
+    return _kernel_case(
+        draw(st.sampled_from(KERNEL_PRIMES)), *shape,
+        draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=kernel_cases())
+@example(case=_kernel_case(2**31 - 1, 1, 40000, 1, 0, True, False))
+@example(case=_kernel_case(2**31 - 1, 2, 32769, 2, 1, False, True))
+@example(case=_kernel_case(2, 1, 40000, 1, 0, True, True))
+@example(case=_kernel_case(65521, 17, 16, 16, 2, True, False))
+def test_prime_matmul_matches_python_ints_on_every_route(case):
+    field, a, b = case
+    p = field.p
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in a.tolist()]
+    got = field.matmul(a, b)
+    assert got.dtype == np.int64
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert got.tolist() == want

@@ -42,11 +42,9 @@ from llcent.spaces import (
     Profile,
     canonicalize,
     cofinal_chain,
-    open_combine,
-    open_quotient_dim,
 )
 
-from _dense import image_plus_tail_bits, span_set, subspace_bits, vector_bits
+from _dense import image_plus_tail_bits, subspace_bits
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

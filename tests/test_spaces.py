@@ -19,7 +19,7 @@ from llcent.spaces import (
     open_quotient_dim,
 )
 
-from _dense import dim_of, subspace_bits, span_set, vector_bits
+from _dense import dim_of, subspace_bits, span_set
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

@@ -12,9 +12,8 @@ from llcent.generators import (
     group_pattern,
     levelwise_change_of_basis,
     random_automorphism,
-    unipotent_pair,
 )
-from llcent.operators import make_shift, power
+from llcent.operators import make_shift
 from llcent.spaces import BlockwisePattern, Profile
 from llcent.theorems import Verdict, check_addition, check_property
 

@@ -16,6 +16,16 @@ t = dim(U_tail / U_{a0}) and c = dim(phi^{-1} U_tail / U_{a0}), the
 codimension is d_m = gain + t - c, where gain is the rank the step
 added; both chains are at a fixed point exactly when the gain is 0.
 
+A step only touches the front of the chain.  The loop keeps an active
+block: the reduced basis of the chain member's part supported above a
+level lo, over (lo, top], with lo one level below the lowest level the
+step's new images reach.  The rows of the member's reduced basis whose
+pivots lie at or below lo are set aside on a stack, without further
+back-substitution.  The images vanish on those pivots, so the rank they
+add is the same against the block as against the whole member.  Images
+that reach below lo first bring the set-aside rows above the new lo back
+into the block.
+
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
 
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,32 +147,64 @@ def _structural_horizon(op: BandedOperator, u: CompactOpenSubspace) -> int:
     return span_u + span_b + d_max * (2 * op.width + 1)
 
 
-def _trim_rows(profile, rows, a, top):
-    """Drop trailing all-zero levels of a row block over (a, top]."""
-    while top > a:
-        d = profile.dim(top)
-        if d == 0:
-            top -= 1
-            continue
-        if rows.shape[0] and bool(np.any(rows[:, rows.shape[1] - d :] != 0)):
-            break
-        rows = rows[:, : rows.shape[1] - d]
-        top -= 1
-    return rows, top
+def _trim_rows(profile, rows, lo, top):
+    """Drop the leading and trailing all-zero levels of a row block over (lo, top].
 
-
-def _rows_image(op, rows, a, top):
-    """Images of window rows over (a, top] modulo U_a; returns (rows, top).
-
-    The images are over (a, top + width], the band's reach; they come
-    from the banded block application, which never forms the dense
-    action matrix.  With no rows or an empty window there is nothing to
-    map, and the empty result sits at the tail a.
+    Returns (rows, lo, top) for the levels from the first nonzero one to
+    the last, lo sitting one level below the first.  A block with no
+    nonzero entry comes back with no columns.
     """
-    f = op.profile.field
-    if rows.shape[0] == 0 or top <= a:
-        return f.zeros(0, 0), a
-    return _apply_action(op, rows, a, top, a, top + op.width), top + op.width
+    nonzero = np.flatnonzero(np.any(rows != 0, axis=0))
+    if not nonzero.size:
+        return rows[:, :0], top, top
+    starts = list(profile.window_offsets(lo, top).values())
+    # level lo + j is the last level starting at or before column c
+    first = bisect_right(starts, int(nonzero[0]))
+    last = bisect_right(starts, int(nonzero[-1]))
+    end = starts[last - 1] + profile.dim(lo + last)
+    return rows[:, starts[first - 1] : end], lo + first - 1, lo + last
+
+
+def _set_aside(profile, basis, lo, new_lo, settled):
+    """Raise the bottom of the active block from lo to new_lo.
+
+    The rows whose pivots lie at or below new_lo go onto the settled stack
+    as one batch (lo, rows over (lo, top], pivots); the rest vanish on the
+    levels (lo, new_lo], and without those columns they are the reduced
+    basis of the block over (new_lo, top].
+    """
+    cut = profile.window_dim(lo, new_lo)
+    k = bisect_left(basis.pivots, cut)
+    if k:
+        settled.append((lo, basis.mat[:k].copy(), basis.pivots[:k]))
+    pivots = tuple(c - cut for c in basis.pivots[k:])
+    return SubspaceBasis(basis.field, basis.ambient_dim - cut, basis.mat[k:, cut:], pivots)
+
+
+def _bring_back(profile, settled, new_lo, top):
+    """Pop the settled rows whose pivots lie above new_lo, as rows over (new_lo, top].
+
+    The stack holds its batches in pivot order, so they come off the top;
+    a batch that straddles new_lo is split, and the part below stays.
+    """
+    pieces = []
+    while settled:
+        s_lo, rows, pivots = settled[-1]
+        cut = profile.window_dim(s_lo, new_lo)  # 0 when the batch starts at or above new_lo
+        k = bisect_left(pivots, cut)
+        if k == len(pivots):
+            break
+        settled.pop()
+        if k:
+            settled.append((s_lo, rows[:k], pivots[:k]))
+        pieces.append((max(s_lo, new_lo), rows[k:, cut:]))
+    out = profile.field.zeros(sum(rows.shape[0] for _, rows in pieces), profile.window_dim(new_lo, top))
+    i = 0
+    for s_lo, rows in pieces:
+        c = profile.window_dim(new_lo, s_lo)
+        out[i : i + rows.shape[0], c : c + rows.shape[1]] = rows
+        i += rows.shape[0]
+    return out
 
 
 def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
@@ -169,31 +212,59 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
 
     `basis` spans U modulo U_{a0} over (a0, u.top], and a0 must be a tail
     that every chain member contains.  The first step maps all of U, tail
-    included, so later steps only map the rows the last step added.  The
-    chain is one growing reduced basis; a step's gain is its rank delta,
-    a codimension because the members nest over the common tail a0.  The
-    readings must be non-increasing (EngineInvariant otherwise); a zero
-    gain is a chain fixed point, hence EXACT.
+    included, so later steps only map the rows the last step added.  A
+    step's gain is the rank it adds, a codimension because the members
+    nest over the common tail a0.  The readings must be non-increasing
+    (EngineInvariant otherwise); a zero gain is a chain fixed point, hence
+    EXACT.
+
+    The chain X is held as an active block, the reduced basis of
+    X intersected with the coordinates above a level lo, over (lo, top],
+    plus a stack of settled rows, the rows of X's reduced basis whose
+    pivots lie at or below lo, left as they were when set aside.  Each
+    step moves lo to one level below the first nonzero level of the new
+    images, which vanish on every settled pivot; so the rank they add to
+    the block is the rank they add to X, and the block's new rows are the
+    new rows of X's reduced basis without their zero columns.  When the
+    images reach below lo, the settled rows above the new lo return to
+    the block through rref_union, which must raise the rank by exactly
+    their number (EngineInvariant otherwise) and restores the reduced
+    form; the gain is read after that merge.
     """
     # imported at call time, so a patched linalg module is seen here too
     from .linalg import pad_basis_columns, rref_union
 
     p = img_op.profile
     f = p.field
-    top = u.top
+    w = img_op.width
+    lo, top = a0, u.top
+    settled: list = []
     delta, delta_top = image_rows_mod_tail(img_op, u, a0)
+    delta_lo = a0
     readings: list = []
     for step in range(1, cfg.max_trajectory_steps + 1):
-        delta, delta_top = _trim_rows(p, delta, a0, delta_top)
-        b = max(top, delta_top)
-        if b > top:
-            basis = pad_basis_columns(basis, 0, p.window_dim(top, b))
-            top = b
-        if delta.shape[0] and delta_top < b:
-            delta = np.concatenate([delta, f.zeros(delta.shape[0], p.window_dim(delta_top, b))], axis=1)
-        old_rank, old_piv = basis.rank, set(basis.pivots)
-        basis = rref_union(basis, delta) if delta.shape[0] else basis
-        gain = basis.rank - old_rank
+        delta, delta_lo, delta_top = _trim_rows(p, delta, delta_lo, delta_top)
+        gain = 0
+        if delta.size:
+            if delta_lo > lo:
+                basis = _set_aside(p, basis, lo, delta_lo, settled)
+            new_top = max(top, delta_top)
+            back = _bring_back(p, settled, delta_lo, new_top) if delta_lo < lo else None
+            basis = pad_basis_columns(basis, p.window_dim(delta_lo, lo), p.window_dim(top, new_top))
+            lo, top = delta_lo, new_top
+            if back is not None:
+                rank = basis.rank
+                basis = rref_union(basis, back)
+                if basis.rank != rank + back.shape[0]:
+                    raise EngineInvariant(
+                        f"re-merge of {back.shape[0]} settled rows must raise the rank by "
+                        f"{back.shape[0]}, raised it by {basis.rank - rank}"
+                    )
+            if delta_top < top:
+                delta = np.concatenate([delta, f.zeros(delta.shape[0], p.window_dim(delta_top, top))], axis=1)
+            old_rank, old_piv = basis.rank, set(basis.pivots)
+            basis = rref_union(basis, delta)
+            gain = basis.rank - old_rank
         d = gain + offset
         if readings and d > readings[-1]:
             raise EngineInvariant(f"{noun} must be non-increasing, got {readings + [d]}")
@@ -203,7 +274,8 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
         if _plateaued(readings, cfg.plateau_streak, horizon):
             return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
         new_rows = basis.mat[[i for i, piv in enumerate(basis.pivots) if piv not in old_piv]]
-        delta, delta_top = _rows_image(img_op, new_rows, a0, top)
+        delta_lo, delta_top = max(a0, lo - w), top + w
+        delta = _apply_action(img_op, new_rows, lo, top, delta_lo, delta_top)
     return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
 
 

@@ -50,6 +50,31 @@ class Profile:
         if self.d_left < 0 or self.d_right < 0 or any(d < 0 for d in self.boundary):
             raise ValueError("dimensions must be non-negative")
 
+    # The lru-cached window lookups below hash and compare the profile on
+    # every call, so the hash is computed once and identity decides first.
+    def _key(self):
+        return (self.field, self.d_left, self.boundary, self.d_right, self.n_lo, self.n_hi)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self._key())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # the field's hash hashes a string, which differs between processes
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @classmethod
     def constant(cls, field, d: int) -> "Profile":
         return cls(field, d, (d,), d, 0, 0)

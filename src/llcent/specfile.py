@@ -89,6 +89,8 @@ def _scalar_to_json(field, v):
 def _matrix_from_json(field, rows, path):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError("matrix must be a list of rows", path)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError("matrix rows must all have the same length", path)
     return [[_scalar_from_json(field, v, f"{path}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(rows)]
 
 
@@ -334,8 +336,11 @@ def spec_from_dict(doc: dict, path: str = "$") -> SpecFile:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}", f"{path}.schema_version")
+    name = _require(doc, "field", path)
+    if not isinstance(name, str):
+        raise ParseError(f"field must be a name like \"GF(2)\" or \"Q\", got {name!r}", f"{path}.field")
     try:
-        field = field_from_name(_require(doc, "field", path))
+        field = field_from_name(name)
     except ValueError as exc:
         raise ParseError(str(exc), f"{path}.field") from None
     profile = _profile_from_json(field, _require(doc, "profile", path), f"{path}.profile")

@@ -4,6 +4,9 @@ These build the trajectory and inverse-trajectory chains member by member
 as canonical subspaces, and read the discrete entropy off absolute window
 ranks.  They are deliberately slower and simpler than the incremental
 engines in `llcent.entropy`, which are checked against them.
+`grow_chain_full_window` is the engines' chain loop with the whole chain
+basis reduced over the whole window at every step; it stands in for
+`llcent.entropy._grow_chain`, which keeps only an active block.
 """
 
 import numpy as np
@@ -18,7 +21,13 @@ from llcent.entropy import (
     _structural_horizon,
 )
 from llcent.errors import EngineInvariant, NotDiscreteProfile, ProfileMismatch
-from llcent.operators import BandedOperator, automorphism_image, image_rows_mod_tail
+from llcent.linalg import pad_basis_columns, rref_union
+from llcent.operators import (
+    BandedOperator,
+    _apply_action,
+    automorphism_image,
+    image_rows_mod_tail,
+)
 from llcent.spaces import CompactOpenSubspace, _padded_window_rows, open_combine
 
 
@@ -90,3 +99,54 @@ def ent_dim_discrete(
             return EntropyResult(alpha, Status.PLATEAU, tuple(increments), f, step)
         t = t_next
     return EntropyResult(increments[-1], Status.LOWER_BOUND, tuple(increments), f, cfg.max_trajectory_steps)
+
+
+def _trim_trailing(profile, rows, a, top):
+    """Drop trailing all-zero levels of a row block over (a, top]."""
+    while top > a:
+        d = profile.dim(top)
+        if d == 0:
+            top -= 1
+            continue
+        if rows.shape[0] and bool(np.any(rows[:, rows.shape[1] - d :] != 0)):
+            break
+        rows = rows[:, : rows.shape[1] - d]
+        top -= 1
+    return rows, top
+
+
+def grow_chain_full_window(img_op, u, a0, basis, offset, cfg, horizon, noun):
+    """The chain loop of `llcent.entropy._grow_chain` over the whole window.
+
+    The chain is one reduced basis over (a0, top]; every step pads the
+    images to the whole window, merges them into the whole basis, and
+    maps the new rows over the whole window again.  Same signature and
+    result as `_grow_chain`.
+    """
+    p = img_op.profile
+    f = p.field
+    top = u.top
+    delta, delta_top = image_rows_mod_tail(img_op, u, a0)
+    readings: list = []
+    for step in range(1, cfg.max_trajectory_steps + 1):
+        delta, delta_top = _trim_trailing(p, delta, a0, delta_top)
+        b = max(top, delta_top)
+        if b > top:
+            basis = pad_basis_columns(basis, 0, p.window_dim(top, b))
+            top = b
+        if delta.shape[0] and delta_top < b:
+            delta = np.concatenate([delta, f.zeros(delta.shape[0], p.window_dim(delta_top, b))], axis=1)
+        old_rank, old_piv = basis.rank, set(basis.pivots)
+        basis = rref_union(basis, delta) if delta.shape[0] else basis
+        gain = basis.rank - old_rank
+        d = gain + offset
+        if readings and d > readings[-1]:
+            raise EngineInvariant(f"{noun} must be non-increasing, got {readings + [d]}")
+        readings.append(d)
+        if gain == 0:
+            return EntropyResult(d, Status.EXACT, tuple(readings), u, step)
+        if _plateaued(readings, cfg.plateau_streak, horizon):
+            return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
+        new_rows = basis.mat[[i for i, piv in enumerate(basis.pivots) if piv not in old_piv]]
+        delta, delta_top = _apply_action(img_op, new_rows, a0, top, a0, top + img_op.width), top + img_op.width
+    return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)

@@ -1,6 +1,9 @@
 """CLI command dispatch, exit-code contract and report determinism."""
 
 import json
+import random
+
+import pytest
 
 from llcent.cli import (
     EXIT_DISAGREEMENT,
@@ -14,7 +17,10 @@ from llcent.cli import (
     run_command,
 )
 from llcent.entropy import EntropyResult, Status
-from llcent.specfile import parse_spec
+from llcent.fields import PrimeField
+from llcent.generators import random_endomorphism
+from llcent.spaces import Profile
+from llcent.specfile import SpecFile, parse_spec, serialize_spec
 
 SHIFT = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift","inverse":"left_shift"}'
 SPLIT = '{"field":"GF(2)","profile":{"constant":2},"operator":"right_shift","inverse":"left_shift","pattern":{"first_slots":1}}'
@@ -60,6 +66,22 @@ class TestExitCodes:
         bad = '{"field":"GF(2)","profile":{"constant":1},"operater":"right_shift"}'
         assert main(["entropy", write(tmp_path, bad)]) == EXIT_SPEC_ERROR
         assert "operater" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [{"p": 2}, 7, None, ["GF(2)"]])
+    def test_exit_2_non_string_field(self, tmp_path, capsys, field):
+        doc = json.loads(SHIFT)
+        doc["field"] = field
+        assert main(["entropy", write(tmp_path, json.dumps(doc))]) == EXIT_SPEC_ERROR
+        assert "at $.field" in capsys.readouterr().err
+
+    def test_exit_2_ragged_block_rows(self, tmp_path, capsys):
+        profile = Profile.constant(PrimeField(2), 2)
+        op = random_endomorphism(random.Random(3), profile, width=1)
+        doc = json.loads(serialize_spec(SpecFile(field=profile.field, profile=profile, operator=op)))
+        doc["operator"]["left_blocks"]["1"] = [[1], [1, 0]]
+        assert main(["entropy", write(tmp_path, json.dumps(doc))]) == EXIT_SPEC_ERROR
+        err = capsys.readouterr().err
+        assert "same length" in err and "$.operator.left_blocks.1" in err
 
     def test_exit_2_missing_inverse(self, tmp_path, capsys):
         noinv = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift"}'

@@ -31,13 +31,14 @@ from llcent.errors import (
     ProfileMismatch,
 )
 from llcent.fields import PrimeField, QQ
-from llcent.generators import random_automorphism, random_endomorphism
+from llcent.generators import random_automorphism, random_endomorphism, random_open_subspace
 from llcent.operators import (
     BandedOperator,
     automorphism_image,
     decompose_vc_vd,
     identity_operator,
     make_shift,
+    operator_add,
     power,
 )
 from llcent.spaces import (
@@ -51,7 +52,12 @@ from llcent.spaces import (
     open_quotient_dim,
 )
 
-from _oracles import ent_dim_discrete, inverse_trajectory_subspaces, trajectory_subspaces
+from _oracles import (
+    ent_dim_discrete,
+    grow_chain_full_window,
+    inverse_trajectory_subspaces,
+    trajectory_subspaces,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -206,6 +212,82 @@ class TestCertificates:
                     for a, b in zip(chain, chain[1:])
                 ]
                 assert list(r.certificate) == codims
+
+
+class TestActiveBlock:
+    """The chain loop keeps an active block; the full-window loop is its reference."""
+
+    FIELDS = [F2, F3, PrimeField(2**31 - 1), QQ]
+    CFG = EntropyConfig(max_chain_index=4, max_trajectory_steps=24)
+
+    @staticmethod
+    def _results(op, inv, endo, subspaces, cfg):
+        out = []
+        for c in subspaces:
+            out.append(trajectory_relative_entropy(op, c, cfg))
+            out.append(limit_free_relative_entropy(op, inv, c, cfg))
+            out.append(limit_free_relative_entropy(inv, op, c, cfg))
+            out.append(trajectory_relative_entropy(endo, c, cfg))
+        out.append(total_entropy(op, cfg, inverse=inv))
+        out.append(total_entropy(endo, cfg))
+        return [(r.value, r.status, r.certificate, r.iterations) for r in out]
+
+    def test_matches_full_window_loop(self, monkeypatch):
+        real_bring_back = entropy_module._bring_back
+        brought_back = []
+
+        def counting_bring_back(*args):
+            rows = real_bring_back(*args)
+            brought_back.append(rows.shape[0])
+            return rows
+
+        monkeypatch.setattr(entropy_module, "_bring_back", counting_bring_back)
+        fields_seen, checked = set(), 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            field = self.FIELDS[seed % 4]
+            if seed % 8 >= 6:
+                d_right = 1 if field is QQ else 2
+                profile = Profile.from_dims(field, {-1: 1, 0: 2, 1: 0, 2: 3}, 2, d_right)
+            else:
+                profile = Profile.constant(field, rng.choice([1, 2]))
+            op, inv = random_automorphism(rng, profile)
+            width = 1 if field is QQ else rng.choice([2, 3])
+            endo = random_endomorphism(rng, profile, width=width, boundary=rng.randint(0, 3))
+            subspaces = [cofinal_chain(profile, 0), cofinal_chain(profile, 2)]
+            subspaces += [random_open_subspace(rng, profile, tail_lo=-4, top_hi=4) for _ in range(2)]
+            got = self._results(op, inv, endo, subspaces, self.CFG)
+            with monkeypatch.context() as m:
+                m.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+                want = self._results(op, inv, endo, subspaces, self.CFG)
+            assert got == want, f"seed {seed}"
+            fields_seen.add(field)
+            checked += len(got)
+        assert fields_seen == set(self.FIELDS) and checked == 12 * 18
+        assert sum(brought_back) > 0, "no instance brought settled rows back"
+
+    def test_left_plus_right_shift_remerges(self, monkeypatch):
+        # e_n -> e_{n-1} + e_{n+1}: from U_0 the new rows are e_1, e_2, then
+        # e_2 maps onto e_1 + e_3, below the block, and e_1 comes back
+        import llcent.linalg as linalg
+
+        op = operator_add(make_shift(P1, "right"), make_shift(P1, "left"))
+        u = cofinal_chain(P1, 0)
+        calls = []
+        real_union = linalg.rref_union
+
+        def union(basis, rows):
+            calls.append((basis.rank, rows.shape[0]))
+            return real_union(basis, rows)
+
+        monkeypatch.setattr(linalg, "rref_union", union)
+        r = trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6))
+        assert r.certificate == (1,) * 6 and r.status is Status.LOWER_BOUND
+        # step 2 sets e_1 aside; step 3 brings it back to the block {e_2},
+        # then adds e_3 (the full window would merge into ranks 0, 1, 2, 3)
+        assert calls[:4] == [(0, 1), (0, 1), (1, 1), (2, 1)]
+        monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+        assert trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6)) == r
 
 
 class TestTotalEntropy:
@@ -444,7 +526,9 @@ class TestConfig:
 
 
 # Forces each engine invariant to break: a fake rref_union whose rank gains
-# grow (so increments and codimensions increase), a fake relative engine
+# grow (so increments and codimensions increase), one that ignores its third
+# call (the re-merge at step 3 of the e_n -> e_{n-1} + e_{n+1} trajectory,
+# see TestActiveBlock), a fake relative engine
 # whose chain values fall, vector equality and zero tests that always say
 # no (compose, decompose_vc_vd), a chain restriction that returns nothing
 # (check_addition) and an inverse check that always fails (generators).
@@ -496,6 +580,17 @@ L.rref_union = growing_union([1, 2])
 print(fired(lambda: E.trajectory_relative_entropy(right, u)))
 L.rref_union = growing_union([1, 2])
 print(fired(lambda: E.limit_free_relative_entropy(left, right, u)))
+union_calls = []
+
+
+def union_dropping_third(basis, rows):
+    union_calls.append(rows)
+    return basis if len(union_calls) == 3 else real_union(basis, rows)
+
+
+L.rref_union = union_dropping_third
+both = O.operator_add(right, left)
+print(fired(lambda: E.trajectory_relative_entropy(both, cofinal_chain(both.profile, 0))))
 L.rref_union = real_union
 real_trajectory = E.trajectory_relative_entropy
 values = iter([2, 1])
@@ -536,6 +631,7 @@ def test_invariants_hold_under_optimize():
     assert out.stdout.splitlines() == [
         "trajectory increments must be non-increasing, got [1, 2]",
         "limit-free codimensions must be non-increasing, got [-1, 0]",
+        "re-merge of 2 settled rows must raise the rank by 2, raised it by 0",
         "chain entropies must be non-decreasing, got [2, 1]",
         "compose: stationary mismatch",
         "corner reassembly mismatch",

@@ -1,5 +1,6 @@
 """Canonical presentations and lattice operations of compact open subspaces."""
 
+import pickle
 import random
 
 import pytest
@@ -256,3 +257,22 @@ class TestProfileShapes:
         gappy = Profile(F2, 1, (0, 1, 0), 1, -1, 1)
         w = canonicalize(gappy, -2, [unit(gappy, 0)])
         assert w.tail == 0 and w.window.rank == 0
+
+    def test_equal_profiles_built_apart_compare_and_hash_equal(self):
+        pairs = [
+            (Profile.constant(PrimeField(2), 2), Profile(PrimeField(2), 2, (2,), 2, 0, 0)),
+            (
+                Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1),
+                Profile(PrimeField(3), 2, (1, 2, 1, 3), 1, -1, 2),
+            ),
+        ]
+        for a, b in pairs:
+            assert a is not b
+            assert a == b and b == a and hash(a) == hash(b)
+            assert a.window_dim(-3, 4) == b.window_dim(-3, 4)
+            copy = pickle.loads(pickle.dumps(a))
+            assert copy == a and hash(copy) == hash(a)
+            assert "_hash" not in pickle.loads(pickle.dumps(a)).__dict__
+        assert P1 != P2 and P1 != Profile.constant(F3, 1)
+        assert Profile(F2, 1, (1, 0), 0, 0, 1) != Profile(F2, 1, (1, 0), 1, 0, 1)
+        assert P1 != "P1"

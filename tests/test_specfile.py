@@ -48,6 +48,26 @@ def test_block_dimension_mismatch_rejected():
         spec_from_dict(doc)
 
 
+@pytest.mark.parametrize("field", [{"p": 2}, 2, None, ["Q"]])
+def test_non_string_field_is_a_parse_error(field):
+    doc = json.loads(BASIC)
+    doc["field"] = field
+    with pytest.raises(ParseError, match="field must be a name") as exc:
+        spec_from_dict(doc)
+    assert exc.value.position == "$.field"
+
+
+def test_ragged_matrix_rows_are_a_parse_error():
+    doc = json.loads(BASIC)
+    doc["operator"] = {"width": 0, "left_blocks": {"0": [[1], [1, 0]]}, "right_blocks": {"0": [[1]]}}
+    with pytest.raises(ParseError, match="same length"):
+        spec_from_dict(doc)
+    doc = json.loads(BASIC)
+    doc["pattern"] = {"left": [[1], [0, 1]], "right": [[1]]}
+    with pytest.raises(ParseError, match="same length"):
+        spec_from_dict(doc)
+
+
 def test_json_error_has_position():
     with pytest.raises(ParseError, match="line"):
         parse_spec('{"field": }')

@@ -1,7 +1,9 @@
 """Command dispatch and deterministic reports.
 
 Exit codes: 0 success/Verified, 1 Violated, 2 parse or validation error,
-3 LowerBound/Inconclusive under --strict, 4 engine disagreement.
+3 LowerBound/Inconclusive under --strict, 4 engine disagreement, 5 internal
+error (a defect in the program, such as a broken engine invariant, reported
+as one line on stderr instead of a traceback).
 Reports go to stdout (canonical JSON or stable text), diagnostics to
 stderr; identical inputs, flags and seed produce byte-identical reports.
 """
@@ -43,6 +45,7 @@ EXIT_VIOLATED = 1
 EXIT_SPEC_ERROR = 2
 EXIT_LOWER_BOUND = 3
 EXIT_DISAGREEMENT = 4
+EXIT_INTERNAL = 5
 
 COMMANDS = ("entropy", "relative-entropy", "check", "shift-closed-form", "compare-engines")
 PROPERTIES = (
@@ -316,13 +319,17 @@ def main(argv=None) -> int:
     try:
         spec = parse_spec(text)
         report, code = run_command(args.command, spec, flags)
+        rendered = render_report(report, flags.fmt)
     except (SpecError, InvarianceFailure, NotAnInverse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except LlcentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    sys.stdout.write(render_report(report, flags.fmt))
+    except Exception as exc:  # any other exception is a defect in the program
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(rendered)
     return code
 
 

@@ -273,9 +273,15 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
             return EntropyResult(d, Status.EXACT, tuple(readings), u, step)
         if _plateaued(readings, cfg.plateau_streak, horizon):
             return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
-        new_rows = basis.mat[[i for i, piv in enumerate(basis.pivots) if piv not in old_piv]]
-        delta_lo, delta_top = max(a0, lo - w), top + w
-        delta = _apply_action(img_op, new_rows, lo, top, delta_lo, delta_top)
+        new = [i for i, piv in enumerate(basis.pivots) if piv not in old_piv]
+        # the new rows vanish left of their first pivot: map them from the
+        # level below the one holding it
+        starts = list(p.window_offsets(lo, top).values())
+        j = bisect_right(starts, basis.pivots[new[0]])  # level lo + j holds it
+        src_lo = lo + j - 1
+        new_rows = basis.mat[new, starts[j - 1] :]
+        delta_lo, delta_top = max(a0, src_lo - w), top + w
+        delta = _apply_action(img_op, new_rows, src_lo, top, delta_lo, delta_top)
     return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
 
 

@@ -64,7 +64,8 @@ class EngineInvariant(AssertionError):
     Raised explicitly, so the checks also run under ``python -O``.  It
     derives from AssertionError rather than LlcentError: it reports a
     defect in the program, not a problem with the input, and the CLI
-    keeps treating it as an unexpected failure.
+    reports it as an internal error (exit 5), like any other unexpected
+    exception.
     """
 
 

@@ -14,6 +14,20 @@ eliminated over the free columns alone, and the back-substitution into
 the old rows clears their new pivot columns and updates only the columns
 that are pivots of neither.  The chain bases of the entropy engines are
 nearly full rank, so the free columns are a small share of the window.
+
+The eliminations the engines make are small (about 10 x 38 over GF(2)
+and 8 x 9 over GF(2^31 - 1) in the median), so their cost is per numpy
+call rather than per multiply-add.  `_rref` therefore takes one route
+per field kind, chosen from the field:
+
+* **GF(2)** packs each row into a Python int (bit j = column j) and
+  eliminates with XOR, a handful of integer operations per row and
+  pivot; the rows are unpacked once at the end;
+* **GF(p), p odd** eliminates one pivot at a time, updating only the
+  columns from the pivot column on, in place;
+* **Q** eliminates one pivot at a time on `Fraction` object arrays.
+
+Every route returns the same canonical form.
 """
 
 from __future__ import annotations
@@ -57,10 +71,94 @@ class Matrix:
 
 
 def _rref(field, a: np.ndarray):
-    """Gauss-Jordan on a copy; returns (reduced nonzero rows, pivot columns)."""
-    a = field.normalize(np.array(a, copy=True))
+    """Gauss-Jordan on a copy; returns (reduced nonzero rows, pivot columns).
+
+    One route per field kind (module docstring): GF(2) rows packed into
+    Python ints and reduced by XOR, odd p by one pivot at a time over the
+    columns from the pivot on, Q on Fraction object arrays.  Every route
+    leaves `a` untouched and returns the unique reduced row echelon form:
+    the nonzero rows in pivot order and their pivot columns as ints.
+    """
+    if field.dtype is object:
+        return _rref_rational(field, a)
+    if field.p == 2:
+        return _rref_gf2(a)
+    return _rref_odd(field.p, a)
+
+
+def _rref_gf2(a: np.ndarray):
+    """GF(2): rows packed into Python ints (bit j = column j), reduced by XOR.
+
+    Each row is reduced against the rows kept so far, by the row whose
+    lowest set bit is its own, until it vanishes or has a lowest bit no
+    kept row has; then it is kept.  The kept rows are an echelon basis with
+    those lowest bits as pivots, and back-substitution from the highest
+    pivot down clears every pivot column above its own row.
+    """
     m, n = a.shape
-    modular = a.dtype != object
+    width = (n + 7) // 8
+    packed = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
+    kept = {}  # lowest set bit -> the kept row with that lowest bit
+    for i in range(m):
+        row = int.from_bytes(packed[i * width : (i + 1) * width], "little")
+        while row:
+            low = row & -row
+            if low not in kept:
+                kept[low] = row
+                break
+            row ^= kept[low]
+    lows = sorted(kept)
+    rows = [kept[low] for low in lows]
+    for j in range(len(rows) - 1, 0, -1):
+        low, row = lows[j], rows[j]
+        rows[:j] = [r ^ row if r & low else r for r in rows[:j]]
+    pivots = [low.bit_length() - 1 for low in lows]
+    if not rows:
+        return np.zeros((0, n), dtype=np.int64), pivots
+    buf = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(buf.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+    return bits.astype(np.int64), pivots
+
+
+def _rref_odd(p: int, a: np.ndarray):
+    """GF(p), p odd: one pivot at a time, touching only the columns from it on.
+
+    The pivot row vanishes left of its pivot column, so each elimination
+    updates a[:, col:] alone, in place; entries stay in [0, p) and the
+    products below p^2 <= 2^62.
+    """
+    a = a % p
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        hits = np.flatnonzero(a[r:, col])
+        if not hits.size:
+            continue
+        sel = r + int(hits[0])
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+        row = a[r, col:]
+        lead = int(row[0])
+        if lead != 1:
+            row *= pow(lead, -1, p)
+            row %= p
+        c = a[:, col].copy()
+        c[r] = 0
+        sub = a[:, col:]
+        sub -= c[:, None] * row
+        sub %= p
+        pivots.append(col)
+        r += 1
+    return a[:r], pivots
+
+
+def _rref_rational(field, a: np.ndarray):
+    """Q: one pivot at a time on Fraction object arrays."""
+    a = np.array(a, copy=True)
+    m, n = a.shape
     pivots = []
     r = 0
     for col in range(n):
@@ -72,21 +170,12 @@ def _rref(field, a: np.ndarray):
         sel = r + int(hits[0])
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
-        inv = field.one if a[r, col] == field.one else field.inv(a[r, col])
-        if inv != field.one:
-            if modular:
-                a[r] *= inv
-                a[r] %= field.p
-            else:
-                a[r] = a[r] * inv
+        if a[r, col] != field.one:
+            a[r] = a[r] * field.inv(a[r, col])
         col_vals = np.array(a[:, col], copy=True)
         col_vals[r] = field.zero
         if np.any(col_vals != 0):
-            if modular:
-                a -= np.outer(col_vals, a[r])
-                a %= field.p
-            else:
-                a = a - np.outer(col_vals, a[r])
+            a = a - np.outer(col_vals, a[r])
         pivots.append(col)
         r += 1
     return a[:r], pivots
@@ -246,22 +335,16 @@ def rref_union(basis: SubspaceBasis, rows: np.ndarray) -> SubspaceBasis:
     new_mat[:, free] = red
     if basis.rank == 0:
         return SubspaceBasis(field, basis.ambient_dim, new_mat, tuple(new_piv.tolist()))
-    old, old_piv = basis.mat, basis.pivots
     # red is the identity on its pivots, so over the free columns this one
-    # product clears the old rows' new pivot columns and updates the rest
-    upd = field.normalize(old[:, free] - field.matmul(old[:, new_piv], red))
-    # merge by pivot: new row i goes before the first old row with a larger pivot
-    slots = np.searchsorted(old_piv, new_piv)
-    pieces, start = [], 0
-    for i, stop in enumerate(slots.tolist()):
-        pieces += (old[start:stop], new_mat[i : i + 1])
-        start = stop
-    pieces.append(old[start:])
-    mat = np.concatenate(pieces, axis=0)
-    old_pos = np.arange(basis.rank) + np.searchsorted(new_piv, old_piv)
-    mat[old_pos[:, None], free] = upd
-    pivots = tuple(sorted(old_piv + tuple(new_piv.tolist())))
-    return SubspaceBasis(field, basis.ambient_dim, mat, pivots)
+    # product clears the old rows' new pivot columns and updates the rest;
+    # their old pivot columns stay as they are
+    old = basis.mat
+    stacked = np.concatenate([old, new_mat], axis=0)
+    stacked[: basis.rank, free] = field.normalize(old[:, free] - field.matmul(old[:, new_piv], red))
+    # merge by pivot: one gather puts every row in its place
+    pivots = np.concatenate([basis.pivots, new_piv])
+    order = np.argsort(pivots)
+    return SubspaceBasis(field, basis.ambient_dim, stacked[order], tuple(pivots[order].tolist()))
 
 
 def pad_basis_columns(basis: SubspaceBasis, before: int, after: int) -> SubspaceBasis:

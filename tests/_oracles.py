@@ -7,6 +7,9 @@ engines in `llcent.entropy`, which are checked against them.
 `grow_chain_full_window` is the engines' chain loop with the whole chain
 basis reduced over the whole window at every step; it stands in for
 `llcent.entropy._grow_chain`, which keeps only an active block.
+`rref_per_pivot` is one Gauss-Jordan loop for every field, each pivot a
+rank-1 update of the whole matrix; the routes of `llcent.linalg._rref`
+must return exactly what it returns.
 """
 
 import numpy as np
@@ -29,6 +32,42 @@ from llcent.operators import (
     image_rows_mod_tail,
 )
 from llcent.spaces import CompactOpenSubspace, _padded_window_rows, open_combine
+
+
+def rref_per_pivot(field, a: np.ndarray):
+    """Gauss-Jordan on a copy; returns (reduced nonzero rows, pivot columns)."""
+    a = field.normalize(np.array(a, copy=True))
+    m, n = a.shape
+    modular = a.dtype != object
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        hits = np.nonzero(a[r:, col])[0]
+        if hits.size == 0:
+            continue
+        sel = r + int(hits[0])
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+        inv = field.one if a[r, col] == field.one else field.inv(a[r, col])
+        if inv != field.one:
+            if modular:
+                a[r] *= inv
+                a[r] %= field.p
+            else:
+                a[r] = a[r] * inv
+        col_vals = np.array(a[:, col], copy=True)
+        col_vals[r] = field.zero
+        if np.any(col_vals != 0):
+            if modular:
+                a -= np.outer(col_vals, a[r])
+                a %= field.p
+            else:
+                a = a - np.outer(col_vals, a[r])
+        pivots.append(col)
+        r += 1
+    return a[:r], pivots
 
 
 def _trajectory_step(op, u, t):

@@ -7,6 +7,7 @@ import pytest
 
 from llcent.cli import (
     EXIT_DISAGREEMENT,
+    EXIT_INTERNAL,
     EXIT_LOWER_BOUND,
     EXIT_OK,
     EXIT_SPEC_ERROR,
@@ -17,6 +18,7 @@ from llcent.cli import (
     run_command,
 )
 from llcent.entropy import EntropyResult, Status
+from llcent.errors import EngineInvariant
 from llcent.fields import PrimeField
 from llcent.generators import random_endomorphism
 from llcent.spaces import Profile
@@ -117,6 +119,20 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["entropy", "/nonexistent/spec.json"]) == EXIT_SPEC_ERROR
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), EngineInvariant("increments must be non-increasing")])
+    def test_exit_5_internal_error(self, tmp_path, capsys, monkeypatch, exc):
+        # a defect in the program, not in the spec: one stderr line, no report
+        import llcent.cli as cli
+
+        def broken(command, spec, flags):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_command", broken)
+        assert main(["entropy", write(tmp_path, SHIFT)]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 class TestDeterminism:

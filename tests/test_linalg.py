@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from llcent.fields import PrimeField, QQ
 from llcent.linalg import (
     Matrix,
     SubspaceBasis,
+    _rref,
     invert_matrix,
     kernel_basis,
     quotient_dim,
@@ -20,6 +22,8 @@ from llcent.linalg import (
     rref_union,
     subspace_combine,
 )
+
+from _oracles import rref_per_pivot
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -277,3 +281,61 @@ class TestPivotAwareEchelon:
         assert merged.mat.dtype == basis.mat.dtype
         assert list(merged.pivots) == sorted(merged.pivots)
         assert all(isinstance(p, int) for p in merged.pivots)
+
+
+ROUTE_FIELDS = (F2, F3, PrimeField(65521), PrimeField(2**31 - 1), QQ)
+# around the byte and 64-bit word edges of the packed GF(2) rows
+PACKING_WIDTHS = (7, 8, 9, 63, 64, 65)
+
+
+@st.composite
+def rref_inputs(draw):
+    """A matrix for _rref: low rank, zero columns, zero and repeated rows.
+
+    Prime-field entries are shifted by multiples of p, negative ones
+    included; some matrices are strided views rather than contiguous.
+    """
+    field = draw(st.sampled_from(ROUTE_FIELDS))
+    m = draw(st.integers(0, 12))
+    n = draw(st.one_of(st.integers(0, 10), st.sampled_from(PACKING_WIDTHS)))
+    rank = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(rows, cols):
+        if field is QQ:
+            nums, dens = rng.integers(-3, 4, rows * cols), rng.integers(1, 4, rows * cols)
+            cells = [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+            return np.array(cells, dtype=object).reshape(rows, cols)
+        return rng.integers(0, field.p, (rows, cols))
+
+    a = field.matmul(entries(m, rank), entries(rank, n))
+    a[:, rng.random(n) < 0.2] = field.zero
+    for i in range(m):
+        how = draw(st.sampled_from(("keep", "keep", "zero", "repeat")))
+        if how == "zero":
+            a[i] = field.zero
+        elif how == "repeat" and i:
+            a[i] = a[draw(st.integers(0, i - 1))]
+    if field is not QQ:
+        a = a + field.p * rng.integers(-2, 3, (m, n))
+    if draw(st.booleans()):
+        wide = np.empty((m, 2 * n), dtype=a.dtype)
+        wide[:, ::2] = a
+        a = wide[:, ::2]
+    return field, a
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=rref_inputs())
+def test_rref_routes_match_per_pivot_oracle(case):
+    field, a = case
+    before = a.copy()
+    rows, pivots = _rref(field, a)
+    want_rows, want_pivots = rref_per_pivot(field, a)
+    assert np.array_equal(a, before)
+    assert rows.dtype == want_rows.dtype == field.dtype
+    assert rows.shape == want_rows.shape
+    assert np.array_equal(rows, want_rows)
+    assert pivots == want_pivots
+    assert all(type(c) is int for c in pivots)
+

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llcent.entropy import _trim_rows
 from llcent.errors import InvarianceFailure, NonConstantProfile, ProfileMismatch
 from llcent.fields import QQ, PrimeField
 from llcent.generators import (
@@ -412,6 +413,26 @@ class TestBandedApplication:
         got = _apply_action(op, rows, *window)
         assert got.shape == want.shape
         assert np.array_equal(got, f.normalize(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cases(), data=st.data())
+    def test_source_trimmed_to_first_nonzero_level(self, case, data):
+        # the chain loop maps rows that vanish up to some level s from s on:
+        # once trimmed, the images equal those of the whole window
+        op, rows, (src_lo, src_hi, _, _) = case
+        p, w = op.profile, op.width
+        s = data.draw(st.integers(src_lo, src_hi))
+        a0 = src_lo - data.draw(st.integers(0, w + 2))
+        cut = p.window_dim(src_lo, s)
+        rows = rows.copy()
+        rows[:, :cut] = p.field.zero
+        full = _apply_action(op, rows, src_lo, src_hi, max(a0, src_lo - w), src_hi + w)
+        part = _apply_action(op, rows[:, cut:], s, src_hi, max(a0, s - w), src_hi + w)
+        full_trim = _trim_rows(p, full, max(a0, src_lo - w), src_hi + w)
+        part_trim = _trim_rows(p, part, max(a0, s - w), src_hi + w)
+        assert full_trim[1:] == part_trim[1:]
+        assert full_trim[0].shape == part_trim[0].shape
+        assert np.array_equal(full_trim[0], part_trim[0])
 
     def test_stationary_levels_never_build_the_dense_action(self, monkeypatch):
         import llcent.operators as ops

@@ -1,0 +1,117 @@
+"""Replay of real echelon inputs through the routes of linalg._rref.
+
+Runs one catalog pass of the benchmark's ``endo_fields`` workload (every
+catalog id, every field shape) with ``llcent.linalg._rref`` wrapped to
+record its inputs, then feeds each recorded input to ``_rref``, which picks
+its route from the field, and to ``rref_per_pivot`` of tests/_oracles.py,
+the per-pivot loop all routes must agree with.  It prints, per field, the
+shape histogram of the inputs and the total time of the route against the
+oracle (best of 5 replays), and exits 1 when a route returns other rows,
+pivots, dtype or shape than the oracle on any input, or mutates it.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/rref_routes.py [--check]
+
+--check replays once, without the timing, and prints only the mismatches
+and a summary line (a few seconds, most of it the recording).
+"""
+
+import argparse
+import collections
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+import llcent.linalg as linalg  # noqa: E402
+from _oracles import rref_per_pivot  # noqa: E402
+from bench.workloads import WORKLOADS  # noqa: E402
+
+REPEATS = 5
+TOP_SHAPES = 8
+
+
+def record():
+    """The (field, input) pairs of every _rref call in one endo_fields pass."""
+    workload = WORKLOADS["endo_fields"]
+    calls = []
+    real = linalg._rref
+
+    def recording(field, a):
+        calls.append((field, np.array(a, copy=True)))
+        return real(field, a)
+
+    linalg._rref = recording
+    try:
+        for i in range(workload.size):
+            inst = workload.build(i)
+            for task in workload.tasks:
+                workload.solve(task, inst)
+    finally:
+        linalg._rref = real
+    return calls
+
+
+def mismatch(field, a):
+    """Why the route's output on a differs from the oracle's, or None."""
+    before = np.array(a, copy=True)
+    rows, pivots = linalg._rref(field, a)
+    want_rows, want_pivots = rref_per_pivot(field, a)
+    if not np.array_equal(a, before):
+        return "input mutated"
+    if rows.dtype != want_rows.dtype or rows.shape != want_rows.shape:
+        return f"rows {rows.dtype} {rows.shape}, oracle {want_rows.dtype} {want_rows.shape}"
+    if not np.array_equal(rows, want_rows):
+        return "rows differ"
+    if list(pivots) != list(want_pivots) or not all(type(c) is int for c in pivots):
+        return f"pivots {list(pivots)}, oracle {list(want_pivots)}"
+    return None
+
+
+def best_s(fn, group) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for field, a in group:
+            fn(field, a)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true", help="replay once and check; no timing")
+    args = ap.parse_args(argv)
+
+    calls = record()
+    groups = collections.defaultdict(list)
+    for field, a in calls:
+        groups[field.name].append((field, a))
+    bad = 0
+    for name, group in groups.items():
+        for k, (field, a) in enumerate(group):
+            why = mismatch(field, a)
+            if why:
+                bad += 1
+                print(f"MISMATCH {name} input {k} ({a.shape[0]}x{a.shape[1]}): {why}")
+        if args.check:
+            continue
+        shapes = collections.Counter(a.shape for _, a in group)
+        full = sum(linalg._rref(f, a)[0].shape[0] == a.shape[0] for f, a in group)
+        print(
+            f"{name}: {len(group)} calls, median {statistics.median(a.shape[0] for _, a in group):g}"
+            f"x{statistics.median(a.shape[1] for _, a in group):g}, {full} at full row rank"
+        )
+        print("  " + ", ".join(f"{m}x{n}: {c}" for (m, n), c in shapes.most_common(TOP_SHAPES)))
+        route, oracle = best_s(linalg._rref, group), best_s(rref_per_pivot, group)
+        print(f"  route {route:.4f} s, oracle {oracle:.4f} s, oracle/route {oracle / route:.2f}")
+    print(f"{len(calls)} inputs over {len(groups)} fields, {bad} mismatches")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .spaces import cofinal_chain
-from .specfile import SpecFile, parse_spec, subspace_to_json, to_canonical_dict
+from .specfile import SpecFile, bounded_config, parse_spec, subspace_to_json, to_canonical_dict
 from .theorems import Verdict, check_addition, check_property
 
 EXIT_OK = 0
@@ -68,7 +68,8 @@ class Flags:
 
 def _effective_config(spec: SpecFile, flags: Flags) -> EntropyConfig:
     base = spec.config
-    return EntropyConfig(
+    return bounded_config(
+        "the command line",
         plateau_streak=flags.streak if flags.streak is not None else base.plateau_streak,
         max_trajectory_steps=flags.max_iter if flags.max_iter is not None else base.max_trajectory_steps,
         max_chain_index=flags.chain_max if flags.chain_max is not None else base.max_chain_index,

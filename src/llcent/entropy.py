@@ -24,7 +24,9 @@ pivots lie at or below lo are set aside on a stack, without further
 back-substitution.  The images vanish on those pivots, so the rank they
 add is the same against the block as against the whole member.  Images
 that reach below lo first bring the set-aside rows above the new lo back
-into the block.
+into the block.  Right of the operator's boundary region a step commutes
+with the level shift, so once the front state repeats one shift later the
+loop fills in the repeated reading instead of stepping on.
 
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
@@ -207,6 +209,28 @@ def _bring_back(profile, settled, new_lo, top):
     return out
 
 
+def _front_repeats(front, prev) -> bool:
+    """True when a front state (lo, pivots, block, images) repeats the
+    previous step's one level shift s > 0 later.
+
+    Pivots and both matrices are relative to lo, so equal entries mean
+    the same state shifted by s; None marks a step taken below b_hi.
+    """
+    if front is None or prev is None or front[0] <= prev[0] or front[1] != prev[1]:
+        return False
+    return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(front[2:], prev[2:]))
+
+
+def _fill_repeated(readings, cfg, horizon, u):
+    """Repeat the last reading until the plateau rule or the step cap stops."""
+    d = readings[-1]
+    while len(readings) < cfg.max_trajectory_steps:
+        readings.append(d)
+        if _plateaued(readings, cfg.plateau_streak, horizon):
+            return EntropyResult(d, Status.PLATEAU, tuple(readings), u, len(readings))
+    return EntropyResult(d, Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
+
+
 def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     """Grow X_1 = U, X_{n+1} = U + img_op(X_n) modulo U_{a0}; read gain + offset.
 
@@ -230,6 +254,34 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     the block through rref_union, which must raise the rank by exactly
     their number (EngineInvariant otherwise) and restores the reduced
     form; the gain is read after that merge.
+
+    The loop stops stepping once the front repeats.  While lo >= b_hi of
+    img_op, each step takes a front state right before its merge: the
+    block's pivots, its matrix and the padded images, all relative to lo.
+    When it equals the previous step's state with lo moved up by s > 0,
+    every later step is that step shifted by s levels, so every later
+    reading repeats, and the loop appends the reading until the plateau
+    rule or the step cap stops it; the result is the one full stepping
+    gives.  The argument:
+
+    * At that point the block is exactly the reduced basis of X
+      intersected with the coordinates above lo, and the images are the
+      rows to merge; the gain is a function of the two.
+    * A step reads rows below lo only through _bring_back.  With s > 0
+      the last step went no lower than its own lo, so it was a function
+      of its front state alone, and the next step from the shifted state
+      is the shifted step, provided the operator commutes with the shift
+      on everything the step touches.
+    * It does: the mapped rows live over (src_lo, top] with src_lo >= lo
+      >= b_hi, so every source level acts by the right stationary blocks.
+      `validate` gives b_hi >= n_hi + w, and n_hi >= 0 >= tail(U) >= a0,
+      so every image lies above src_lo - w >= n_hi, in the constant
+      d_right region, and above a0: nothing is cut at the tail.  Level
+      widths there are all d_right, so the matrix width fixes top - lo.
+    * By induction each later front state is the repeated one shifted by
+      a further s with lo >= b_hi, and each later gain equals the
+      repeated one.  The repeat step still merges, and a gain that
+      differs from the previous step's raises EngineInvariant.
     """
     # imported at call time, so a patched linalg module is seen here too
     from .linalg import pad_basis_columns, rref_union
@@ -242,9 +294,10 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     delta, delta_top = image_rows_mod_tail(img_op, u, a0)
     delta_lo = a0
     readings: list = []
+    front = None  # the last step's front state, taken while lo >= b_hi
     for step in range(1, cfg.max_trajectory_steps + 1):
         delta, delta_lo, delta_top = _trim_rows(p, delta, delta_lo, delta_top)
-        gain = 0
+        gain, repeats = 0, False
         if delta.size:
             if delta_lo > lo:
                 basis = _set_aside(p, basis, lo, delta_lo, settled)
@@ -262,9 +315,15 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
                     )
             if delta_top < top:
                 delta = np.concatenate([delta, f.zeros(delta.shape[0], p.window_dim(delta_top, top))], axis=1)
+            prev, front = front, ((lo, basis.pivots, basis.mat, delta) if lo >= img_op.b_hi else None)
             old_rank, old_piv = basis.rank, set(basis.pivots)
             basis = rref_union(basis, delta)
             gain = basis.rank - old_rank
+            repeats = _front_repeats(front, prev)
+            if repeats and gain != readings[-1] - offset:
+                raise EngineInvariant(
+                    f"a repeated front state must repeat the gain {readings[-1] - offset}, got {gain}"
+                )
         d = gain + offset
         if readings and d > readings[-1]:
             raise EngineInvariant(f"{noun} must be non-increasing, got {readings + [d]}")
@@ -273,6 +332,8 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
             return EntropyResult(d, Status.EXACT, tuple(readings), u, step)
         if _plateaued(readings, cfg.plateau_streak, horizon):
             return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
+        if repeats:
+            return _fill_repeated(readings, cfg, horizon, u)
         new = [i for i, piv in enumerate(basis.pivots) if piv not in old_piv]
         # the new rows vanish left of their first pivot: map them from the
         # level below the one holding it

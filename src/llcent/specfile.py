@@ -6,6 +6,10 @@ companions (inverse, subspace, pattern, second system, config).  Unknown
 keys are rejected with their JSON path; structural problems surface as
 ParseError, model-level problems as ValidationError.  Serialization is
 canonical: re-serializing a parsed file is byte-stable.
+
+Sizes are bounded (see the MAX_* limits below): a few bytes of JSON name
+sizes that the engines allocate and iterate over, so a spec outside the
+limits is a ParseError rather than a request for terabytes of memory.
 """
 
 from __future__ import annotations
@@ -28,6 +32,18 @@ _TOP_KEYS = {
     "pattern", "chain", "second", "k", "conjugator", "conjugator_inverse", "config",
 }
 _NAMED_OPERATORS = ("right_shift", "left_shift", "identity")
+
+# Size limits.  An operator stores a d x d block per shift in [-w, w], and
+# the engines hold rows over windows of levels times d coordinates that
+# grow by w levels per step, so each limit caps one factor of what a spec
+# can ask for.  They do not bound run time, which grows with the caps.
+MAX_LEVEL_DIM = 32  # the dimension of any level of a profile
+MAX_WIDTH = 8  # the band width of an operator
+MAX_LEVEL = 64  # |level| of every level a spec names: profile, boundary columns, vectors, patterns
+MAX_DEPTH = 64  # a subspace's chain_index and -tail_cut
+MAX_POWER = 16  # k, the power of log_law and of the shift closed form
+MAX_TRAJECTORY_STEPS = 1024  # config max_trajectory_steps, and plateau_streak
+MAX_CHAIN_INDEX = 64  # config max_chain_index
 
 
 @dataclass
@@ -52,6 +68,15 @@ class SpecFile:
 
     def __eq__(self, other):
         return isinstance(other, SpecFile) and to_canonical_dict(self) == to_canonical_dict(other)
+
+
+def _bounded(value, lo: int, hi: int, what: str, path: str) -> int:
+    """value as an integer in [lo, hi]; ParseError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer", path)
+    if not lo <= value <= hi:
+        raise ParseError(f"{what} {value} outside [{lo}, {hi}]", path)
+    return value
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
@@ -99,19 +124,26 @@ def _profile_from_json(field, obj, path):
         raise ParseError("profile must be an object", path)
     if "constant" in obj:
         _reject_unknown(obj, {"constant"}, path)
-        d = obj["constant"]
-        if not isinstance(d, int) or d < 0:
-            raise ParseError("constant profile dimension must be a natural", f"{path}.constant")
+        d = _bounded(obj["constant"], 0, MAX_LEVEL_DIM, "constant profile dimension", f"{path}.constant")
         return Profile.constant(field, d)
     _reject_unknown(obj, {"d_left", "boundary", "d_right", "n_lo", "n_hi"}, path)
+
+    def get(key, lo, hi):
+        return _bounded(_require(obj, key, path), lo, hi, key, f"{path}.{key}")
+
+    boundary = _require(obj, "boundary", path)
+    if not isinstance(boundary, list):
+        raise ParseError("boundary must be a list of dimensions", f"{path}.boundary")
+    for i, d in enumerate(boundary):
+        _bounded(d, 0, MAX_LEVEL_DIM, "level dimension", f"{path}.boundary[{i}]")
     try:
         return Profile(
             field,
-            _require(obj, "d_left", path),
-            tuple(_require(obj, "boundary", path)),
-            _require(obj, "d_right", path),
-            _require(obj, "n_lo", path),
-            _require(obj, "n_hi", path),
+            get("d_left", 0, MAX_LEVEL_DIM),
+            tuple(boundary),
+            get("d_right", 0, MAX_LEVEL_DIM),
+            get("n_lo", -MAX_LEVEL, MAX_LEVEL),
+            get("n_hi", -MAX_LEVEL, MAX_LEVEL),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad profile: {exc}", path) from None
@@ -139,6 +171,7 @@ def _vector_from_json(profile, triples, path):
         level, slot, value = triple
         if not isinstance(level, int) or not isinstance(slot, int):
             raise ParseError("level and slot must be integers", f"{path}[{t}]")
+        _bounded(level, -MAX_LEVEL, MAX_LEVEL, "level", f"{path}[{t}]")
         support[(level, slot)] = _scalar_from_json(profile.field, value, f"{path}[{t}]")
     try:
         return LlcVector(profile, support)
@@ -151,13 +184,16 @@ def _vector_to_json(vec: LlcVector):
     return [[n, i, _scalar_to_json(f, vec.support[(n, i)])] for (n, i) in sorted(vec.support)]
 
 
-def _int_keyed(obj, path):
+def _int_keyed(obj, path, bound=None):
+    """The dict with integer keys; with a bound, every key must lie in [-bound, bound]."""
     out = {}
     for key, value in obj.items():
         try:
             out[int(key)] = value
         except ValueError:
             raise ParseError(f"key {key!r} is not an integer level", path) from None
+        if bound is not None:
+            _bounded(int(key), -bound, bound, "level", f"{path}.{key}")
     return out
 
 
@@ -171,9 +207,7 @@ def _operator_from_json(profile, obj, path):
     if not isinstance(obj, dict):
         raise ParseError("operator must be a name or an object", path)
     _reject_unknown(obj, {"width", "left_blocks", "right_blocks", "boundary_columns"}, path)
-    width = _require(obj, "width", path)
-    if not isinstance(width, int) or width < 0:
-        raise ParseError("width must be a natural", f"{path}.width")
+    width = _bounded(_require(obj, "width", path), 0, MAX_WIDTH, "width", f"{path}.width")
     f = profile.field
 
     def blocks(key):
@@ -189,7 +223,7 @@ def _operator_from_json(profile, obj, path):
     if not isinstance(raw_cols, dict):
         raise ParseError("boundary_columns must map levels to column lists", f"{path}.boundary_columns")
     columns = {}
-    for n, cols in _int_keyed(raw_cols, f"{path}.boundary_columns").items():
+    for n, cols in _int_keyed(raw_cols, f"{path}.boundary_columns", MAX_LEVEL).items():
         if not isinstance(cols, list):
             raise ParseError("boundary columns must be a list per level", f"{path}.boundary_columns.{n}")
         columns[n] = [
@@ -228,14 +262,10 @@ def _subspace_from_json(profile, obj, path):
         raise ParseError("subspace must be an object", path)
     if "chain_index" in obj:
         _reject_unknown(obj, {"chain_index"}, path)
-        m = obj["chain_index"]
-        if not isinstance(m, int) or m < 0:
-            raise ParseError("chain_index must be a natural", f"{path}.chain_index")
+        m = _bounded(obj["chain_index"], 0, MAX_DEPTH, "chain_index", f"{path}.chain_index")
         return cofinal_chain(profile, m)
     _reject_unknown(obj, {"tail_cut", "generators"}, path)
-    tail = _require(obj, "tail_cut", path)
-    if not isinstance(tail, int) or tail > 0:
-        raise ParseError("tail_cut must be an integer <= 0", f"{path}.tail_cut")
+    tail = _bounded(_require(obj, "tail_cut", path), -MAX_DEPTH, 0, "tail_cut", f"{path}.tail_cut")
     gens = [
         _vector_from_json(profile, g, f"{path}.generators[{i}]")
         for i, g in enumerate(obj.get("generators", []))
@@ -275,7 +305,7 @@ def _pattern_from_json(profile, obj, path):
     right = basis(_require(obj, "right", path), profile.d_right, f"{path}.right")
     levels = {
         n: basis(rows, profile.dim(n), f"{path}.levels.{n}")
-        for n, rows in _int_keyed(obj.get("levels", {}), f"{path}.levels").items()
+        for n, rows in _int_keyed(obj.get("levels", {}), f"{path}.levels", MAX_LEVEL).items()
     }
     try:
         return BlockwisePattern.make(profile, left, levels, right)
@@ -300,15 +330,23 @@ def _config_from_json(obj, path):
     if not isinstance(obj, dict):
         raise ParseError("config must be an object", path)
     _reject_unknown(obj, {"plateau_streak", "max_trajectory_steps", "max_chain_index", "strict"}, path)
-    try:
-        return EntropyConfig(
-            plateau_streak=obj.get("plateau_streak", DEFAULT_CONFIG.plateau_streak),
-            max_trajectory_steps=obj.get("max_trajectory_steps", DEFAULT_CONFIG.max_trajectory_steps),
-            max_chain_index=obj.get("max_chain_index", DEFAULT_CONFIG.max_chain_index),
-            strict=obj.get("strict", DEFAULT_CONFIG.strict),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad config: {exc}", path) from None
+    return bounded_config(
+        path,
+        plateau_streak=obj.get("plateau_streak", DEFAULT_CONFIG.plateau_streak),
+        max_trajectory_steps=obj.get("max_trajectory_steps", DEFAULT_CONFIG.max_trajectory_steps),
+        max_chain_index=obj.get("max_chain_index", DEFAULT_CONFIG.max_chain_index),
+        strict=obj.get("strict", DEFAULT_CONFIG.strict),
+    )
+
+
+def bounded_config(path, plateau_streak, max_trajectory_steps, max_chain_index, strict) -> EntropyConfig:
+    """EntropyConfig with its caps inside the limits; ParseError at path otherwise."""
+    return EntropyConfig(
+        plateau_streak=_bounded(plateau_streak, 1, MAX_TRAJECTORY_STEPS, "plateau_streak", path),
+        max_trajectory_steps=_bounded(max_trajectory_steps, 1, MAX_TRAJECTORY_STEPS, "max_trajectory_steps", path),
+        max_chain_index=_bounded(max_chain_index, 0, MAX_CHAIN_INDEX, "max_chain_index", path),
+        strict=strict,
+    )
 
 
 def _config_to_json(cfg: EntropyConfig):
@@ -383,9 +421,7 @@ def spec_from_dict(doc: dict, path: str = "$") -> SpecFile:
                 second_profile, inner["inverse"], f"{path}.second.inverse"
             )
     if "k" in doc:
-        if not isinstance(doc["k"], int) or doc["k"] < 0:
-            raise ParseError("k must be a natural", f"{path}.k")
-        spec.k = doc["k"]
+        spec.k = _bounded(doc["k"], 0, MAX_POWER, "k", f"{path}.k")
     if "conjugator" in doc:
         spec.conjugator, _ = _operator_from_json(profile, doc["conjugator"], f"{path}.conjugator")
     if "conjugator_inverse" in doc:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,34 @@ class TestExitCodes:
         assert main(["entropy", write(tmp_path, json.dumps(doc))]) == EXIT_SPEC_ERROR
         err = capsys.readouterr().err
         assert "same length" in err and "$.operator.left_blocks.1" in err
+
+    @pytest.mark.parametrize(
+        "extra, command, flags",
+        [
+            # one 10^6 x 10^6 int64 block would be 7.28 TiB
+            ('"profile":{"constant":1000000}', ["entropy"], []),
+            ('"operator":{"width":1000000}', ["entropy"], []),
+            ('"operator":{"width":0,"boundary_columns":{"1000000000":[[]]}}', ["entropy"], []),
+            ('"subspace":{"chain_index":1000000}', ["relative-entropy"], []),
+            ('"subspace":{"tail_cut":-1000000}', ["relative-entropy"], []),
+            ('"k":1000000', ["check", "log_law"], []),
+            ('"config":{"max_trajectory_steps":1000000000}', ["entropy"], []),
+            ("", ["entropy"], ["--max-iter", "1000000000"]),
+            ("", ["entropy"], ["--chain-max", "1000000"]),
+            ("", ["entropy"], ["--streak", "0"]),
+        ],
+    )
+    def test_exit_2_size_limits(self, tmp_path, capsys, extra, command, flags):
+        spec = SHIFT[:-1] + (f",{extra}}}" if extra else "}")
+        tracemalloc.start()
+        try:
+            code = main([*command, write(tmp_path, spec), *flags])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert peak < 4 * 2**20
 
     def test_exit_2_missing_inverse(self, tmp_path, capsys):
         noinv = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift"}'

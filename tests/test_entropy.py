@@ -290,6 +290,108 @@ class TestActiveBlock:
         assert trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6)) == r
 
 
+def _summary(r):
+    return (r.value, r.status, r.certificate, r.iterations)
+
+
+class TestFrontRepeat:
+    """Right of b_hi a repeated front state stops the stepping; the full-window
+    loop, which never stops early, is the reference."""
+
+    FIELDS = [F2, F3, PrimeField(2**31 - 1), QQ]
+
+    @staticmethod
+    def _record_fills(monkeypatch):
+        """(steps taken, result) of every run the repeat stopped."""
+        fills = []
+        real_fill = entropy_module._fill_repeated
+
+        def recording(readings, cfg, horizon, u):
+            stepped = len(readings)
+            r = real_fill(readings, cfg, horizon, u)
+            fills.append((stepped, r))
+            return r
+
+        monkeypatch.setattr(entropy_module, "_fill_repeated", recording)
+        return fills
+
+    @staticmethod
+    def _results(op, inv, endo, subspaces, cfg):
+        out = []
+        for c in subspaces:
+            out.append(trajectory_relative_entropy(op, c, cfg))
+            out.append(limit_free_relative_entropy(op, inv, c, cfg))
+            out.append(trajectory_relative_entropy(endo, c, cfg))
+        return [_summary(r) for r in out]
+
+    def test_matches_full_window_loop(self, monkeypatch):
+        fills = self._record_fills(monkeypatch)
+        fields_seen, checked = set(), 0
+        for seed in range(10):
+            rng = random.Random(seed)
+            field = self.FIELDS[seed % 4]
+            if seed % 5 == 4:
+                profile = Profile.from_dims(field, {-1: 1, 0: 2, 1: 0, 2: 3}, 2, 1)
+            else:
+                profile = Profile.constant(field, rng.choice([1, 2]))
+            op, inv = random_automorphism(rng, profile)
+            endo = random_endomorphism(rng, profile, width=1, boundary=rng.randint(0, 2))
+            subspaces = [cofinal_chain(profile, 0), cofinal_chain(profile, 1)]
+            subspaces.append(random_open_subspace(rng, profile, tail_lo=-2, top_hi=2))
+            for streak in (1, 2, 3):
+                for cap in (4, 9, 16):
+                    cfg = EntropyConfig(plateau_streak=streak, max_trajectory_steps=cap)
+                    got = self._results(op, inv, endo, subspaces, cfg)
+                    with monkeypatch.context() as m:
+                        m.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+                        want = self._results(op, inv, endo, subspaces, cfg)
+                    assert got == want, f"seed {seed}, streak {streak}, cap {cap}"
+                    checked += len(got)
+            fields_seen.add(field)
+        assert fields_seen == set(self.FIELDS) and checked == 10 * 9 * 9
+        # the stop fired, saved steps, and filled runs ended both ways
+        assert any(r.iterations > stepped for stepped, r in fills)
+        assert {r.status for _, r in fills} == {Status.PLATEAU, Status.LOWER_BOUND}
+
+    def test_right_shift_stops_at_step_3(self, monkeypatch):
+        # U_0 under e_n -> e_{n+1}: the block above lo holds nothing and the
+        # images are one unit row, so step 3 (lo = 2) repeats step 2 (lo = 1
+        # = b_hi) one level up; the plateau still waits for the horizon 6
+        import llcent.linalg as linalg
+
+        merges = []
+        real_union = linalg.rref_union
+
+        def union(basis, rows):
+            merges.append(rows.shape[0])
+            return real_union(basis, rows)
+
+        monkeypatch.setattr(linalg, "rref_union", union)
+        fills = self._record_fills(monkeypatch)
+        op, u = make_shift(P1, "right"), cofinal_chain(P1, 0)
+        r = trajectory_relative_entropy(op, u)
+        assert _summary(r) == (1, Status.PLATEAU, (1,) * 8, 8)
+        assert merges == [1, 1, 1] and [stepped for stepped, _ in fills] == [3]
+        monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+        assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
+
+    def test_repeat_below_b_hi_does_not_stop(self, monkeypatch):
+        # e_n -> e_{n+1}, except that the boundary column at level 8 is zero:
+        # from U_0 the front state repeats one level up at every step, as for
+        # the right shift, but left of b_hi = 8 the operator is not yet
+        # stationary; the chain gains 1 per step until e_8 maps to 0
+        fills = self._record_fills(monkeypatch)
+        columns = {n: [LlcVector.unit(P1, n + 1, 0)] for n in range(-1, 8)}
+        columns[8] = [LlcVector.zero(P1)]
+        op = BandedOperator(P1, 1, {1: [[1]]}, {1: [[1]]}, columns)
+        u = cofinal_chain(P1, 0)
+        r = trajectory_relative_entropy(op, u)
+        assert _summary(r) == (0, Status.EXACT, (1,) * 8 + (0,), 9)
+        assert fills == []
+        monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+        assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
+
+
 class TestTotalEntropy:
     def test_bernoulli_values(self):
         beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
@@ -531,7 +633,8 @@ class TestConfig:
 # see TestActiveBlock), a fake relative engine
 # whose chain values fall, vector equality and zero tests that always say
 # no (compose, decompose_vc_vd), a chain restriction that returns nothing
-# (check_addition) and an inverse check that always fails (generators).
+# (check_addition), an inverse check that always fails (generators) and a
+# merge that loses a row at the step where the front state repeats.
 # Prints the message each check raised.
 _BROKEN_INVARIANTS = """
 import random
@@ -617,6 +720,20 @@ T.blockwise_restrict_quotient = real_split
 
 G.verify_inverse = lambda f_op, g_op: False
 print(fired(lambda: G.random_automorphism(random.Random(0), profile)))
+
+# the right shift's front state repeats at the third merge (see
+# TestFrontRepeat); that merge drops one of its two rows
+repeat_calls = []
+
+
+def union_halving_third(basis, rows):
+    repeat_calls.append(rows)
+    return real_union(basis, rows[:1] if len(repeat_calls) == 3 else rows)
+
+
+L.rref_union = union_halving_third
+print(fired(lambda: E.trajectory_relative_entropy(right, u)))
+L.rref_union = real_union
 """
 
 
@@ -639,6 +756,7 @@ def test_invariants_hold_under_optimize():
         "chain restriction mismatch",
         "chain quotient mismatch",
         "generator produced a bad inverse pair",
+        "a repeated front state must repeat the gain 2, got 1",
     ]
 
 

@@ -9,6 +9,13 @@ from llcent.errors import ParseError, ValidationError
 from llcent.fields import PrimeField, QQ
 from llcent.generators import random_automorphism, random_endomorphism
 from llcent.specfile import (
+    MAX_CHAIN_INDEX,
+    MAX_DEPTH,
+    MAX_LEVEL,
+    MAX_LEVEL_DIM,
+    MAX_POWER,
+    MAX_TRAJECTORY_STEPS,
+    MAX_WIDTH,
     SpecFile,
     parse_spec,
     serialize_spec,
@@ -187,3 +194,70 @@ def test_second_system_and_config():
     assert spec.config.plateau_streak == 4 and spec.config.strict
     with pytest.raises(ParseError, match="max_iter"):
         spec_from_dict({**json.loads(BASIC), "config": {"max_iter": 3}})
+
+
+# One spec per size limit, just past it, with the position its error names.
+OVER_LIMITS = {
+    "constant": ({"profile": {"constant": MAX_LEVEL_DIM + 1}}, "$.profile.constant"),
+    "d_left": (
+        {"profile": {"d_left": MAX_LEVEL_DIM + 1, "boundary": [1], "d_right": 1, "n_lo": 0, "n_hi": 0}},
+        "$.profile.d_left",
+    ),
+    "boundary": (
+        {"profile": {"d_left": 1, "boundary": [MAX_LEVEL_DIM + 1], "d_right": 1, "n_lo": 0, "n_hi": 0}},
+        "$.profile.boundary[0]",
+    ),
+    "n_lo": (
+        {"profile": {"d_left": 1, "boundary": [1], "d_right": 1, "n_lo": -MAX_LEVEL - 1, "n_hi": 0}},
+        "$.profile.n_lo",
+    ),
+    "width": ({"operator": {"width": MAX_WIDTH + 1}}, "$.operator.width"),
+    "boundary_columns": (
+        {"operator": {"width": 0, "boundary_columns": {str(MAX_LEVEL + 1): [[]]}}},
+        f"$.operator.boundary_columns.{MAX_LEVEL + 1}",
+    ),
+    "vector_level": (
+        {"subspace": {"tail_cut": 0, "generators": [[[MAX_LEVEL + 1, 0, 1]]]}},
+        "$.subspace.generators[0][0]",
+    ),
+    "pattern_level": (
+        {"pattern": {"left": [[1]], "levels": {str(-MAX_LEVEL - 1): [[1]]}, "right": [[1]]}},
+        f"$.pattern.levels.{-MAX_LEVEL - 1}",
+    ),
+    "chain_index": ({"subspace": {"chain_index": MAX_DEPTH + 1}}, "$.subspace.chain_index"),
+    "tail_cut": ({"subspace": {"tail_cut": -MAX_DEPTH - 1}}, "$.subspace.tail_cut"),
+    "k": ({"k": MAX_POWER + 1}, "$.k"),
+    "max_trajectory_steps": ({"config": {"max_trajectory_steps": MAX_TRAJECTORY_STEPS + 1}}, "$.config"),
+    "plateau_streak": ({"config": {"plateau_streak": MAX_TRAJECTORY_STEPS + 1}}, "$.config"),
+    "max_chain_index": ({"config": {"max_chain_index": MAX_CHAIN_INDEX + 1}}, "$.config"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(OVER_LIMITS))
+def test_size_limits_are_parse_errors(what):
+    extra, position = OVER_LIMITS[what]
+    with pytest.raises(ParseError, match="outside") as exc:
+        spec_from_dict({**json.loads(BASIC), **extra})
+    assert exc.value.position == position
+
+
+def test_size_limits_admit_their_bounds():
+    doc = {
+        **json.loads(BASIC),
+        "profile": {
+            "d_left": 1, "boundary": [1] * (2 * MAX_LEVEL + 1), "d_right": 1,
+            "n_lo": -MAX_LEVEL, "n_hi": MAX_LEVEL,
+        },
+        "operator": "identity",
+        "subspace": {"tail_cut": -MAX_DEPTH, "generators": [[[MAX_LEVEL, 0, 1]]]},
+        "k": MAX_POWER,
+        "config": {
+            "plateau_streak": MAX_TRAJECTORY_STEPS,
+            "max_trajectory_steps": MAX_TRAJECTORY_STEPS,
+            "max_chain_index": MAX_CHAIN_INDEX,
+        },
+    }
+    spec = spec_from_dict(doc)
+    assert spec.config.max_trajectory_steps == MAX_TRAJECTORY_STEPS and spec.k == MAX_POWER
+    spec = spec_from_dict({**json.loads(BASIC), "profile": {"constant": MAX_LEVEL_DIM}})
+    assert spec.profile.d_left == MAX_LEVEL_DIM

@@ -317,6 +317,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.specfile} is not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
     try:
         spec = parse_spec(text)
         report, code = run_command(args.command, spec, flags)

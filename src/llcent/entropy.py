@@ -26,7 +26,9 @@ add is the same against the block as against the whole member.  Images
 that reach below lo first bring the set-aside rows above the new lo back
 into the block.  Right of the operator's boundary region a step commutes
 with the level shift, so once the front state repeats one shift later the
-loop fills in the repeated reading instead of stepping on.
+loop fills in the repeated reading instead of stepping on; it does the
+same once the images' part above the chain's top carries the whole gain
+and keeps its rank under every power of the stationary edge map.
 
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
@@ -221,6 +223,42 @@ def _front_repeats(front, prev) -> bool:
     return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(front[2:], prev[2:]))
 
 
+def _edge_holds(img_op, delta, delta_lo, delta_top, t, g) -> bool:
+    """Conditions A-C of the leading-edge stop in _grow_chain.
+
+    delta holds a step's images over (delta_lo, delta_top], t is the
+    block's top before they merge and g the previous gain.  The edge E is
+    delta over (t, t + w]; rank(E Psi^e) = g also gives rank E = g (B),
+    and needs g <= rank Psi^e, the column count of right_edge_power.
+    """
+    d = img_op.profile.d_right
+    start = max(delta_lo, t)  # E is zero on (t, start]
+    cols = (delta_top - start) * d
+    if t < img_op.b_hi or delta.shape[0] != g or cols < g:
+        return False
+    power = img_op.right_edge_power()
+    if power.shape[1] < g:
+        return False
+    f = img_op.profile.field
+    off = (start - t) * d
+    image = f.matmul(delta[:, delta.shape[1] - cols :], power[off : off + cols])
+    return SubspaceBasis.span(f, image).rank == g
+
+
+def _readings_fixed(front, prev, edge):
+    """Why every later reading equals this step's, or None.
+
+    `edge` is the leading-edge test (_edge_holds) taken before the merge;
+    the front states are compared by _front_repeats.  The reason also
+    names the invariant a gain that moved would break.
+    """
+    if edge:
+        return "a full-rank leading edge"
+    if _front_repeats(front, prev):
+        return "a repeated front state"
+    return None
+
+
 def _fill_repeated(readings, cfg, horizon, u):
     """Repeat the last reading until the plateau rule or the step cap stops."""
     d = readings[-1]
@@ -280,8 +318,32 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
       widths there are all d_right, so the matrix width fixes top - lo.
     * By induction each later front state is the repeated one shifted by
       a further s with lo >= b_hi, and each later gain equals the
-      repeated one.  The repeat step still merges, and a gain that
-      differs from the previous step's raises EngineInvariant.
+      repeated one.
+
+    The loop also stops once the leading edge carries the gain.  At a step
+    k >= 2 let t be the block's top before the merge, g the previous gain
+    (the number of rows of the images, which map the g rows the last step
+    added), w the width and d = d_right.  The edge E is the images' part
+    over (t, t + w].  Psi is the edge map of
+    BandedOperator.right_edge_power, block (a, b) from level t+1+a to
+    level t+w+1+b being right_blocks[w+b-a] transposed for b <= a.  The
+    stop needs (A) t >= b_hi, (B) rank E = g and (C) rank(E Psi^(wd)) = g:
+
+    * X_k vanishes above t, so the next gain, the rank the images add to
+      X_k, is at least rank E = g; only g rows were mapped, so it is g.
+    * X_{k+1} restricted to (t, t + w] is the span of E.  By (A) and
+      `validate`'s b_hi >= n_hi + w every source level above t lies in
+      the constant d_right region and acts by the right blocks, so the
+      next images over (t + w, t + 2w] are exactly E Psi; nothing lower
+      reaches them, by the band.
+    * By induction each later edge is E Psi^i.  (C) says E meets the
+      kernel of Psi^(wd) only in 0, and kernels of powers stop growing by
+      exponent wd, so every E Psi^i has rank g and every later gain is g.
+
+    Either stop ends by appending the reading until the plateau rule or
+    the step cap stops it (_fill_repeated), so the result is the one full
+    stepping gives.  The stopping step still merges, and a gain that
+    differs from the previous step's raises EngineInvariant.
     """
     # imported at call time, so a patched linalg module is seen here too
     from .linalg import pad_basis_columns, rref_union
@@ -297,7 +359,8 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     front = None  # the last step's front state, taken while lo >= b_hi
     for step in range(1, cfg.max_trajectory_steps + 1):
         delta, delta_lo, delta_top = _trim_rows(p, delta, delta_lo, delta_top)
-        gain, repeats = 0, False
+        edge = bool(readings) and _edge_holds(img_op, delta, delta_lo, delta_top, top, readings[-1] - offset)
+        gain, prev, front = 0, front, None
         if delta.size:
             if delta_lo > lo:
                 basis = _set_aside(p, basis, lo, delta_lo, settled)
@@ -315,24 +378,23 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
                     )
             if delta_top < top:
                 delta = np.concatenate([delta, f.zeros(delta.shape[0], p.window_dim(delta_top, top))], axis=1)
-            prev, front = front, ((lo, basis.pivots, basis.mat, delta) if lo >= img_op.b_hi else None)
+            if lo >= img_op.b_hi:
+                front = (lo, basis.pivots, basis.mat, delta)
             old_rank, old_piv = basis.rank, set(basis.pivots)
             basis = rref_union(basis, delta)
             gain = basis.rank - old_rank
-            repeats = _front_repeats(front, prev)
-            if repeats and gain != readings[-1] - offset:
-                raise EngineInvariant(
-                    f"a repeated front state must repeat the gain {readings[-1] - offset}, got {gain}"
-                )
         d = gain + offset
         if readings and d > readings[-1]:
             raise EngineInvariant(f"{noun} must be non-increasing, got {readings + [d]}")
+        fixed = _readings_fixed(front, prev, edge)
+        if fixed and d != readings[-1]:
+            raise EngineInvariant(f"{fixed} must repeat the gain {readings[-1] - offset}, got {gain}")
         readings.append(d)
         if gain == 0:
             return EntropyResult(d, Status.EXACT, tuple(readings), u, step)
         if _plateaued(readings, cfg.plateau_streak, horizon):
             return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
-        if repeats:
+        if fixed:
             return _fill_repeated(readings, cfg, horizon, u)
         new = [i for i, piv in enumerate(basis.pivots) if piv not in old_piv]
         # the new rows vanish left of their first pivot: map them from the

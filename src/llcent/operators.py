@@ -36,7 +36,7 @@ class BandedOperator:
 
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
-        "_stationary_cache", "_stacks",
+        "_stationary_cache", "_stacks", "_edge_power",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -50,6 +50,7 @@ class BandedOperator:
         self.b_hi = max(self.columns) if self.columns else 0
         self._stationary_cache = {}
         self._stacks = {}
+        self._edge_power = None
 
     def _norm_blocks(self, f, blocks, d):
         out = {}
@@ -93,6 +94,33 @@ class BandedOperator:
             stacked = np.concatenate([blocks[j].T for j in shifts], axis=1) if shifts else None
             stack = self._stacks[side] = (shifts, stacked)
         return stack
+
+    def right_edge_power(self) -> np.ndarray:
+        """The columns of a basis of the column space of Psi^e, cached.
+
+        Psi takes the coordinates of w consecutive right-stationary levels
+        t+1..t+w to the components of their images on the next w levels
+        t+w+1..t+2w, in the rows convention of `stationary_stack`: block
+        (a, b), from level t+1+a to level t+w+1+b, is right_blocks[w+b-a]
+        transposed for b <= a and zero otherwise.  Kernels of powers of a
+        (w d_right)-square matrix stop growing by exponent w d_right, so
+        Psi is squared up to the first power of two e at least that.  The
+        columns kept are Psi^e's at the pivots of its reduced form: they
+        have full column rank and the same row kernel, so x Psi^e = 0
+        exactly when x times them is 0, and their number is the rank.
+        """
+        if self._edge_power is None:
+            f = self.profile.field
+            w, d = self.width, self.profile.d_right
+            psi = f.zeros(w * d, w * d)
+            for a in range(w):
+                for b in range(a + 1):
+                    psi[a * d : (a + 1) * d, b * d : (b + 1) * d] = self.right_blocks[w + b - a].T
+            e = 1
+            while e < w * d:
+                psi, e = f.matmul(psi, psi), 2 * e
+            self._edge_power = psi[:, list(SubspaceBasis.span(f, psi).pivots)]
+        return self._edge_power
 
     def apply(self, v: LlcVector) -> LlcVector:
         if v.profile != self.profile:

@@ -364,6 +364,8 @@ def parse_spec(text: str) -> SpecFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", "$") from None
     return spec_from_dict(doc)
 
 

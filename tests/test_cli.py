@@ -149,6 +149,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["entropy", "/nonexistent/spec.json"]) == EXIT_SPEC_ERROR
 
+    def test_exit_2_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["entropy", str(path)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
+    def test_exit_2_deeply_nested_json(self, tmp_path, capsys):
+        assert main(["entropy", write(tmp_path, "[" * 100000 + "]" * 100000)]) == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == "error: JSON nested too deeply at $\n"
+
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), EngineInvariant("increments must be non-increasing")])
     def test_exit_5_internal_error(self, tmp_path, capsys, monkeypatch, exc):
         # a defect in the program, not in the spec: one stderr line, no report

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import llcent.entropy as entropy_module
@@ -31,7 +32,7 @@ from llcent.errors import (
     ProfileMismatch,
 )
 from llcent.fields import PrimeField, QQ
-from llcent.generators import random_automorphism, random_endomorphism, random_open_subspace
+from llcent.generators import random_automorphism, random_endomorphism, random_matrix, random_open_subspace
 from llcent.operators import (
     BandedOperator,
     automorphism_image,
@@ -62,6 +63,17 @@ from _oracles import (
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 P1 = Profile.constant(F2, 1)
+
+
+def _widened(op, width):
+    """The same map declared with a wider band: its leading right block is
+    zero, so the leading-edge stop (TestEdgeStop) can never end a chain."""
+    p = op.profile
+    columns = {
+        n: [op.column(n, i) for i in range(p.dim(n))]
+        for n in range(p.n_lo - width, p.n_hi + width + 1)
+    }
+    return BandedOperator(p, width, op.left_blocks, op.right_blocks, columns)
 
 
 class TestTrajectoryEngine:
@@ -268,10 +280,12 @@ class TestActiveBlock:
 
     def test_left_plus_right_shift_remerges(self, monkeypatch):
         # e_n -> e_{n-1} + e_{n+1}: from U_0 the new rows are e_1, e_2, then
-        # e_2 maps onto e_1 + e_3, below the block, and e_1 comes back
+        # e_2 maps onto e_1 + e_3, below the block, and e_1 comes back.
+        # Declared with band 2, so the leading edge never stops the chain
+        # at step 2; the wider tail gives step 1 two image rows.
         import llcent.linalg as linalg
 
-        op = operator_add(make_shift(P1, "right"), make_shift(P1, "left"))
+        op = _widened(operator_add(make_shift(P1, "right"), make_shift(P1, "left")), 2)
         u = cofinal_chain(P1, 0)
         calls = []
         real_union = linalg.rref_union
@@ -285,7 +299,7 @@ class TestActiveBlock:
         assert r.certificate == (1,) * 6 and r.status is Status.LOWER_BOUND
         # step 2 sets e_1 aside; step 3 brings it back to the block {e_2},
         # then adds e_3 (the full window would merge into ranks 0, 1, 2, 3)
-        assert calls[:4] == [(0, 1), (0, 1), (1, 1), (2, 1)]
+        assert calls[:4] == [(0, 2), (0, 1), (1, 1), (2, 1)]
         monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
         assert trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6)) == r
 
@@ -354,9 +368,10 @@ class TestFrontRepeat:
         assert {r.status for _, r in fills} == {Status.PLATEAU, Status.LOWER_BOUND}
 
     def test_right_shift_stops_at_step_3(self, monkeypatch):
-        # U_0 under e_n -> e_{n+1}: the block above lo holds nothing and the
-        # images are one unit row, so step 3 (lo = 2) repeats step 2 (lo = 1
-        # = b_hi) one level up; the plateau still waits for the horizon 6
+        # C_1 under e_n -> e_{n+1}, declared with band 2 so that the leading
+        # edge cannot stop it: the block above lo holds nothing and the
+        # images are one unit row, so step 3 (lo = 3) repeats step 2 (lo = 2
+        # = b_hi) one level up; the plateau still waits for the horizon 11
         import llcent.linalg as linalg
 
         merges = []
@@ -368,10 +383,10 @@ class TestFrontRepeat:
 
         monkeypatch.setattr(linalg, "rref_union", union)
         fills = self._record_fills(monkeypatch)
-        op, u = make_shift(P1, "right"), cofinal_chain(P1, 0)
+        op, u = _widened(make_shift(P1, "right"), 2), cofinal_chain(P1, 1)
         r = trajectory_relative_entropy(op, u)
-        assert _summary(r) == (1, Status.PLATEAU, (1,) * 8, 8)
-        assert merges == [1, 1, 1] and [stepped for stepped, _ in fills] == [3]
+        assert _summary(r) == (1, Status.PLATEAU, (1,) * 13, 13)
+        assert merges == [3, 1, 1] and [stepped for stepped, _ in fills] == [3]
         monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
         assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
 
@@ -390,6 +405,147 @@ class TestFrontRepeat:
         assert fills == []
         monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
         assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
+
+
+class TestEdgeStop:
+    """Right of b_hi, images whose part above the chain's top carries the
+    whole gain, and keeps its rank under every power of the edge map, stop
+    the stepping; the full-window loop is the reference."""
+
+    FIELDS = [F2, F3, PrimeField(5), PrimeField(2**31 - 1), QQ]
+
+    @staticmethod
+    def _record(monkeypatch):
+        """(rows of every merge, steps taken before each fill, stop reasons)."""
+        import llcent.linalg as linalg
+
+        merges, fills, reasons = [], [], []
+        real_union, real_fill, real_fixed = (
+            linalg.rref_union, entropy_module._fill_repeated, entropy_module._readings_fixed,
+        )
+
+        def union(basis, rows):
+            merges.append(rows.shape[0])
+            return real_union(basis, rows)
+
+        def fill(readings, cfg, horizon, u):
+            fills.append(len(readings))
+            return real_fill(readings, cfg, horizon, u)
+
+        def fixed(front, prev, edge):
+            reason = real_fixed(front, prev, edge)
+            if reason:
+                reasons.append(reason)
+            return reason
+
+        monkeypatch.setattr(linalg, "rref_union", union)
+        monkeypatch.setattr(entropy_module, "_fill_repeated", fill)
+        monkeypatch.setattr(entropy_module, "_readings_fixed", fixed)
+        return merges, fills, reasons
+
+    @staticmethod
+    def _full_window(monkeypatch, run):
+        with monkeypatch.context() as m:
+            m.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+            return _summary(run())
+
+    def test_right_shift_stops_at_step_2(self, monkeypatch):
+        # U_0 under e_n -> e_{n+1}: step 2 maps the new row e_1 onto e_2,
+        # above the top t = 1 = b_hi, and Psi = R_1 = 1 keeps its rank
+        merges, fills, reasons = self._record(monkeypatch)
+        op, u = make_shift(P1, "right"), cofinal_chain(P1, 0)
+        r = trajectory_relative_entropy(op, u)
+        assert _summary(r) == (1, Status.PLATEAU, (1,) * 8, 8)
+        assert merges == [1, 1] and fills == [2] and reasons == ["a full-rank leading edge"]
+        assert self._full_window(monkeypatch, lambda: trajectory_relative_entropy(op, u)) == _summary(r)
+
+    def test_nilpotent_leading_block_does_not_stop(self, monkeypatch):
+        # e_{n,0} -> e_{n+1,0} up to b_hi = 1, right of it e_{n,0} -> e_{n+1,1}
+        # and e_{n,1} -> 0: from U_0 steps 2 and 3 map one row onto a
+        # one-row edge of rank 1 with t >= b_hi (conditions A and B), but
+        # Psi = R_1 transposed is nilpotent, so C refuses, and rightly:
+        # the chain gains nothing at step 4
+        profile = Profile.constant(F2, 2)
+        columns = {n: [LlcVector.unit(profile, n + 1, 0), LlcVector.zero(profile)] for n in range(-1, 2)}
+        op = BandedOperator(profile, 1, {1: [[1, 0], [0, 0]]}, {1: [[0, 0], [1, 0]]}, columns)
+        u = cofinal_chain(profile, 0)
+        merges, fills, reasons = self._record(monkeypatch)
+        r = trajectory_relative_entropy(op, u)
+        assert _summary(r) == (0, Status.EXACT, (1, 1, 1, 0), 4)
+        assert merges == [2, 1, 1] and fills == [] and reasons == []
+        assert self._full_window(monkeypatch, lambda: trajectory_relative_entropy(op, u)) == _summary(r)
+        # without C the edge of step 2 would have stopped the chain at gain 1
+        monkeypatch.setattr(BandedOperator, "right_edge_power", lambda self: self.profile.field.eye(2))
+        assert trajectory_relative_entropy(op, u).value == 1
+
+    def test_edge_sits_at_its_levels(self):
+        # d = 2, w = 2, right of b_hi = 2: e_{n,0} -> e_{n+2,0} and
+        # e_{n,1} -> e_{n+1,0}.  Above t = 5 a one-row edge holding slot 1
+        # at level 7 maps onto slot 0 at level 8, inside the next edge
+        # (levels 8 and 9), and slot 0 moves up two levels for ever: C
+        # holds.  The same row at level 6 maps onto level 7, and the next
+        # edge gets nothing: C fails.  E must be read at its own levels.
+        profile = Profile.constant(F3, 2)
+        columns = {
+            n: [LlcVector.unit(profile, n + 2, 0), LlcVector.unit(profile, n + 1, 0)] for n in range(-2, 3)
+        }
+        op = BandedOperator(profile, 2, {}, {2: [[1, 0], [0, 0]], 1: [[0, 1], [0, 0]]}, columns)
+        edge = entropy_module._edge_holds
+        assert edge(op, F3.array([[0, 1]]), 6, 7, 5, 1)
+        assert not edge(op, F3.array([[0, 1]]), 5, 6, 5, 1)
+
+    @staticmethod
+    def _degenerate_lead(rng, op):
+        """op with its leading right block zero, of rank 1 or strictly triangular."""
+        f, d, w = op.profile.field, op.profile.d_right, op.width
+        kind = rng.choice(("zero", "rank one", "triangular"))
+        if kind == "zero" or (kind == "rank one" and d == 1):
+            lead = f.zeros(d, d)
+        elif kind == "rank one":
+            lead = f.normalize(f.matmul(random_matrix(rng, f, d, 1), random_matrix(rng, f, 1, d)))
+        else:
+            lead = op.right_blocks[w].copy()
+            lead[np.tril_indices(d)] = f.zero
+        return BandedOperator(op.profile, w, op.left_blocks, {**op.right_blocks, w: lead}, op.columns)
+
+    def test_stress_against_full_window(self, monkeypatch):
+        # random automorphism pairs through both engines and random
+        # endomorphisms, half of all instances with a degenerate leading
+        # right block, on C_0..C_2 with random caps and streaks; every
+        # result must be the full window's, and both stops must fire.
+        # Without condition C, 14 of these 720 runs go wrong.
+        merges, fills, reasons = self._record(monkeypatch)
+        runs = []
+        for seed in range(120):
+            rng = random.Random(seed)
+            field = self.FIELDS[seed % 5]
+            d = rng.randint(1, 2 if field is QQ else 3)
+            if seed % 3 == 2:
+                profile = Profile.constant(field, d)
+                op, inv = random_automorphism(rng, profile)
+                runs += [(trajectory_relative_entropy, (op,)), (trajectory_relative_entropy, (inv,))]
+                runs += [(limit_free_relative_entropy, (op, inv)), (limit_free_relative_entropy, (inv, op))]
+            else:
+                if seed % 3:
+                    dims = {-1: rng.randint(0, 2), 0: rng.randint(1, 3), 1: rng.randint(0, 2)}
+                    profile = Profile.from_dims(field, dims, rng.randint(1, 2), d)
+                else:
+                    profile = Profile.constant(field, d)
+                width = rng.randint(1, 2 if field is QQ else 3)
+                op = random_endomorphism(rng, profile, width=width, boundary=rng.randint(0, 2))
+                if seed % 3 == 0 or seed % 2:
+                    op = self._degenerate_lead(rng, op)
+                runs.append((trajectory_relative_entropy, (op,)))
+            cfg = EntropyConfig(plateau_streak=rng.randint(1, 3), max_trajectory_steps=rng.randint(6, 64))
+            for m in range(3):
+                u = cofinal_chain(profile, m)
+                for engine, ops in runs:
+                    got = _summary(engine(*ops, u, cfg))
+                    want = self._full_window(monkeypatch, lambda: engine(*ops, u, cfg))
+                    assert got == want, f"seed {seed}, C_{m}, {engine.__name__}"
+            runs.clear()
+        assert reasons.count("a full-rank leading edge") >= 100
+        assert reasons.count("a repeated front state") >= 10
 
 
 class TestTotalEntropy:
@@ -633,8 +789,9 @@ class TestConfig:
 # see TestActiveBlock), a fake relative engine
 # whose chain values fall, vector equality and zero tests that always say
 # no (compose, decompose_vc_vd), a chain restriction that returns nothing
-# (check_addition), an inverse check that always fails (generators) and a
-# merge that loses a row at the step where the front state repeats.
+# (check_addition), an inverse check that always fails (generators), a
+# merge that loses a row at the step where the front state repeats, and one
+# that loses a row at the step where the leading edge stops the chain.
 # Prints the message each check raised.
 _BROKEN_INVARIANTS = """
 import random
@@ -658,6 +815,13 @@ except AssertionError:
 profile = Profile.constant(PrimeField(2), 2)
 right, left = make_shift(profile, "right"), make_shift(profile, "left")
 u = cofinal_chain(profile, 0)
+
+
+def widened(op):
+    # the same map with band 2 and a zero leading block: no edge stop
+    span = range(op.profile.n_lo - 2, op.profile.n_hi + 3)
+    columns = {n: [op.column(n, i) for i in range(op.profile.dim(n))] for n in span}
+    return O.BandedOperator(op.profile, 2, op.left_blocks, op.right_blocks, columns)
 
 
 def growing_union(gains):
@@ -692,7 +856,7 @@ def union_dropping_third(basis, rows):
 
 
 L.rref_union = union_dropping_third
-both = O.operator_add(right, left)
+both = widened(O.operator_add(right, left))
 print(fired(lambda: E.trajectory_relative_entropy(both, cofinal_chain(both.profile, 0))))
 L.rref_union = real_union
 real_trajectory = E.trajectory_relative_entropy
@@ -721,8 +885,8 @@ T.blockwise_restrict_quotient = real_split
 G.verify_inverse = lambda f_op, g_op: False
 print(fired(lambda: G.random_automorphism(random.Random(0), profile)))
 
-# the right shift's front state repeats at the third merge (see
-# TestFrontRepeat); that merge drops one of its two rows
+# the widened right shift's front state repeats at the third merge from C_1
+# (see TestFrontRepeat); that merge drops one of its two rows
 repeat_calls = []
 
 
@@ -732,6 +896,18 @@ def union_halving_third(basis, rows):
 
 
 L.rref_union = union_halving_third
+print(fired(lambda: E.trajectory_relative_entropy(widened(right), cofinal_chain(profile, 1))))
+# the right shift's leading edge stops the chain at the second merge (see
+# TestEdgeStop); that merge drops one of its two rows
+edge_calls = []
+
+
+def union_halving_second(basis, rows):
+    edge_calls.append(rows)
+    return real_union(basis, rows[:1] if len(edge_calls) == 2 else rows)
+
+
+L.rref_union = union_halving_second
 print(fired(lambda: E.trajectory_relative_entropy(right, u)))
 L.rref_union = real_union
 """
@@ -757,6 +933,7 @@ def test_invariants_hold_under_optimize():
         "chain quotient mismatch",
         "generator produced a bad inverse pair",
         "a repeated front state must repeat the gain 2, got 1",
+        "a full-rank leading edge must repeat the gain 2, got 1",
     ]
 
 

@@ -80,6 +80,11 @@ def test_json_error_has_position():
         parse_spec('{"field": }')
 
 
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"nested too deeply at \$$"):
+        parse_spec("[" * 100000 + "]" * 100000)
+
+
 def test_bad_scalar_for_field():
     doc = json.loads(BASIC)
     doc["operator"] = {

@@ -5,21 +5,23 @@ Runs one catalog pass of the benchmark's ``endo_fields`` and
 ``llcent.entropy._grow_chain`` wrapped to record its arguments, then feeds
 each recorded call to ``_grow_chain`` and to ``grow_chain_full_window`` of
 tests/_oracles.py, the loop that never stops early.  It prints, per
-workload, how many chains stopped at a repeated front state and how many
-steps that saved, and the total time of the engine's loop against the
-oracle (best of 3 replays); it exits 1 when the two return another value,
-status, certificate or step count on any call.
+workload and per shape (field, d_right, band width), how many chains
+stopped early at a full-rank leading edge and at a repeated front state
+and how many steps that saved, and the total time of the engine's loop
+against the oracle (best of 3 replays); it exits 1 when the two return
+another value, status, certificate or step count on any call.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/chain_replay.py [--check]
 
 --check replays once, without the timing, and prints only the mismatches
-and a summary line per workload.
+and the summary lines.
 """
 
 import argparse
 import os
 import sys
 import time
+from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
@@ -57,28 +59,56 @@ def summary(r):
     return (r.value, r.status, r.certificate, r.iterations)
 
 
-def replay(calls):
-    """(mismatches, chains stopped early, steps saved, steps) over the calls."""
-    fills = []
-    real_fill = entropy._fill_repeated
+def shape(args):
+    op = args[0]
+    return f"{op.profile.field.name} d={op.profile.d_right} w={op.width}"
 
-    def counting_fill(readings, cfg, horizon, u):
+
+def replay(calls):
+    """(mismatches, {shape: {"chains", "edge", "front", "filled", "steps"}}) over the calls."""
+    stop = []  # "edge" or "front" for the step that ended the stepping, then the steps it saved
+    real_fixed, real_fill = entropy._readings_fixed, entropy._fill_repeated
+
+    def fixed(front, prev, edge):
+        reason = real_fixed(front, prev, edge)
+        stop[:] = ["edge" if edge else "front"] if reason else []
+        return reason
+
+    def fill(readings, cfg, horizon, u):
         stepped = len(readings)
         r = real_fill(readings, cfg, horizon, u)
-        fills.append(r.iterations - stepped)
+        stop.append(r.iterations - stepped)
         return r
 
-    entropy._fill_repeated = counting_fill
+    entropy._readings_fixed, entropy._fill_repeated = fixed, fill
+    got, stops = [], []
     try:
-        got = [entropy._grow_chain(*args) for args in calls]
+        for args in calls:
+            stop.clear()
+            got.append(entropy._grow_chain(*args))
+            stops.append(tuple(stop) if len(stop) == 2 else None)
     finally:
-        entropy._fill_repeated = real_fill
+        entropy._readings_fixed, entropy._fill_repeated = real_fixed, real_fill
     bad = []
-    for k, (args, r) in enumerate(zip(calls, got)):
+    counts = defaultdict(lambda: dict.fromkeys(("chains", "edge", "front", "filled", "steps"), 0))
+    for k, (args, r, s) in enumerate(zip(calls, got, stops)):
         want = grow_chain_full_window(*args)
         if summary(r) != summary(want):
             bad.append(f"call {k} ({args[-1]}): got {summary(r)}, oracle {summary(want)}")
-    return bad, len(fills), sum(fills), sum(r.iterations for r in got)
+        c = counts[shape(args)]
+        c["chains"] += 1
+        c["steps"] += r.iterations
+        if s:
+            c[s[0]] += 1
+            c["filled"] += s[1]
+    return bad, dict(counts)
+
+
+def line(label, c):
+    return (
+        f"{label}: {c['chains']} chains, {c['edge']} stopped at a leading edge and {c['front']} at a "
+        f"repeated front, {c['filled']} of {c['steps']} steps filled ({c['filled'] / max(c['steps'], 1):.0%})"
+    )
 
 
 def best_s(fn, calls) -> float:
@@ -99,14 +129,14 @@ def main(argv=None) -> int:
     total_bad = 0
     for name in NAMES:
         calls = record(name)
-        bad, stopped, saved, steps = replay(calls)
+        bad, counts = replay(calls)
         total_bad += len(bad)
-        for line in bad:
-            print(f"MISMATCH {name} {line}")
-        print(
-            f"{name}: {len(calls)} chains, {stopped} stopped at a repeated front, "
-            f"{saved} of {steps} steps filled ({saved / max(steps, 1):.0%}), {len(bad)} mismatches"
-        )
+        for text in bad:
+            print(f"MISMATCH {name} {text}")
+        total = {key: sum(c[key] for c in counts.values()) for key in ("chains", "edge", "front", "filled", "steps")}
+        print(f"{line(name, total)}, {len(bad)} mismatches")
+        for label in sorted(counts):
+            print(f"  {line(label, counts[label])}")
         if not args.check:
             loop, oracle = best_s(entropy._grow_chain, calls), best_s(grow_chain_full_window, calls)
             print(f"  _grow_chain {loop:.4f} s, full window {oracle:.4f} s, oracle/loop {oracle / loop:.2f}")

@@ -13,7 +13,9 @@ well defined on the whole space, image-bounded on the product side, and
 continuous: the preimage of U_a contains U_{a-w} up to finitely many
 linear conditions.  The class is closed under composition, restriction
 to blockwise invariant subspaces, and induced quotient maps; inverses
-are verified against a caller-supplied candidate rather than computed.
+are verified against a caller-supplied candidate rather than computed,
+by one banded product per order of the pair, without building either
+composite (`verify_inverse`).
 """
 
 from __future__ import annotations
@@ -318,11 +320,70 @@ def power(op: BandedOperator, k: int) -> BandedOperator:
 
 
 def verify_inverse(f_op: BandedOperator, g_op: BandedOperator) -> bool:
-    """True iff f_op and g_op compose to the identity both ways."""
+    """True iff f_op and g_op compose to the identity both ways.
+
+    Each order is one banded product, with no composite built: for f.g,
+    the rows of `_action_rows(g) @ _action_rows(f)` over the levels
+    b_lo-1 .. b_hi+1, where [b_lo, b_hi] is the boundary region `compose`
+    gives f.g, must be the unit rows at their own coordinates.  That is
+    the comparison `compose(f, g) == identity_operator(...)`:
+
+    * at a level n < b_lo, g acts by its left blocks, and every level it
+      reaches from n, at most n + w_g, lies below f.b_lo, so f acts there
+      by its left blocks too;
+    * all of these levels lie below n_lo, in the constant region, so f.g
+      at n is the stationary rule of the convolved blocks
+      sum_{j1+j2=j} F_{j1} G_{j2}, and the same holds on the right past
+      b_hi;
+    * so the rows of levels b_lo-1 and b_hi+1 are unit rows exactly when
+      the convolved blocks are the identity's, which is the block
+      comparison of `BandedOperator.__eq__`, and the rows in between are
+      its column comparison over the region.
+
+    `_action_rows` reads `column()` as `compose`'s `apply` does, over
+    windows that hold every image (`_image_window`), so the product is
+    exact for any operator, not only under `validate` as the stacked
+    route of `_apply_action` is.
+    """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("operators over different profiles")
-    ident = identity_operator(f_op.profile)
-    return compose(f_op, g_op) == ident and compose(g_op, f_op) == ident
+    return _composes_to_identity(f_op, g_op) and _composes_to_identity(g_op, f_op)
+
+
+def _composes_to_identity(f_op: BandedOperator, g_op: BandedOperator) -> bool:
+    """f_op . g_op fixes each basis vector of levels b_lo-1 .. b_hi+1 of compose's region."""
+    p = f_op.profile
+    f = p.field
+    wg, w = g_op.width, f_op.width + g_op.width
+    lo = min(g_op.b_lo, f_op.b_lo - wg, p.n_lo - w) - 2
+    hi = max(g_op.b_hi, f_op.b_hi + wg, p.n_hi + w) + 1
+    mid_lo, mid_hi = _image_window(g_op, lo, hi)
+    dst_lo, dst_hi = _image_window(f_op, mid_lo, mid_hi)  # holds (lo, hi], as mid_lo <= lo - w_g
+    prod = f.matmul(
+        _action_rows(g_op, lo, hi, mid_lo, mid_hi),
+        _action_rows(f_op, mid_lo, mid_hi, dst_lo, dst_hi),
+    )
+    m, start = prod.shape[0], p.window_dim(dst_lo, lo)
+    unit = f.zeros(m, prod.shape[1])
+    unit[:, start : start + m] = f.eye(m)
+    return np.array_equal(prod, unit)
+
+
+def _image_window(op: BandedOperator, lo: int, hi: int):
+    """A window (a, b] that holds the images of the levels (lo, hi].
+
+    The band bounds the stationary columns; the stored boundary columns
+    are read, so that no image is cut off even where one leaves the band.
+    """
+    down, up = lo + 1 - op.width, hi + op.width
+    for n in range(max(lo + 1, op.b_lo), min(hi, op.b_hi) + 1):
+        for col in op.columns[n]:
+            for m, _slot in col.support:
+                if m < down:
+                    down = m
+                elif m > up:
+                    up = m
+    return down - 1, up
 
 
 def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_hi: int) -> np.ndarray:

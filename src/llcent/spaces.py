@@ -23,12 +23,14 @@ are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotContained, ProfileMismatch
 from .linalg import SubspaceBasis, subspace_combine
+
+WINDOW_TABLE_SIZE = 4096  # entries per window table of a profile
+_WINDOW_TABLES = ("_window_coords", "_window_dims", "_window_offsets")
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,17 @@ class Profile:
             raise ValueError("boundary list must cover levels n_lo..n_hi")
         if self.d_left < 0 or self.d_right < 0 or any(d < 0 for d in self.boundary):
             raise ValueError("dimensions must be non-negative")
+        self._new_window_tables()
 
-    # The lru-cached window lookups below hash and compare the profile on
-    # every call, so the hash is computed once and identity decides first.
+    def _new_window_tables(self):
+        # Each instance keeps its own window tables, keyed by (a, b): a table
+        # shared by every profile would compare equal profiles built apart
+        # (unpickled, or built by separate callers) on every lookup.
+        for name in _WINDOW_TABLES:
+            object.__setattr__(self, name, {})
+
+    # Operators and subspaces compare their profiles on every check, so
+    # identity decides first and the hash is computed once.
     def _key(self):
         return (self.field, self.d_left, self.boundary, self.d_right, self.n_lo, self.n_hi)
 
@@ -70,10 +80,16 @@ class Profile:
         return h
 
     def __getstate__(self):
-        # the field's hash hashes a string, which differs between processes
+        # the field's hash hashes a string, which differs between processes;
+        # the window tables are rebuilt on demand
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        for name in ("_hash", *_WINDOW_TABLES):
+            state.pop(name, None)
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._new_window_tables()
 
     @classmethod
     def constant(cls, field, d: int) -> "Profile":
@@ -111,21 +127,41 @@ class Profile:
         )
 
     # -- window flattening: coordinates of levels in (a, b] ----------------
-    @lru_cache(maxsize=4096)
-    def window_coords(self, a: int, b: int):
-        return [(n, i) for n in range(a + 1, b + 1) for i in range(self.dim(n))]
+    # The lookups are inlined: window_dim runs on every engine step.  A full
+    # table is cleared, which bounds it at WINDOW_TABLE_SIZE entries.
+    def window_coords(self, a: int, b: int) -> list:
+        try:
+            return self._window_coords[a, b]
+        except KeyError:
+            table = self._window_coords
+            if len(table) >= WINDOW_TABLE_SIZE:
+                table.clear()
+            coords = table[a, b] = [(n, i) for n in range(a + 1, b + 1) for i in range(self.dim(n))]
+            return coords
 
-    @lru_cache(maxsize=4096)
     def window_dim(self, a: int, b: int) -> int:
-        return sum(self.dim(n) for n in range(a + 1, b + 1))
+        try:
+            return self._window_dims[a, b]
+        except KeyError:
+            table = self._window_dims
+            if len(table) >= WINDOW_TABLE_SIZE:
+                table.clear()
+            dim = table[a, b] = sum(self.dim(n) for n in range(a + 1, b + 1))
+            return dim
 
-    @lru_cache(maxsize=4096)
     def window_offsets(self, a: int, b: int) -> dict:
-        offs, pos = {}, 0
-        for n in range(a + 1, b + 1):
-            offs[n] = pos
-            pos += self.dim(n)
-        return offs
+        try:
+            return self._window_offsets[a, b]
+        except KeyError:
+            table = self._window_offsets
+            if len(table) >= WINDOW_TABLE_SIZE:
+                table.clear()
+            offs, pos = {}, 0
+            for n in range(a + 1, b + 1):
+                offs[n] = pos
+                pos += self.dim(n)
+            table[a, b] = offs
+            return offs
 
 
 class LlcVector:

@@ -15,6 +15,7 @@ limits is a ParseError rather than a request for terabytes of memory.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,9 @@ MAX_DEPTH = 64  # a subspace's chain_index and -tail_cut
 MAX_POWER = 16  # k, the power of log_law and of the shift closed form
 MAX_TRAJECTORY_STEPS = 1024  # config max_trajectory_steps, and plateau_streak
 MAX_CHAIN_INDEX = 64  # config max_chain_index
+# Q scalars: digits of the numerator or denominator that Fraction builds
+# from a string, its 10**exp included; Python's own int-string limit.
+MAX_SCALAR_DIGITS = 4300
 
 
 @dataclass
@@ -91,6 +95,30 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+# a superset of the string grammar of Fraction
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?P<num>[\d_]*)"
+    r"(?:\s*/\s*(?P<denom>[\d_]+)|(?:\.(?P<decimal>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\s*"
+)
+
+
+def _rational_digits(text: str) -> int:
+    """The most digits of a numerator or denominator Fraction(text) builds.
+
+    "m.dEe" is read as int(m d) * 10**e / 10**len(d), so the power of ten
+    counts even when the mantissa is 0.  Text outside the grammar counts
+    0, and Fraction rejects it.
+    """
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        return 0
+    num, denom, decimal, exp = ((part or "").replace("_", "") for part in m.group("num", "denom", "decimal", "exp"))
+    if denom:
+        return max(len(num), len(denom))
+    e = int(exp or 0)
+    return max(len(num) + len(decimal) + max(e, 0), len(decimal) + max(-e, 0) + 1)
+
+
 def _scalar_from_json(field, v, path):
     try:
         if isinstance(field, PrimeField):
@@ -99,8 +127,12 @@ def _scalar_from_json(field, v, path):
             return field.coerce(v)
         if isinstance(v, bool) or isinstance(v, float):
             raise TypeError
+        if isinstance(v, str) and _rational_digits(v) > MAX_SCALAR_DIGITS:
+            raise ParseError(
+                f"scalar with more than {MAX_SCALAR_DIGITS} digits in its numerator or denominator", path
+            )
         return field.coerce(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ParseError(f"bad scalar {v!r} for {field.name}", path) from None
 
 
@@ -366,6 +398,10 @@ def parse_spec(text: str) -> SpecFile:
         raise ParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply", "$") from None
+    except ValueError:
+        # json reads integers with int(), which refuses more digits than
+        # Python's int-string limit
+        raise ParseError("JSON integer with too many digits", "$") from None
     return spec_from_dict(doc)
 
 

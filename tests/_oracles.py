@@ -9,7 +9,9 @@ basis reduced over the whole window at every step; it stands in for
 `llcent.entropy._grow_chain`, which keeps only an active block.
 `rref_per_pivot` is one Gauss-Jordan loop for every field, each pivot a
 rank-1 update of the whole matrix; the routes of `llcent.linalg._rref`
-must return exactly what it returns.
+must return exactly what it returns.  `verify_inverse_by_composites`
+builds both composites and compares each with the identity operator;
+`llcent.operators.verify_inverse` must give the same verdict.
 """
 
 import numpy as np
@@ -29,6 +31,8 @@ from llcent.operators import (
     BandedOperator,
     _apply_action,
     automorphism_image,
+    compose,
+    identity_operator,
     image_rows_mod_tail,
 )
 from llcent.spaces import CompactOpenSubspace, _padded_window_rows, open_combine
@@ -68,6 +72,14 @@ def rref_per_pivot(field, a: np.ndarray):
         pivots.append(col)
         r += 1
     return a[:r], pivots
+
+
+def verify_inverse_by_composites(f_op: BandedOperator, g_op: BandedOperator) -> bool:
+    """True iff compose(f_op, g_op) and compose(g_op, f_op) equal the identity operator."""
+    if f_op.profile != g_op.profile:
+        raise ProfileMismatch("operators over different profiles")
+    ident = identity_operator(f_op.profile)
+    return compose(f_op, g_op) == ident and compose(g_op, f_op) == ident
 
 
 def _trajectory_step(op, u, t):

@@ -161,6 +161,25 @@ class TestExitCodes:
         assert main(["entropy", write(tmp_path, "[" * 100000 + "]" * 100000)]) == EXIT_SPEC_ERROR
         assert capsys.readouterr().err == "error: JSON nested too deeply at $\n"
 
+    @pytest.mark.parametrize(
+        "scalar, message",
+        [
+            ('"1/0"', "bad scalar '1/0' for Q"),
+            # Fraction("1e999999999") would build a 10^999999999 integer
+            ('"1e999999999"', "scalar with more than 4300 digits in its numerator or denominator"),
+            ("1" * 5000, "JSON integer with too many digits"),
+        ],
+    )
+    def test_exit_2_q_scalars(self, tmp_path, capsys, scalar, message):
+        spec = (
+            '{"field":"Q","profile":{"constant":1},"operator":{"width":0,'
+            f'"left_blocks":{{"0":[[{scalar}]]}},"right_blocks":{{"0":[[1]]}},"boundary_columns":{{"0":[[[0,0,1]]]}}}}}}'
+        )
+        assert main(["entropy", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message} at $")
+
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), EngineInvariant("increments must be non-increasing")])
     def test_exit_5_internal_error(self, tmp_path, capsys, monkeypatch, exc):
         # a defect in the program, not in the spec: one stderr line, no report

@@ -46,6 +46,7 @@ from llcent.spaces import (
 )
 
 from _dense import image_plus_tail_bits, subspace_bits
+from _oracles import verify_inverse_by_composites
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -174,6 +175,97 @@ class TestVerifyInverse:
     def test_profile_mismatch(self):
         with pytest.raises(ProfileMismatch):
             verify_inverse(make_shift(P1, "right"), make_shift(P2, "left"))
+
+    CANDIDATES = ("inverse", "self", "bump_block", "bump_column", "endomorphism")
+
+    @staticmethod
+    def bumped(rng, op, where):
+        """op with one stationary-block entry or one boundary-column entry raised by one."""
+        p = op.profile
+        f = p.field
+        left = {j: b.copy() for j, b in op.left_blocks.items()}
+        right = {j: b.copy() for j, b in op.right_blocks.items()}
+        columns = dict(op.columns)
+        if where == "bump_block":
+            sides = [blocks for blocks, d in ((left, p.d_left), (right, p.d_right)) if d]
+            if sides:
+                block = rng.choice(sides)[rng.randint(-op.width, op.width)]
+                r, c = rng.randrange(block.shape[0]), rng.randrange(block.shape[1])
+                block[r, c] = f.add(block[r, c], f.one)
+        else:
+            entries = [
+                (n, i, (m, s))
+                for n, cols in columns.items()
+                for i in range(len(cols))
+                for m in range(n - op.width, n + op.width + 1)
+                for s in range(p.dim(m))
+            ]
+            if entries:
+                n, i, key = rng.choice(entries)
+                support = dict(columns[n][i].support)
+                support[key] = f.add(support.get(key, f.zero), f.one)
+                columns[n] = columns[n][:i] + (LlcVector(p, support),) + columns[n][i + 1 :]
+        return BandedOperator(p, op.width, left, right, columns)
+
+    @staticmethod
+    @st.composite
+    def pairs(draw):
+        field = draw(st.sampled_from((F2, F3, PrimeField(5), QQ)))
+        if draw(st.booleans()):
+            profile = Profile.constant(field, draw(st.integers(1, 2)))
+        else:
+            dims = draw(st.dictionaries(st.integers(-2, 2), st.integers(0, 2), max_size=3))
+            profile = Profile.from_dims(field, dims, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        op, inv = random_automorphism(rng, profile)
+        kind = draw(st.sampled_from(TestVerifyInverse.CANDIDATES))
+        if kind == "inverse":
+            other = inv
+        elif kind == "self":
+            other = op
+        elif kind == "endomorphism":
+            other = random_endomorphism(rng, profile, width=draw(st.integers(0, 3)))
+        else:
+            other = TestVerifyInverse.bumped(rng, draw(st.sampled_from((op, inv))), kind)
+        return (op, other) if draw(st.booleans()) else (other, op)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=pairs())
+    def test_matches_composite_oracle(self, pair):
+        assert verify_inverse(*pair) == verify_inverse_by_composites(*pair)
+
+    def test_columns_leaving_the_band(self):
+        # e_0 -> e_0 + e_{-5} at width 0: validate reports the band, and the
+        # image at level -5 must still count
+        def width_0(column_0):
+            return BandedOperator(P1, 0, {0: F2.eye(1)}, {0: F2.eye(1)}, {0: [LlcVector(P1, column_0)]})
+
+        f_op, ident = width_0({(0, 0): 1, (-5, 0): 1}), width_0({(0, 0): 1})
+        assert validate(f_op) == ["band exceeded: column (0,0) reaches level -5"]
+        for pair in ((f_op, ident), (ident, f_op), (f_op, f_op), (ident, ident)):
+            assert verify_inverse(*pair) == verify_inverse_by_composites(*pair)
+        assert verify_inverse(f_op, f_op) and not verify_inverse(f_op, ident)
+
+    def test_builds_no_composite(self, monkeypatch):
+        import llcent.operators as ops
+
+        pairs = [
+            (make_shift(P2, "right"), make_shift(P2, "left"), True),
+            (make_shift(P2, "right"), make_shift(P2, "right"), False),
+            (*unipotent_pair(random.Random(5), P1), True),
+            (*levelwise_change_of_basis(random.Random(6), Profile.constant(F3, 2)), True),
+        ]
+
+        def refuse(*args):
+            raise AssertionError("verify_inverse built or compared an operator")
+
+        for name in ("compose", "identity_operator"):
+            monkeypatch.setattr(ops, name, refuse)
+        for name in ("__init__", "__eq__", "apply"):
+            monkeypatch.setattr(BandedOperator, name, refuse)
+        for f_op, g_op, want in pairs:
+            assert verify_inverse(f_op, g_op) is want
+            assert verify_inverse(g_op, f_op) is want
 
 
 class TestImageModTail:

@@ -276,3 +276,47 @@ class TestProfileShapes:
         assert P1 != P2 and P1 != Profile.constant(F3, 1)
         assert Profile(F2, 1, (1, 0), 0, 0, 1) != Profile(F2, 1, (1, 0), 1, 0, 1)
         assert P1 != "P1"
+
+    WINDOWS = [(-4, 3), (-1, 2), (0, 0), (2, 6)]
+
+    @staticmethod
+    def windows(p):
+        return [(p.window_dim(*w), p.window_offsets(*w), p.window_coords(*w)) for w in TestProfileShapes.WINDOWS]
+
+    def test_equal_profiles_built_apart_give_identical_windows(self):
+        a = Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1)
+        b = Profile(PrimeField(3), 2, (1, 2, 1, 3), 1, -1, 2)
+        want = self.windows(a)
+        for other in (b, pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b))):
+            assert self.windows(other) == want
+        assert a.window_coords(-1, 2) == [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)]
+        assert a.window_offsets(-1, 2) == {0: 0, 1: 2, 2: 3}
+        assert a.window_dim(-4, 3) == 2 + 2 + 1 + 2 + 1 + 3 + 1
+
+    def test_pickled_state_holds_no_window_table(self):
+        a = Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1)
+        self.windows(a)
+        assert not {"_window_coords", "_window_dims", "_window_offsets", "_hash"} & set(a.__getstate__())
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy._window_dims == copy._window_offsets == copy._window_coords == {}
+        assert self.windows(copy) == self.windows(a)
+
+    def test_lookup_on_fresh_equal_profile_compares_no_profiles(self, monkeypatch):
+        a = Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1)
+        self.windows(a)
+        calls = []
+        real_eq = Profile.__eq__
+        monkeypatch.setattr(Profile, "__eq__", lambda x, y: calls.append(1) or real_eq(x, y))
+        for fresh in (Profile(PrimeField(3), 2, (1, 2, 1, 3), 1, -1, 2), pickle.loads(pickle.dumps(a))):
+            self.windows(fresh)
+            self.windows(fresh)
+        assert calls == []
+
+    def test_window_tables_are_bounded(self):
+        from llcent.spaces import WINDOW_TABLE_SIZE
+
+        p = Profile.constant(F2, 1)
+        for a in range(-WINDOW_TABLE_SIZE - 1, 1):
+            assert p.window_dim(a, 0) == -a
+        assert 0 < len(p._window_dims) <= WINDOW_TABLE_SIZE
+

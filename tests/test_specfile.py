@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from llcent.specfile import (
     MAX_LEVEL,
     MAX_LEVEL_DIM,
     MAX_POWER,
+    MAX_SCALAR_DIGITS,
     MAX_TRAJECTORY_STEPS,
     MAX_WIDTH,
     SpecFile,
@@ -110,6 +112,43 @@ def test_rational_scalars_accepted():
     }
     spec = spec_from_dict(doc)
     assert spec.field == QQ
+
+
+def _q_spec(scalar):
+    return {
+        "field": "Q",
+        "profile": {"constant": 1},
+        "operator": {
+            "width": 0,
+            "left_blocks": {"0": [[scalar]]},
+            "right_blocks": {"0": [[1]]},
+            "boundary_columns": {"0": [[[0, 0, 1]]]},
+        },
+    }
+
+
+def test_rational_scalar_with_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"bad scalar '1/0' for Q at \$\.operator\.left_blocks\.0\[0\]\[0\]"):
+        parse_spec(json.dumps(_q_spec("1/0")))
+
+
+@pytest.mark.parametrize("scalar", ["1e999999999", "0e999999999", "1e-999999999", "2.5e4300", "1e4300"])
+def test_rational_scalar_past_the_digit_limit_is_a_parse_error(scalar):
+    # Fraction would build 10**exp first: 1e999999999 never finished
+    with pytest.raises(ParseError, match=f"more than {MAX_SCALAR_DIGITS} digits"):
+        parse_spec(json.dumps(_q_spec(scalar)))
+
+
+@pytest.mark.parametrize("scalar, value", [("1e4299", 10**4299), ("-1e-4299", Fraction(-1, 10**4299)), ("1.5e3", 1500)])
+def test_rational_scalar_at_the_digit_limit_is_read(scalar, value):
+    spec = parse_spec(json.dumps(_q_spec(scalar)))
+    assert spec.operator.left_blocks[0][0, 0] == value
+
+
+def test_json_integer_past_the_int_string_limit_is_a_parse_error():
+    text = BASIC.replace('"right_shift"', '{"width":0,"left_blocks":{"0":[[' + "7" * 5000 + ']]},"right_blocks":{"0":[[1]]},"boundary_columns":{"0":[[[0,0,1]]]}}')
+    with pytest.raises(ParseError, match=r"JSON integer with too many digits at \$$"):
+        parse_spec(text)
 
 
 def test_subspace_forms():

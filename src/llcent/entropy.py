@@ -30,6 +30,15 @@ loop fills in the repeated reading instead of stepping on; it does the
 same once the images' part above the chain's top carries the whole gain
 and keeps its rank under every power of the stationary edge map.
 
+The loop is written once, over a small set of kernels per row format that
+the field picks, as it picks `linalg._rref`'s routes.  Over GF(2) the
+chain's rows stay Python ints from the first step to the last
+(`gf2rows.ChainRows`): bit k is coordinate k of the window over the tail,
+so widening the window moves no bit, merges are XORs, and the stationary
+action right of the boundary region is a few masked shifts of all of a
+step's rows at once.  Over any other field they are arrays (`_ArrayRows`),
+merged by `linalg.rref_union` and mapped by `operators._apply_action`.
+
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
 
@@ -60,6 +69,7 @@ from .errors import (
     NotAnInverse,
     ProfileMismatch,
 )
+from . import gf2rows, linalg
 from .fields import PrimeField
 from .linalg import SubspaceBasis
 from .operators import (
@@ -212,15 +222,21 @@ def _bring_back(profile, settled, new_lo, top):
 
 
 def _front_repeats(front, prev) -> bool:
-    """True when a front state (lo, pivots, block, images) repeats the
-    previous step's one level shift s > 0 later.
+    """True when a front state (lo, ...) repeats the previous step's one
+    level shift s > 0 later.
 
-    Pivots and both matrices are relative to lo, so equal entries mean
-    the same state shifted by s; None marks a step taken below b_hi.
+    The rest of a state is relative to lo, so equal entries mean the same
+    state shifted by s; None marks a step taken below b_hi.  The array
+    format's state is (lo, pivots, block, images), the packed one's
+    (lo, top - lo, block rows, image rows), both taken right before the
+    merge; two packed states are equal exactly when the arrays are.
     """
-    if front is None or prev is None or front[0] <= prev[0] or front[1] != prev[1]:
+    if front is None or prev is None or front[0] <= prev[0]:
         return False
-    return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(front[2:], prev[2:]))
+    return all(
+        a.shape == b.shape and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(front[1:], prev[1:])
+    )
 
 
 def _edge_holds(img_op, delta, delta_lo, delta_top, t, g) -> bool:
@@ -280,6 +296,20 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     (EngineInvariant otherwise); a zero gain is a chain fixed point, hence
     EXACT.
 
+    The steps run on the kernels of `_chain_rows`, which hold the rows
+    as packed ints over GF(2) and as arrays otherwise; each kernel returns
+    in its own format what the other returns in its, so everything below
+    holds for both.  In the packed format a row is an int over the window
+    (a0, infinity), bit k its coordinate k in column order, so the lowest
+    set bit is the pivot and padding to a wider window is no work; the
+    settled stack is one pivot-sorted list, split by bisection; and a
+    step's images are, right of b_hi, the XOR over the shifts s of
+    (x & M_s) << s, M_s holding the slots whose stationary entries move
+    by s bits (`gf2rows.ChainRows.act`).  That is exact by the same
+    argument as `operators._apply_action`: `validate` gives b_hi >= n_hi + w,
+    so those sources and their images lie in the constant d_right region,
+    where a level moves by d_right bits.
+
     The chain X is held as an active block, the reduced basis of
     X intersected with the coordinates above a level lo, over (lo, top],
     plus a stack of settled rows, the rows of X's reduced basis whose
@@ -289,13 +319,15 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     the block is the rank they add to X, and the block's new rows are the
     new rows of X's reduced basis without their zero columns.  When the
     images reach below lo, the settled rows above the new lo return to
-    the block through rref_union, which must raise the rank by exactly
+    the block through the merge, which must raise the rank by exactly
     their number (EngineInvariant otherwise) and restores the reduced
     form; the gain is read after that merge.
 
     The loop stops stepping once the front repeats.  While lo >= b_hi of
     img_op, each step takes a front state right before its merge: the
-    block's pivots, its matrix and the padded images, all relative to lo.
+    block's pivots, its matrix and the padded images, all relative to lo
+    (packed: top - lo and the rows and images shifted down to lo, equal
+    exactly when those arrays are).
     When it equals the previous step's state with lo moved up by s > 0,
     every later step is that step shifted by s levels, so every later
     reading repeats, and the loop appends the reading until the plateau
@@ -345,44 +377,38 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     stepping gives.  The stopping step still merges, and a gain that
     differs from the previous step's raises EngineInvariant.
     """
-    # imported at call time, so a patched linalg module is seen here too
-    from .linalg import pad_basis_columns, rref_union
-
-    p = img_op.profile
-    f = p.field
-    w = img_op.width
+    k = _chain_rows(img_op, a0)
     lo, top = a0, u.top
     settled: list = []
     delta, delta_top = image_rows_mod_tail(img_op, u, a0)
+    basis, delta = k.start(basis, delta)
     delta_lo = a0
     readings: list = []
     front = None  # the last step's front state, taken while lo >= b_hi
     for step in range(1, cfg.max_trajectory_steps + 1):
-        delta, delta_lo, delta_top = _trim_rows(p, delta, delta_lo, delta_top)
-        edge = bool(readings) and _edge_holds(img_op, delta, delta_lo, delta_top, top, readings[-1] - offset)
+        delta, delta_lo, delta_top = k.trim(delta, delta_lo, delta_top)
+        edge = bool(readings) and k.edge(delta, delta_lo, delta_top, top, readings[-1] - offset)
         gain, prev, front = 0, front, None
-        if delta.size:
+        if delta_lo < delta_top:  # some image is nonzero
             if delta_lo > lo:
-                basis = _set_aside(p, basis, lo, delta_lo, settled)
+                basis = k.set_aside(basis, lo, delta_lo, settled)
             new_top = max(top, delta_top)
-            back = _bring_back(p, settled, delta_lo, new_top) if delta_lo < lo else None
-            basis = pad_basis_columns(basis, p.window_dim(delta_lo, lo), p.window_dim(top, new_top))
+            back = k.bring_back(settled, delta_lo, new_top) if delta_lo < lo else None
+            basis, delta = k.widen(basis, delta, lo, top, delta_lo, new_top, delta_top)
             lo, top = delta_lo, new_top
             if back is not None:
-                rank = basis.rank
-                basis = rref_union(basis, back)
-                if basis.rank != rank + back.shape[0]:
+                rank = k.rank(basis)
+                basis = k.union(basis, back)
+                if k.rank(basis) != rank + len(back):
                     raise EngineInvariant(
-                        f"re-merge of {back.shape[0]} settled rows must raise the rank by "
-                        f"{back.shape[0]}, raised it by {basis.rank - rank}"
+                        f"re-merge of {len(back)} settled rows must raise the rank by "
+                        f"{len(back)}, raised it by {k.rank(basis) - rank}"
                     )
-            if delta_top < top:
-                delta = np.concatenate([delta, f.zeros(delta.shape[0], p.window_dim(delta_top, top))], axis=1)
             if lo >= img_op.b_hi:
-                front = (lo, basis.pivots, basis.mat, delta)
-            old_rank, old_piv = basis.rank, set(basis.pivots)
-            basis = rref_union(basis, delta)
-            gain = basis.rank - old_rank
+                front = k.front(lo, top, basis, delta)
+            old = basis
+            basis = k.union(basis, delta)
+            gain = k.rank(basis) - k.rank(old)
         d = gain + offset
         if readings and d > readings[-1]:
             raise EngineInvariant(f"{noun} must be non-increasing, got {readings + [d]}")
@@ -396,16 +422,76 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
             return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
         if fixed:
             return _fill_repeated(readings, cfg, horizon, u)
+        delta, delta_lo, delta_top = k.images(basis, old, lo, top)
+    return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
+
+
+def _chain_rows(img_op, a0):
+    """The chain loop's kernels for the field: packed rows over GF(2), arrays otherwise."""
+    f = img_op.profile.field
+    if f.dtype is not object and f.p == 2:
+        return gf2rows.ChainRows(img_op, a0)
+    return _ArrayRows(img_op, a0)
+
+
+class _ArrayRows:
+    """The kernels of _grow_chain on arrays: a block is a SubspaceBasis over
+    (lo, top], the settled stack holds (lo, rows, pivots) batches, and a
+    step's images are a matrix over (delta_lo, delta_top].  The merge and
+    the padding are looked up in linalg at call time, so a patched module
+    is seen here too."""
+
+    def __init__(self, op, a0):
+        self.op, self.p, self.a0 = op, op.profile, a0
+
+    def start(self, basis, rows):
+        return basis, rows
+
+    def trim(self, rows, lo, top):
+        return _trim_rows(self.p, rows, lo, top)
+
+    def edge(self, rows, lo, top, t, g):
+        return _edge_holds(self.op, rows, lo, top, t, g)
+
+    def set_aside(self, basis, lo, new_lo, settled):
+        return _set_aside(self.p, basis, lo, new_lo, settled)
+
+    def bring_back(self, settled, new_lo, top):
+        return _bring_back(self.p, settled, new_lo, top)
+
+    def widen(self, basis, rows, lo, top, new_lo, new_top, rows_top):
+        """The block padded to (new_lo, new_top], the images to new_top."""
+        p = self.p
+        basis = linalg.pad_basis_columns(basis, p.window_dim(new_lo, lo), p.window_dim(top, new_top))
+        if rows_top < new_top:
+            rows = np.concatenate([rows, p.field.zeros(rows.shape[0], p.window_dim(rows_top, new_top))], axis=1)
+        return basis, rows
+
+    @staticmethod
+    def rank(basis):
+        return basis.rank
+
+    @staticmethod
+    def union(basis, rows):
+        return linalg.rref_union(basis, rows)
+
+    @staticmethod
+    def front(lo, top, basis, rows):
+        return (lo, basis.pivots, basis.mat, rows)
+
+    def images(self, basis, old, lo, top):
+        """The images of the rows of `basis` whose pivots `old` lacks."""
+        p, w = self.p, self.op.width
+        old_piv = set(old.pivots)
         new = [i for i, piv in enumerate(basis.pivots) if piv not in old_piv]
         # the new rows vanish left of their first pivot: map them from the
         # level below the one holding it
         starts = list(p.window_offsets(lo, top).values())
         j = bisect_right(starts, basis.pivots[new[0]])  # level lo + j holds it
         src_lo = lo + j - 1
-        new_rows = basis.mat[new, starts[j - 1] :]
-        delta_lo, delta_top = max(a0, src_lo - w), top + w
-        delta = _apply_action(img_op, new_rows, src_lo, top, delta_lo, delta_top)
-    return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
+        delta_lo, delta_top = max(self.a0, src_lo - w), top + w
+        rows = _apply_action(self.op, basis.mat[new, starts[j - 1] :], src_lo, top, delta_lo, delta_top)
+        return rows, delta_lo, delta_top
 
 
 def trajectory_relative_entropy(

@@ -1,0 +1,342 @@
+"""GF(2) rows packed into Python ints, and the GF(2) kernels of the chain loop.
+
+A row over GF(2) is one Python int whose bit k is coordinate k; adding two
+rows is one XOR.  A reduced basis is a list of such rows sorted by pivot,
+the pivot of a row being its lowest set bit, with every row zero at every
+other row's pivot.  The eliminations the engines make are about 10 x 40
+bits, so a handful of integer operations per row and pivot replaces a
+numpy call per pivot (packed elimination in the spirit of Albrecht, Bard
+and Hart, *Algorithm 898*, TOMS 37(1), 2010, at word size).
+
+`linalg._rref` reduces its GF(2) inputs through `pack`, `echelon` and
+`unpack`.  `ChainRows` holds the kernels `entropy._grow_chain` runs on a
+GF(2) chain: the chain's rows stay packed from the first step to the
+last, bit k being coordinate k of the window over (a0, infinity), levels
+ascending and slots within a level.  So the bits are absolute: widening
+the window moves no bit, and the lowest set bit of a row is its pivot in
+the window.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from operator import or_
+
+import numpy as np
+
+
+def pack(a: np.ndarray) -> list:
+    """The rows of a 0/1 matrix as ints, bit j = column j."""
+    m, n = a.shape
+    width = (n + 7) // 8
+    packed = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(m)]
+
+
+def unpack(rows: list, n: int) -> np.ndarray:
+    """The int64 0/1 matrix of packed rows over n columns."""
+    if not rows:
+        return np.zeros((0, n), dtype=np.int64)
+    width = (n + 7) // 8
+    buf = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(buf.reshape(len(rows), width), axis=1, count=n, bitorder="little").astype(np.int64)
+
+
+def _low(row: int) -> int:
+    return row & -row
+
+
+def _added(x: int, hits: int, rows: dict) -> int:
+    """x plus the row rows[b] for each bit b of hits."""
+    while hits:
+        bit = hits & -hits
+        x ^= rows[bit]
+        hits ^= bit
+    return x
+
+
+def _reduced(rows, pivots: dict):
+    """(lowest bits, rows) of the reduced echelon basis of span(rows) modulo
+    the reduced basis whose rows `pivots` maps from their lowest bits.
+
+    Each row is first reduced by the basis rows at its pivot bits, in one
+    pass: a reduced row vanishes on the other pivots, so XOR-ing it in
+    changes no other pivot bit.  Each residual is then reduced by the rows
+    kept so far, by the kept row whose lowest bit is its own, until it
+    vanishes or is kept.  Back-substitution from the highest kept pivot
+    down then clears, in each kept row, the pivots of the rows above it,
+    each already final.  The rows returned vanish on the basis pivots and
+    on each other's.
+    """
+    mask = sum(pivots)  # the pivot bits are distinct powers of two
+    kept = {}
+    for x in rows:
+        x = _added(x, x & mask, pivots)
+        while x:
+            low = x & -x
+            row = kept.get(low)
+            if row is None:
+                kept[low] = x
+                break
+            x ^= row
+    lows, mask = sorted(kept, reverse=True), 0
+    for low in lows:
+        kept[low] = _added(kept[low], kept[low] & mask, kept)
+        mask |= low
+    lows.reverse()
+    return lows, [kept[low] for low in lows]
+
+
+def echelon(rows) -> list:
+    """The reduced row echelon basis of span(rows), sorted by pivot."""
+    return _reduced(rows, {})[1]
+
+
+def merge(block: list, rows) -> list:
+    """The reduced basis of span(block) + span(rows), sorted by pivot.
+
+    `block` must be a reduced basis sorted by pivot.  The new rows are
+    reduced against it and among themselves (`_reduced`); each block row is
+    then cleared at each new pivot it holds by one XOR with that pivot's
+    row, which leaves its own pivot, the lowest bit, in place.  The result
+    is the canonical form `linalg.rref_union` gives on the unpacked rows.
+    """
+    pivots = {r & -r: r for r in block}
+    lows, new = _reduced(rows, pivots)
+    if not new:
+        return block
+    mask, fresh = sum(lows), dict(zip(lows, new))
+    for low, r in pivots.items():
+        fresh[low] = _added(r, r & mask, fresh)
+    return [fresh[low] for low in sorted(fresh)]
+
+
+def _slices(blocks: dict, d: int, levels: int) -> tuple:
+    """The bit-sliced action of stationary blocks on `levels` levels of width d.
+
+    A source coordinate (n, i) sits at bit n d + i counted from the first
+    level, and the image of e_{n,i} has the entry R_j[r, i] at (n + j, r):
+    bit n d + i moves by s = j d + r - i.  Grouping the entries by s, the
+    image of a packed x is the XOR over s of (x & M_s) shifted by s, M_s
+    holding slot i of every level for each entry with that shift; slot i of
+    every level is the repunit of `levels` blocks of d bits, shifted by i.
+    Given s and i, (j, r) is unique, so no coordinate counts twice.
+    Returns the (mask, s) terms for s >= 0 and the (mask, -s) ones for s < 0.
+    """
+    if not d:
+        return (), ()
+    unit = ((1 << (levels * d)) - 1) // ((1 << d) - 1)
+    masks: dict = {}
+    for j, block in blocks.items():
+        for r, i in zip(*np.nonzero(block)):
+            s = j * d + int(r) - int(i)
+            masks[s] = masks.get(s, 0) | unit << int(i)
+    return (
+        tuple((m, s) for s, m in masks.items() if s >= 0),
+        tuple((m, -s) for s, m in masks.items() if s < 0),
+    )
+
+
+def _cached(op, key, build):
+    """The operator's packed-action table `key`, built on first use.
+
+    These tables do not depend on the chain's tail a0, so every chain of
+    the operator shares them, as it shares `stationary_stack`.
+    """
+    table = op._packed.get(key)
+    if table is None:
+        table = op._packed[key] = build()
+    return table
+
+
+def _side(op, side: str, levels: int):
+    """`_slices` of one side's stationary blocks on at least `levels` levels.
+
+    The count is rounded up to a power of two, so an operator keeps a few
+    tables; a longer repunit is harmless where the rows are shorter.
+    """
+    count = 1 << max(levels - 1, 0).bit_length()
+    if side == "left":
+        return _cached(op, ("left", count), lambda: _slices(op.left_blocks, op.profile.d_left, count))
+    return _cached(op, ("right", count), lambda: _slices(op.right_blocks, op.profile.d_right, count))
+
+
+def _boundary_columns(op) -> list:
+    """The images of the boundary coordinates, levels b_lo..b_hi in window
+    order, as ints over the window (b_lo - 1 - w, infinity)."""
+    p = op.profile
+    ref = op.b_lo - 1 - op.width  # every boundary image lies above it, by the band
+    cols = []
+    for n in range(op.b_lo, op.b_hi + 1):
+        for i in range(p.dim(n)):
+            col = 0
+            for m, s in op.column(n, i).support:
+                col |= 1 << (p.window_dim(ref, m - 1) + s)
+            cols.append(col)
+    return cols
+
+
+class ChainRows:
+    """The kernels of `entropy._grow_chain` for one GF(2) chain over the tail a0.
+
+    A block is a reduced basis as a pivot-sorted list of ints, the settled
+    stack one pivot-sorted list, and a step's images one list with an int
+    per mapped row, zero rows included, all in the absolute bits of the
+    window over (a0, infinity).  The array kernels of `entropy` take the
+    same arguments and return the same things in their own format.
+    """
+
+    def __init__(self, op, a0: int):
+        p = op.profile
+        self.op, self.p, self.a0, self.w = op, p, a0, op.width
+        d = self.d = p.d_right
+        # level of a bit: bisect over the level starts up to n_hi, then
+        # levels of width d_right
+        self._starts = [p.window_dim(a0, n) for n in range(a0, p.n_hi)]
+        self._base = p.window_dim(a0, p.n_hi)
+        # right of b_hi: the sources of a row x are the bits from
+        # window_dim(a0, b_hi) on, taken to a slot of their own, w d bits up
+        # so that no image falls below the slot (`act`)
+        self._right_at = p.window_dim(a0, op.b_hi)
+        self._right_wd = op.width * d
+        # left of b_lo: the bits below window_dim(a0, b_lo - 1); images at
+        # levels <= a0 fall below bit 0 and drop off
+        left = op.b_lo - 1 - a0
+        self._left_mask = (1 << p.window_dim(a0, op.b_lo - 1)) - 1 if left > 0 else 0
+        self._left = _side(op, "left", left) if left > 0 else ((), ())
+        # the boundary levels above a0, through the operator's column ints
+        lb = max(a0, op.b_lo - 1)
+        ref = op.b_lo - 1 - op.width
+        self._cols = _cached(op, "columns", lambda: _boundary_columns(op))[p.window_dim(op.b_lo - 1, lb) :]
+        self._cols_at = p.window_dim(a0, lb)
+        self._cols_mask = (1 << max(self._right_at - self._cols_at, 0)) - 1
+        self._cols_shift = p.window_dim(a0, ref) if ref >= a0 else -p.window_dim(ref, a0)
+        self._power = None
+
+    def at(self, level: int) -> int:
+        """The bit of the first coordinate above `level` (level >= a0)."""
+        return self.p.window_dim(self.a0, level)
+
+    def _level(self, bit: int) -> int:
+        if bit >= self._base:
+            return self.p.n_hi + 1 + (bit - self._base) // self.d
+        return self.a0 + bisect_right(self._starts, bit)
+
+    # -- the kernels ---------------------------------------------------------
+    def start(self, basis, rows):
+        """The packed chain basis and first images (given over (a0, ...])."""
+        return pack(basis.mat), pack(rows)
+
+    def trim(self, rows, lo, top):
+        """(rows, lo, top) with lo one level below the lowest nonzero level
+        and top the highest; (rows, top, top) when every row is zero."""
+        bits = reduce(or_, rows, 0)
+        if not bits:
+            return rows, top, top
+        return rows, self._level(_low(bits).bit_length() - 1) - 1, self._level(bits.bit_length() - 1)
+
+    def edge(self, rows, lo, top, t, g) -> bool:
+        """Conditions A-C of the leading-edge stop; see `entropy._edge_holds`."""
+        op = self.op
+        if t < op.b_hi or len(rows) != g or (top - max(lo, t)) * self.d < g:
+            return False
+        power = op.right_edge_power()
+        if power.shape[1] < g:
+            return False
+        if self._power is None or self._power[0] is not power:
+            self._power = (power, pack(power))
+        psi = self._power[1]
+        at = self.at(t)
+        image = []
+        for x in rows:
+            e, y = x >> at, 0  # E: the bits over (t, t + w]
+            while e:
+                low = e & -e
+                y ^= psi[low.bit_length() - 1]
+                e ^= low
+            image.append(y)
+        return len(echelon(image)) == g
+
+    def set_aside(self, block, lo, new_lo, settled):
+        k = bisect_left(block, 1 << self.at(new_lo), key=_low)
+        settled.extend(block[:k])
+        return block[k:]
+
+    def bring_back(self, settled, new_lo, top):
+        k = bisect_left(settled, 1 << self.at(new_lo), key=_low)
+        back = settled[k:]
+        del settled[k:]
+        return back
+
+    def widen(self, block, rows, lo, top, new_lo, new_top, rows_top):
+        return block, rows  # the bits are absolute
+
+    rank = staticmethod(len)
+
+    def union(self, block, rows):
+        return merge(block, rows)  # the module's merge, looked up at call time
+
+    def front(self, lo, top, block, rows):
+        """The front state relative to lo; see `entropy._front_repeats`."""
+        at = self.at(lo)
+        return (lo, top - lo, tuple(r >> at for r in block), tuple(x >> at for x in rows))
+
+    def images(self, block, old, lo, top):
+        """The images of the rows of `block` whose pivots `old` lacks."""
+        seen = {r & -r for r in old}
+        return self.act([r for r in block if r & -r not in seen]), self.a0, top + self.w
+
+    def act(self, rows) -> list:
+        """The images of packed rows under the operator, levels <= a0 dropped.
+
+        Left-stationary and boundary sources go row by row, through the
+        bit-sliced left blocks and the boundary column ints.  The sources
+        right of b_hi go through the bit-sliced right blocks, every row at
+        once: each row's part right of b_hi takes a slot of its own in one
+        int, w d bits above the slot's start and with room for the largest
+        shift above, in slots whose length is a multiple of d, so that slot
+        i of a level stays slot i.  This is exact because `validate` gives
+        b_hi >= n_hi + w: those sources and their images lie in the constant
+        d_right region, where the level of a bit moves by whole blocks.
+        """
+        at, wd, d = self._right_at, self._right_wd, self.d
+        near = (1 << at) - 1
+        out = [self._near(x) if x & near else 0 for x in rows]
+        parts = [(x >> at) << wd for x in rows]
+        width = reduce(or_, parts, 0).bit_length()
+        if not width:
+            return out
+        stride = -(-(width + wd + d) // d) * d
+        up, down = _side(self.op, "right", len(parts) * stride // d)
+        big = 0
+        for k, part in enumerate(parts):
+            big |= part << (k * stride)
+        y = 0
+        for m, s in up:
+            y ^= (big & m) << s
+        for m, s in down:
+            y ^= (big & m) >> s
+        keep, back = (1 << stride) - 1, at - wd
+        return [o ^ ((y >> (k * stride)) & keep) << back for k, o in enumerate(out)]
+
+    def _near(self, x: int) -> int:
+        """The image of x's bits left of b_lo and in the boundary region."""
+        y = 0
+        b = (x >> self._cols_at) & self._cols_mask
+        if b:
+            cols = self._cols
+            while b:
+                low = b & -b
+                y ^= cols[low.bit_length() - 1]
+                b ^= low
+            s = self._cols_shift
+            y = y << s if s >= 0 else y >> -s
+        left = x & self._left_mask
+        if left:
+            up, down = self._left
+            for m, s in up:
+                y ^= (left & m) << s
+            for m, s in down:
+                y ^= (left & m) >> s
+        return y

@@ -22,7 +22,7 @@ per field kind, chosen from the field:
 
 * **GF(2)** packs each row into a Python int (bit j = column j) and
   eliminates with XOR, a handful of integer operations per row and
-  pivot; the rows are unpacked once at the end;
+  pivot (`gf2rows`); the rows are unpacked once at the end;
 * **GF(p), p odd** eliminates one pivot at a time, updating only the
   columns from the pivot column on, in place;
 * **Q** eliminates one pivot at a time on `Fraction` object arrays.
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2rows
 from .errors import AmbientMismatch, FieldMismatch, NotContained
 
 
@@ -87,37 +88,10 @@ def _rref(field, a: np.ndarray):
 
 
 def _rref_gf2(a: np.ndarray):
-    """GF(2): rows packed into Python ints (bit j = column j), reduced by XOR.
-
-    Each row is reduced against the rows kept so far, by the row whose
-    lowest set bit is its own, until it vanishes or has a lowest bit no
-    kept row has; then it is kept.  The kept rows are an echelon basis with
-    those lowest bits as pivots, and back-substitution from the highest
-    pivot down clears every pivot column above its own row.
-    """
-    m, n = a.shape
-    width = (n + 7) // 8
-    packed = np.packbits(a & 1, axis=1, bitorder="little").tobytes()
-    kept = {}  # lowest set bit -> the kept row with that lowest bit
-    for i in range(m):
-        row = int.from_bytes(packed[i * width : (i + 1) * width], "little")
-        while row:
-            low = row & -row
-            if low not in kept:
-                kept[low] = row
-                break
-            row ^= kept[low]
-    lows = sorted(kept)
-    rows = [kept[low] for low in lows]
-    for j in range(len(rows) - 1, 0, -1):
-        low, row = lows[j], rows[j]
-        rows[:j] = [r ^ row if r & low else r for r in rows[:j]]
-    pivots = [low.bit_length() - 1 for low in lows]
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64), pivots
-    buf = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    bits = np.unpackbits(buf.reshape(len(rows), width), axis=1, count=n, bitorder="little")
-    return bits.astype(np.int64), pivots
+    """GF(2): rows packed into Python ints (bit j = column j), reduced by XOR
+    (`gf2rows.echelon`) and unpacked once at the end."""
+    rows = gf2rows.echelon(gf2rows.pack(a))
+    return gf2rows.unpack(rows, a.shape[1]), [(r & -r).bit_length() - 1 for r in rows]
 
 
 def _rref_odd(p: int, a: np.ndarray):

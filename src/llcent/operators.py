@@ -38,7 +38,7 @@ class BandedOperator:
 
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
-        "_stationary_cache", "_stacks", "_edge_power",
+        "_stationary_cache", "_stacks", "_edge_power", "_packed",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -53,6 +53,7 @@ class BandedOperator:
         self._stationary_cache = {}
         self._stacks = {}
         self._edge_power = None
+        self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
 
     def _norm_blocks(self, f, blocks, d):
         out = {}
@@ -311,10 +312,13 @@ def scale_operator(op: BandedOperator, c) -> BandedOperator:
 
 
 def power(op: BandedOperator, k: int) -> BandedOperator:
+    """op composed with itself k times; the identity for k = 0 and op itself for k = 1."""
     if k < 0:
         raise ValueError("power expects k >= 0")
-    out = identity_operator(op.profile)
-    for _ in range(k):
+    if k == 0:
+        return identity_operator(op.profile)
+    out = op
+    for _ in range(k - 1):
         out = compose(op, out)
     return out
 

@@ -48,6 +48,7 @@ MAX_CHAIN_INDEX = 64  # config max_chain_index
 # Q scalars: digits of the numerator or denominator that Fraction builds
 # from a string, its 10**exp included; Python's own int-string limit.
 MAX_SCALAR_DIGITS = 4300
+MAX_ECHO = 40  # characters of an offending value an error message repeats
 
 
 @dataclass
@@ -133,7 +134,13 @@ def _scalar_from_json(field, v, path):
             )
         return field.coerce(v)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ParseError(f"bad scalar {v!r} for {field.name}", path) from None
+        raise ParseError(f"bad scalar {_echo(v)} for {field.name}", path) from None
+
+
+def _echo(v) -> str:
+    """repr(v) for an error message, cut to MAX_ECHO characters with its length added."""
+    text = repr(v)
+    return text if len(text) <= MAX_ECHO else f"{text[:MAX_ECHO]}... ({len(text)} characters)"
 
 
 def _scalar_to_json(field, v):

@@ -180,6 +180,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message} at $")
 
+    def test_exit_2_bad_scalar_message_is_one_short_line(self, tmp_path, capsys):
+        scalar = '"1e' + "9" * 5000 + '"'
+        spec = (
+            '{"field":"Q","profile":{"constant":1},"operator":{"width":0,'
+            f'"left_blocks":{{"0":[[{scalar}]]}},"right_blocks":{{"0":[[1]]}},"boundary_columns":{{"0":[[[0,0,1]]]}}}}}}'
+        )
+        assert main(["entropy", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad scalar '1e999") and "... (5004 characters) for Q at $" in captured.err
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), EngineInvariant("increments must be non-increasing")])
     def test_exit_5_internal_error(self, tmp_path, capsys, monkeypatch, exc):
         # a defect in the program, not in the spec: one stderr line, no report

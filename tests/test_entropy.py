@@ -76,6 +76,27 @@ def _widened(op, width):
     return BandedOperator(p, width, op.left_blocks, op.right_blocks, columns)
 
 
+def _record_merges(monkeypatch, record):
+    """Call record(rank, rows) before every merge of the chain loop: the
+    packed merge of a GF(2) chain and rref_union of any other field, each
+    looked up at call time."""
+    import llcent.gf2rows as gf2rows
+    import llcent.linalg as linalg
+
+    real_merge, real_union = gf2rows.merge, linalg.rref_union
+
+    def merge(block, rows):
+        record(len(block), len(rows))
+        return real_merge(block, rows)
+
+    def union(basis, rows):
+        record(basis.rank, rows.shape[0])
+        return real_union(basis, rows)
+
+    monkeypatch.setattr(gf2rows, "merge", merge)
+    monkeypatch.setattr(linalg, "rref_union", union)
+
+
 class TestTrajectoryEngine:
     def test_right_shift_increments_are_ones(self):
         r = trajectory_relative_entropy(make_shift(P1, "right"), cofinal_chain(P1, 2))
@@ -245,15 +266,23 @@ class TestActiveBlock:
         return [(r.value, r.status, r.certificate, r.iterations) for r in out]
 
     def test_matches_full_window_loop(self, monkeypatch):
-        real_bring_back = entropy_module._bring_back
-        brought_back = []
+        import llcent.gf2rows as gf2rows
+
+        real_bring_back, real_packed = entropy_module._bring_back, gf2rows.ChainRows.bring_back
+        brought_back = []  # (packed, rows) of every re-merge
 
         def counting_bring_back(*args):
             rows = real_bring_back(*args)
-            brought_back.append(rows.shape[0])
+            brought_back.append((False, len(rows)))
+            return rows
+
+        def counting_packed(self, *args):
+            rows = real_packed(self, *args)
+            brought_back.append((True, len(rows)))
             return rows
 
         monkeypatch.setattr(entropy_module, "_bring_back", counting_bring_back)
+        monkeypatch.setattr(gf2rows.ChainRows, "bring_back", counting_packed)
         fields_seen, checked = set(), 0
         for seed in range(12):
             rng = random.Random(seed)
@@ -276,32 +305,30 @@ class TestActiveBlock:
             fields_seen.add(field)
             checked += len(got)
         assert fields_seen == set(self.FIELDS) and checked == 12 * 18
-        assert sum(brought_back) > 0, "no instance brought settled rows back"
+        for packed in (False, True):
+            assert sum(n for kind, n in brought_back if kind is packed), f"no re-merge (packed: {packed})"
 
     def test_left_plus_right_shift_remerges(self, monkeypatch):
         # e_n -> e_{n-1} + e_{n+1}: from U_0 the new rows are e_1, e_2, then
         # e_2 maps onto e_1 + e_3, below the block, and e_1 comes back.
         # Declared with band 2, so the leading edge never stops the chain
-        # at step 2; the wider tail gives step 1 two image rows.
-        import llcent.linalg as linalg
-
-        op = _widened(operator_add(make_shift(P1, "right"), make_shift(P1, "left")), 2)
-        u = cofinal_chain(P1, 0)
+        # at step 2; the wider tail gives step 1 two image rows.  GF(2) runs
+        # the packed loop, GF(3) the array loop.
         calls = []
-        real_union = linalg.rref_union
-
-        def union(basis, rows):
-            calls.append((basis.rank, rows.shape[0]))
-            return real_union(basis, rows)
-
-        monkeypatch.setattr(linalg, "rref_union", union)
-        r = trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6))
-        assert r.certificate == (1,) * 6 and r.status is Status.LOWER_BOUND
-        # step 2 sets e_1 aside; step 3 brings it back to the block {e_2},
-        # then adds e_3 (the full window would merge into ranks 0, 1, 2, 3)
-        assert calls[:4] == [(0, 2), (0, 1), (1, 1), (2, 1)]
-        monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
-        assert trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6)) == r
+        _record_merges(monkeypatch, lambda rank, rows: calls.append((rank, rows)))
+        for field in (F2, F3):
+            p = Profile.constant(field, 1)
+            op = _widened(operator_add(make_shift(p, "right"), make_shift(p, "left")), 2)
+            u = cofinal_chain(p, 0)
+            calls.clear()
+            r = trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6))
+            assert r.certificate == (1,) * 6 and r.status is Status.LOWER_BOUND
+            # step 2 sets e_1 aside; step 3 brings it back to the block {e_2},
+            # then adds e_3 (the full window would merge into ranks 0, 1, 2, 3)
+            assert calls[:4] == [(0, 2), (0, 1), (1, 1), (2, 1)], field
+            with monkeypatch.context() as m:
+                m.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+                assert trajectory_relative_entropy(op, u, EntropyConfig(max_trajectory_steps=6)) == r
 
 
 def _summary(r):
@@ -371,24 +398,22 @@ class TestFrontRepeat:
         # C_1 under e_n -> e_{n+1}, declared with band 2 so that the leading
         # edge cannot stop it: the block above lo holds nothing and the
         # images are one unit row, so step 3 (lo = 3) repeats step 2 (lo = 2
-        # = b_hi) one level up; the plateau still waits for the horizon 11
-        import llcent.linalg as linalg
-
+        # = b_hi) one level up; the plateau still waits for the horizon 11.
+        # GF(2) runs the packed loop, GF(3) the array loop.
         merges = []
-        real_union = linalg.rref_union
-
-        def union(basis, rows):
-            merges.append(rows.shape[0])
-            return real_union(basis, rows)
-
-        monkeypatch.setattr(linalg, "rref_union", union)
+        _record_merges(monkeypatch, lambda rank, rows: merges.append(rows))
         fills = self._record_fills(monkeypatch)
-        op, u = _widened(make_shift(P1, "right"), 2), cofinal_chain(P1, 1)
-        r = trajectory_relative_entropy(op, u)
-        assert _summary(r) == (1, Status.PLATEAU, (1,) * 13, 13)
-        assert merges == [3, 1, 1] and [stepped for stepped, _ in fills] == [3]
-        monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
-        assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
+        for field in (F2, F3):
+            p = Profile.constant(field, 1)
+            op, u = _widened(make_shift(p, "right"), 2), cofinal_chain(p, 1)
+            merges.clear()
+            fills.clear()
+            r = trajectory_relative_entropy(op, u)
+            assert _summary(r) == (1, Status.PLATEAU, (1,) * 13, 13)
+            assert merges == [3, 1, 1] and [stepped for stepped, _ in fills] == [3], field
+            with monkeypatch.context() as m:
+                m.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+                assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
 
     def test_repeat_below_b_hi_does_not_stop(self, monkeypatch):
         # e_n -> e_{n+1}, except that the boundary column at level 8 is zero:
@@ -417,16 +442,8 @@ class TestEdgeStop:
     @staticmethod
     def _record(monkeypatch):
         """(rows of every merge, steps taken before each fill, stop reasons)."""
-        import llcent.linalg as linalg
-
         merges, fills, reasons = [], [], []
-        real_union, real_fill, real_fixed = (
-            linalg.rref_union, entropy_module._fill_repeated, entropy_module._readings_fixed,
-        )
-
-        def union(basis, rows):
-            merges.append(rows.shape[0])
-            return real_union(basis, rows)
+        real_fill, real_fixed = entropy_module._fill_repeated, entropy_module._readings_fixed
 
         def fill(readings, cfg, horizon, u):
             fills.append(len(readings))
@@ -438,7 +455,7 @@ class TestEdgeStop:
                 reasons.append(reason)
             return reason
 
-        monkeypatch.setattr(linalg, "rref_union", union)
+        _record_merges(monkeypatch, lambda rank, rows: merges.append(rows))
         monkeypatch.setattr(entropy_module, "_fill_repeated", fill)
         monkeypatch.setattr(entropy_module, "_readings_fixed", fixed)
         return merges, fills, reasons
@@ -451,32 +468,42 @@ class TestEdgeStop:
 
     def test_right_shift_stops_at_step_2(self, monkeypatch):
         # U_0 under e_n -> e_{n+1}: step 2 maps the new row e_1 onto e_2,
-        # above the top t = 1 = b_hi, and Psi = R_1 = 1 keeps its rank
+        # above the top t = 1 = b_hi, and Psi = R_1 = 1 keeps its rank; on
+        # the packed loop (GF(2)) and the array loop (GF(3))
         merges, fills, reasons = self._record(monkeypatch)
-        op, u = make_shift(P1, "right"), cofinal_chain(P1, 0)
-        r = trajectory_relative_entropy(op, u)
-        assert _summary(r) == (1, Status.PLATEAU, (1,) * 8, 8)
-        assert merges == [1, 1] and fills == [2] and reasons == ["a full-rank leading edge"]
-        assert self._full_window(monkeypatch, lambda: trajectory_relative_entropy(op, u)) == _summary(r)
+        for field in (F2, F3):
+            p = Profile.constant(field, 1)
+            op, u = make_shift(p, "right"), cofinal_chain(p, 0)
+            for seen in (merges, fills, reasons):
+                seen.clear()
+            r = trajectory_relative_entropy(op, u)
+            assert _summary(r) == (1, Status.PLATEAU, (1,) * 8, 8)
+            assert merges == [1, 1] and fills == [2] and reasons == ["a full-rank leading edge"], field
+            assert self._full_window(monkeypatch, lambda: trajectory_relative_entropy(op, u)) == _summary(r)
 
     def test_nilpotent_leading_block_does_not_stop(self, monkeypatch):
         # e_{n,0} -> e_{n+1,0} up to b_hi = 1, right of it e_{n,0} -> e_{n+1,1}
         # and e_{n,1} -> 0: from U_0 steps 2 and 3 map one row onto a
         # one-row edge of rank 1 with t >= b_hi (conditions A and B), but
         # Psi = R_1 transposed is nilpotent, so C refuses, and rightly:
-        # the chain gains nothing at step 4
-        profile = Profile.constant(F2, 2)
-        columns = {n: [LlcVector.unit(profile, n + 1, 0), LlcVector.zero(profile)] for n in range(-1, 2)}
-        op = BandedOperator(profile, 1, {1: [[1, 0], [0, 0]]}, {1: [[0, 0], [1, 0]]}, columns)
-        u = cofinal_chain(profile, 0)
+        # the chain gains nothing at step 4; on the packed loop (GF(2)) and
+        # the array loop (GF(3))
         merges, fills, reasons = self._record(monkeypatch)
-        r = trajectory_relative_entropy(op, u)
-        assert _summary(r) == (0, Status.EXACT, (1, 1, 1, 0), 4)
-        assert merges == [2, 1, 1] and fills == [] and reasons == []
-        assert self._full_window(monkeypatch, lambda: trajectory_relative_entropy(op, u)) == _summary(r)
-        # without C the edge of step 2 would have stopped the chain at gain 1
-        monkeypatch.setattr(BandedOperator, "right_edge_power", lambda self: self.profile.field.eye(2))
-        assert trajectory_relative_entropy(op, u).value == 1
+        for field in (F2, F3):
+            profile = Profile.constant(field, 2)
+            columns = {n: [LlcVector.unit(profile, n + 1, 0), LlcVector.zero(profile)] for n in range(-1, 2)}
+            op = BandedOperator(profile, 1, {1: [[1, 0], [0, 0]]}, {1: [[0, 0], [1, 0]]}, columns)
+            u = cofinal_chain(profile, 0)
+            for seen in (merges, fills, reasons):
+                seen.clear()
+            r = trajectory_relative_entropy(op, u)
+            assert _summary(r) == (0, Status.EXACT, (1, 1, 1, 0), 4)
+            assert merges == [2, 1, 1] and fills == [] and reasons == [], field
+            assert self._full_window(monkeypatch, lambda: trajectory_relative_entropy(op, u)) == _summary(r)
+            # without C the edge of step 2 would have stopped the chain at gain 1
+            with monkeypatch.context() as m:
+                m.setattr(BandedOperator, "right_edge_power", lambda self: self.profile.field.eye(2))
+                assert trajectory_relative_entropy(op, u).value == 1
 
     def test_edge_sits_at_its_levels(self):
         # d = 2, w = 2, right of b_hi = 2: e_{n,0} -> e_{n+2,0} and
@@ -783,7 +810,7 @@ class TestConfig:
         assert EntropyConfig(max_chain_index=0).max_chain_index == 0
 
 
-# Forces each engine invariant to break: a fake rref_union whose rank gains
+# Forces each engine invariant to break: a fake chain merge whose rank gains
 # grow (so increments and codimensions increase), one that ignores its third
 # call (the re-merge at step 3 of the e_n -> e_{n-1} + e_{n+1} trajectory,
 # see TestActiveBlock), a fake relative engine
@@ -792,13 +819,16 @@ class TestConfig:
 # (check_addition), an inverse check that always fails (generators), a
 # merge that loses a row at the step where the front state repeats, and one
 # that loses a row at the step where the leading edge stops the chain.
-# Prints the message each check raised.
+# Prints the message each check raised.  The field is argv[1]: over GF(2) the
+# fakes replace the packed loop's merge (gf2rows.merge), over GF(3) the array
+# loop's (linalg.rref_union).
 _BROKEN_INVARIANTS = """
 import random
 import sys
 import numpy as np
 import llcent.entropy as E
 import llcent.generators as G
+import llcent.gf2rows as R
 import llcent.linalg as L
 import llcent.operators as O
 import llcent.theorems as T
@@ -812,8 +842,17 @@ try:
     assert False
 except AssertionError:
     sys.exit("assert statements still run")
-profile = Profile.constant(PrimeField(2), 2)
+P = int(sys.argv[1])
+profile = Profile.constant(PrimeField(P), 2)
 right, left = make_shift(profile, "right"), make_shift(profile, "left")
+real_union = R.merge if P == 2 else L.rref_union
+
+
+def patch_union(fake):
+    if P == 2:
+        R.merge = fake
+    else:
+        L.rref_union = fake
 u = cofinal_chain(profile, 0)
 
 
@@ -828,6 +867,8 @@ def growing_union(gains):
     gains = iter(gains)
 
     def fake(basis, rows):
+        if P == 2:
+            return [1 << i for i in range(len(basis) + next(gains))]
         n, k = basis.ambient_dim, basis.rank + next(gains)
         return L.SubspaceBasis.span(basis.field, np.eye(n, dtype=np.int64)[:k], ambient_dim=n)
 
@@ -842,10 +883,9 @@ def fired(run):
     return "no error"
 
 
-real_union = L.rref_union
-L.rref_union = growing_union([1, 2])
+patch_union(growing_union([1, 2]))
 print(fired(lambda: E.trajectory_relative_entropy(right, u)))
-L.rref_union = growing_union([1, 2])
+patch_union(growing_union([1, 2]))
 print(fired(lambda: E.limit_free_relative_entropy(left, right, u)))
 union_calls = []
 
@@ -855,10 +895,10 @@ def union_dropping_third(basis, rows):
     return basis if len(union_calls) == 3 else real_union(basis, rows)
 
 
-L.rref_union = union_dropping_third
+patch_union(union_dropping_third)
 both = widened(O.operator_add(right, left))
 print(fired(lambda: E.trajectory_relative_entropy(both, cofinal_chain(both.profile, 0))))
-L.rref_union = real_union
+patch_union(real_union)
 real_trajectory = E.trajectory_relative_entropy
 values = iter([2, 1])
 E.trajectory_relative_entropy = lambda op, c, cfg: E.EntropyResult(next(values), E.Status.EXACT, (), c, 1)
@@ -895,7 +935,7 @@ def union_halving_third(basis, rows):
     return real_union(basis, rows[:1] if len(repeat_calls) == 3 else rows)
 
 
-L.rref_union = union_halving_third
+patch_union(union_halving_third)
 print(fired(lambda: E.trajectory_relative_entropy(widened(right), cofinal_chain(profile, 1))))
 # the right shift's leading edge stops the chain at the second merge (see
 # TestEdgeStop); that merge drops one of its two rows
@@ -907,34 +947,35 @@ def union_halving_second(basis, rows):
     return real_union(basis, rows[:1] if len(edge_calls) == 2 else rows)
 
 
-L.rref_union = union_halving_second
+patch_union(union_halving_second)
 print(fired(lambda: E.trajectory_relative_entropy(right, u)))
-L.rref_union = real_union
+patch_union(real_union)
 """
 
 
 def test_invariants_hold_under_optimize():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "trajectory increments must be non-increasing, got [1, 2]",
-        "limit-free codimensions must be non-increasing, got [-1, 0]",
-        "re-merge of 2 settled rows must raise the rank by 2, raised it by 0",
-        "chain entropies must be non-decreasing, got [2, 1]",
-        "compose: stationary mismatch",
-        "corner reassembly mismatch",
-        "corner into the discrete side must kill deep tail levels",
-        "chain restriction mismatch",
-        "chain quotient mismatch",
-        "generator produced a bad inverse pair",
-        "a repeated front state must repeat the gain 2, got 1",
-        "a full-rank leading edge must repeat the gain 2, got 1",
-    ]
+    for p in (2, 3):  # the packed loop, then the array loop
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_INVARIANTS, str(p)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "trajectory increments must be non-increasing, got [1, 2]",
+            "limit-free codimensions must be non-increasing, got [-1, 0]",
+            "re-merge of 2 settled rows must raise the rank by 2, raised it by 0",
+            "chain entropies must be non-decreasing, got [2, 1]",
+            "compose: stationary mismatch",
+            "corner reassembly mismatch",
+            "corner into the discrete side must kill deep tail levels",
+            "chain restriction mismatch",
+            "chain quotient mismatch",
+            "generator produced a bad inverse pair",
+            "a repeated front state must repeat the gain 2, got 1",
+            "a full-rank leading edge must repeat the gain 2, got 1",
+        ], f"GF({p})"
 
 
 def test_engine_invariant_is_not_an_input_error():

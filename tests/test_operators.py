@@ -125,6 +125,30 @@ class TestComposePower:
         assert power(beta, 0) == identity_operator(P1)
         assert power(beta, 3).apply(unit(P1, 0)) == unit(P1, 3)
 
+    def test_power_starts_from_the_operator(self):
+        # power(op, 1) is op itself; the composite op . identity it used to
+        # build first has op's region, width, blocks and columns whenever op
+        # passes validate, so every later power is the same too
+        fields = (PrimeField(2), PrimeField(3), QQ)
+        for seed in range(24):
+            rng = random.Random(seed)
+            field = fields[seed % 3]
+            if seed % 2:
+                profile = Profile.from_dims(field, {-1: rng.randint(0, 2), 1: rng.randint(0, 2)}, 1, 2)
+                op = random_endomorphism(rng, profile, width=rng.randint(0, 2), boundary=rng.randint(0, 3))
+            else:
+                profile = Profile.constant(field, rng.randint(1, 2))
+                op = random_automorphism(rng, profile)[0]
+            assert validate(op) == []
+            first = compose(op, identity_operator(profile))
+            assert power(op, 1) is op
+            assert (first.b_lo, first.b_hi, first.width) == (op.b_lo, op.b_hi, op.width)
+            for mine, theirs in ((first.left_blocks, op.left_blocks), (first.right_blocks, op.right_blocks)):
+                assert mine.keys() == theirs.keys()
+                assert all(np.array_equal(mine[j], theirs[j]) for j in mine)
+            assert first.columns == op.columns
+            assert power(op, 3) == compose(op, compose(op, first))
+
     def test_nilpotent_power_vanishes(self):
         # finite-window nilpotent: e_n -> e_{n+1} only for sources 0..2
         cols = {}

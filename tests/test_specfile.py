@@ -139,6 +139,17 @@ def test_rational_scalar_past_the_digit_limit_is_a_parse_error(scalar):
         parse_spec(json.dumps(_q_spec(scalar)))
 
 
+def test_bad_scalar_message_echoes_a_bounded_prefix():
+    # int() refuses the 5000-digit exponent; the message repeats 40
+    # characters of the value and counts the rest
+    scalar = "1e" + "9" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_spec(json.dumps(_q_spec(scalar)))
+    assert str(err.value) == (
+        f"bad scalar {repr(scalar)[:40]}... (5004 characters) for Q at $.operator.left_blocks.0[0][0]"
+    )
+
+
 @pytest.mark.parametrize("scalar, value", [("1e4299", 10**4299), ("-1e-4299", Fraction(-1, 10**4299)), ("1.5e3", 1500)])
 def test_rational_scalar_at_the_digit_limit_is_read(scalar, value):
     spec = parse_spec(json.dumps(_q_spec(scalar)))

@@ -7,9 +7,10 @@ each recorded call to ``_grow_chain`` and to ``grow_chain_full_window`` of
 tests/_oracles.py, the loop that never stops early.  It prints, per
 workload and per shape (field, d_right, band width), how many chains
 stopped early at a full-rank leading edge and at a repeated front state
-and how many steps that saved, and the total time of the engine's loop
-against the oracle (best of 3 replays); it exits 1 when the two return
-another value, status, certificate or step count on any call.
+and how many steps that saved, the total time of the engine's loop
+against the oracle and the loop's time per shape (best of 3 replays
+each); it exits 1 when the two return another value, status, certificate
+or step count on any call.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/chain_replay.py [--check]
 
@@ -140,6 +141,11 @@ def main(argv=None) -> int:
         if not args.check:
             loop, oracle = best_s(entropy._grow_chain, calls), best_s(grow_chain_full_window, calls)
             print(f"  _grow_chain {loop:.4f} s, full window {oracle:.4f} s, oracle/loop {oracle / loop:.2f}")
+            by_shape = defaultdict(list)
+            for call in calls:
+                by_shape[shape(call)].append(call)
+            for label in sorted(by_shape):
+                print(f"  {label}: _grow_chain {best_s(entropy._grow_chain, by_shape[label]):.4f} s")
     return 1 if total_bad else 0
 
 

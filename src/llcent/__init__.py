@@ -29,15 +29,14 @@ from .errors import (
     ProfileMismatch,
     ValidationError,
 )
-from .fields import PrimeField, QQ, RationalField, Scalar, field_arith, field_from_name
-from .linalg import Matrix, SubspaceBasis, invert_matrix, kernel_basis, quotient_dim, rref, subspace_combine
+from .fields import PrimeField, QQ, RationalField, field_from_name
+from .linalg import SubspaceBasis, invert_matrix, quotient_dim, subspace_combine
 from .spaces import (
     BlockwisePattern,
     CompactOpenSubspace,
     LlcVector,
     Profile,
     blockwise_restrict_quotient,
-    canonicalize,
     cofinal_chain,
     open_combine,
     open_contains,
@@ -48,11 +47,9 @@ from .operators import (
     ComponentDecomposition,
     automorphism_image,
     compose,
-    conjugate,
     decompose_vc_vd,
     direct_sum_operator,
     identity_operator,
-    image_mod_tail,
     induce_on_subspace_and_quotient,
     make_shift,
     power,

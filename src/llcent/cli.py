@@ -27,14 +27,7 @@ from .entropy import (
     total_entropy,
     trajectory_relative_entropy,
 )
-from .errors import (
-    EngineDisagreement,
-    InvarianceFailure,
-    LlcentError,
-    NotAnInverse,
-    SpecError,
-    ValidationError,
-)
+from .errors import EngineDisagreement, LlcentError, ValidationError
 from .fields import PrimeField
 from .spaces import cofinal_chain
 from .specfile import SpecFile, bounded_config, parse_spec, subspace_to_json, to_canonical_dict
@@ -324,9 +317,6 @@ def main(argv=None) -> int:
         spec = parse_spec(text)
         report, code = run_command(args.command, spec, flags)
         rendered = render_report(report, flags.fmt)
-    except (SpecError, InvarianceFailure, NotAnInverse) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
     except LlcentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

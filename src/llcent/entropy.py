@@ -31,8 +31,9 @@ same once the images' part above the chain's top carries the whole gain
 and keeps its rank under every power of the stationary edge map.
 
 The loop is written once, over a small set of kernels per row format that
-the field picks, as it picks `linalg._rref`'s routes.  Over GF(2) the
-chain's rows stay Python ints from the first step to the last
+the field picks, as it picks `linalg._rref`'s routes: `trim`, `edge`,
+`set_aside`, `bring_back`, `widen`, `union`, `front` and `images`.  Over
+GF(2) the chain's rows stay Python ints from the first step to the last
 (`gf2rows.ChainRows`): bit k is coordinate k of the window over the tail,
 so widening the window moves no bit, merges are XORs, and the stationary
 action right of the boundary region is a few masked shifts of all of a
@@ -122,9 +123,11 @@ class EntropyResult:
 
 
 def _check_op(op: BandedOperator):
-    violations = validate(op)
-    if violations:
-        raise InvalidOperator(violations)
+    # validated once per operator: its blocks never change after construction
+    if op._violations is None:
+        op._violations = validate(op)
+    if op._violations:
+        raise InvalidOperator(op._violations)
 
 
 def _check_pair(op: BandedOperator, inverse: BandedOperator):
@@ -161,66 +164,6 @@ def _structural_horizon(op: BandedOperator, u: CompactOpenSubspace) -> int:
     return span_u + span_b + d_max * (2 * op.width + 1)
 
 
-def _trim_rows(profile, rows, lo, top):
-    """Drop the leading and trailing all-zero levels of a row block over (lo, top].
-
-    Returns (rows, lo, top) for the levels from the first nonzero one to
-    the last, lo sitting one level below the first.  A block with no
-    nonzero entry comes back with no columns.
-    """
-    nonzero = np.flatnonzero(np.any(rows != 0, axis=0))
-    if not nonzero.size:
-        return rows[:, :0], top, top
-    starts = list(profile.window_offsets(lo, top).values())
-    # level lo + j is the last level starting at or before column c
-    first = bisect_right(starts, int(nonzero[0]))
-    last = bisect_right(starts, int(nonzero[-1]))
-    end = starts[last - 1] + profile.dim(lo + last)
-    return rows[:, starts[first - 1] : end], lo + first - 1, lo + last
-
-
-def _set_aside(profile, basis, lo, new_lo, settled):
-    """Raise the bottom of the active block from lo to new_lo.
-
-    The rows whose pivots lie at or below new_lo go onto the settled stack
-    as one batch (lo, rows over (lo, top], pivots); the rest vanish on the
-    levels (lo, new_lo], and without those columns they are the reduced
-    basis of the block over (new_lo, top].
-    """
-    cut = profile.window_dim(lo, new_lo)
-    k = bisect_left(basis.pivots, cut)
-    if k:
-        settled.append((lo, basis.mat[:k].copy(), basis.pivots[:k]))
-    pivots = tuple(c - cut for c in basis.pivots[k:])
-    return SubspaceBasis(basis.field, basis.ambient_dim - cut, basis.mat[k:, cut:], pivots)
-
-
-def _bring_back(profile, settled, new_lo, top):
-    """Pop the settled rows whose pivots lie above new_lo, as rows over (new_lo, top].
-
-    The stack holds its batches in pivot order, so they come off the top;
-    a batch that straddles new_lo is split, and the part below stays.
-    """
-    pieces = []
-    while settled:
-        s_lo, rows, pivots = settled[-1]
-        cut = profile.window_dim(s_lo, new_lo)  # 0 when the batch starts at or above new_lo
-        k = bisect_left(pivots, cut)
-        if k == len(pivots):
-            break
-        settled.pop()
-        if k:
-            settled.append((s_lo, rows[:k], pivots[:k]))
-        pieces.append((max(s_lo, new_lo), rows[k:, cut:]))
-    out = profile.field.zeros(sum(rows.shape[0] for _, rows in pieces), profile.window_dim(new_lo, top))
-    i = 0
-    for s_lo, rows in pieces:
-        c = profile.window_dim(new_lo, s_lo)
-        out[i : i + rows.shape[0], c : c + rows.shape[1]] = rows
-        i += rows.shape[0]
-    return out
-
-
 def _front_repeats(front, prev) -> bool:
     """True when a front state (lo, ...) repeats the previous step's one
     level shift s > 0 later.
@@ -239,32 +182,10 @@ def _front_repeats(front, prev) -> bool:
     )
 
 
-def _edge_holds(img_op, delta, delta_lo, delta_top, t, g) -> bool:
-    """Conditions A-C of the leading-edge stop in _grow_chain.
-
-    delta holds a step's images over (delta_lo, delta_top], t is the
-    block's top before they merge and g the previous gain.  The edge E is
-    delta over (t, t + w]; rank(E Psi^e) = g also gives rank E = g (B),
-    and needs g <= rank Psi^e, the column count of right_edge_power.
-    """
-    d = img_op.profile.d_right
-    start = max(delta_lo, t)  # E is zero on (t, start]
-    cols = (delta_top - start) * d
-    if t < img_op.b_hi or delta.shape[0] != g or cols < g:
-        return False
-    power = img_op.right_edge_power()
-    if power.shape[1] < g:
-        return False
-    f = img_op.profile.field
-    off = (start - t) * d
-    image = f.matmul(delta[:, delta.shape[1] - cols :], power[off : off + cols])
-    return SubspaceBasis.span(f, image).rank == g
-
-
 def _readings_fixed(front, prev, edge):
     """Why every later reading equals this step's, or None.
 
-    `edge` is the leading-edge test (_edge_holds) taken before the merge;
+    `edge` is the leading-edge test (the kernels' `edge`) taken before the merge;
     the front states are compared by _front_repeats.  The reason also
     names the invariant a gain that moved would break.
     """
@@ -297,31 +218,33 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     EXACT.
 
     The steps run on the kernels of `_chain_rows`, which hold the rows
-    as packed ints over GF(2) and as arrays otherwise; each kernel returns
-    in its own format what the other returns in its, so everything below
-    holds for both.  In the packed format a row is an int over the window
-    (a0, infinity), bit k its coordinate k in column order, so the lowest
-    set bit is the pivot and padding to a wider window is no work; the
-    settled stack is one pivot-sorted list, split by bisection; and a
-    step's images are, right of b_hi, the XOR over the shifts s of
-    (x & M_s) << s, M_s holding the slots whose stationary entries move
-    by s bits (`gf2rows.ChainRows.act`).  That is exact by the same
-    argument as `operators._apply_action`: `validate` gives b_hi >= n_hi + w,
-    so those sources and their images lie in the constant d_right region,
-    where a level moves by d_right bits.
+    as packed ints over GF(2) (`gf2rows.ChainRows`) and as arrays
+    otherwise (`_ArrayRows`); each kernel returns in its own format what
+    the other returns in its, so everything below holds for both.  In the
+    packed format a row is an int over the window (a0, infinity), bit k
+    its coordinate k in column order, so the lowest set bit is the pivot
+    and padding to a wider window is no work; the settled stack is one
+    pivot-sorted list, split by bisection; and a step's images are, right
+    of b_hi, the XOR over the shifts s of (x & M_s) << s, M_s holding the
+    slots whose stationary entries move by s bits
+    (`gf2rows.ChainRows.act`).  That is exact by the same argument as
+    `operators._apply_action`: `validate` gives b_hi >= n_hi + w, so those
+    sources and their images lie in the constant d_right region, where a
+    level moves by d_right bits.
 
     The chain X is held as an active block, the reduced basis of
     X intersected with the coordinates above a level lo, over (lo, top],
     plus a stack of settled rows, the rows of X's reduced basis whose
-    pivots lie at or below lo, left as they were when set aside.  Each
-    step moves lo to one level below the first nonzero level of the new
-    images, which vanish on every settled pivot; so the rank they add to
-    the block is the rank they add to X, and the block's new rows are the
-    new rows of X's reduced basis without their zero columns.  When the
-    images reach below lo, the settled rows above the new lo return to
-    the block through the merge, which must raise the rank by exactly
-    their number (EngineInvariant otherwise) and restores the reduced
-    form; the gain is read after that merge.
+    pivots lie at or below lo, left as they were when set aside
+    (`set_aside`).  Each step moves lo to one level below the first
+    nonzero level of the new images (`trim`), which vanish on every
+    settled pivot; so the rank they add to the block is the rank they
+    add to X, and the block's new rows are the new rows of X's reduced
+    basis without their zero columns.  When the images reach below lo,
+    the settled rows above the new lo return to the block (`bring_back`)
+    through the merge, which must raise the rank by exactly their number
+    (EngineInvariant otherwise) and restores the reduced form; the gain
+    is read after that merge.
 
     The loop stops stepping once the front repeats.  While lo >= b_hi of
     img_op, each step takes a front state right before its merge: the
@@ -337,7 +260,7 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     * At that point the block is exactly the reduced basis of X
       intersected with the coordinates above lo, and the images are the
       rows to merge; the gain is a function of the two.
-    * A step reads rows below lo only through _bring_back.  With s > 0
+    * A step reads rows below lo only through `bring_back`.  With s > 0
       the last step went no lower than its own lo, so it was a function
       of its front state alone, and the next step from the shifted state
       is the shifted step, provided the operator commutes with the shift
@@ -359,7 +282,8 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     over (t, t + w].  Psi is the edge map of
     BandedOperator.right_edge_power, block (a, b) from level t+1+a to
     level t+w+1+b being right_blocks[w+b-a] transposed for b <= a.  The
-    stop needs (A) t >= b_hi, (B) rank E = g and (C) rank(E Psi^(wd)) = g:
+    stop needs (A) t >= b_hi, (B) rank E = g and (C) rank(E Psi^(wd)) = g,
+    which the kernels' `edge` tests:
 
     * X_k vanishes above t, so the next gain, the rank the images add to
       X_k, is at least rank E = g; only g rows were mapped, so it is g.
@@ -448,16 +372,85 @@ class _ArrayRows:
         return basis, rows
 
     def trim(self, rows, lo, top):
-        return _trim_rows(self.p, rows, lo, top)
+        """Drop the leading and trailing all-zero levels of a row block over (lo, top].
 
-    def edge(self, rows, lo, top, t, g):
-        return _edge_holds(self.op, rows, lo, top, t, g)
+        Returns (rows, lo, top) for the levels from the first nonzero one to
+        the last, lo sitting one level below the first.  A block with no
+        nonzero entry comes back with no columns.
+        """
+        p = self.p
+        nonzero = np.flatnonzero(np.any(rows != 0, axis=0))
+        if not nonzero.size:
+            return rows[:, :0], top, top
+        starts = list(p.window_offsets(lo, top).values())
+        # level lo + j is the last level starting at or before column c
+        first = bisect_right(starts, int(nonzero[0]))
+        last = bisect_right(starts, int(nonzero[-1]))
+        end = starts[last - 1] + p.dim(lo + last)
+        return rows[:, starts[first - 1] : end], lo + first - 1, lo + last
+
+    def edge(self, rows, lo, top, t, g) -> bool:
+        """Conditions A-C of the leading-edge stop in _grow_chain.
+
+        rows holds a step's images over (lo, top], t is the block's top
+        before they merge and g the previous gain.  The edge E is rows over
+        (t, t + w]; rank(E Psi^e) = g also gives rank E = g (B), and needs
+        g <= rank Psi^e, the column count of right_edge_power.
+        """
+        op = self.op
+        d = self.p.d_right
+        start = max(lo, t)  # E is zero on (t, start]
+        cols = (top - start) * d
+        if t < op.b_hi or rows.shape[0] != g or cols < g:
+            return False
+        power = op.right_edge_power()
+        if power.shape[1] < g:
+            return False
+        f = self.p.field
+        off = (start - t) * d
+        image = f.matmul(rows[:, rows.shape[1] - cols :], power[off : off + cols])
+        return SubspaceBasis.span(f, image).rank == g
 
     def set_aside(self, basis, lo, new_lo, settled):
-        return _set_aside(self.p, basis, lo, new_lo, settled)
+        """Raise the bottom of the active block from lo to new_lo.
+
+        The rows whose pivots lie at or below new_lo go onto the settled stack
+        as one batch (lo, rows over (lo, top], pivots); the rest vanish on the
+        levels (lo, new_lo], and without those columns they are the reduced
+        basis of the block over (new_lo, top].
+        """
+        cut = self.p.window_dim(lo, new_lo)
+        k = bisect_left(basis.pivots, cut)
+        if k:
+            settled.append((lo, basis.mat[:k].copy(), basis.pivots[:k]))
+        pivots = tuple(c - cut for c in basis.pivots[k:])
+        return SubspaceBasis(basis.field, basis.ambient_dim - cut, basis.mat[k:, cut:], pivots)
 
     def bring_back(self, settled, new_lo, top):
-        return _bring_back(self.p, settled, new_lo, top)
+        """Pop the settled rows whose pivots lie above new_lo, as rows over (new_lo, top].
+
+        The stack holds its batches in pivot order, so they come off the top;
+        a batch that straddles new_lo is split, and the part below stays.
+        """
+        p = self.p
+        pieces = []
+        while settled:
+            s_lo, rows, pivots = settled[-1]
+            cut = p.window_dim(s_lo, new_lo)  # 0 when the batch starts at or above new_lo
+            k = bisect_left(pivots, cut)
+            if k == len(pivots):
+                break
+            settled.pop()
+            if k:
+                settled.append((s_lo, rows[:k], pivots[:k]))
+            pieces.append((max(s_lo, new_lo), rows[k:, cut:]))
+        out = p.field.zeros(sum(rows.shape[0] for _, rows in pieces), p.window_dim(new_lo, top))
+        i = 0
+        for s_lo, rows in pieces:
+            c = p.window_dim(new_lo, s_lo)
+            out[i : i + rows.shape[0], c : c + rows.shape[1]] = rows
+            i += rows.shape[0]
+        return out
 
     def widen(self, basis, rows, lo, top, new_lo, new_top, rows_top):
         """The block padded to (new_lo, new_top], the images to new_top."""

@@ -27,12 +27,11 @@ Every route returns int64 entries reduced into [0, p).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero
 
 PRIME_CAP = 1 << 31
 
@@ -264,51 +263,3 @@ def field_from_name(name: str):
     if m:
         return PrimeField(int(m.group(1)))
     raise ValueError(f"unknown field name {name!r}")
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field, for checked arithmetic."""
-
-    field: object
-    value: object
-
-    @classmethod
-    def of(cls, field, value) -> "Scalar":
-        return cls(field, field.coerce(value))
-
-    def _same(self, other):
-        if not isinstance(other, Scalar) or other.field != self.field:
-            raise FieldMismatch(f"{self!r} and {other!r} are not over the same field")
-        return other
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._same(other).value))
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._same(other).value))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._same(other).value))
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._same(other).value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __repr__(self):
-        return f"{self.value}:{self.field.name}"
-
-
-def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Checked scalar arithmetic; op is one of add/sub/mul/div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -237,7 +237,7 @@ class ChainRows:
         return rows, self._level(_low(bits).bit_length() - 1) - 1, self._level(bits.bit_length() - 1)
 
     def edge(self, rows, lo, top, t, g) -> bool:
-        """Conditions A-C of the leading-edge stop; see `entropy._edge_holds`."""
+        """Conditions A-C of the leading-edge stop; see `entropy._ArrayRows.edge`."""
         op = self.op
         if t < op.b_hi or len(rows) != g or (top - max(lo, t)) * self.d < g:
             return False

@@ -40,37 +40,6 @@ from . import gf2rows
 from .errors import AmbientMismatch, FieldMismatch, NotContained
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """A rows x cols matrix of exact field entries."""
-
-    field: object
-    data: np.ndarray
-
-    @classmethod
-    def from_rows(cls, field, rows) -> "Matrix":
-        a = np.asarray(rows, dtype=object)
-        if a.ndim != 2:
-            a = a.reshape(len(rows), -1) if len(rows) else a.reshape(0, 0)
-        return cls(field, field.array(a))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-
 def _rref(field, a: np.ndarray):
     """Gauss-Jordan on a copy; returns (reduced nonzero rows, pivot columns).
 
@@ -167,8 +136,6 @@ class SubspaceBasis:
     @classmethod
     def span(cls, field, rows, ambient_dim=None) -> "SubspaceBasis":
         """Canonicalize a list of spanning rows (any redundancy allowed)."""
-        if isinstance(rows, Matrix):
-            field, rows = rows.field, rows.data
         a = np.asarray(rows)
         if a.ndim == 1:
             a = a.reshape(1, -1)
@@ -263,27 +230,6 @@ class SubspaceBasis:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch(f"{self.ambient_dim} vs {other.ambient_dim}")
-
-
-def rref(m: Matrix):
-    """Canonical reduced row echelon form of the row space; returns (basis, rank)."""
-    basis = SubspaceBasis.span(m.field, m.data)
-    return basis, basis.rank
-
-
-def kernel_basis(m: Matrix) -> SubspaceBasis:
-    """Canonical basis of {x : m . x = 0} inside K^cols."""
-    field = m.field
-    red, piv = _rref(field, field.array(m.data))
-    n = m.cols
-    pivset = set(piv)
-    free = [c for c in range(n) if c not in pivset]
-    rows = field.zeros(len(free), n)
-    for k, fcol in enumerate(free):
-        rows[k, fcol] = field.one
-        for i, pcol in enumerate(piv):
-            rows[k, pcol] = field.neg(red[i, fcol])
-    return SubspaceBasis.span(field, rows, ambient_dim=n)
 
 
 def rref_union(basis: SubspaceBasis, rows: np.ndarray) -> SubspaceBasis:

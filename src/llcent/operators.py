@@ -26,7 +26,6 @@ from .errors import (
     EngineInvariant,
     InvarianceFailure,
     NonConstantProfile,
-    NotAnInverse,
     ProfileMismatch,
 )
 from .linalg import SubspaceBasis
@@ -38,7 +37,7 @@ class BandedOperator:
 
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
-        "_stationary_cache", "_stacks", "_edge_power", "_packed",
+        "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -54,6 +53,7 @@ class BandedOperator:
         self._stacks = {}
         self._edge_power = None
         self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
+        self._violations = None  # validate's list, kept by entropy._check_op
 
     def _norm_blocks(self, f, blocks, d):
         out = {}
@@ -527,12 +527,6 @@ def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
     return _image_rows_raw(op, w.tail, w.window.mat, w.top, a)
 
 
-def image_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int) -> list:
-    """Finitely many vectors spanning op(W) modulo the tail U_a."""
-    rows, top = image_rows_mod_tail(op, w, a)
-    return [LlcVector.from_window(op.profile, a, top, row) for row in rows]
-
-
 def automorphism_image(op: BandedOperator, x: CompactOpenSubspace, inverse_width: int) -> CompactOpenSubspace:
     """The exact image op(X) of a compact open subspace under an automorphism.
 
@@ -557,14 +551,10 @@ def _restrict_block(field, block: np.ndarray, basis: SubspaceBasis) -> np.ndarra
 
 def _project_block(field, block: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
     """Matrix induced by the block on the quotient by the pattern."""
-    pivset = set(basis.pivots)
-    nonpiv = [c for c in range(basis.ambient_dim) if c not in pivset]
-    q = len(nonpiv)
-    out = field.zeros(q, q)
-    for k, c in enumerate(nonpiv):
-        img = block[:, c]
-        resid = basis.reduce_vector(img)
-        out[:, k] = resid[nonpiv]
+    free = basis.free_columns()
+    out = field.zeros(len(free), len(free))
+    for k, c in enumerate(free):
+        out[:, k] = basis.reduce_vector(block[:, c])[free]
     return out
 
 
@@ -630,10 +620,8 @@ def induce_on_subspace_and_quotient(op: BandedOperator, pattern: BlockwisePatter
             row_cols.append(LlcVector(sub_p, support))
         cols_r[n] = row_cols
 
-        pivset = set(basis.pivots)
-        nonpiv = [c for c in range(basis.ambient_dim) if c not in pivset]
         q_cols = []
-        for c in nonpiv:
+        for c in basis.free_columns().tolist():
             img = op.apply(LlcVector.unit(p, n, c))
             support = {}
             for m in img.levels():
@@ -812,10 +800,3 @@ def direct_sum_operator(op1: BandedOperator, op2: BandedOperator):
             per.append(embed(op2.column(n, i), 2))
         columns[n] = per
     return BandedOperator(p, w, left, right, columns)
-
-
-def conjugate(alpha: BandedOperator, op: BandedOperator, alpha_inv: BandedOperator) -> BandedOperator:
-    """alpha . op . alpha^{-1}; callers must pass a verified inverse pair."""
-    if not verify_inverse(alpha, alpha_inv):
-        raise NotAnInverse("conjugator pair does not verify")
-    return compose(compose(alpha, op), alpha_inv)

@@ -424,11 +424,6 @@ class CompactOpenSubspace:
         return f"U_{self.tail} + <{gens}>"
 
 
-def canonicalize(profile: Profile, tail: int, gens=()) -> CompactOpenSubspace:
-    """Canonical form of a raw (tail, generators) presentation."""
-    return CompactOpenSubspace.make(profile, tail, gens)
-
-
 def _padded_window_rows(w: CompactOpenSubspace, a: int, b: int) -> np.ndarray:
     """Window basis of w over the coordinates (a, b] (no tail blocks).
 
@@ -632,9 +627,7 @@ class BlockwisePattern:
         """Quotient coordinates of a level component: reduce mod W_n, read non-pivots."""
         basis = self.level_basis(n)
         resid = basis.reduce_vector(comp)
-        pivset = set(basis.pivots)
-        nonpiv = [c for c in range(basis.ambient_dim) if c not in pivset]
-        return resid[nonpiv] if nonpiv else self.profile.field.zeros(1, 0)[0]
+        return resid[basis.free_columns()]
 
     def coords_level(self, n: int, comp: np.ndarray) -> np.ndarray:
         """Intrinsic W_n coordinates of a member component (pivot reads)."""

@@ -45,9 +45,6 @@ class PropertyReport:
     verdict: Verdict
     witness: str = ""
 
-    def side_value(self, label):
-        return self.sides[label].value
-
 
 def _conclude(name, inputs, sides, holds, witness="") -> PropertyReport:
     if any(not r.reliable() for r in sides.values()):

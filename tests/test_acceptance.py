@@ -29,7 +29,7 @@ from llcent.operators import (
     automorphism_image,
     compose,
     identity_operator,
-    image_mod_tail,
+    image_rows_mod_tail,
     make_shift,
     power,
 )
@@ -38,7 +38,6 @@ from llcent.spaces import (
     CompactOpenSubspace,
     LlcVector,
     Profile,
-    canonicalize,
     cofinal_chain,
     open_combine,
     open_quotient_dim,
@@ -193,7 +192,7 @@ def test_criterion_7_discrete_engine_equivalence():
                 if rng.random() < 0.4
             }
             gens.append(LlcVector(p, support))
-        f = canonicalize(p, 0, gens)
+        f = CompactOpenSubspace.make(p, 0, gens)
         a = ent_dim_discrete(op, f)
         b = trajectory_relative_entropy(op, f)
         assert a.value == b.value, (seed, a, b)
@@ -267,8 +266,7 @@ def test_criterion_9_dense_oracle_equivalence():
         op = random_endomorphism(rng, P1, width=width, boundary=2)
         w = rand_sub(rng, tail_lo=-(4 - width), top_hi=4 - width)
         a = rng.randint(LO + width, min(0, w.tail + width))
-        gens = image_mod_tail(op, w, a)
-        engine = subspace_bits(canonicalize(P1, a, gens), LO, HI)
+        engine = subspace_bits(CompactOpenSubspace.from_rows(P1, a, *image_rows_mod_tail(op, w, a)), LO, HI)
         oracle = image_plus_tail_bits(op, w, a, LO, HI)
         assert engine == oracle, (img_cases, a, w.tail, w.top)
         img_cases += 1

@@ -119,6 +119,27 @@ class TestExitCodes:
         assert main(["compare-engines", write(tmp_path, noinv)]) == EXIT_SPEC_ERROR
         assert "verified inverse" in capsys.readouterr().err
 
+    def test_exit_2_not_an_inverse(self, tmp_path, capsys):
+        spec = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift","inverse":"right_shift"}'
+        assert main(["entropy", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: limit-free engine needs a verified inverse pair\n"
+
+    def test_exit_2_pattern_not_invariant(self, tmp_path, capsys):
+        # the operator swaps the two slots of every level, so the first slots
+        # are not an invariant pattern
+        swap = "[[0,1],[1,0]]"
+        spec = (
+            '{"field":"GF(2)","profile":{"constant":2},"operator":{"width":0,'
+            f'"left_blocks":{{"0":{swap}}},"right_blocks":{{"0":{swap}}},'
+            '"boundary_columns":{"0":[[[0,1,1]],[[0,0,1]]]}},"pattern":{"first_slots":1}}'
+        )
+        assert main(["check", "addition", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: image of e[-1,0] leaves the subspace\n"
+
     def test_exit_3_strict_lower_bound(self, tmp_path, capsys):
         spec = (
             '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift",'

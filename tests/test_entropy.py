@@ -46,7 +46,6 @@ from llcent.spaces import (
     CompactOpenSubspace,
     LlcVector,
     Profile,
-    canonicalize,
     cofinal_chain,
     open_combine,
     open_contains,
@@ -268,21 +267,20 @@ class TestActiveBlock:
     def test_matches_full_window_loop(self, monkeypatch):
         import llcent.gf2rows as gf2rows
 
-        real_bring_back, real_packed = entropy_module._bring_back, gf2rows.ChainRows.bring_back
         brought_back = []  # (packed, rows) of every re-merge
 
-        def counting_bring_back(*args):
-            rows = real_bring_back(*args)
-            brought_back.append((False, len(rows)))
-            return rows
+        def count(kernels, packed):
+            real = kernels.bring_back
 
-        def counting_packed(self, *args):
-            rows = real_packed(self, *args)
-            brought_back.append((True, len(rows)))
-            return rows
+            def counting(self, *args):
+                rows = real(self, *args)
+                brought_back.append((packed, len(rows)))
+                return rows
 
-        monkeypatch.setattr(entropy_module, "_bring_back", counting_bring_back)
-        monkeypatch.setattr(gf2rows.ChainRows, "bring_back", counting_packed)
+            monkeypatch.setattr(kernels, "bring_back", counting)
+
+        count(entropy_module._ArrayRows, False)
+        count(gf2rows.ChainRows, True)
         fields_seen, checked = set(), 0
         for seed in range(12):
             rng = random.Random(seed)
@@ -517,9 +515,9 @@ class TestEdgeStop:
             n: [LlcVector.unit(profile, n + 2, 0), LlcVector.unit(profile, n + 1, 0)] for n in range(-2, 3)
         }
         op = BandedOperator(profile, 2, {}, {2: [[1, 0], [0, 0]], 1: [[0, 1], [0, 0]]}, columns)
-        edge = entropy_module._edge_holds
-        assert edge(op, F3.array([[0, 1]]), 6, 7, 5, 1)
-        assert not edge(op, F3.array([[0, 1]]), 5, 6, 5, 1)
+        edge = entropy_module._ArrayRows(op, 0).edge
+        assert edge(F3.array([[0, 1]]), 6, 7, 5, 1)
+        assert not edge(F3.array([[0, 1]]), 5, 6, 5, 1)
 
     @staticmethod
     def _degenerate_lead(rng, op):
@@ -663,6 +661,21 @@ class TestTotalEntropy:
         assert r.value == 1 and r.iterations > 1
         assert len(calls) == 1
 
+    def test_each_operator_validated_once(self, monkeypatch):
+        calls = []
+        real = entropy_module.validate
+        monkeypatch.setattr(entropy_module, "validate", lambda op: calls.append(op) or real(op))
+        op, inv = make_shift(P1, "right"), make_shift(P1, "left")
+        r = total_entropy(op, inverse=inv)
+        assert r.value == 1 and r.iterations > 1
+        assert calls == [op, inv]
+        # an invalid operator is rejected on every call, validated once
+        broken = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, {0: op.columns[0]})
+        for _ in range(2):
+            with pytest.raises(InvalidOperator):
+                trajectory_relative_entropy(broken, cofinal_chain(P1, 0))
+        assert calls[2:] == [broken]
+
 
 class TestClosedForms:
     def test_contract_values(self):
@@ -695,14 +708,14 @@ def _one_sided_right_shift():
 class TestDiscreteEngine:
     def test_one_sided_shift(self):
         dd = _one_sided_right_shift()
-        f = canonicalize(dd.profile, 0, [LlcVector.unit(dd.profile, 1, 0)])
+        f = CompactOpenSubspace.make(dd.profile, 0, [LlcVector.unit(dd.profile, 1, 0)])
         r = ent_dim_discrete(dd, f)
         assert r.value == 1
         assert r.value == trajectory_relative_entropy(dd, f).value
 
     def test_identity(self):
         ident = identity_operator(DISCRETE)
-        f = canonicalize(DISCRETE, 0, [LlcVector.unit(DISCRETE, 2, 0)])
+        f = CompactOpenSubspace.make(DISCRETE, 0, [LlcVector.unit(DISCRETE, 2, 0)])
         assert ent_dim_discrete(ident, f).value == 0
 
     def test_nilpotent_jordan_window(self):
@@ -711,7 +724,7 @@ class TestDiscreteEngine:
             img = LlcVector.unit(DISCRETE, n + 1, 0) if n <= 2 else LlcVector.zero(DISCRETE)
             cols[n] = [img]
         jordan = BandedOperator(DISCRETE, 1, {}, {}, cols)
-        f = canonicalize(DISCRETE, 0, [LlcVector.unit(DISCRETE, 1, 0)])
+        f = CompactOpenSubspace.make(DISCRETE, 0, [LlcVector.unit(DISCRETE, 1, 0)])
         r = ent_dim_discrete(jordan, f)
         assert (r.value, r.status) == (0, Status.EXACT)
         # trajectory dims stabilize at 3 = the window length
@@ -732,7 +745,7 @@ class TestDiscreteEngine:
                     if rng.random() < 0.4
                 }
                 gens.append(LlcVector(disc, support))
-            f = canonicalize(disc, 0, gens)
+            f = CompactOpenSubspace.make(disc, 0, gens)
             a = ent_dim_discrete(op, f)
             b = trajectory_relative_entropy(op, f)
             assert a.value == b.value
@@ -757,7 +770,7 @@ class TestFinitePartReduction:
             part = list(f_gens)
             for step in range(1, 5):
                 rebuilt = open_combine(
-                    u, canonicalize(P1, u.tail, part), "sum"
+                    u, CompactOpenSubspace.make(P1, u.tail, part), "sum"
                 )
                 assert rebuilt == engine_chain[step - 1]
                 part = part + [op.apply(g) for g in part]

@@ -10,19 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llcent.errors import DivisionByZero, FieldMismatch
-from llcent.fields import PrimeField, QQ, Scalar, field_arith, field_from_name, is_prime
-
-
-def s(field, v):
-    return Scalar.of(field, v)
+from llcent.fields import PrimeField, QQ, field_from_name, is_prime
+from llcent.linalg import SubspaceBasis, subspace_combine
 
 
 def test_contract_examples():
     F2, F5 = PrimeField(2), PrimeField(5)
-    assert field_arith(s(F2, 1), s(F2, 1), "add").value == 0
+    assert F2.add(F2.coerce(1), F2.coerce(1)) == 0
     # 2/3 = 4 in GF(5): verified below against the exhaustive multiplication table
-    assert field_arith(s(F5, 2), s(F5, 3), "div").value == 4
-    assert field_arith(s(QQ, "1/2"), s(QQ, "1/3"), "add").value == Fraction(5, 6)
+    assert F5.div(F5.coerce(2), F5.coerce(3)) == 4
+    assert QQ.add(QQ.coerce("1/2"), QQ.coerce("1/3")) == Fraction(5, 6)
 
 
 def test_gf5_division_against_multiplication_table():
@@ -56,25 +53,32 @@ def test_inverses_exhaustive(p):
 
 
 def test_rationals_stay_reduced():
-    x = field_arith(s(QQ, "2/4"), s(QQ, "1/6"), "add").value
+    x = QQ.add(QQ.coerce("2/4"), QQ.coerce("1/6"))
     assert x == Fraction(2, 3)
     assert x.denominator == 3
-    assert field_arith(s(QQ, 3), s(QQ, "3/7"), "div").value == Fraction(7, 1)
+    assert QQ.div(QQ.coerce(3), QQ.coerce("3/7")) == Fraction(7, 1)
 
 
 def test_division_by_zero():
     F3 = PrimeField(3)
     with pytest.raises(DivisionByZero):
-        field_arith(s(F3, 1), s(F3, 0), "div")
+        F3.div(F3.coerce(1), F3.coerce(3))
     with pytest.raises(DivisionByZero):
-        field_arith(s(QQ, 1), s(QQ, 0), "div")
+        F3.inv(F3.zero)
+    with pytest.raises(DivisionByZero):
+        QQ.div(QQ.coerce(1), QQ.coerce(0))
+    with pytest.raises(DivisionByZero):
+        QQ.inv(QQ.zero)
 
 
 def test_field_mismatch():
+    gf2, gf3, q = (SubspaceBasis.span(f, [[1, 0]]) for f in (PrimeField(2), PrimeField(3), QQ))
     with pytest.raises(FieldMismatch):
-        field_arith(s(PrimeField(2), 1), s(PrimeField(3), 1), "add")
+        gf2.contains(gf3)
     with pytest.raises(FieldMismatch):
-        field_arith(s(PrimeField(2), 1), s(QQ, 1), "mul")
+        subspace_combine(gf3, gf2, "sum")
+    with pytest.raises(FieldMismatch):
+        subspace_combine(gf2, q, "intersect")
 
 
 def test_primality_checked_at_construction():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llcent.entropy import _trim_rows
+from llcent.entropy import _ArrayRows
 from llcent.errors import InvarianceFailure, NonConstantProfile, ProfileMismatch
 from llcent.fields import QQ, PrimeField
 from llcent.generators import (
@@ -27,7 +27,7 @@ from llcent.operators import (
     decompose_vc_vd,
     direct_sum_operator,
     identity_operator,
-    image_mod_tail,
+    image_rows_mod_tail,
     induce_on_subspace_and_quotient,
     make_shift,
     operator_add,
@@ -41,7 +41,6 @@ from llcent.spaces import (
     CompactOpenSubspace,
     LlcVector,
     Profile,
-    canonicalize,
     cofinal_chain,
 )
 
@@ -296,18 +295,18 @@ class TestImageModTail:
     def test_right_shift_of_tail(self):
         beta = make_shift(P1, "right")
         vc = cofinal_chain(P1, 0)
-        img = canonicalize(P1, 0, image_mod_tail(beta, vc, 0))
+        img = CompactOpenSubspace.from_rows(P1, 0, *image_rows_mod_tail(beta, vc, 0))
         assert img == cofinal_chain(P1, 1)
 
     def test_left_shift_lands_inside(self):
         lam = make_shift(P1, "left")
         vc = cofinal_chain(P1, 0)
-        img = canonicalize(P1, 0, image_mod_tail(lam, vc, 0))
+        img = CompactOpenSubspace.from_rows(P1, 0, *image_rows_mod_tail(lam, vc, 0))
         assert img == cofinal_chain(P1, 0)
 
     def test_zero_operator(self):
-        gens = image_mod_tail(zero_operator(P1), cofinal_chain(P1, 2), 0)
-        assert all(g.is_zero() for g in gens)
+        rows, _ = image_rows_mod_tail(zero_operator(P1), cofinal_chain(P1, 2), 0)
+        assert not np.any(rows != 0)
 
     def test_dense_truncation_oracle(self):
         rng = random.Random(43)
@@ -318,8 +317,7 @@ class TestImageModTail:
             a = rng.randint(-4, min(0, w.tail + op.width))
             if a - op.width < LO:
                 continue
-            gens = image_mod_tail(op, w, a)
-            got = canonicalize(P1, a, gens)
+            got = CompactOpenSubspace.from_rows(P1, a, *image_rows_mod_tail(op, w, a))
             engine = subspace_bits(got, LO, HI)
             oracle = image_plus_tail_bits(op, w, a, LO, HI)
             assert engine == oracle
@@ -544,8 +542,9 @@ class TestBandedApplication:
         rows[:, :cut] = p.field.zero
         full = _apply_action(op, rows, src_lo, src_hi, max(a0, src_lo - w), src_hi + w)
         part = _apply_action(op, rows[:, cut:], s, src_hi, max(a0, s - w), src_hi + w)
-        full_trim = _trim_rows(p, full, max(a0, src_lo - w), src_hi + w)
-        part_trim = _trim_rows(p, part, max(a0, s - w), src_hi + w)
+        kernels = _ArrayRows(op, a0)
+        full_trim = kernels.trim(full, max(a0, src_lo - w), src_hi + w)
+        part_trim = kernels.trim(part, max(a0, s - w), src_hi + w)
         assert full_trim[1:] == part_trim[1:]
         assert full_trim[0].shape == part_trim[0].shape
         assert np.array_equal(full_trim[0], part_trim[0])

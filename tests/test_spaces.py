@@ -14,7 +14,6 @@ from llcent.spaces import (
     LlcVector,
     Profile,
     blockwise_restrict_quotient,
-    canonicalize,
     cofinal_chain,
     open_combine,
     open_quotient_dim,
@@ -34,32 +33,32 @@ def unit(profile, n, i=0):
 
 class TestCanonicalization:
     def test_tail_generators_absorb(self):
-        w = canonicalize(P1, -2, [unit(P1, -1), unit(P1, 0)])
+        w = CompactOpenSubspace.make(P1, -2, [unit(P1, -1), unit(P1, 0)])
         assert (w.tail, w.top, w.window.rank) == (0, 0, 0)
         assert w == cofinal_chain(P1, 0)
 
     def test_window_reduces_to_rref(self):
         g = unit(P1, 1).add(unit(P1, 2))
-        w = canonicalize(P1, 0, [g, unit(P1, 2)])
+        w = CompactOpenSubspace.make(P1, 0, [g, unit(P1, 2)])
         assert w.window.mat.tolist() == [[1, 0], [0, 1]]
         assert w == cofinal_chain(P1, 2)
 
     def test_single_tail_generator(self):
-        w = canonicalize(P1, -1, [unit(P1, 0)])
+        w = CompactOpenSubspace.make(P1, -1, [unit(P1, 0)])
         assert w == cofinal_chain(P1, 0)
 
     def test_idempotent(self):
-        w = canonicalize(P1, -3, [unit(P1, -1), unit(P1, 1).add(unit(P1, 2))])
-        again = canonicalize(P1, w.tail, w.window_vectors())
+        w = CompactOpenSubspace.make(P1, -3, [unit(P1, -1), unit(P1, 1).add(unit(P1, 2))])
+        again = CompactOpenSubspace.make(P1, w.tail, w.window_vectors())
         assert w == again
 
     def test_partial_block_not_absorbed(self):
-        w = canonicalize(P2, -1, [unit(P2, 0, 0)])
+        w = CompactOpenSubspace.make(P2, -1, [unit(P2, 0, 0)])
         assert w.tail == -1
         assert w.window.rank == 1
 
     def test_tail_cap_at_zero(self):
-        w = canonicalize(P1, 0, [unit(P1, 1)])
+        w = CompactOpenSubspace.make(P1, 0, [unit(P1, 1)])
         assert w.tail == 0 and w.top == 1
 
 
@@ -71,7 +70,7 @@ class TestMembership:
 
     def test_window_member(self):
         g = unit(P1, 1).add(unit(P1, 2))
-        w = canonicalize(P1, 0, [g])
+        w = CompactOpenSubspace.make(P1, 0, [g])
         assert w.member(g)
         assert not w.member(unit(P1, 1))
         assert w.member(LlcVector.zero(P1))
@@ -101,7 +100,7 @@ class TestCombine:
 
     def test_not_contained(self):
         with pytest.raises(NotContained):
-            open_quotient_dim(cofinal_chain(P1, 1), canonicalize(P1, 0, [unit(P1, 2)]))
+            open_quotient_dim(cofinal_chain(P1, 1), CompactOpenSubspace.make(P1, 0, [unit(P1, 2)]))
 
 
 class TestCofinalChain:
@@ -151,13 +150,13 @@ class TestCanonicalEquality:
             if len(gens) >= 2:
                 mixed.append(gens[0].add(gens[1]))
             rng.shuffle(mixed)
-            assert canonicalize(P1, deeper, mixed) == w
+            assert CompactOpenSubspace.make(P1, deeper, mixed) == w
 
     def test_scaled_generators_gf3(self):
         p = Profile.constant(F3, 1)
         g = unit(p, 1).add(unit(p, 2).scale(2))
-        w1 = canonicalize(p, 0, [g])
-        w2 = canonicalize(p, 0, [g.scale(2)])
+        w1 = CompactOpenSubspace.make(p, 0, [g])
+        w2 = CompactOpenSubspace.make(p, 0, [g.scale(2)])
         assert w1 == w2
 
 
@@ -233,7 +232,7 @@ class TestBlockwise:
         # U with a mixed-slot window generator against the first-slot pattern
         pat = BlockwisePattern.first_slots(P2, 1)
         g = LlcVector(P2, {(1, 0): 1, (1, 1): 1})
-        u = canonicalize(P2, 0, [g])
+        u = CompactOpenSubspace.make(P2, 0, [g])
         uw, uq = blockwise_restrict_quotient(pat, u)
         assert uw.window.rank == 0  # the generator leaves the pattern
         assert uq.window.rank == 1  # but survives in the quotient
@@ -255,7 +254,7 @@ class TestProfileShapes:
 
     def test_zero_dim_levels_absorbed(self):
         gappy = Profile(F2, 1, (0, 1, 0), 1, -1, 1)
-        w = canonicalize(gappy, -2, [unit(gappy, 0)])
+        w = CompactOpenSubspace.make(gappy, -2, [unit(gappy, 0)])
         assert w.tail == 0 and w.window.rank == 0
 
     def test_equal_profiles_built_apart_compare_and_hash_equal(self):

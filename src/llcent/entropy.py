@@ -132,10 +132,15 @@ def _check_op(op: BandedOperator):
 
 def _check_pair(op: BandedOperator, inverse: BandedOperator):
     """Both operators valid and inverse to each other, as the limit-free engine needs."""
+    # a verified pair is kept on op and recognized by identity; a pair that
+    # fails is not kept, so it is rejected on every call
+    if op._inverse is inverse:
+        return
     _check_op(op)
     _check_op(inverse)
     if not verify_inverse(op, inverse):
         raise NotAnInverse("limit-free engine needs a verified inverse pair")
+    op._inverse = inverse
 
 
 def _plateaued(seq, streak, horizon: int = 0) -> bool:
@@ -510,8 +515,6 @@ def limit_free_relative_entropy(
     inverse: BandedOperator,
     u: CompactOpenSubspace,
     cfg: EntropyConfig = DEFAULT_CONFIG,
-    *,
-    _verified: bool = False,
 ) -> EntropyResult:
     """H(phi, U) via the limit-free codimension, for verified automorphisms.
 
@@ -520,12 +523,8 @@ def limit_free_relative_entropy(
     t = dim(U_tail / U_{a0}) and c = dim(phi^{-1} U_tail / U_{a0}).  At a
     chain fixed point U^(m+1) = U^(m) (gain 0) the subspace is inversely
     invariant and d_m = t - c is the exact entropy value.
-
-    `_verified` skips the operator and inverse-pair checks; it is for
-    total_entropy, which runs them once before its chain loop.
     """
-    if not _verified:
-        _check_pair(op, inverse)
+    _check_pair(op, inverse)
     if u.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
     p = op.profile
@@ -588,11 +587,11 @@ def total_entropy(
     for m in range(cfg.max_chain_index + 1):
         cm = cofinal_chain(profile, m)
         if engine == "limitfree":
-            r = limit_free_relative_entropy(op, inverse, cm, cfg, _verified=True)
+            r = limit_free_relative_entropy(op, inverse, cm, cfg)
         else:
             r = trajectory_relative_entropy(op, cm, cfg)
             if engine == "both":
-                r_lf = limit_free_relative_entropy(op, inverse, cm, cfg, _verified=True)
+                r_lf = limit_free_relative_entropy(op, inverse, cm, cfg)
                 _cross_check(r, r_lf, cm)
                 if not r.reliable():
                     r = r_lf

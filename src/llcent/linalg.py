@@ -17,17 +17,18 @@ nearly full rank, so the free columns are a small share of the window.
 
 The eliminations the engines make are small (about 10 x 38 over GF(2)
 and 8 x 9 over GF(2^31 - 1) in the median), so their cost is per numpy
-call rather than per multiply-add.  `_rref` therefore takes one route
-per field kind, chosen from the field:
+call rather than per multiply-add.  `_rref` therefore takes one of two
+routes, chosen from the field:
 
 * **GF(2)** packs each row into a Python int (bit j = column j) and
   eliminates with XOR, a handful of integer operations per row and
   pivot (`gf2rows`); the rows are unpacked once at the end;
-* **GF(p), p odd** eliminates one pivot at a time, updating only the
-  columns from the pivot column on, in place;
-* **Q** eliminates one pivot at a time on `Fraction` object arrays.
+* **every other field** (GF(p) for odd p, Q on `Fraction` object arrays)
+  eliminates one pivot at a time, updating only the columns from the
+  pivot column on in the rows from the first to the last that is nonzero
+  there, and reduces entries through the field's `normalize` and `inv`.
 
-Every route returns the same canonical form.
+Both routes return the same canonical form.
 """
 
 from __future__ import annotations
@@ -43,82 +44,44 @@ from .errors import AmbientMismatch, FieldMismatch, NotContained
 def _rref(field, a: np.ndarray):
     """Gauss-Jordan on a copy; returns (reduced nonzero rows, pivot columns).
 
-    One route per field kind (module docstring): GF(2) rows packed into
-    Python ints and reduced by XOR, odd p by one pivot at a time over the
-    columns from the pivot on, Q on Fraction object arrays.  Every route
-    leaves `a` untouched and returns the unique reduced row echelon form:
-    the nonzero rows in pivot order and their pivot columns as ints.
-    """
-    if field.dtype is object:
-        return _rref_rational(field, a)
-    if field.p == 2:
-        return _rref_gf2(a)
-    return _rref_odd(field.p, a)
-
-
-def _rref_gf2(a: np.ndarray):
-    """GF(2): rows packed into Python ints (bit j = column j), reduced by XOR
-    (`gf2rows.echelon`) and unpacked once at the end."""
-    rows = gf2rows.echelon(gf2rows.pack(a))
-    return gf2rows.unpack(rows, a.shape[1]), [(r & -r).bit_length() - 1 for r in rows]
-
-
-def _rref_odd(p: int, a: np.ndarray):
-    """GF(p), p odd: one pivot at a time, touching only the columns from it on.
+    Two routes (module docstring): GF(2) rows packed into Python ints and
+    reduced by XOR, every other field one pivot at a time.  Both leave `a`
+    untouched and return the unique reduced row echelon form: the nonzero
+    rows in pivot order and their pivot columns as ints.
 
     The pivot row vanishes left of its pivot column, so each elimination
-    updates a[:, col:] alone, in place; entries stay in [0, p) and the
-    products below p^2 <= 2^62.
+    updates only the columns from the pivot on, and only the rows from the
+    first to the last that is nonzero in the pivot column (one slice; the
+    rows between with a zero there, the pivot row among them, keep their
+    values).  Entries are reduced by the field: over GF(p) they stay in
+    [0, p) and the products below p^2 <= 2^62.
     """
-    a = a % p
+    if getattr(field, "p", None) == 2:
+        rows = gf2rows.echelon(gf2rows.pack(a))
+        return gf2rows.unpack(rows, a.shape[1]), [(r & -r).bit_length() - 1 for r in rows]
+    a = field.normalize(np.array(a, copy=True))
     m, n = a.shape
     pivots = []
     r = 0
     for col in range(n):
         if r == m:
             break
-        hits = np.flatnonzero(a[r:, col])
+        column = a[:, col]
+        hits = np.flatnonzero(column[r:])
         if not hits.size:
             continue
         sel = r + int(hits[0])
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
         row = a[r, col:]
-        lead = int(row[0])
-        if lead != 1:
-            row *= pow(lead, -1, p)
-            row %= p
-        c = a[:, col].copy()
-        c[r] = 0
-        sub = a[:, col:]
-        sub -= c[:, None] * row
-        sub %= p
-        pivots.append(col)
-        r += 1
-    return a[:r], pivots
-
-
-def _rref_rational(field, a: np.ndarray):
-    """Q: one pivot at a time on Fraction object arrays."""
-    a = np.array(a, copy=True)
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        hits = np.nonzero(a[r:, col])[0]
-        if hits.size == 0:
-            continue
-        sel = r + int(hits[0])
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        if a[r, col] != field.one:
-            a[r] = a[r] * field.inv(a[r, col])
-        col_vals = np.array(a[:, col], copy=True)
-        col_vals[r] = field.zero
-        if np.any(col_vals != 0):
-            a = a - np.outer(col_vals, a[r])
+        if row[0] != field.one:
+            row[:] = field.normalize(row * field.inv(row[0]))
+        c = column.copy()
+        c[r] = field.zero
+        hit = np.flatnonzero(c)
+        if hit.size:
+            rows = slice(hit[0], hit[-1] + 1)
+            a[rows, col:] = field.normalize(a[rows, col:] - c[rows, None] * row)
         pivots.append(col)
         r += 1
     return a[:r], pivots
@@ -287,8 +250,8 @@ def subspace_combine(a: SubspaceBasis, b: SubspaceBasis, mode: str) -> SubspaceB
     """Sum or intersection of two subspaces of the same ambient space.
 
     Intersections use the Zassenhaus construction: row reduce the block
-    matrix [[A A], [B 0]]; rows whose left half vanished carry a basis of
-    the intersection in their right half.
+    matrix [[A A], [B 0]]; rows whose left half vanished carry the reduced
+    basis of the intersection in their right half.
     """
     a._check_compatible(b)
     field, n = a.field, a.ambient_dim
@@ -299,10 +262,10 @@ def subspace_combine(a: SubspaceBasis, b: SubspaceBasis, mode: str) -> SubspaceB
         top = np.concatenate([a.mat, a.mat], axis=1)
         bot = np.concatenate([b.mat, field.zeros(b.rank, n)], axis=1)
         red, piv = _rref(field, np.concatenate([top, bot], axis=0))
-        inter_rows = [red[i, n:] for i, p in enumerate(piv) if p >= n]
-        if not inter_rows:
-            return SubspaceBasis.zero(field, n)
-        return SubspaceBasis.span(field, np.array(inter_rows), ambient_dim=n)
+        # the rows with pivots at n or later vanish on the left half and
+        # are already reduced on the right one
+        k = sum(c < n for c in piv)
+        return SubspaceBasis(field, n, red[k:, n:].copy(), tuple(c - n for c in piv[k:]))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -37,7 +37,7 @@ class BandedOperator:
 
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
-        "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations",
+        "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -54,6 +54,7 @@ class BandedOperator:
         self._edge_power = None
         self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
         self._violations = None  # validate's list, kept by entropy._check_op
+        self._inverse = None  # the inverse entropy._check_pair verified
 
     def _norm_blocks(self, f, blocks, d):
         out = {}

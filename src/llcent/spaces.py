@@ -326,43 +326,34 @@ class CompactOpenSubspace:
 
     @classmethod
     def _canonicalize(cls, profile, tail, top, window):
-        f = profile.field
-        # absorb full leading blocks into the tail (up to the cap at 0)
+        """The canonical presentation of U_tail + span(window rows).
+
+        The window is reduced, so the presentation is read off it rather
+        than eliminated again.  U_{tail+1} lies in W exactly when the first
+        d(tail+1) rows are the unit vectors of that level (their pivots are
+        its columns and they vanish elsewhere); absorbing the level drops
+        those rows and columns.  A top level on which every row vanishes
+        is dropped as zero columns.  Neither slice leaves reduced form.
+        """
+        mat, pivots = window.mat, window.pivots
         while tail < 0:
             d1 = profile.dim(tail + 1)
-            if d1 > 0:
-                if window.ambient_dim < d1:
+            if d1:
+                if pivots[:d1] != tuple(range(d1)) or np.any(mat[:d1, d1:] != 0):
                     break
-                units = f.zeros(d1, window.ambient_dim)
-                for k in range(d1):
-                    units[k, k] = f.one
-                if not all(window.contains_vector(units[k]) for k in range(d1)):
-                    break
-                stacked = SubspaceBasis.span(
-                    f,
-                    np.concatenate([units, window.mat], axis=0)
-                    if window.rank
-                    else units,
-                    ambient_dim=window.ambient_dim,
-                )
-                # stacked = [I | 0 ; 0 | rest]; drop the absorbed block
-                window = SubspaceBasis.span(
-                    f, stacked.mat[d1:, d1:], ambient_dim=window.ambient_dim - d1
-                )
+                mat = mat[d1:, d1:]
+                pivots = tuple(c - d1 for c in pivots[d1:])
             tail += 1
-        # trim trailing all-zero levels
         while top > tail:
             dtop = profile.dim(top)
-            if dtop == 0:
-                top -= 1
-                continue
-            tail_cols = window.mat[:, window.ambient_dim - dtop :]
-            if window.rank and bool(np.any(tail_cols != 0)):
-                break
-            window = SubspaceBasis.span(
-                f, window.mat[:, : window.ambient_dim - dtop], ambient_dim=window.ambient_dim - dtop
-            )
+            if dtop:
+                cut = mat.shape[1] - dtop
+                if np.any(mat[:, cut:] != 0):
+                    break
+                mat = mat[:, :cut]
             top -= 1
+        if mat is not window.mat:
+            window = SubspaceBasis(profile.field, mat.shape[1], mat.copy(), pivots)
         return cls(profile, tail, top, window)
 
     @property
@@ -460,7 +451,7 @@ def open_combine(x: CompactOpenSubspace, y: CompactOpenSubspace, mode: str) -> C
         a = min(x.tail, y.tail)
         b = max(x.top, y.top)
         inter = subspace_combine(x.expand_window(a, b), y.expand_window(a, b), "intersect")
-        return CompactOpenSubspace.from_rows(profile, a, inter.mat, b)
+        return CompactOpenSubspace._canonicalize(profile, a, b, inter)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -494,12 +485,8 @@ def cofinal_chain(profile: Profile, m: int) -> CompactOpenSubspace:
     """
     if m < 0:
         raise ValueError("chain index must be >= 0")
-    gens = [
-        LlcVector.unit(profile, n, i)
-        for n in range(1, m + 1)
-        for i in range(profile.dim(n))
-    ]
-    return CompactOpenSubspace.make(profile, 0, gens)
+    window = SubspaceBasis.full(profile.field, profile.window_dim(0, m))
+    return CompactOpenSubspace._canonicalize(profile, 0, m, window)
 
 
 @dataclass(frozen=True)

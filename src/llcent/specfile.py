@@ -236,7 +236,10 @@ def _int_keyed(obj, path, bound=None):
     return out
 
 
-def _operator_from_json(profile, obj, path):
+def _operator_from_json(profile, obj, path, label):
+    """(operator, name) from a spec value; ParseError for a malformed value,
+    ValidationError with every violation prefixed by `label` for an operator
+    that breaks the banded contract."""
     if isinstance(obj, str):
         if obj == "identity":
             return identity_operator(profile), obj
@@ -270,6 +273,9 @@ def _operator_from_json(profile, obj, path):
             for i, col in enumerate(cols)
         ]
     op = BandedOperator(profile, width, blocks("left_blocks"), blocks("right_blocks"), columns)
+    violations = validate(op)
+    if violations:
+        raise ValidationError([f"{label}: {v}" for v in violations])
     return op, None
 
 
@@ -379,7 +385,10 @@ def _config_from_json(obj, path):
 
 
 def bounded_config(path, plateau_streak, max_trajectory_steps, max_chain_index, strict) -> EntropyConfig:
-    """EntropyConfig with its caps inside the limits; ParseError at path otherwise."""
+    """EntropyConfig with its caps inside the limits and a boolean strict;
+    ParseError at path otherwise."""
+    if not isinstance(strict, bool):
+        raise ParseError("strict must be true or false", path)
     return EntropyConfig(
         plateau_streak=_bounded(plateau_streak, 1, MAX_TRAJECTORY_STEPS, "plateau_streak", path),
         max_trajectory_steps=_bounded(max_trajectory_steps, 1, MAX_TRAJECTORY_STEPS, "max_trajectory_steps", path),
@@ -427,16 +436,10 @@ def spec_from_dict(doc: dict, path: str = "$") -> SpecFile:
     except ValueError as exc:
         raise ParseError(str(exc), f"{path}.field") from None
     profile = _profile_from_json(field, _require(doc, "profile", path), f"{path}.profile")
-    operator, op_name = _operator_from_json(profile, _require(doc, "operator", path), f"{path}.operator")
-    violations = validate(operator)
-    if violations:
-        raise ValidationError([f"operator: {v}" for v in violations])
+    operator, op_name = _operator_from_json(profile, _require(doc, "operator", path), f"{path}.operator", "operator")
     spec = SpecFile(field=field, profile=profile, operator=operator, operator_name=op_name)
     if "inverse" in doc:
-        spec.inverse, spec.inverse_name = _operator_from_json(profile, doc["inverse"], f"{path}.inverse")
-        bad = validate(spec.inverse)
-        if bad:
-            raise ValidationError([f"inverse: {v}" for v in bad])
+        spec.inverse, spec.inverse_name = _operator_from_json(profile, doc["inverse"], f"{path}.inverse", "inverse")
     if "subspace" in doc:
         spec.subspace = _subspace_from_json(profile, doc["subspace"], f"{path}.subspace")
         spec.subspace_raw = doc["subspace"]
@@ -456,22 +459,21 @@ def spec_from_dict(doc: dict, path: str = "$") -> SpecFile:
             raise ParseError("second must be an object", f"{path}.second")
         _reject_unknown(inner, {"profile", "operator", "inverse"}, f"{path}.second")
         second_profile = _profile_from_json(field, _require(inner, "profile", f"{path}.second"), f"{path}.second.profile")
-        second_op, second_name = _operator_from_json(second_profile, _require(inner, "operator", f"{path}.second"), f"{path}.second.operator")
-        bad = validate(second_op)
-        if bad:
-            raise ValidationError([f"second operator: {v}" for v in bad])
+        second_op, second_name = _operator_from_json(
+            second_profile, _require(inner, "operator", f"{path}.second"), f"{path}.second.operator", "second operator"
+        )
         spec.second = SpecFile(field=field, profile=second_profile, operator=second_op, operator_name=second_name)
         if "inverse" in inner:
             spec.second.inverse, spec.second.inverse_name = _operator_from_json(
-                second_profile, inner["inverse"], f"{path}.second.inverse"
+                second_profile, inner["inverse"], f"{path}.second.inverse", "second inverse"
             )
     if "k" in doc:
         spec.k = _bounded(doc["k"], 0, MAX_POWER, "k", f"{path}.k")
     if "conjugator" in doc:
-        spec.conjugator, _ = _operator_from_json(profile, doc["conjugator"], f"{path}.conjugator")
+        spec.conjugator, _ = _operator_from_json(profile, doc["conjugator"], f"{path}.conjugator", "conjugator")
     if "conjugator_inverse" in doc:
         spec.conjugator_inverse, _ = _operator_from_json(
-            profile, doc["conjugator_inverse"], f"{path}.conjugator_inverse"
+            profile, doc["conjugator_inverse"], f"{path}.conjugator_inverse", "conjugator inverse"
         )
     if "config" in doc:
         spec.config = _config_from_json(doc["config"], f"{path}.config")

@@ -8,8 +8,9 @@ engines in `llcent.entropy`, which are checked against them.
 basis reduced over the whole window at every step; it stands in for
 `llcent.entropy._grow_chain`, which keeps only an active block.
 `rref_per_pivot` is one Gauss-Jordan loop for every field, each pivot a
-rank-1 update of the whole matrix; the routes of `llcent.linalg._rref`
-must return exactly what it returns.  `verify_inverse_by_composites`
+rank-1 update of the whole matrix; both routes of `llcent.linalg._rref`
+(packed GF(2) rows, and a per-pivot loop that updates only the columns
+from the pivot on) must return exactly what it returns.  `verify_inverse_by_composites`
 builds both composites and compares each with the identity operator;
 `llcent.operators.verify_inverse` must give the same verdict.
 """

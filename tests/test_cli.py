@@ -27,6 +27,11 @@ from llcent.specfile import SpecFile, parse_spec, serialize_spec
 
 SHIFT = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift","inverse":"left_shift"}'
 SPLIT = '{"field":"GF(2)","profile":{"constant":2},"operator":"right_shift","inverse":"left_shift","pattern":{"first_slots":1}}'
+# operators on the constant GF(2) profile of dimension 1 that break the
+# banded contract: boundary columns at levels -1 and 1 but not 0, and an
+# empty column list at level 0
+SKIPS_LEVEL_0 = '{"width":0,"left_blocks":{"0":[[1]]},"right_blocks":{"0":[[1]]},"boundary_columns":{"-1":[[[-1,0,1]]],"1":[[[1,0,1]]]}}'
+NO_COLUMNS = '{"width":0,"left_blocks":{"0":[[1]]},"right_blocks":{"0":[[1]]},"boundary_columns":{"0":[]}}'
 
 
 def write(tmp_path, text, name="spec.json"):
@@ -113,6 +118,22 @@ class TestExitCodes:
         assert code == EXIT_SPEC_ERROR
         assert capsys.readouterr().err.startswith("error: ")
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "check, extra, label",
+        [
+            ("conjugation", f'"conjugator":{SKIPS_LEVEL_0},"conjugator_inverse":"identity"', "conjugator"),
+            ("conjugation", f'"conjugator":"identity","conjugator_inverse":{SKIPS_LEVEL_0}', "conjugator inverse"),
+            ("weak_addition", f'"second":{{"profile":{{"constant":1}},"operator":"left_shift","inverse":{SKIPS_LEVEL_0}}}', "second inverse"),
+            ("weak_addition", f'"second":{{"profile":{{"constant":1}},"operator":"left_shift","inverse":{NO_COLUMNS}}}', "second inverse"),
+        ],
+        ids=["conjugator", "conjugator_inverse", "second_inverse", "second_inverse_no_columns"],
+    )
+    def test_exit_2_invalid_companion_operator(self, tmp_path, capsys, check, extra, label):
+        assert main(["check", check, write(tmp_path, SHIFT[:-1] + f",{extra}}}")]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {label}: ") and captured.err.count("\n") == 1
 
     def test_exit_2_missing_inverse(self, tmp_path, capsys):
         noinv = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift"}'

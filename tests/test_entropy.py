@@ -661,6 +661,21 @@ class TestTotalEntropy:
         assert r.value == 1 and r.iterations > 1
         assert len(calls) == 1
 
+    def test_verified_pair_kept_across_calls(self, monkeypatch):
+        calls = []
+        real = entropy_module.verify_inverse
+        monkeypatch.setattr(entropy_module, "verify_inverse", lambda f, g: calls.append(1) or real(f, g))
+        op, inv = make_shift(P1, "right"), make_shift(P1, "left")
+        u = cofinal_chain(P1, 1)
+        for _ in range(2):
+            relative_entropy_both(op, inv, u)
+        assert len(calls) == 1
+        # a pair that fails is not kept: it is checked and rejected on every call
+        for _ in range(2):
+            with pytest.raises(NotAnInverse):
+                relative_entropy_both(op, op, u)
+        assert len(calls) == 3
+
     def test_each_operator_validated_once(self, monkeypatch):
         calls = []
         real = entropy_module.validate

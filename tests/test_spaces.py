@@ -3,8 +3,10 @@
 import pickle
 import random
 
+import numpy as np
 import pytest
 
+import llcent.linalg as linalg
 from llcent.errors import NotContained, ProfileMismatch
 from llcent.fields import PrimeField
 from llcent.linalg import SubspaceBasis
@@ -19,7 +21,7 @@ from llcent.spaces import (
     open_quotient_dim,
 )
 
-from _dense import dim_of, subspace_bits, span_set
+from _dense import dim_of, level_bit, subspace_bits, span_set
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -104,6 +106,24 @@ class TestCombine:
 
 
 class TestCofinalChain:
+    def test_chain_and_canonicalize_make_no_elimination(self, monkeypatch):
+        p = Profile.constant(F3, 2)
+        # over levels (-2, 2]: the unit rows of levels -1 and 0, one row at
+        # level 1 and nothing at level 2
+        rows = np.zeros((5, 8), dtype=np.int64)
+        rows[:4, :4] = np.eye(4, dtype=np.int64)
+        rows[4, 4:6] = (1, 2)
+        window = SubspaceBasis.span(F3, rows)
+        want = CompactOpenSubspace.make(p, 0, [LlcVector(p, {(1, 0): 1, (1, 1): 2})])
+        calls = []
+        real = linalg._rref
+        monkeypatch.setattr(linalg, "_rref", lambda f, a: calls.append(a.shape) or real(f, a))
+        chain = cofinal_chain(p, 4)
+        w = CompactOpenSubspace._canonicalize(p, -2, 2, window)
+        assert calls == []
+        assert (chain.tail, chain.top, chain.window) == (0, 4, SubspaceBasis.full(F3, 8))
+        assert (w.tail, w.top) == (0, 1) and w == want
+
     def test_base(self):
         c0 = cofinal_chain(P1, 0)
         assert (c0.tail, c0.window.rank) == (0, 0)
@@ -186,11 +206,30 @@ class TestLatticeLaws:
 class TestDenseOracle:
     LO, HI = -3, 3
 
+    def represent(self, rng, w):
+        """w from raw rows over a deeper tail and a higher top, and the span
+        of those rows enumerated: the canonical form absorbs the unit rows
+        of the levels (deeper, w.tail] and trims the zero levels above."""
+        deeper = rng.randint(self.LO, w.tail)
+        top = rng.randint(w.top, self.HI)
+        rows = np.zeros((w.tail - deeper, top - deeper), dtype=np.int64)
+        rows[:, : w.tail - deeper] = np.eye(w.tail - deeper, dtype=np.int64)
+        pad = np.zeros((w.window.rank, top - deeper), dtype=np.int64)
+        pad[:, w.tail - deeper : w.top - deeper] = w.window.mat
+        rows = np.concatenate([rows, pad, (rows.sum(axis=0, keepdims=True) + pad.sum(axis=0)) % 2])
+        rows = rows[rng.sample(range(len(rows)), len(rows))]
+        bits = [level_bit(self.LO, n) for n in range(self.LO, deeper + 1)]
+        bits += [sum(level_bit(self.LO, deeper + 1 + c) for c in np.flatnonzero(row)) for row in rows]
+        return CompactOpenSubspace.from_rows(P1, deeper, rows, top), span_set(bits)
+
     def test_combine_and_quotient_match_enumeration(self):
         rng = random.Random(41)
         for _ in range(120):
             a = random_subspace(rng, P1, tail_lo=self.LO, top_hi=self.HI)
             b = random_subspace(rng, P1, tail_lo=self.LO, top_hi=self.HI)
+            for w in (a, b):
+                again, raw = self.represent(rng, w)
+                assert again == w and subspace_bits(again, self.LO, self.HI) == raw
             sa, sb = subspace_bits(a, self.LO, self.HI), subspace_bits(b, self.LO, self.HI)
             total = open_combine(a, b, "sum")
             inter = open_combine(a, b, "intersect")

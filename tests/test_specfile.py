@@ -251,6 +251,13 @@ def test_second_system_and_config():
         spec_from_dict({**json.loads(BASIC), "config": {"max_iter": 3}})
 
 
+@pytest.mark.parametrize("strict", ["yes", [1], 1, 0, None, {}])
+def test_strict_must_be_a_json_boolean(strict):
+    with pytest.raises(ParseError, match="strict must be true or false") as exc:
+        spec_from_dict({**json.loads(BASIC), "config": {"strict": strict}})
+    assert exc.value.position == "$.config"
+
+
 # One spec per size limit, just past it, with the position its error names.
 OVER_LIMITS = {
     "constant": ({"profile": {"constant": MAX_LEVEL_DIM + 1}}, "$.profile.constant"),

@@ -1,13 +1,15 @@
-"""Replay of real echelon inputs through the routes of linalg._rref.
+"""Replay of real echelon inputs through the two routes of linalg._rref.
 
 Runs one catalog pass of the benchmark's ``endo_fields`` workload (every
-catalog id, every field shape) with ``llcent.linalg._rref`` wrapped to
-record its inputs, then feeds each recorded input to ``_rref``, which picks
-its route from the field, and to ``rref_per_pivot`` of tests/_oracles.py,
-the per-pivot loop all routes must agree with.  It prints, per field, the
-shape histogram of the inputs and the total time of the route against the
-oracle (best of 5 replays), and exits 1 when a route returns other rows,
-pivots, dtype or shape than the oracle on any input, or mutates it.
+catalog id, every field shape: GF(2), GF(2^31 - 1), Q) and one of
+``automorphism_laws`` (small GF(3) inputs) with ``llcent.linalg._rref``
+wrapped to record its inputs, then feeds each recorded input to ``_rref``,
+which takes the packed route for GF(2) and the per-pivot loop for every
+other field, and to ``rref_per_pivot`` of tests/_oracles.py, the oracle
+both routes must agree with.  It prints, per field, the shape histogram of
+the inputs and the total time of the route against the oracle (best of 5
+replays), and exits 1 when a route returns other rows, pivots, dtype or
+shape than the oracle on any input, or mutates it.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/rref_routes.py [--check]
 
@@ -33,11 +35,12 @@ from bench.workloads import WORKLOADS  # noqa: E402
 
 REPEATS = 5
 TOP_SHAPES = 8
+RECORDED = ("endo_fields", "automorphism_laws")
 
 
 def record():
-    """The (field, input) pairs of every _rref call in one endo_fields pass."""
-    workload = WORKLOADS["endo_fields"]
+    """The (field, input) pairs of every _rref call in one pass of each
+    recorded workload."""
     calls = []
     real = linalg._rref
 
@@ -47,10 +50,12 @@ def record():
 
     linalg._rref = recording
     try:
-        for i in range(workload.size):
-            inst = workload.build(i)
-            for task in workload.tasks:
-                workload.solve(task, inst)
+        for name in RECORDED:
+            workload = WORKLOADS[name]
+            for i in range(workload.size):
+                inst = workload.build(i)
+                for task in workload.tasks:
+                    workload.solve(task, inst)
     finally:
         linalg._rref = real
     return calls

@@ -24,7 +24,6 @@ from .errors import (
     NonConstantProfile,
     NotAnInverse,
     NotContained,
-    NotDiscreteProfile,
     ParseError,
     ProfileMismatch,
     ValidationError,

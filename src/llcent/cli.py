@@ -21,6 +21,7 @@ from .entropy import (
     EntropyConfig,
     EntropyResult,
     Status,
+    choose_engine,
     h_alg_value,
     limit_free_relative_entropy,
     relative_entropy_both,
@@ -102,15 +103,6 @@ def _report_json(rep) -> dict:
     }
 
 
-def _engine_choice(spec: SpecFile, flags: Flags) -> str:
-    engine = flags.engine
-    if engine is None:
-        engine = "both" if spec.inverse is not None else "trajectory"
-    if engine in ("limitfree", "both") and spec.inverse is None:
-        raise ValidationError(["limit-free engine requires a verified inverse"])
-    return engine
-
-
 def run_command(command: str, spec: SpecFile, flags: Flags):
     """Execute one CLI command; returns (report dict, exit code)."""
     cfg = _effective_config(spec, flags)
@@ -127,7 +119,7 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
 
     try:
         if command == "entropy":
-            engine = _engine_choice(spec, flags)
+            engine = choose_engine(flags.engine, spec.inverse)
             report["engine"] = engine
             r = total_entropy(spec.operator, cfg, spec.inverse if engine != "trajectory" else None, engine=engine)
             seen.append(r)
@@ -136,7 +128,7 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
         elif command == "relative-entropy":
             if spec.subspace is None:
                 raise ValidationError(["relative-entropy needs a subspace in the spec file"])
-            engine = _engine_choice(spec, flags)
+            engine = choose_engine(flags.engine, spec.inverse)
             report["engine"] = engine
             if engine == "both":
                 rt, rl = relative_entropy_both(spec.operator, spec.inverse, spec.subspace, cfg)
@@ -150,8 +142,7 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
                 report["results"][name] = _entropy_json(r, spec.field)
 
         elif command == "compare-engines":
-            if spec.inverse is None:
-                raise ValidationError(["limit-free engine requires a verified inverse"])
+            choose_engine("both", spec.inverse)
             subspaces = (
                 [("subspace", spec.subspace)]
                 if spec.subspace is not None

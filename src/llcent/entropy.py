@@ -76,7 +76,6 @@ from .linalg import SubspaceBasis
 from .operators import (
     BandedOperator,
     _apply_action,
-    _image_rows_raw,
     image_rows_mod_tail,
     validate,
     verify_inverse,
@@ -211,12 +210,13 @@ def _fill_repeated(readings, cfg, horizon, u):
     return EntropyResult(d, Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
 
 
-def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
+def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     """Grow X_1 = U, X_{n+1} = U + img_op(X_n) modulo U_{a0}; read gain + offset.
 
-    `basis` spans U modulo U_{a0} over (a0, u.top], and a0 must be a tail
-    that every chain member contains.  The first step maps all of U, tail
-    included, so later steps only map the rows the last step added.  A
+    a0 must be a tail that every chain member contains, and at most
+    tail(U); the chain starts from U modulo U_{a0} over (a0, u.top]
+    (`CompactOpenSubspace.expand_window`).  The first step maps all of U,
+    tail included, so later steps only map the rows the last step added.  A
     step's gain is the rank it adds, a codimension because the members
     nest over the common tail a0.  The readings must be non-increasing
     (EngineInvariant otherwise); a zero gain is a chain fixed point, hence
@@ -310,7 +310,7 @@ def _grow_chain(img_op, u, a0, basis, offset, cfg, horizon, noun):
     lo, top = a0, u.top
     settled: list = []
     delta, delta_top = image_rows_mod_tail(img_op, u, a0)
-    basis, delta = k.start(basis, delta)
+    basis, delta = k.start(u.expand_window(a0, u.top), delta)
     delta_lo = a0
     readings: list = []
     front = None  # the last step's front state, taken while lo >= b_hi
@@ -505,9 +505,7 @@ def trajectory_relative_entropy(
     _check_op(op)
     if u.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
-    return _grow_chain(
-        op, u, u.tail, u.window, 0, cfg, _structural_horizon(op, u), "trajectory increments"
-    )
+    return _grow_chain(op, u, u.tail, 0, cfg, _structural_horizon(op, u), "trajectory increments")
 
 
 def limit_free_relative_entropy(
@@ -529,13 +527,13 @@ def limit_free_relative_entropy(
         raise ProfileMismatch("subspace over a different profile")
     p = op.profile
     a0 = u.tail - op.width
-    tail_rows, tail_top = _image_rows_raw(inverse, u.tail, p.field.zeros(0, 0), u.tail, a0)
+    # U_tail itself: an empty window needs no elimination
+    u_tail = CompactOpenSubspace(p, u.tail, u.tail, SubspaceBasis.zero(p.field, 0))
+    tail_rows, tail_top = image_rows_mod_tail(inverse, u_tail, a0)
     c = SubspaceBasis.span(p.field, tail_rows, ambient_dim=p.window_dim(a0, tail_top)).rank
     t = p.window_dim(a0, u.tail)
     horizon = max(_structural_horizon(op, u), _structural_horizon(inverse, u))
-    return _grow_chain(
-        inverse, u, a0, u.expand_window(a0, u.top), t - c, cfg, horizon, "limit-free codimensions"
-    )
+    return _grow_chain(inverse, u, a0, t - c, cfg, horizon, "limit-free codimensions")
 
 
 def _cross_check(r_traj: EntropyResult, r_lf: EntropyResult, u: CompactOpenSubspace):
@@ -551,6 +549,22 @@ def relative_entropy_both(op, inverse, u, cfg=DEFAULT_CONFIG):
     r_lf = limit_free_relative_entropy(op, inverse, u, cfg)
     _cross_check(r_traj, r_lf, u)
     return r_traj, r_lf
+
+
+def choose_engine(engine, inverse) -> str:
+    """The engine a run uses: `engine` when given, else "both" with an
+    inverse and "trajectory" without.
+
+    ValueError for a name outside ENGINES; NotAnInverse when the engine
+    needs the inverse ("limitfree", "both") and there is none.
+    """
+    if engine is None:
+        engine = "both" if inverse is not None else "trajectory"
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if engine != "trajectory" and inverse is None:
+        raise NotAnInverse("limit-free engine requires a verified inverse")
+    return engine
 
 
 def total_entropy(
@@ -571,13 +585,8 @@ def total_entropy(
     once, before the chain loop.
     """
     _check_op(op)
-    if engine is None:
-        engine = "both" if inverse is not None else "trajectory"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine in ("both", "limitfree"):
-        if inverse is None:
-            raise NotAnInverse("limit-free engine requires a verified inverse")
+    engine = choose_engine(engine, inverse)
+    if engine != "trajectory":
         _check_pair(op, inverse)
     profile = op.profile
     horizon = profile.n_hi + op.width
@@ -602,12 +611,8 @@ def total_entropy(
         values.append(r.value)
         unreliable = unreliable or not r.reliable()
         prev = r
-        window_start = m - cfg.plateau_streak + 1
-        if (
-            not unreliable
-            and _plateaued(values, cfg.plateau_streak)
-            and window_start >= horizon
-        ):
+        # the plateau starts at an index >= horizon: indices count from 0, steps from 1
+        if not unreliable and _plateaued(values, cfg.plateau_streak, horizon + 1):
             first = values.index(values[-1])
             return EntropyResult(
                 values[-1], Status.PLATEAU, tuple(values), cofinal_chain(profile, first), m + 1

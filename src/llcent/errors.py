@@ -29,10 +29,6 @@ class NonConstantProfile(LlcentError):
     """A shift constructor needs a constant dimension profile."""
 
 
-class NotDiscreteProfile(LlcentError):
-    """The discrete-space engine needs a profile that vanishes at levels <= 0."""
-
-
 class InvalidOperator(LlcentError):
     """An operator failed structural validation."""
 

@@ -487,45 +487,22 @@ def _apply_action(
     return f.normalize(out)
 
 
-def _image_rows_raw(op: BandedOperator, tail: int, window_mat: np.ndarray, top: int, a: int):
-    """Rows of op(U_tail + span(window rows over (tail, top])) mod U_a.
-
-    Returns (rows over (a, dst_hi], dst_hi).  Window generators map
-    through directly; of the tail only the levels in (a - width, tail]
-    matter, since bandedness drops every deeper source into U_a.
-    """
-    p = op.profile
-    f = p.field
-    src_lo = a - op.width
-    if top <= src_lo:
-        # every source sits deep enough that its image stays inside U_a
-        return f.zeros(0, 0), a
-    src_hi = max(top, tail)
-    dst_hi = max(src_hi + op.width, a)
-    n_tail = p.window_dim(src_lo, tail)
-    n_rows = window_mat.shape[0]
-    ambient = window_mat.shape[1]
-    srcs = f.zeros(n_tail + n_rows, p.window_dim(src_lo, src_hi))
-    for i in range(n_tail):
-        srcs[i, i] = f.one
-    if n_rows:
-        if tail >= src_lo:
-            shift = p.window_dim(src_lo, tail)
-            srcs[n_tail:, shift : shift + ambient] = window_mat
-        else:
-            # generator coordinates at levels <= src_lo map into U_a anyway
-            drop = p.window_dim(tail, src_lo)
-            srcs[n_tail:, : ambient - drop] = window_mat[:, drop:]
-    return _apply_action(op, srcs, src_lo, src_hi, a, dst_hi), dst_hi
-
-
 def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
-    """Rows spanning op(W) mod U_a over the coordinates (a, top]; returns (rows, top)."""
+    """Rows spanning op(W) mod U_a over the coordinates (a, top]; returns (rows, top).
+
+    Only W modulo U_{a - width} is mapped (`CompactOpenSubspace.rows_over`):
+    bandedness drops every deeper source into U_a.
+    """
     if w.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
     if a > 0:
         raise ValueError("tail level must be <= 0")
-    return _image_rows_raw(op, w.tail, w.window.mat, w.top, a)
+    src_lo = a - op.width
+    if w.top <= src_lo:
+        # every source sits deep enough that its image stays inside U_a
+        return op.profile.field.zeros(0, 0), a
+    dst_hi = max(w.top + op.width, a)
+    return _apply_action(op, w.rows_over(src_lo, w.top), src_lo, w.top, a, dst_hi), dst_hi
 
 
 def automorphism_image(op: BandedOperator, x: CompactOpenSubspace, inverse_width: int) -> CompactOpenSubspace:

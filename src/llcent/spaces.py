@@ -18,6 +18,10 @@ admissible a <= 0 and the unique reduced echelon basis of S over the
 flattened window coordinates (level ascending, slot ascending) makes the
 presentation canonical: two subspaces are equal iff their presentations
 are identical.
+
+Sums, quotients, operator images and the entropy chains all read W
+modulo some U_a, as rows over the window of levels (a, b]; that layout
+is written once, in `CompactOpenSubspace.rows_over`.
 """
 
 from __future__ import annotations
@@ -208,13 +212,6 @@ class LlcVector:
         c = f.coerce(c)
         return LlcVector(self.profile, {k: f.mul(v, c) for k, v in self.support.items()})
 
-    def neg(self) -> "LlcVector":
-        f = self.profile.field
-        return LlcVector(self.profile, {k: f.neg(v) for k, v in self.support.items()})
-
-    def sub(self, other: "LlcVector") -> "LlcVector":
-        return self.add(other.neg())
-
     def restrict(self, lo=None, hi=None) -> "LlcVector":
         """Keep only coordinates with lo <= level <= hi (either bound optional)."""
         keep = {
@@ -301,8 +298,6 @@ class CompactOpenSubspace:
 
         Generator coordinates at levels <= tail are absorbed by the tail.
         """
-        if tail > 0:
-            raise ValueError("tail cut must be <= 0")
         gens = list(gens)
         top = tail
         for g in gens:
@@ -311,10 +306,7 @@ class CompactOpenSubspace:
             if g.support:
                 top = max(top, max(n for (n, _i) in g.support))
         rows = [g.to_window(tail, top, clip_low=True) for g in gens]
-        window = SubspaceBasis.span(
-            profile.field, np.array(rows) if rows else [], ambient_dim=profile.window_dim(tail, top)
-        )
-        return cls._canonicalize(profile, tail, top, window)
+        return cls.from_rows(profile, tail, np.array(rows) if rows else [], top)
 
     @classmethod
     def from_rows(cls, profile: Profile, tail: int, rows: np.ndarray, top: int) -> "CompactOpenSubspace":
@@ -360,9 +352,6 @@ class CompactOpenSubspace:
     def field(self):
         return self.profile.field
 
-    def window_rank(self) -> int:
-        return self.window.rank
-
     def window_vectors(self):
         """The window basis rows as LlcVectors."""
         return [
@@ -379,27 +368,43 @@ class CompactOpenSubspace:
         arr = v.to_window(self.tail, self.top, clip_low=True)
         return self.window.contains_vector(arr)
 
+    def rows_over(self, a: int, b: int) -> np.ndarray:
+        """Rows spanning W modulo U_a over the flattened coordinates of (a, b].
+
+        First the unit rows of the levels (a, tail], then the window basis;
+        when a lies above the tail, the window's columns at levels <= a are
+        dropped, as U_a absorbs them.  Requires b >= top.
+        """
+        if b < self.top:
+            raise ValueError("row window must reach the presentation top")
+        p = self.profile
+        f = p.field
+        # an empty range of levels has dimension 0: no unit rows when a >= tail,
+        # no dropped columns when a <= tail
+        n_tail = p.window_dim(a, self.tail)
+        kept = self.window.mat[:, p.window_dim(self.tail, a) :]
+        mat = f.zeros(n_tail + kept.shape[0], p.window_dim(a, b))
+        for i in range(n_tail):
+            mat[i, i] = f.one
+        mat[n_tail:, n_tail : n_tail + kept.shape[1]] = kept
+        return mat
+
     def expand_window(self, a: int, b: int) -> SubspaceBasis:
         """This subspace seen inside the flattened coordinates of (a, b].
 
-        Requires a <= tail and b >= top; levels (a, tail] expand into full
-        blocks.  The stacked result (identity block, then the shifted
-        window basis) is already in reduced echelon form, so it is
-        assembled directly without another elimination pass.
+        Requires a <= tail and b >= top: `rows_over(a, b)`, the unit rows
+        of the levels (a, tail] and then the shifted window basis, is then
+        already in reduced echelon form, so it is returned with its pivots
+        without another elimination pass.  Over (tail, top] that is the
+        window basis itself.
         """
         if a > self.tail or b < self.top:
             raise ValueError("expansion window must contain the presentation window")
-        f = self.profile.field
-        total = self.profile.window_dim(a, b)
+        if a == self.tail and b == self.top:
+            return self.window
         shift = self.profile.window_dim(a, self.tail)
-        rank = shift + self.window.rank
-        mat = f.zeros(rank, total)
-        for i in range(shift):
-            mat[i, i] = f.one
-        if self.window.rank:
-            mat[shift:, shift : shift + self.window.ambient_dim] = self.window.mat
-        pivots = tuple(range(shift)) + tuple(p + shift for p in self.window.pivots)
-        return SubspaceBasis(f, total, mat, pivots)
+        pivots = tuple(range(shift)) + tuple(c + shift for c in self.window.pivots)
+        return SubspaceBasis(self.profile.field, self.profile.window_dim(a, b), self.rows_over(a, b), pivots)
 
     def __eq__(self, other):
         return (
@@ -415,26 +420,6 @@ class CompactOpenSubspace:
         return f"U_{self.tail} + <{gens}>"
 
 
-def _padded_window_rows(w: CompactOpenSubspace, a: int, b: int) -> np.ndarray:
-    """Window basis of w over the coordinates (a, b] (no tail blocks).
-
-    When the cut a sits above w's tail, the columns at levels <= a are
-    dropped: callers always combine the result with the full tail U_a,
-    which absorbs them.
-    """
-    f = w.profile.field
-    total = w.profile.window_dim(a, b)
-    mat = f.zeros(w.window.rank, total)
-    if w.window.rank:
-        if a <= w.tail:
-            shift = w.profile.window_dim(a, w.tail)
-            mat[:, shift : shift + w.window.ambient_dim] = w.window.mat
-        else:
-            drop = w.profile.window_dim(w.tail, a)
-            mat[:, : w.window.ambient_dim - drop] = w.window.mat[:, drop:]
-    return mat
-
-
 def open_combine(x: CompactOpenSubspace, y: CompactOpenSubspace, mode: str) -> CompactOpenSubspace:
     """Sum or intersection inside the lattice of compact open subspaces."""
     if x.profile != y.profile:
@@ -443,9 +428,7 @@ def open_combine(x: CompactOpenSubspace, y: CompactOpenSubspace, mode: str) -> C
     if mode == "sum":
         a = max(x.tail, y.tail)
         b = max(x.top, y.top, a)
-        rows = np.concatenate(
-            [_padded_window_rows(x, a, b), _padded_window_rows(y, a, b)], axis=0
-        )
+        rows = np.concatenate([x.rows_over(a, b), y.rows_over(a, b)], axis=0)
         return CompactOpenSubspace.from_rows(profile, a, rows, b)
     if mode == "intersect":
         a = min(x.tail, y.tail)
@@ -464,7 +447,7 @@ def open_quotient_dim(big: CompactOpenSubspace, small: CompactOpenSubspace) -> i
         raise NotContained("tail of the small subspace exceeds the big one")
     b = max(big.top, small.top)
     big_exp = big.expand_window(small.tail, b)
-    if not big_exp.contains_rows(_padded_window_rows(small, small.tail, b)):
+    if not big_exp.contains_rows(small.rows_over(small.tail, b)):
         raise NotContained("a window generator of small is not in the big subspace")
     return big_exp.rank - small.window.rank
 
@@ -646,27 +629,16 @@ def blockwise_restrict_quotient(pattern: BlockwisePattern, u: CompactOpenSubspac
     w_window = SubspaceBasis.span(f, np.array(w_rows) if w_rows else [], ambient_dim=total)
     inter = subspace_combine(u.window, w_window, "intersect") if total else w_window
 
-    sub_p = pattern.sub_profile()
-    sub_gens = []
-    for row in inter.mat:
-        support = {}
+    def present(target, rows, read):
+        # each level's part of a row, read by `read` into the target profile's
+        # coordinates of that level
+        t_offs = target.window_offsets(a, b)
+        out = f.zeros(rows.shape[0], target.window_dim(a, b))
         for n in range(a + 1, b + 1):
-            comp = row[offs[n] : offs[n] + profile.dim(n)]
-            coords = pattern.coords_level(n, comp)
-            for k, v in enumerate(coords):
-                support[(n, k)] = v
-        sub_gens.append(LlcVector(sub_p, support))
-    u_in_w = CompactOpenSubspace.make(sub_p, a, sub_gens)
+            for r, row in enumerate(rows):
+                out[r, t_offs[n] : t_offs[n] + target.dim(n)] = read(n, row[offs[n] : offs[n] + profile.dim(n)])
+        return CompactOpenSubspace.from_rows(target, a, out, b)
 
-    quot_p = pattern.quotient_profile()
-    q_gens = []
-    for row in u.window.mat:
-        support = {}
-        for n in range(a + 1, b + 1):
-            comp = row[offs[n] : offs[n] + profile.dim(n)]
-            proj = pattern.project_level(n, comp)
-            for k, v in enumerate(proj):
-                support[(n, k)] = v
-        q_gens.append(LlcVector(quot_p, support))
-    u_in_quotient = CompactOpenSubspace.make(quot_p, a, q_gens)
+    u_in_w = present(pattern.sub_profile(), inter.mat, pattern.coords_level)
+    u_in_quotient = present(pattern.quotient_profile(), u.window.mat, pattern.project_level)
     return u_in_w, u_in_quotient

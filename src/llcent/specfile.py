@@ -60,11 +60,8 @@ class SpecFile:
     inverse: BandedOperator = None
     inverse_name: str = None
     subspace: CompactOpenSubspace = None
-    subspace_raw: dict = None
     pattern: BlockwisePattern = None
-    pattern_raw: object = None
     chain: list = None
-    chain_raw: list = None
     second: "SpecFile" = None
     k: int = None
     conjugator: BandedOperator = None
@@ -332,14 +329,19 @@ def _pattern_from_json(profile, obj, path):
     if "first_slots" in obj:
         _reject_unknown(obj, {"first_slots"}, path)
         k = obj["first_slots"]
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ParseError("first_slots must be a natural", f"{path}.first_slots")
         return BlockwisePattern.first_slots(profile, k)
     if "slots" in obj:
         _reject_unknown(obj, {"slots"}, path)
+        slots = obj["slots"]
+        if not isinstance(slots, list):
+            raise ParseError("slots must be a list of slot indices", f"{path}.slots")
+        for i, s in enumerate(slots):
+            _bounded(s, 0, profile.d_left - 1, "slot", f"{path}.slots[{i}]")
         try:
-            return BlockwisePattern.slot_subset(profile, list(obj["slots"]))
-        except (TypeError, ValueError, IndexError) as exc:
+            return BlockwisePattern.slot_subset(profile, slots)
+        except ValueError as exc:
             raise ValidationError([f"{path}: {exc}"]) from None
     _reject_unknown(obj, {"left", "levels", "right"}, path)
 
@@ -442,17 +444,14 @@ def spec_from_dict(doc: dict, path: str = "$") -> SpecFile:
         spec.inverse, spec.inverse_name = _operator_from_json(profile, doc["inverse"], f"{path}.inverse", "inverse")
     if "subspace" in doc:
         spec.subspace = _subspace_from_json(profile, doc["subspace"], f"{path}.subspace")
-        spec.subspace_raw = doc["subspace"]
     if "pattern" in doc:
         spec.pattern = _pattern_from_json(profile, doc["pattern"], f"{path}.pattern")
-        spec.pattern_raw = doc["pattern"]
     if "chain" in doc:
         if not isinstance(doc["chain"], list):
             raise ParseError("chain must be a list of patterns", f"{path}.chain")
         spec.chain = [
             _pattern_from_json(profile, p, f"{path}.chain[{i}]") for i, p in enumerate(doc["chain"])
         ]
-        spec.chain_raw = doc["chain"]
     if "second" in doc:
         inner = doc["second"]
         if not isinstance(inner, dict):

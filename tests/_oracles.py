@@ -26,7 +26,7 @@ from llcent.entropy import (
     _plateaued,
     _structural_horizon,
 )
-from llcent.errors import EngineInvariant, NotDiscreteProfile, ProfileMismatch
+from llcent.errors import EngineInvariant, ProfileMismatch
 from llcent.linalg import pad_basis_columns, rref_union
 from llcent.operators import (
     BandedOperator,
@@ -36,7 +36,7 @@ from llcent.operators import (
     identity_operator,
     image_rows_mod_tail,
 )
-from llcent.spaces import CompactOpenSubspace, _padded_window_rows, open_combine
+from llcent.spaces import CompactOpenSubspace, open_combine
 
 
 def rref_per_pivot(field, a: np.ndarray):
@@ -96,7 +96,7 @@ def _trajectory_step(op, u, t):
     img_wide = f.zeros(rows.shape[0], total)
     if rows.shape[0]:
         img_wide[:, : rows.shape[1]] = rows
-    stacked = np.concatenate([_padded_window_rows(u, u.tail, b), img_wide], axis=0)
+    stacked = np.concatenate([u.rows_over(u.tail, b), img_wide], axis=0)
     return CompactOpenSubspace.from_rows(op.profile, u.tail, stacked, b)
 
 
@@ -131,7 +131,7 @@ def ent_dim_discrete(
     """
     _check_op(op)
     if not op.profile.is_discrete():
-        raise NotDiscreteProfile("ent_dim needs a discrete profile (levels <= 0 empty)")
+        raise ValueError("ent_dim needs a discrete profile (levels <= 0 empty)")
     if f.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
     t = f
@@ -139,7 +139,7 @@ def ent_dim_discrete(
     increments: list = []
     for step in range(1, cfg.max_trajectory_steps + 1):
         t_next = _trajectory_step(op, f, t)
-        alpha = t_next.window_rank() - t.window_rank()
+        alpha = t_next.window.rank - t.window.rank
         if increments and alpha > increments[-1]:
             raise EngineInvariant(
                 f"dimension increments must be non-increasing, got {increments + [alpha]}"
@@ -167,17 +167,18 @@ def _trim_trailing(profile, rows, a, top):
     return rows, top
 
 
-def grow_chain_full_window(img_op, u, a0, basis, offset, cfg, horizon, noun):
+def grow_chain_full_window(img_op, u, a0, offset, cfg, horizon, noun):
     """The chain loop of `llcent.entropy._grow_chain` over the whole window.
 
-    The chain is one reduced basis over (a0, top]; every step pads the
-    images to the whole window, merges them into the whole basis, and
-    maps the new rows over the whole window again.  Same signature and
-    result as `_grow_chain`.
+    The chain is one reduced basis over (a0, top], starting from U modulo
+    U_{a0} (`expand_window`); every step pads the images to the whole
+    window, merges them into the whole basis, and maps the new rows over
+    the whole window again.  Same signature and result as `_grow_chain`.
     """
     p = img_op.profile
     f = p.field
     top = u.top
+    basis = u.expand_window(a0, top)
     delta, delta_top = image_rows_mod_tail(img_op, u, a0)
     readings: list = []
     for step in range(1, cfg.max_trajectory_steps + 1):

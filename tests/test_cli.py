@@ -135,6 +135,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {label}: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "pattern, where",
+        [
+            ('{"first_slots":true}', "$.pattern.first_slots"),
+            ('{"slots":[-1]}', "$.pattern.slots[0]"),
+            ('{"slots":[0,-2]}', "$.pattern.slots[1]"),
+            ('{"slots":["0"]}', "$.pattern.slots[0]"),
+        ],
+        ids=["first_slots_bool", "slot_negative", "second_slot_negative", "slot_string"],
+    )
+    def test_exit_2_bad_pattern_slots(self, tmp_path, capsys, pattern, where):
+        spec = SPLIT.replace('{"first_slots":1}', pattern)
+        assert main(["check", "addition", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.rstrip().endswith(f" at {where}")
+
     def test_exit_2_missing_inverse(self, tmp_path, capsys):
         noinv = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift"}'
         assert main(["compare-engines", write(tmp_path, noinv)]) == EXIT_SPEC_ERROR

@@ -28,7 +28,6 @@ from llcent.errors import (
     LlcentError,
     NonConstantProfile,
     NotAnInverse,
-    NotDiscreteProfile,
     ProfileMismatch,
 )
 from llcent.fields import PrimeField, QQ
@@ -744,7 +743,7 @@ class TestDiscreteEngine:
         assert (r.value, r.status) == (0, Status.EXACT)
         # trajectory dims stabilize at 3 = the window length
         chain = trajectory_subspaces(jordan, f, 6)
-        assert chain[-1].window_rank() == 3
+        assert chain[-1].window.rank == 3
 
     def test_random_agreement_with_trajectory(self):
         disc = Profile(F2, 0, (0, 1, 2), 2, 0, 2)
@@ -766,7 +765,7 @@ class TestDiscreteEngine:
             assert a.value == b.value
 
     def test_rejects_non_discrete(self):
-        with pytest.raises(NotDiscreteProfile):
+        with pytest.raises(ValueError, match="discrete profile"):
             ent_dim_discrete(make_shift(P1, "right"), cofinal_chain(P1, 0))
 
 

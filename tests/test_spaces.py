@@ -94,6 +94,23 @@ class TestCombine:
         assert open_combine(a, b, "sum") == b
         assert open_combine(a, b, "intersect") == a
 
+    def test_sum_with_a_summand_below_the_other_tail(self):
+        # x lies inside U_0, and y's window starts above x's top
+        x = CompactOpenSubspace.make(P1, -3, [unit(P1, -1)])
+        y = CompactOpenSubspace.make(P1, 0, [unit(P1, 2)])
+        assert open_combine(x, y, "sum") == y
+        assert open_combine(y, x, "sum") == y
+
+    def test_rows_over(self):
+        w = CompactOpenSubspace.make(P1, -2, [unit(P1, -1).add(unit(P1, 1))])
+        # unit rows of the levels (-3, -2], then the window over (-2, 1], padded to 2
+        assert w.rows_over(-3, 2).tolist() == [[1, 0, 0, 0, 0], [0, 1, 0, 1, 0]]
+        # above the tail, the window column of level -1 is dropped
+        assert w.rows_over(-1, 1).tolist() == [[0, 1]]
+        assert w.rows_over(1, 1).shape == (1, 0)
+        with pytest.raises(ValueError):
+            w.rows_over(-3, 0)
+
     def test_quotient_examples(self):
         for m, k in ((5, 2), (3, 3), (4, 0)):
             got = open_quotient_dim(cofinal_chain(P1, m), cofinal_chain(P1, k))

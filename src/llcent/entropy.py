@@ -40,6 +40,16 @@ action right of the boundary region is a few masked shifts of all of a
 step's rows at once.  Over any other field they are arrays (`_ArrayRows`),
 merged by `linalg.rref_union` and mapped by `operators._apply_action`.
 
+What an engine sets up before its first step depends only on the
+operator it maps with and the chain's tail, so it is kept on that
+operator: the kernels (`_chain_rows`, per tail a0), the action table
+whose first rows and columns are the images of U_top for every top
+(`operators.image_rows_mod_tail`, per tail), and the limit-free tail
+constant c (`_tail_constant`, per tail and a0).  Every member C_m = U_m
+of the cofinal chain has tail 0, so a sweep over m in `total_entropy`
+builds each of them once, and maps each level once: the image of C_m is
+the first block of the image of C_{m+1}.
+
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
 
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -216,9 +227,10 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     a0 must be a tail that every chain member contains, and at most
     tail(U); the chain starts from U modulo U_{a0} over (a0, u.top]
     (`CompactOpenSubspace.expand_window`).  The first step maps all of U,
-    tail included, so later steps only map the rows the last step added.  A
-    step's gain is the rank it adds, a codimension because the members
-    nest over the common tail a0.  The readings must be non-increasing
+    tail included (`image_rows_mod_tail`, a slice of img_op's action table
+    when U is a chain member), so later steps only map the rows the last
+    step added.  A step's gain is the rank it adds, a codimension because
+    the members nest over the common tail a0.  The readings must be non-increasing
     (EngineInvariant otherwise); a zero gain is a chain fixed point, hence
     EXACT.
 
@@ -356,11 +368,19 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
 
 
 def _chain_rows(img_op, a0):
-    """The chain loop's kernels for the field: packed rows over GF(2), arrays otherwise."""
-    f = img_op.profile.field
-    if f.dtype is not object and f.p == 2:
-        return gf2rows.ChainRows(img_op, a0)
-    return _ArrayRows(img_op, a0)
+    """The chain loop's kernels for the field: packed rows over GF(2), arrays
+    otherwise; kept on the operator per tail a0, as they hold no chain state.
+
+    The kernels see the operator through a weak proxy: a strong reference
+    back to the operator that keeps them would be a cycle, freed only by
+    the garbage collector.
+    """
+    k = img_op._chains.get(a0)
+    if k is None:
+        f = img_op.profile.field
+        packed = f.dtype is not object and f.p == 2
+        k = img_op._chains[a0] = (gf2rows.ChainRows if packed else _ArrayRows)(weakref.proxy(img_op), a0)
+    return k
 
 
 class _ArrayRows:
@@ -525,15 +545,24 @@ def limit_free_relative_entropy(
     _check_pair(op, inverse)
     if u.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
-    p = op.profile
     a0 = u.tail - op.width
-    # U_tail itself: an empty window needs no elimination
-    u_tail = CompactOpenSubspace(p, u.tail, u.tail, SubspaceBasis.zero(p.field, 0))
-    tail_rows, tail_top = image_rows_mod_tail(inverse, u_tail, a0)
-    c = SubspaceBasis.span(p.field, tail_rows, ambient_dim=p.window_dim(a0, tail_top)).rank
-    t = p.window_dim(a0, u.tail)
+    t = op.profile.window_dim(a0, u.tail)
     horizon = max(_structural_horizon(op, u), _structural_horizon(inverse, u))
+    c = _tail_constant(inverse, u.tail, a0)
     return _grow_chain(inverse, u, a0, t - c, cfg, horizon, "limit-free codimensions")
+
+
+def _tail_constant(inverse: BandedOperator, tail: int, a0: int) -> int:
+    """c = dim(inverse(U_tail) / U_{a0}), kept on the inverse per (tail, a0)."""
+    c = inverse._tail_ranks.get((tail, a0))
+    if c is None:
+        p = inverse.profile
+        # U_tail itself: an empty window needs no elimination
+        u_tail = CompactOpenSubspace(p, tail, tail, SubspaceBasis.zero(p.field, 0))
+        rows, top = image_rows_mod_tail(inverse, u_tail, a0)
+        c = SubspaceBasis.span(p.field, rows, ambient_dim=p.window_dim(a0, top)).rank
+        inverse._tail_ranks[(tail, a0)] = c
+    return c
 
 
 def _cross_check(r_traj: EntropyResult, r_lf: EntropyResult, u: CompactOpenSubspace):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import EngineInvariant
 from .linalg import invert_matrix
 from .operators import (
@@ -79,6 +81,30 @@ def random_endomorphism(
             per.append(vec)
         columns[n] = per
     return BandedOperator(profile, width, left, right, columns)
+
+
+def degenerate_endomorphism(
+    rng: random.Random, profile: Profile, width: int = 1, boundary: int = 2
+) -> BandedOperator:
+    """A `random_endomorphism` with degenerate right stationary blocks.
+
+    The right blocks at the shifts width, -width and two random shifts
+    are each zeroed, replaced by a product of a random column and a random
+    row (rank at most one), made strictly upper triangular, or kept.  Such
+    blocks make H(phi, C_m) rise late in m, which generic blocks do not.
+    """
+    op = random_endomorphism(rng, profile, width=width, boundary=boundary)
+    f, d = profile.field, profile.d_right
+    right = dict(op.right_blocks)
+    for j in sorted({width, -width, rng.randint(-width, width), rng.randint(-width, width)}):
+        kind = rng.choice(("zero", "rank one", "upper", "keep"))
+        if kind == "zero":
+            right[j] = f.zeros(d, d)
+        elif kind == "rank one":
+            right[j] = f.matmul(random_matrix(rng, f, d, 1), random_matrix(rng, f, 1, d))
+        elif kind == "upper":
+            right[j] = f.array(np.triu(right[j], 1))
+    return BandedOperator(profile, width, op.left_blocks, right, op.columns)
 
 
 def levelwise_change_of_basis(

@@ -24,9 +24,9 @@ routes, chosen from the field:
   eliminates with XOR, a handful of integer operations per row and
   pivot (`gf2rows`); the rows are unpacked once at the end;
 * **every other field** (GF(p) for odd p, Q on `Fraction` object arrays)
-  eliminates one pivot at a time, updating only the columns from the
-  pivot column on in the rows from the first to the last that is nonzero
-  there, and reduces entries through the field's `normalize` and `inv`.
+  eliminates one pivot at a time, in place, updating only the columns
+  from the pivot column on: over GF(p) every row, reduced mod p in place;
+  over Q the rows from the first to the last that is nonzero there.
 
 Both routes return the same canonical form.
 """
@@ -50,13 +50,17 @@ def _rref(field, a: np.ndarray):
     rows in pivot order and their pivot columns as ints.
 
     The pivot row vanishes left of its pivot column, so each elimination
-    updates only the columns from the pivot on, and only the rows from the
-    first to the last that is nonzero in the pivot column (one slice; the
-    rows between with a zero there, the pivot row among them, keep their
-    values).  Entries are reduced by the field: over GF(p) they stay in
-    [0, p) and the products below p^2 <= 2^62.
+    updates only the columns from the pivot on, in place.  Over GF(p) it
+    updates every row and reduces mod p, so the entries stay in [0, p) and
+    the products below p^2 <= 2^62; on the small int64 matrices the engines
+    make, finding the rows to skip costs more numpy calls than it saves.
+    Over Q, where each entry is a Fraction operation, it updates only the
+    rows from the first to the last that is nonzero in the pivot column
+    (one slice; the rows between with a zero there, the pivot row among
+    them, keep their values).
     """
-    if getattr(field, "p", None) == 2:
+    p = getattr(field, "p", None)
+    if p == 2:
         rows = gf2rows.echelon(gf2rows.pack(a))
         return gf2rows.unpack(rows, a.shape[1]), [(r & -r).bit_length() - 1 for r in rows]
     a = field.normalize(np.array(a, copy=True))
@@ -74,14 +78,21 @@ def _rref(field, a: np.ndarray):
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
         row = a[r, col:]
-        if row[0] != field.one:
-            row[:] = field.normalize(row * field.inv(row[0]))
         c = column.copy()
         c[r] = field.zero
-        hit = np.flatnonzero(c)
-        if hit.size:
-            rows = slice(hit[0], hit[-1] + 1)
-            a[rows, col:] = field.normalize(a[rows, col:] - c[rows, None] * row)
+        if row[0] != field.one:
+            row *= field.inv(row[0])
+            if p:
+                row %= p
+        if p:
+            block = a[:, col:]
+            block -= c[:, None] * row
+            block %= p
+        else:
+            hit = np.flatnonzero(c)
+            if hit.size:
+                rows = slice(hit[0], hit[-1] + 1)
+                a[rows, col:] -= c[rows, None] * row
         pivots.append(col)
         r += 1
     return a[:r], pivots

@@ -38,6 +38,7 @@ class BandedOperator:
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
         "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
+        "_tables", "_chains", "_tail_ranks", "__weakref__",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -55,6 +56,16 @@ class BandedOperator:
         self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
         self._violations = None  # validate's list, kept by entropy._check_op
         self._inverse = None  # the inverse entropy._check_pair verified
+        self._tables = {}  # tail a -> (M, action rows of (a - w, M] into (a, M + w])
+        self._chains = {}  # tail a0 -> the chain loop's kernels (entropy._chain_rows)
+        self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
+
+    def __getstate__(self):
+        # the chain kernels see the operator through a weak proxy, which
+        # would pickle as a second copy of it; they are rebuilt on use
+        state = {name: getattr(self, name) for name in self.__slots__ if name != "__weakref__"}
+        state["_chains"] = {}
+        return None, state
 
     def _norm_blocks(self, f, blocks, d):
         out = {}
@@ -487,21 +498,57 @@ def _apply_action(
     return f.normalize(out)
 
 
+def _action_table(op: BandedOperator, a: int, top: int) -> np.ndarray:
+    """`_action_rows(op, a - w, M, a, M + w)` for some M >= top, kept per tail a.
+
+    Each table reaches the largest top requested so far: a request above
+    the kept M builds the rows of the levels (M, top] through one
+    `_action_rows` call and pads the kept rows with the zero columns
+    (M + w, top + w], so every row is built once.
+    """
+    kept = op._tables.get(a)
+    if kept is not None and kept[0] >= top:
+        return kept[1]
+    w = op.width
+    rows = _action_rows(op, a - w if kept is None else kept[0], top, a, top + w)
+    if kept is not None:
+        old = kept[1]
+        table = op.profile.field.zeros(old.shape[0] + rows.shape[0], rows.shape[1])
+        table[: old.shape[0], : old.shape[1]] = old
+        table[old.shape[0] :] = rows
+        rows = table
+    op._tables[a] = (top, rows)
+    return rows
+
+
 def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
     """Rows spanning op(W) mod U_a over the coordinates (a, top]; returns (rows, top).
 
     Only W modulo U_{a - width} is mapped (`CompactOpenSubspace.rows_over`):
-    bandedness drops every deeper source into U_a.
+    bandedness drops every deeper source into U_a.  When W = U_top with
+    tail(W) >= a - width (every chain member C_m, and the U_tail of the
+    limit-free tail constant), those rows are the unit rows of (a - width,
+    top], so their images are the first rows and columns of the operator's
+    action table at a (`_action_table`); the columns the slice drops must
+    be zero, else ValueError as from `_action_rows`.  Any other W is mapped
+    by `_apply_action`.
     """
     if w.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
     if a > 0:
         raise ValueError("tail level must be <= 0")
+    p = op.profile
     src_lo = a - op.width
     if w.top <= src_lo:
         # every source sits deep enough that its image stays inside U_a
-        return op.profile.field.zeros(0, 0), a
+        return p.field.zeros(0, 0), a
     dst_hi = max(w.top + op.width, a)
+    if src_lo <= w.tail and w.window.rank == p.window_dim(w.tail, w.top):
+        image = _action_table(op, a, w.top)[: p.window_dim(src_lo, w.top)]
+        cols = p.window_dim(a, dst_hi)
+        if np.any(image[:, cols:] != 0):
+            raise ValueError("action window too small for the band")
+        return image[:, :cols].copy(), dst_hi
     return _apply_action(op, w.rows_over(src_lo, w.top), src_lo, w.top, a, dst_hi), dst_hi
 
 

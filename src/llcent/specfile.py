@@ -222,6 +222,8 @@ def _vector_to_json(vec: LlcVector):
 
 def _int_keyed(obj, path, bound=None):
     """The dict with integer keys; with a bound, every key must lie in [-bound, bound]."""
+    if not isinstance(obj, dict):
+        raise ParseError("must be an object keyed by integer levels", path)
     out = {}
     for key, value in obj.items():
         try:
@@ -308,10 +310,10 @@ def _subspace_from_json(profile, obj, path):
         return cofinal_chain(profile, m)
     _reject_unknown(obj, {"tail_cut", "generators"}, path)
     tail = _bounded(_require(obj, "tail_cut", path), -MAX_DEPTH, 0, "tail_cut", f"{path}.tail_cut")
-    gens = [
-        _vector_from_json(profile, g, f"{path}.generators[{i}]")
-        for i, g in enumerate(obj.get("generators", []))
-    ]
+    raw = obj.get("generators", [])
+    if not isinstance(raw, list):
+        raise ParseError("generators must be a list of vectors", f"{path}.generators")
+    gens = [_vector_from_json(profile, g, f"{path}.generators[{i}]") for i, g in enumerate(raw)]
     return CompactOpenSubspace.make(profile, tail, gens)
 
 

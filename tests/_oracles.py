@@ -173,13 +173,21 @@ def grow_chain_full_window(img_op, u, a0, offset, cfg, horizon, noun):
     The chain is one reduced basis over (a0, top], starting from U modulo
     U_{a0} (`expand_window`); every step pads the images to the whole
     window, merges them into the whole basis, and maps the new rows over
-    the whole window again.  Same signature and result as `_grow_chain`.
+    the whole window again.  The first images come from the stacked route,
+    `_apply_action` on U modulo U_{a0 - width}, where the engine's
+    `image_rows_mod_tail` slices them from the operator's action table
+    when U is a chain member.  Same signature and result as `_grow_chain`.
     """
     p = img_op.profile
     f = p.field
     top = u.top
     basis = u.expand_window(a0, top)
-    delta, delta_top = image_rows_mod_tail(img_op, u, a0)
+    src_lo = a0 - img_op.width
+    if top > src_lo:
+        delta_top = max(top + img_op.width, a0)
+        delta = _apply_action(img_op, u.rows_over(src_lo, top), src_lo, top, a0, delta_top)
+    else:
+        delta, delta_top = f.zeros(0, 0), a0
     readings: list = []
     for step in range(1, cfg.max_trajectory_steps + 1):
         delta, delta_top = _trim_trailing(p, delta, a0, delta_top)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -689,6 +690,51 @@ class TestTotalEntropy:
             with pytest.raises(InvalidOperator):
                 trajectory_relative_entropy(broken, cofinal_chain(P1, 0))
         assert calls[2:] == [broken]
+
+    def test_pickled_operator_drops_its_chain_kernels(self):
+        op, inv = random_automorphism(random.Random(2), Profile.constant(F2, 2))
+        r = total_entropy(op, inverse=inv)
+        assert op._chains and inv._chains
+        copy = pickle.loads(pickle.dumps(op))
+        assert copy._chains == {} and copy._inverse._chains == {}
+        assert total_entropy(copy, inverse=copy._inverse) == r
+        assert copy._chains and copy._inverse._chains  # rebuilt on use
+
+    def test_one_tail_constant_elimination_per_tail(self, monkeypatch):
+        import llcent.linalg as linalg
+
+        inside, eliminations = [], []
+        real_rref, real_tail = linalg._rref, entropy_module._tail_constant
+
+        def rref(field, a):
+            if inside:
+                eliminations.append(inside[-1])
+            return real_rref(field, a)
+
+        def tail_constant(inverse, tail, a0):
+            inside.append((tail, a0))
+            try:
+                return real_tail(inverse, tail, a0)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(linalg, "_rref", rref)
+        monkeypatch.setattr(entropy_module, "_tail_constant", tail_constant)
+        p = Profile.constant(F3, 2)
+        op, inv = random_automorphism(random.Random(5), p)
+        r = total_entropy(op, inverse=inv)
+        assert r.iterations > 1
+        assert eliminations == [(0, -op.width)]
+        # kept on the inverse: a second sweep eliminates nothing for c
+        assert total_entropy(op, inverse=inv, engine="limitfree") == r
+        assert len(eliminations) == 1
+        # one more per new tail, however often it is asked for
+        for _ in range(2):
+            for tail in (-1, -2):
+                u = CompactOpenSubspace.make(p, tail)
+                lf = limit_free_relative_entropy(op, inv, u)
+                assert lf.value == trajectory_relative_entropy(op, u).value
+        assert eliminations == [(0, -op.width), (-1, -1 - op.width), (-2, -2 - op.width)]
 
 
 class TestClosedForms:

@@ -11,6 +11,7 @@ from llcent.entropy import _ArrayRows
 from llcent.errors import InvarianceFailure, NonConstantProfile, ProfileMismatch
 from llcent.fields import QQ, PrimeField
 from llcent.generators import (
+    degenerate_endomorphism,
     levelwise_change_of_basis,
     random_automorphism,
     random_endomorphism,
@@ -321,6 +322,64 @@ class TestImageModTail:
             engine = subspace_bits(got, LO, HI)
             oracle = image_plus_tail_bits(op, w, a, LO, HI)
             assert engine == oracle
+
+
+class TestActionTable:
+    """image_rows_mod_tail on W = U_top slices the operator's action table at a."""
+
+    @pytest.mark.parametrize("field", [F2, F3, PrimeField(2**31 - 1), QQ], ids=str)
+    def test_slices_match_the_stacked_route(self, field):
+        rng = random.Random(17)
+        for trial in range(12):
+            dims = {n: rng.randint(0, 3) for n in range(rng.randint(-3, 0), rng.randint(0, 3) + 1)}
+            profile = Profile.from_dims(field, dims, rng.randint(0, 2), rng.randint(1, 2))
+            make = degenerate_endomorphism if trial % 2 else random_endomorphism
+            op = make(rng, profile, width=rng.randint(0, 3), boundary=rng.randint(0, 3))
+            assert not validate(op)
+            for a in sorted({0, -op.width}):
+                src = a - op.width
+                # tops in random order, so that later requests slice a wider table
+                tops = list(range(src + 1, 6))
+                rng.shuffle(tops)
+                for b in tops:
+                    u = cofinal_chain(profile, b) if b >= 0 else CompactOpenSubspace.make(profile, b)
+                    rows, top = image_rows_mod_tail(op, u, a)
+                    want_top = max(u.top + op.width, a)
+                    want = _apply_action(op, u.rows_over(src, u.top), src, u.top, a, want_top)
+                    assert top == want_top
+                    assert rows.dtype == want.dtype and np.array_equal(rows, want)
+                assert a in op._tables
+
+    def test_table_grows_to_the_largest_top_requested(self):
+        op = random_endomorphism(random.Random(3), P2, width=2)
+        for b in (1, 4, 2):
+            image_rows_mod_tail(op, cofinal_chain(P2, b), 0)
+        top, table = op._tables[0]
+        assert top == 4 and table.shape == (P2.window_dim(-2, 4), P2.window_dim(0, 6))
+        assert np.array_equal(table, _action_rows(op, -2, 4, 0, 6))
+
+    def test_out_of_band_column_raises(self):
+        shift = make_shift(P1, "right")
+
+        def broken():
+            # level 1's column reaches level 3, past its band [0, 2]; not validated
+            columns = dict(shift.columns)
+            columns[1] = (unit(P1, 3),)
+            return BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
+
+        assert validate(broken())
+        # the image leaves the window (0, top + 1] when the table is built ...
+        with pytest.raises(ValueError, match="action window too small"):
+            image_rows_mod_tail(broken(), cofinal_chain(P1, 1), 0)
+        # ... and when it is sliced from a table built for a higher top
+        op = broken()
+        rows, top = image_rows_mod_tail(op, cofinal_chain(P1, 3), 0)
+        assert np.array_equal(rows, _action_rows(op, -1, 3, 0, 4))
+        with pytest.raises(ValueError, match="action window too small"):
+            image_rows_mod_tail(op, cofinal_chain(P1, 1), 0)
+        # inside the window the dense action is exact
+        rows, top = image_rows_mod_tail(op, cofinal_chain(P1, 2), 0)
+        assert top == 3 and np.array_equal(rows, _action_rows(op, -1, 2, 0, 3))
 
 
 def _bounded_subspace(rng):

@@ -258,6 +258,22 @@ def test_strict_must_be_a_json_boolean(strict):
     assert exc.value.position == "$.config"
 
 
+@pytest.mark.parametrize(
+    "extra, position",
+    [
+        ({"subspace": {"tail_cut": 0, "generators": None}}, "$.subspace.generators"),
+        ({"subspace": {"tail_cut": 0, "generators": 3}}, "$.subspace.generators"),
+        ({"pattern": {"left": [[1]], "levels": None, "right": [[1]]}}, "$.pattern.levels"),
+        ({"pattern": {"left": [[1]], "levels": [[1]], "right": [[1]]}}, "$.pattern.levels"),
+    ],
+)
+def test_generators_and_levels_must_be_containers(extra, position):
+    # these raised TypeError / AttributeError, an internal error at the CLI
+    with pytest.raises(ParseError) as exc:
+        spec_from_dict({**json.loads(BASIC), **extra})
+    assert exc.value.position == position
+
+
 # One spec per size limit, just past it, with the position its error names.
 OVER_LIMITS = {
     "constant": ({"profile": {"constant": MAX_LEVEL_DIM + 1}}, "$.profile.constant"),

@@ -17,14 +17,15 @@ codimension is d_m = gain + t - c, where gain is the rank the step
 added; both chains are at a fixed point exactly when the gain is 0.
 
 A step only touches the front of the chain.  The loop keeps an active
-block: the reduced basis of the chain member's part supported above a
+block: an echelon basis of the chain member's part supported above a
 level lo, over (lo, top], with lo one level below the lowest level the
-step's new images reach.  The rows of the member's reduced basis whose
-pivots lie at or below lo are set aside on a stack, without further
-back-substitution.  The images vanish on those pivots, so the rank they
-add is the same against the block as against the whole member.  Images
-that reach below lo first bring the set-aside rows above the new lo back
-into the block.  Right of the operator's boundary region a step commutes
+step's new images reach; a row's pivot is its first nonzero coordinate.
+The rows of the member's basis whose pivots lie at or below lo are set
+aside on a stack.  The images vanish up to lo, where every nonzero sum
+of set-aside rows has its pivot, so the rank they add is the same
+against the block as against the whole member.  Images that reach below
+lo first bring the set-aside rows above the new lo back into the
+block.  Right of the operator's boundary region a step commutes
 with the level shift, so once the front state repeats one shift later the
 loop fills in the repeated reading instead of stepping on; it does the
 same once the images' part above the chain's top carries the whole gain
@@ -35,10 +36,12 @@ the field picks, as it picks `linalg._rref`'s routes: `trim`, `edge`,
 `set_aside`, `bring_back`, `widen`, `union`, `front` and `images`.  Over
 GF(2) the chain's rows stay Python ints from the first step to the last
 (`gf2rows.ChainRows`): bit k is coordinate k of the window over the tail,
-so widening the window moves no bit, merges are XORs, and the stationary
-action right of the boundary region is a few masked shifts of all of a
-step's rows at once.  Over any other field they are arrays (`_ArrayRows`),
-merged by `linalg.rref_union` and mapped by `operators._apply_action`.
+so widening the window moves no bit, a merge XORs each new row with the
+block rows at its pivots and leaves the block's rows as they are, and
+the stationary action right of the boundary region is a few masked
+shifts of all of a step's rows at once.  Over any other field they are
+arrays (`_ArrayRows`), merged into the reduced form by
+`linalg.rref_union` and mapped by `operators._apply_action`.
 
 What an engine sets up before its first step depends only on the
 operator it maps with and the chain's tail, so it is kept on that
@@ -184,10 +187,11 @@ def _front_repeats(front, prev) -> bool:
     level shift s > 0 later.
 
     The rest of a state is relative to lo, so equal entries mean the same
-    state shifted by s; None marks a step taken below b_hi.  The array
-    format's state is (lo, pivots, block, images), the packed one's
+    stored rows shifted by s; None marks a step taken below b_hi.  The
+    array format's state is (lo, pivots, block, images), the packed one's
     (lo, top - lo, block rows, image rows), both taken right before the
-    merge; two packed states are equal exactly when the arrays are.
+    merge.  Equal states step alike (see `_grow_chain`), whether or not
+    the basis is canonical: the packed block is an echelon basis.
     """
     if front is None or prev is None or front[0] <= prev[0]:
         return False
@@ -249,34 +253,38 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     sources and their images lie in the constant d_right region, where a
     level moves by d_right bits.
 
-    The chain X is held as an active block, the reduced basis of
-    X intersected with the coordinates above a level lo, over (lo, top],
-    plus a stack of settled rows, the rows of X's reduced basis whose
-    pivots lie at or below lo, left as they were when set aside
-    (`set_aside`).  Each step moves lo to one level below the first
-    nonzero level of the new images (`trim`), which vanish on every
-    settled pivot; so the rank they add to the block is the rank they
-    add to X, and the block's new rows are the new rows of X's reduced
-    basis without their zero columns.  When the images reach below lo,
-    the settled rows above the new lo return to the block (`bring_back`)
+    The chain X is held as an active block, an echelon basis of X
+    intersected with the coordinates above a level lo, over (lo, top],
+    plus a stack of settled rows, the rows of X's basis whose pivots (first
+    nonzero coordinates) lie at or below lo, left as they were when set
+    aside (`set_aside`).  Each step moves lo to one level below the first
+    nonzero level of the new images (`trim`).  The images vanish up to lo,
+    and a nonzero sum of settled rows does not (its pivot lies there); so
+    the rank they add to the block is the rank they add to X.  The packed
+    merge (`gf2rows.merge`) keeps the block's rows and adds echelon rows,
+    the array merge (`linalg.rref_union`) returns the reduced form; the
+    rows added represent X_{n+1}/X_n either way, and the images of other
+    representatives differ by images of X_n, inside X_{n+1}, so the gains
+    do not depend on the basis.  When the images reach below lo, the
+    settled rows above the new lo return to the block (`bring_back`)
     through the merge, which must raise the rank by exactly their number
-    (EngineInvariant otherwise) and restores the reduced form; the gain
-    is read after that merge.
+    (EngineInvariant otherwise); the gain is read after that merge.
 
     The loop stops stepping once the front repeats.  While lo >= b_hi of
     img_op, each step takes a front state right before its merge: the
     block's pivots, its matrix and the padded images, all relative to lo
-    (packed: top - lo and the rows and images shifted down to lo, equal
-    exactly when those arrays are).
+    (packed: top - lo and the rows and images shifted down to lo).
     When it equals the previous step's state with lo moved up by s > 0,
     every later step is that step shifted by s levels, so every later
     reading repeats, and the loop appends the reading until the plateau
     rule or the step cap stops it; the result is the one full stepping
     gives.  The argument:
 
-    * At that point the block is exactly the reduced basis of X
-      intersected with the coordinates above lo, and the images are the
-      rows to merge; the gain is a function of the two.
+    * At that point the block spans X intersected with the coordinates
+      above lo, and the images are the rows to merge.  The merge, the
+      rows it adds, their images and the next lo and top are a function
+      of the stored rows in their stored order, so no canonical form is
+      needed; the same spaces in another basis only stop later.
     * A step reads rows below lo only through `bring_back`.  With s > 0
       the last step went no lower than its own lo, so it was a function
       of its front state alone, and the next step from the shifted state

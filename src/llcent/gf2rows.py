@@ -1,12 +1,13 @@
 """GF(2) rows packed into Python ints, and the GF(2) kernels of the chain loop.
 
 A row over GF(2) is one Python int whose bit k is coordinate k; adding two
-rows is one XOR.  A reduced basis is a list of such rows sorted by pivot,
-the pivot of a row being its lowest set bit, with every row zero at every
-other row's pivot.  The eliminations the engines make are about 10 x 40
-bits, so a handful of integer operations per row and pivot replaces a
-numpy call per pivot (packed elimination in the spirit of Albrecht, Bard
-and Hart, *Algorithm 898*, TOMS 37(1), 2010, at word size).
+rows is one XOR.  An echelon basis is a list of such rows sorted by pivot,
+the pivot of a row being its lowest set bit, no two rows sharing one; it
+is reduced when every row is also zero at every other row's pivot.  The
+eliminations the engines make are about 10 x 40 bits, so a handful of
+integer operations per row and pivot replaces a numpy call per pivot
+(packed elimination in the spirit of Albrecht, Bard and Hart, *Algorithm
+898*, TOMS 37(1), 2010, at word size).
 
 `linalg._rref` reduces its GF(2) inputs through `pack`, `echelon` and
 `unpack`.  `ChainRows` holds the kernels `entropy._grow_chain` runs on a
@@ -47,69 +48,60 @@ def _low(row: int) -> int:
     return row & -row
 
 
-def _added(x: int, hits: int, rows: dict) -> int:
-    """x plus the row rows[b] for each bit b of hits."""
-    while hits:
-        bit = hits & -hits
-        x ^= rows[bit]
-        hits ^= bit
-    return x
+def _enter(pivots: dict, rows) -> bool:
+    """Enter the rows into the echelon basis `pivots` maps from its lowest
+    bits; True when any row was kept.
 
-
-def _reduced(rows, pivots: dict):
-    """(lowest bits, rows) of the reduced echelon basis of span(rows) modulo
-    the reduced basis whose rows `pivots` maps from their lowest bits.
-
-    Each row is first reduced by the basis rows at its pivot bits, in one
-    pass: a reduced row vanishes on the other pivots, so XOR-ing it in
-    changes no other pivot bit.  Each residual is then reduced by the rows
-    kept so far, by the kept row whose lowest bit is its own, until it
-    vanishes or is kept.  Back-substitution from the highest kept pivot
-    down then clears, in each kept row, the pivots of the rows above it,
-    each already final.  The rows returned vanish on the basis pivots and
-    on each other's.
+    Each row is reduced by the basis row whose pivot is its current lowest
+    bit, until it vanishes or its lowest bit is no pivot yet; it is then
+    kept with that pivot.  No row already in the basis changes.
     """
-    mask = sum(pivots)  # the pivot bits are distinct powers of two
-    kept = {}
+    kept = False
     for x in rows:
-        x = _added(x, x & mask, pivots)
         while x:
             low = x & -x
-            row = kept.get(low)
+            row = pivots.get(low)
             if row is None:
-                kept[low] = x
+                pivots[low], kept = x, True
                 break
             x ^= row
-    lows, mask = sorted(kept, reverse=True), 0
-    for low in lows:
-        kept[low] = _added(kept[low], kept[low] & mask, kept)
-        mask |= low
-    lows.reverse()
-    return lows, [kept[low] for low in lows]
-
-
-def echelon(rows) -> list:
-    """The reduced row echelon basis of span(rows), sorted by pivot."""
-    return _reduced(rows, {})[1]
+    return kept
 
 
 def merge(block: list, rows) -> list:
-    """The reduced basis of span(block) + span(rows), sorted by pivot.
+    """An echelon basis of span(block) + span(rows), sorted by pivot.
 
-    `block` must be a reduced basis sorted by pivot.  The new rows are
-    reduced against it and among themselves (`_reduced`); each block row is
-    then cleared at each new pivot it holds by one XOR with that pivot's
-    row, which leaves its own pivot, the lowest bit, in place.  The result
-    is the canonical form `linalg.rref_union` gives on the unpacked rows.
+    `block` must be an echelon basis sorted by pivot.  The new rows are
+    entered by `_enter`, so the block's rows come back unchanged and in
+    order, the kept rows inserted by pivot, and `block` itself when none
+    is kept.  The pivots are those of `linalg.rref_union` on the unpacked
+    rows; the rows are not reduced (`echelon` is).
     """
     pivots = {r & -r: r for r in block}
-    lows, new = _reduced(rows, pivots)
-    if not new:
+    if not _enter(pivots, rows):
         return block
-    mask, fresh = sum(lows), dict(zip(lows, new))
-    for low, r in pivots.items():
-        fresh[low] = _added(r, r & mask, fresh)
-    return [fresh[low] for low in sorted(fresh)]
+    return [pivots[low] for low in sorted(pivots)]
+
+
+def echelon(rows) -> list:
+    """The reduced row echelon basis of span(rows), sorted by pivot.
+
+    Back-substitution from the highest pivot of an echelon basis (`_enter`)
+    down clears, in each row, the pivots of the rows above it, each
+    already final; a final row vanishes on every other pivot above its
+    own, so XOR-ing it in changes no other pivot bit.
+    """
+    kept, mask = {}, 0
+    _enter(kept, rows)
+    for low in sorted(kept, reverse=True):
+        x = kept[low]
+        hits = x & mask
+        while hits:
+            bit = hits & -hits
+            x ^= kept[bit]
+            hits ^= bit
+        kept[low], mask = x, mask | low
+    return [kept[low] for low in sorted(kept)]
 
 
 def _slices(blocks: dict, d: int, levels: int) -> tuple:
@@ -180,8 +172,9 @@ def _boundary_columns(op) -> list:
 class ChainRows:
     """The kernels of `entropy._grow_chain` for one GF(2) chain over the tail a0.
 
-    A block is a reduced basis as a pivot-sorted list of ints, the settled
-    stack one pivot-sorted list, and a step's images one list with an int
+    A block is an echelon basis as a pivot-sorted list of ints (`merge`
+    adds rows to it without touching the rows it has), the settled stack
+    one pivot-sorted list, and a step's images one list with an int
     per mapped row, zero rows included, all in the absolute bits of the
     window over (a0, infinity).  The array kernels of `entropy` take the
     same arguments and return the same things in their own format.

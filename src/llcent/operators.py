@@ -38,7 +38,7 @@ class BandedOperator:
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
         "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
-        "_tables", "_chains", "_tail_ranks", "__weakref__",
+        "_tables", "_chains", "_tail_ranks", "_reach", "__weakref__",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -59,6 +59,7 @@ class BandedOperator:
         self._tables = {}  # tail a -> (M, action rows of (a - w, M] into (a, M + w])
         self._chains = {}  # tail a0 -> the chain loop's kernels (entropy._chain_rows)
         self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
+        self._reach = None  # _boundary_reach's (down, up)
 
     def __getstate__(self):
         # the chain kernels see the operator through a weak proxy, which
@@ -385,21 +386,28 @@ def _composes_to_identity(f_op: BandedOperator, g_op: BandedOperator) -> bool:
     return np.array_equal(prod, unit)
 
 
-def _image_window(op: BandedOperator, lo: int, hi: int):
-    """A window (a, b] that holds the images of the levels (lo, hi].
+def _boundary_reach(op: BandedOperator) -> tuple:
+    """(down, up): the most levels an image lies below and above its source
+    level, at least the band width.
 
-    The band bounds the stationary columns; the stored boundary columns
-    are read, so that no image is cut off even where one leaves the band.
+    The band bounds the stationary columns; the stored boundary columns are
+    read, once per operator, so that no image is cut off even where one
+    leaves the band (which `validate` refuses).
     """
-    down, up = lo + 1 - op.width, hi + op.width
-    for n in range(max(lo + 1, op.b_lo), min(hi, op.b_hi) + 1):
-        for col in op.columns[n]:
-            for m, _slot in col.support:
-                if m < down:
-                    down = m
-                elif m > up:
-                    up = m
-    return down - 1, up
+    if op._reach is None:
+        down = up = op.width
+        for n, cols in op.columns.items():
+            for col in cols:
+                for m, _slot in col.support:
+                    down, up = max(down, n - m), max(up, m - n)
+        op._reach = (down, up)
+    return op._reach
+
+
+def _image_window(op: BandedOperator, lo: int, hi: int):
+    """A window (a, b] that holds the images of the levels (lo, hi]."""
+    down, up = _boundary_reach(op)
+    return lo - down, hi + up
 
 
 def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_hi: int) -> np.ndarray:
@@ -464,7 +472,9 @@ def _apply_action(
     guarantees that those levels and their images lie in the constant
     d_left / d_right regions of the profile.  Only the boundary levels
     [b_lo, b_hi] go through the dense `_action_rows`, restricted to the
-    band of destination levels they can reach.
+    destination levels their stored columns reach (`_boundary_reach`), so
+    a column that leaves its band is kept or refused as `_action_rows`
+    keeps or refuses it.
     """
     p = op.profile
     f = p.field
@@ -487,9 +497,10 @@ def _apply_action(
         _stationary_image(f, x, op.stationary_stack("right"), right_lo, dst_lo, dst_hi, dst_offs, out)
     lo, hi = max(src_lo + 1, op.b_lo), min(src_hi, op.b_hi)
     if lo <= hi:
-        # bandedness keeps the images of levels lo..hi inside (lo-1-w, hi+w]
-        cut_hi = min(dst_hi, hi + op.width)
-        cut_lo = min(max(dst_lo, lo - 1 - op.width), cut_hi)
+        # the images of levels lo..hi lie inside (lo - 1 - down, hi + up]
+        down, up = _boundary_reach(op)
+        cut_hi = min(dst_hi, hi + up)
+        cut_lo = min(max(dst_lo, lo - 1 - down), cut_hi)
         action = _action_rows(op, lo - 1, hi, cut_lo, cut_hi)
         if action.shape[1]:
             start = dst_offs[cut_lo + 1]

@@ -32,7 +32,13 @@ from llcent.errors import (
     ProfileMismatch,
 )
 from llcent.fields import PrimeField, QQ
-from llcent.generators import random_automorphism, random_endomorphism, random_matrix, random_open_subspace
+from llcent.generators import (
+    degenerate_endomorphism,
+    random_automorphism,
+    random_endomorphism,
+    random_matrix,
+    random_open_subspace,
+)
 from llcent.operators import (
     BandedOperator,
     automorphism_image,
@@ -292,7 +298,10 @@ class TestActiveBlock:
                 profile = Profile.constant(field, rng.choice([1, 2]))
             op, inv = random_automorphism(rng, profile)
             width = 1 if field is QQ else rng.choice([2, 3])
-            endo = random_endomorphism(rng, profile, width=width, boundary=rng.randint(0, 3))
+            # GF(2) seeds 4 and 8 draw degenerate right blocks, on which
+            # echelon and reduced front states can repeat at different steps
+            make = degenerate_endomorphism if field is F2 and seed else random_endomorphism
+            endo = make(rng, profile, width=width, boundary=rng.randint(0, 3))
             subspaces = [cofinal_chain(profile, 0), cofinal_chain(profile, 2)]
             subspaces += [random_open_subspace(rng, profile, tail_lo=-4, top_hi=4) for _ in range(2)]
             got = self._results(op, inv, endo, subspaces, self.CFG)
@@ -429,6 +438,26 @@ class TestFrontRepeat:
         monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
         assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
 
+    def test_echelon_state_repeats_later_than_the_reduced_one(self, monkeypatch):
+        # the packed block is an echelon basis, not a canonical one: on this
+        # operator its front state first repeats at step 10, where reducing
+        # every merge (the canonical state) repeats at step 7; both stops
+        # give the full window's result
+        import llcent.gf2rows as gf2rows
+
+        fills = self._record_fills(monkeypatch)
+        op = degenerate_endomorphism(random.Random(27), Profile.constant(F2, 2), width=3, boundary=0)
+        u = cofinal_chain(op.profile, 0)
+        r = trajectory_relative_entropy(op, u)
+        real = gf2rows.merge
+        with monkeypatch.context() as m:
+            m.setattr(gf2rows, "merge", lambda block, rows: gf2rows.echelon(real(block, rows)))
+            reduced = trajectory_relative_entropy(op, u)
+        assert [stepped for stepped, _ in fills] == [10, 7]
+        assert _summary(r) == _summary(reduced) == (2, Status.PLATEAU, (4, 4, 4, 3) + (2,) * 19, 23)
+        monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+        assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
+
 
 class TestEdgeStop:
     """Right of b_hi, images whose part above the chain's top carries the
@@ -557,7 +586,11 @@ class TestEdgeStop:
                 else:
                     profile = Profile.constant(field, d)
                 width = rng.randint(1, 2 if field is QQ else 3)
-                op = random_endomorphism(rng, profile, width=width, boundary=rng.randint(0, 2))
+                # half of the GF(2) endomorphisms have degenerate right blocks,
+                # on which echelon and reduced front states can repeat at
+                # different steps
+                make = degenerate_endomorphism if field is F2 and seed % 10 == 0 else random_endomorphism
+                op = make(rng, profile, width=width, boundary=rng.randint(0, 2))
                 if seed % 3 == 0 or seed % 2:
                     op = self._degenerate_lead(rng, op)
                 runs.append((trajectory_relative_entropy, (op,)))
@@ -735,6 +768,32 @@ class TestTotalEntropy:
                 lf = limit_free_relative_entropy(op, inv, u)
                 assert lf.value == trajectory_relative_entropy(op, u).value
         assert eliminations == [(0, -op.width), (-1, -1 - op.width), (-2, -2 - op.width)]
+
+
+class TestLatePlateau:
+    """ROADMAP item 1: with degenerate right blocks H(phi, C_m) can still rise
+    at m = b_hi + width, after the chain-index plateau that the default
+    stop accepts (b = [-3, 3], width 3 here: the rise is at m = 6)."""
+
+    # (seed, d, ent): degenerate_endomorphism(Random(seed), GF(3)^d, width=3, boundary=3)
+    CASES = [(9, 1, 3), (10, 1, 3), (16, 1, 3), (13, 2, 5)]
+
+    @staticmethod
+    def _op(seed, d):
+        return degenerate_endomorphism(random.Random(seed), Profile.constant(F3, d), width=3, boundary=3)
+
+    @pytest.mark.parametrize("seed, d, ent", CASES)
+    def test_long_sweep_rises_at_b_hi_plus_width(self, seed, d, ent):
+        op = self._op(seed, d)
+        m = op.b_hi + op.width
+        r = total_entropy(op, EntropyConfig(plateau_streak=8, max_chain_index=20))
+        assert (r.value, r.status) == (ent, Status.PLATEAU)
+        assert r.certificate == (ent - 1,) * m + (ent,) * 8
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the chain-index plateau stops before m = b_hi + width")
+    @pytest.mark.parametrize("seed, d, ent", CASES)
+    def test_default_config_reads_the_late_value(self, seed, d, ent):
+        assert total_entropy(self._op(seed, d)).value == ent
 
 
 class TestClosedForms:

@@ -11,7 +11,7 @@ import llcent.entropy as entropy_module
 from llcent.entropy import EntropyConfig, limit_free_relative_entropy, trajectory_relative_entropy
 from llcent.fields import PrimeField
 from llcent.generators import random_automorphism, random_endomorphism
-from llcent.gf2rows import ChainRows, merge, pack, unpack
+from llcent.gf2rows import ChainRows, echelon, merge, pack, unpack
 from llcent.linalg import SubspaceBasis, rref_union
 from llcent.operators import _apply_action
 from llcent.spaces import Profile, cofinal_chain
@@ -26,7 +26,8 @@ def _bits(rng, m, n):
 
 
 class TestMerge:
-    """merge on packed rows is rref_union on the unpacked ones."""
+    """merge on packed rows: an echelon basis with rref_union's pivots that
+    keeps the block's rows as they are."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -39,22 +40,32 @@ class TestMerge:
     )
     def test_matches_rref_union(self, n, rank, new, zeros, repeats, seed):
         rng = random.Random(seed)
-        basis = SubspaceBasis.span(F2, _bits(rng, rank, n), ambient_dim=n)
+        # an echelon block, in general not reduced: random bits above each pivot
+        block = [rng.getrandbits(n) >> low << low | 1 << low for low in sorted(rng.sample(range(n), min(rank, n)))]
         rows = _bits(rng, new, n)
-        pool = [*rows, *basis.mat]
+        pool = [*rows, *unpack(block, n)]
         extra = [np.zeros(n, dtype=np.int64)] * zeros + [rng.choice(pool) for _ in range(repeats if pool else 0)]
         if extra:
             rows = np.concatenate([rows, np.array(extra, dtype=np.int64).reshape(-1, n)])
-        want = rref_union(basis, rows)
-        got = merge(pack(basis.mat), pack(rows))
+        want = rref_union(SubspaceBasis.span(F2, unpack(block, n), ambient_dim=n), rows)
+        got = merge(block, pack(rows))
         assert got == sorted(got, key=lambda r: r & -r)
-        assert [(r & -r).bit_length() - 1 for r in got] == list(want.pivots)
-        assert np.array_equal(unpack(got, n), want.mat)
+        assert [(r & -r).bit_length() - 1 for r in got] == list(want.pivots)  # distinct, as the pivots are
+        assert echelon(got) == pack(want.mat)
+        kept = iter(got)
+        assert all(r in kept for r in block)  # the block's rows, verbatim and in order
+        if len(got) == len(block):
+            assert got is block
 
     def test_empty_sides(self):
-        block = pack(SubspaceBasis.span(F2, F2.array([[1, 1, 0], [0, 1, 1]])).mat)
+        block = [0b011]
         assert merge(block, []) is block
-        assert merge([], [0b110, 0b011, 0]) == [0b101, 0b110]
+        assert merge([], [0b110, 0b011, 0]) == [0b011, 0b110]
+        assert echelon([0b110, 0b011, 0]) == [0b101, 0b110]
+
+    def test_block_rows_kept_unreduced(self):
+        # 0b011 holds the new pivot bit 1; a reduced merge would clear it
+        assert merge([0b011], [0b110, 0b011, 0]) == [0b011, 0b110]
 
 
 class TestAct:

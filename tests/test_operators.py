@@ -381,6 +381,21 @@ class TestActionTable:
         rows, top = image_rows_mod_tail(op, cofinal_chain(P1, 2), 0)
         assert top == 3 and np.array_equal(rows, _action_rows(op, -1, 2, 0, 3))
 
+    @pytest.mark.parametrize("level, target, dst_hi", [(-1, -3, 2), (1, 3, 3)])
+    def test_out_of_band_image_inside_the_window(self, level, target, dst_hi):
+        # the right shift with one boundary column moved out of its band,
+        # down (e_{-1} -> e_{-3}) or up (e_1 -> e_3); not validated.  The
+        # image lies inside (-4, dst_hi], so the stacked route keeps it as
+        # the dense action does, for any window the tables do not cover
+        shift = make_shift(P1, "right")
+        columns = dict(shift.columns)
+        columns[level] = (unit(P1, target),)
+        op = BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
+        assert validate(op)
+        rows = cofinal_chain(P1, 1).rows_over(-5, 1)
+        want = F2.matmul(rows, _action_rows(op, -5, 1, -4, dst_hi))
+        assert np.array_equal(_apply_action(op, rows, -5, 1, -4, dst_hi), want)
+
 
 def _bounded_subspace(rng):
     tail = rng.randint(-4, 0)

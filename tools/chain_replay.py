@@ -1,16 +1,19 @@
 """Replay of real chain-growth calls through llcent.entropy._grow_chain.
 
 Runs one catalog pass of the benchmark's ``endo_fields`` and
-``automorphism_laws`` workloads (every catalog id, every task) with
-``llcent.entropy._grow_chain`` wrapped to record its arguments, then feeds
-each recorded call to ``_grow_chain`` and to ``grow_chain_full_window`` of
-tests/_oracles.py, the loop that never stops early.  It prints, per
-workload and per shape (field, d_right, band width), how many chains
-stopped early at a full-rank leading edge and at a repeated front state
-and how many steps that saved, the total time of the engine's loop
-against the oracle and the loop's time per shape (best of 3 replays
-each); it exits 1 when the two return another value, status, certificate
-or step count on any call.
+``automorphism_laws`` workloads (every catalog id, every task), and
+``total_entropy`` on a fixed catalog of GF(2) operators with degenerate
+right blocks (``degenerate_gf2``: ``generators.degenerate_endomorphism``
+from ``random.Random(i)`` for i < 60, d_right 1-4 and band width 1-3 in
+turn), with ``llcent.entropy._grow_chain`` wrapped to record its
+arguments.  It then feeds each recorded call to ``_grow_chain`` and to
+``grow_chain_full_window`` of tests/_oracles.py, the loop that never
+stops early.  It prints, per catalog and per shape (field, d_right, band
+width), how many chains stopped early at a full-rank leading edge and at
+a repeated front state and how many steps that saved, the total time of
+the engine's loop against the oracle and the loop's time per shape (best
+of 3 replays each); it exits 1 when the two return another value,
+status, certificate or step count on any call.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/chain_replay.py [--check]
 
@@ -20,9 +23,11 @@ and the summary lines.
 
 import argparse
 import os
+import random
 import sys
 import time
 from collections import defaultdict
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
@@ -30,14 +35,39 @@ sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import llcent.entropy as entropy  # noqa: E402
 from _oracles import grow_chain_full_window  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
+from llcent.fields import PrimeField  # noqa: E402
+from llcent.generators import degenerate_endomorphism  # noqa: E402
+from llcent.spaces import Profile  # noqa: E402
 
-NAMES = ("endo_fields", "automorphism_laws")
 REPEATS = 3
+DEGENERATE = 60  # operators in the degenerate_gf2 catalog
+
+
+def workload_pass(name):
+    """One catalog pass of a benchmark workload."""
+    workload = WORKLOADS[name]
+    for i in range(workload.size):
+        inst = workload.build(i)
+        for task in workload.tasks:
+            workload.solve(task, inst)
+
+
+def degenerate_pass():
+    """total_entropy on each operator of the degenerate_gf2 catalog."""
+    for i in range(DEGENERATE):
+        profile = Profile.constant(PrimeField(2), 1 + i % 4)
+        entropy.total_entropy(degenerate_endomorphism(random.Random(i), profile, width=1 + i // 4 % 3))
+
+
+CATALOGS = {
+    "endo_fields": partial(workload_pass, "endo_fields"),
+    "automorphism_laws": partial(workload_pass, "automorphism_laws"),
+    "degenerate_gf2": degenerate_pass,
+}
 
 
 def record(name):
-    """The argument tuples of every _grow_chain call in one catalog pass."""
-    workload = WORKLOADS[name]
+    """The argument tuples of every _grow_chain call in one pass of a catalog."""
     calls = []
     real = entropy._grow_chain
 
@@ -47,10 +77,7 @@ def record(name):
 
     entropy._grow_chain = recording
     try:
-        for i in range(workload.size):
-            inst = workload.build(i)
-            for task in workload.tasks:
-                workload.solve(task, inst)
+        CATALOGS[name]()
     finally:
         entropy._grow_chain = real
     return calls
@@ -128,7 +155,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     total_bad = 0
-    for name in NAMES:
+    for name in CATALOGS:
         calls = record(name)
         bad, counts = replay(calls)
         total_bad += len(bad)

@@ -262,8 +262,9 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     and a nonzero sum of settled rows does not (its pivot lies there); so
     the rank they add to the block is the rank they add to X.  The packed
     merge (`gf2rows.merge`) keeps the block's rows and adds echelon rows,
-    the array merge (`linalg.rref_union`) returns the reduced form; the
-    rows added represent X_{n+1}/X_n either way, and the images of other
+    the array merge (`linalg.rref_union`) returns the reduced form; each
+    `union` also returns which rows it added, the rows the next step maps
+    (`images`).  They represent X_{n+1}/X_n either way, and the images of other
     representatives differ by images of X_n, inside X_{n+1}, so the gains
     do not depend on the basis.  When the images reach below lo, the
     settled rows above the new lo return to the block (`bring_back`)
@@ -321,6 +322,24 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
       kernel of Psi^(wd) only in 0, and kernels of powers stop growing by
       exponent wd, so every E Psi^i has rank g and every later gain is g.
 
+    A failed test C carries forward, so the loop does not run it again
+    while it cannot pass (`fails`).  Let C fail at step k, top t >= b_hi
+    and previous gain g: rank(E Psi^e) < g, e = wd (a Psi^e with fewer
+    than g columns fails it for any E).  If step k gains g again, the next
+    test checks g rows too, and if the next step's top is t + w:
+
+    * The rows step k adds, restricted to (t, t + w], span what X_{k+1}
+      restricted there spans, the span of E: X_k vanishes above t.
+    * The next images over (t + w, t + 2w], the next edge E', come from
+      those parts alone, by the band, through Psi, as t >= b_hi.  So E'
+      spans inside the span of E Psi, and rank(E' Psi^e) <=
+      rank(E Psi^(e+1)) <= rank(E Psi^e) < g: C fails there too, at top
+      t + w >= b_hi.
+    * By induction it fails at every later step while the gain stays g and
+      the top moves up by w, so the loop skips those tests.  Any other
+      step tests again: were the top to stall, the next edge would also
+      hold images of rows below t, and the bound would not hold.
+
     Either stop ends by appending the reading until the plateau rule or
     the step cap stops it (_fill_repeated), so the result is the one full
     stepping gives.  The stopping step still merges, and a gain that
@@ -334,9 +353,14 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     delta_lo = a0
     readings: list = []
     front = None  # the last step's front state, taken while lo >= b_hi
+    fails = None  # (top, previous gain) of a step whose test C must fail
     for step in range(1, cfg.max_trajectory_steps + 1):
         delta, delta_lo, delta_top = k.trim(delta, delta_lo, delta_top)
-        edge = bool(readings) and k.edge(delta, delta_lo, delta_top, top, readings[-1] - offset)
+        edge = None
+        if readings:
+            g = readings[-1] - offset
+            edge = False if fails == (top, g) else k.edge(delta, delta_lo, delta_top, top, g)
+            fails = (top + img_op.width, g) if edge is False else None
         gain, prev, front = 0, front, None
         if delta_lo < delta_top:  # some image is nonzero
             if delta_lo > lo:
@@ -347,7 +371,7 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
             lo, top = delta_lo, new_top
             if back is not None:
                 rank = k.rank(basis)
-                basis = k.union(basis, back)
+                basis, _ = k.union(basis, back)
                 if k.rank(basis) != rank + len(back):
                     raise EngineInvariant(
                         f"re-merge of {len(back)} settled rows must raise the rank by "
@@ -355,9 +379,9 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
                     )
             if lo >= img_op.b_hi:
                 front = k.front(lo, top, basis, delta)
-            old = basis
-            basis = k.union(basis, delta)
-            gain = k.rank(basis) - k.rank(old)
+            rank = k.rank(basis)
+            basis, added = k.union(basis, delta)
+            gain = k.rank(basis) - rank
         d = gain + offset
         if readings and d > readings[-1]:
             raise EngineInvariant(f"{noun} must be non-increasing, got {readings + [d]}")
@@ -371,7 +395,7 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
             return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
         if fixed:
             return _fill_repeated(readings, cfg, horizon, u)
-        delta, delta_lo, delta_top = k.images(basis, old, lo, top)
+        delta, delta_lo, delta_top = k.images(basis, added, lo, top)
     return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)
 
 
@@ -422,20 +446,23 @@ class _ArrayRows:
         end = starts[last - 1] + p.dim(lo + last)
         return rows[:, starts[first - 1] : end], lo + first - 1, lo + last
 
-    def edge(self, rows, lo, top, t, g) -> bool:
+    def edge(self, rows, lo, top, t, g):
         """Conditions A-C of the leading-edge stop in _grow_chain.
 
         rows holds a step's images over (lo, top], t is the block's top
         before they merge and g the previous gain.  The edge E is rows over
         (t, t + w]; rank(E Psi^e) = g also gives rank E = g (B), and needs
-        g <= rank Psi^e, the column count of right_edge_power.
+        g <= rank Psi^e, the column count of right_edge_power.  Returns
+        whether the rank test C holds, or None when it does not run: t
+        below b_hi, not g rows, or fewer than g columns over (t, top].
+        Too few columns of Psi^e fail the test, for any g rows.
         """
         op = self.op
         d = self.p.d_right
         start = max(lo, t)  # E is zero on (t, start]
         cols = (top - start) * d
         if t < op.b_hi or rows.shape[0] != g or cols < g:
-            return False
+            return None
         power = op.right_edge_power()
         if power.shape[1] < g:
             return False
@@ -499,17 +526,18 @@ class _ArrayRows:
 
     @staticmethod
     def union(basis, rows):
-        return linalg.rref_union(basis, rows)
+        """(The merged basis, the indices of its rows whose pivots `basis` lacks)."""
+        merged = linalg.rref_union(basis, rows)
+        old = set(basis.pivots)
+        return merged, [i for i, piv in enumerate(merged.pivots) if piv not in old]
 
     @staticmethod
     def front(lo, top, basis, rows):
         return (lo, basis.pivots, basis.mat, rows)
 
-    def images(self, basis, old, lo, top):
-        """The images of the rows of `basis` whose pivots `old` lacks."""
+    def images(self, basis, new, lo, top):
+        """The images of the rows of `basis` the last merge added, by index."""
         p, w = self.p, self.op.width
-        old_piv = set(old.pivots)
-        new = [i for i, piv in enumerate(basis.pivots) if piv not in old_piv]
         # the new rows vanish left of their first pivot: map them from the
         # level below the one holding it
         starts = list(p.window_offsets(lo, top).values())

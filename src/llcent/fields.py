@@ -22,10 +22,17 @@ Giorgi and Pernet, ACM TOMS 35(3), 2008):
   that size.
 
 Every route returns int64 entries reduced into [0, p).
+
+Over Q, :meth:`RationalField.matmul` clears denominators: each operand
+becomes a matrix of Python ints over the lcm of its denominators, one
+integer product over object arrays replaces the Fraction arithmetic of a
+plain dot product, which takes a gcd at every multiply and every add, and
+each output entry is reduced once into a `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -245,9 +252,28 @@ class RationalField:
         return a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape[-1] == 0:
-            return self.zeros(a.shape[0], b.shape[-1])
-        return np.dot(a, b)
+        """Exact a @ b over Q, one `Fraction` per output entry.
+
+        a = A / L_a and b = B / L_b with A, B Python-int matrices and L_a,
+        L_b the lcm of each operand's denominators, so a @ b is the integer
+        product A @ B over L_a L_b (module docstring).
+        """
+        rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
+        if not (rows and inner and cols):
+            return self.zeros(rows, cols)
+        (num_a, den_a), (num_b, den_b) = _over_common_denominator(a), _over_common_denominator(b)
+        den = den_a * den_b
+        out = [Fraction(x, den) for x in np.dot(num_a, num_b).ravel().tolist()]
+        return np.array(out, dtype=object).reshape(rows, cols)
+
+
+def _over_common_denominator(a: np.ndarray) -> tuple:
+    """(A, L): a = A / L, L the lcm of a's denominators and A an object array
+    of Python ints (int and np.int64 entries are their own numerators)."""
+    flat = a.ravel().tolist()
+    lcm = math.lcm(*(x.denominator for x in flat))
+    nums = [int(x.numerator) * (lcm // x.denominator) for x in flat]
+    return np.array(nums, dtype=object).reshape(a.shape), lcm
 
 
 QQ = RationalField()

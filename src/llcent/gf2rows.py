@@ -48,39 +48,43 @@ def _low(row: int) -> int:
     return row & -row
 
 
-def _enter(pivots: dict, rows) -> bool:
+def _enter(pivots: dict, rows) -> list:
     """Enter the rows into the echelon basis `pivots` maps from its lowest
-    bits; True when any row was kept.
+    bits; returns the pivots of the rows kept.
 
     Each row is reduced by the basis row whose pivot is its current lowest
     bit, until it vanishes or its lowest bit is no pivot yet; it is then
     kept with that pivot.  No row already in the basis changes.
     """
-    kept = False
+    kept = []
     for x in rows:
         while x:
             low = x & -x
             row = pivots.get(low)
             if row is None:
-                pivots[low], kept = x, True
+                pivots[low] = x
+                kept.append(low)
                 break
             x ^= row
     return kept
 
 
-def merge(block: list, rows) -> list:
-    """An echelon basis of span(block) + span(rows), sorted by pivot.
+def merge(block: list, rows) -> tuple:
+    """(An echelon basis of span(block) + span(rows), the rows it kept),
+    both sorted by pivot.
 
     `block` must be an echelon basis sorted by pivot.  The new rows are
     entered by `_enter`, so the block's rows come back unchanged and in
     order, the kept rows inserted by pivot, and `block` itself when none
     is kept.  The pivots are those of `linalg.rref_union` on the unpacked
-    rows; the rows are not reduced (`echelon` is).
+    rows; the rows are not reduced (`echelon` is).  The kept rows are the
+    ones the chain loop maps next (`ChainRows.images`).
     """
     pivots = {r & -r: r for r in block}
-    if not _enter(pivots, rows):
-        return block
-    return [pivots[low] for low in sorted(pivots)]
+    kept = _enter(pivots, rows)
+    if not kept:
+        return block, kept
+    return [pivots[low] for low in sorted(pivots)], [pivots[low] for low in sorted(kept)]
 
 
 def echelon(rows) -> list:
@@ -169,6 +173,28 @@ def _boundary_columns(op) -> list:
     return cols
 
 
+class _Front:
+    """A packed front state's block and image rows, compared relative to
+    their own lo: equal to another state's when the rows are equal shifted
+    down by `at`, the bit of lo.  `entropy._front_repeats` compares lo and
+    top - lo first, so the rows are shifted only when those match."""
+
+    __slots__ = ("at", "block", "rows")
+    __hash__ = None
+
+    def __init__(self, at: int, block: list, rows: list):
+        self.at, self.block, self.rows = at, block, rows
+
+    def __eq__(self, other):
+        a, b = self.at, other.at
+        return (
+            len(self.block) == len(other.block)
+            and len(self.rows) == len(other.rows)
+            and all(x >> a == y >> b for x, y in zip(self.block, other.block))
+            and all(x >> a == y >> b for x, y in zip(self.rows, other.rows))
+        )
+
+
 class ChainRows:
     """The kernels of `entropy._grow_chain` for one GF(2) chain over the tail a0.
 
@@ -229,11 +255,12 @@ class ChainRows:
             return rows, top, top
         return rows, self._level(_low(bits).bit_length() - 1) - 1, self._level(bits.bit_length() - 1)
 
-    def edge(self, rows, lo, top, t, g) -> bool:
-        """Conditions A-C of the leading-edge stop; see `entropy._ArrayRows.edge`."""
+    def edge(self, rows, lo, top, t, g):
+        """Conditions A-C of the leading-edge stop: True, False or None as
+        `entropy._ArrayRows.edge` returns them."""
         op = self.op
         if t < op.b_hi or len(rows) != g or (top - max(lo, t)) * self.d < g:
-            return False
+            return None
         power = op.right_edge_power()
         if power.shape[1] < g:
             return False
@@ -268,17 +295,17 @@ class ChainRows:
     rank = staticmethod(len)
 
     def union(self, block, rows):
-        return merge(block, rows)  # the module's merge, looked up at call time
+        """(The merged block, the rows it kept), by the module's merge,
+        looked up at call time."""
+        return merge(block, rows)
 
     def front(self, lo, top, block, rows):
         """The front state relative to lo; see `entropy._front_repeats`."""
-        at = self.at(lo)
-        return (lo, top - lo, tuple(r >> at for r in block), tuple(x >> at for x in rows))
+        return (lo, top - lo, _Front(self.at(lo), block, rows))
 
-    def images(self, block, old, lo, top):
-        """The images of the rows of `block` whose pivots `old` lacks."""
-        seen = {r & -r for r in old}
-        return self.act([r for r in block if r & -r not in seen]), self.a0, top + self.w
+    def images(self, block, kept, lo, top):
+        """The images of the rows the last merge kept."""
+        return self.act(kept), self.a0, top + self.w
 
     def act(self, rows) -> list:
         """The images of packed rows under the operator, levels <= a0 dropped.

@@ -27,6 +27,7 @@ is written once, in `CompactOpenSubspace.rows_over`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import NotContained, ProfileMismatch
 from .linalg import SubspaceBasis, subspace_combine
 
 WINDOW_TABLE_SIZE = 4096  # entries per window table of a profile
-_WINDOW_TABLES = ("_window_coords", "_window_dims", "_window_offsets")
+_WINDOW_TABLES = ("_window_coords", "_window_offsets")
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,10 @@ class Profile:
         # (unpickled, or built by separate callers) on every lookup.
         for name in _WINDOW_TABLES:
             object.__setattr__(self, name, {})
+        # window_dim's constants; prefix[j] is the dimension of the first j
+        # boundary levels
+        prefix = (0, *accumulate(self.boundary))
+        object.__setattr__(self, "_sums", (self.n_lo - 1, len(self.boundary), prefix, self.d_left, self.d_right))
 
     # Operators and subspaces compare their profiles on every check, so
     # identity decides first and the hash is computed once.
@@ -85,9 +90,9 @@ class Profile:
 
     def __getstate__(self):
         # the field's hash hashes a string, which differs between processes;
-        # the window tables are rebuilt on demand
+        # the window tables and sums are rebuilt
         state = dict(self.__dict__)
-        for name in ("_hash", *_WINDOW_TABLES):
+        for name in ("_hash", "_sums", *_WINDOW_TABLES):
             state.pop(name, None)
         return state
 
@@ -131,8 +136,8 @@ class Profile:
         )
 
     # -- window flattening: coordinates of levels in (a, b] ----------------
-    # The lookups are inlined: window_dim runs on every engine step.  A full
-    # table is cleared, which bounds it at WINDOW_TABLE_SIZE entries.
+    # The table lookups are inlined.  A full table is cleared, which bounds
+    # it at WINDOW_TABLE_SIZE entries.
     def window_coords(self, a: int, b: int) -> list:
         try:
             return self._window_coords[a, b]
@@ -144,14 +149,28 @@ class Profile:
             return coords
 
     def window_dim(self, a: int, b: int) -> int:
-        try:
-            return self._window_dims[a, b]
-        except KeyError:
-            table = self._window_dims
-            if len(table) >= WINDOW_TABLE_SIZE:
-                table.clear()
-            dim = table[a, b] = sum(self.dim(n) for n in range(a + 1, b + 1))
-            return dim
+        """The dimension of the levels (a, b], 0 when b <= a.
+
+        It runs on every engine step, so it takes no table.  With S(n) the
+        dimension of the levels (n_lo - 1, n], negative below n_lo - 1, it
+        is S(b) - S(a): prefix sums over the boundary levels, and d_left or
+        d_right per level outside them.
+        """
+        if b <= a:
+            return 0
+        base, last, prefix, d_left, d_right = self._sums
+        i, j = a - base, b - base  # S(n) = prefix[n - base] for 0 <= n - base <= last
+        if j > last:
+            s_b = prefix[last] + (j - last) * d_right
+        elif j >= 0:
+            s_b = prefix[j]
+        else:
+            return (j - i) * d_left
+        if i > last:
+            return (j - i) * d_right
+        if i >= 0:
+            return s_b - prefix[i]
+        return s_b - i * d_left
 
     def window_offsets(self, a: int, b: int) -> dict:
         try:

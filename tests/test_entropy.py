@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -450,8 +451,14 @@ class TestFrontRepeat:
         u = cofinal_chain(op.profile, 0)
         r = trajectory_relative_entropy(op, u)
         real = gf2rows.merge
+
+        def reduced_merge(block, rows):
+            merged, added = real(block, rows)
+            reduced, new = gf2rows.echelon(merged), {x & -x for x in added}
+            return reduced, [x for x in reduced if x & -x in new]
+
         with monkeypatch.context() as m:
-            m.setattr(gf2rows, "merge", lambda block, rows: gf2rows.echelon(real(block, rows)))
+            m.setattr(gf2rows, "merge", reduced_merge)
             reduced = trajectory_relative_entropy(op, u)
         assert [stepped for stepped, _ in fills] == [10, 7]
         assert _summary(r) == _summary(reduced) == (2, Status.PLATEAU, (4, 4, 4, 3) + (2,) * 19, 23)
@@ -604,6 +611,131 @@ class TestEdgeStop:
             runs.clear()
         assert reasons.count("a full-rank leading edge") >= 100
         assert reasons.count("a repeated front state") >= 10
+
+
+class TestEdgeMemo:
+    """Once the rank test C of the leading-edge stop fails, the chain loop
+    skips it at the next step if the gain stays g and the top moves up by
+    the width w, where it cannot pass; any other step tests again."""
+
+    # the two-speed endo_fields shapes: (seed, p, d, w) of
+    # random_endomorphism(Random(seed), GF(p)^d, width=w)
+    TWO_SPEED = [(0, 2, 4, 3), (2, 2**31 - 1, 4, 2)]
+
+    @staticmethod
+    def _trace(monkeypatch):
+        """Per chain step, in both kernel formats: the trimmed images, the
+        block's top (from the last step's `images`), the edge call's
+        (t, g, result), if any, and the unpatched edge test."""
+        import llcent.gf2rows as gf2rows
+
+        steps = []
+        for kernels in (entropy_module._ArrayRows, gf2rows.ChainRows):
+            real_trim, real_edge, real_images = kernels.trim, kernels.edge, kernels.images
+
+            def trim(self, rows, lo, top, real=real_trim, real_edge=real_edge):
+                out = real(self, rows, lo, top)
+                t = steps[-1]["next_top"] if steps and "next_top" in steps[-1] else None
+                steps.append({"images": out, "top": t, "edge": partial(real_edge, self)})
+                return out
+
+            def edge(self, rows, lo, top, t, g, real=real_edge):
+                out = real(self, rows, lo, top, t, g)
+                steps[-1]["call"] = (t, g, out)
+                return out
+
+            def images(self, basis, added, lo, top, real=real_images):
+                steps[-1]["next_top"] = top
+                return real(self, basis, added, lo, top)
+
+            monkeypatch.setattr(kernels, "trim", trim)
+            monkeypatch.setattr(kernels, "edge", edge)
+            monkeypatch.setattr(kernels, "images", images)
+        return steps
+
+    @staticmethod
+    def _check_rule(steps, r, w):
+        """Every step from the second on ran the test unless the rule allows
+        the skip, and a skipped test would not have passed.  Returns the
+        number of tests run."""
+        gains = r.certificate  # the trajectory engine reads the gain itself
+        fails, calls = None, 0
+        for s, step in enumerate(steps[1:]):
+            t, g = step["top"], gains[s]
+            assert t is not None
+            if fails == (t, g):
+                assert "call" not in step, f"step {s + 2} tested again at {(t, g)}"
+                assert step["edge"](*step["images"], t, g) is not True
+                outcome = False
+            else:
+                assert step["call"][:2] == (t, g), f"step {s + 2} skipped"
+                outcome, calls = step["call"][2], calls + 1
+            fails = (t + w, g) if outcome is False else None
+        return calls
+
+    def test_two_speed_shapes_match_full_window(self, monkeypatch):
+        # their readings settle by step 2, but the fronts never repeat and C
+        # fails: the loop steps to the plateau horizon, testing C once or
+        # twice per chain instead of at every step
+        steps = self._trace(monkeypatch)
+        for seed, p, d, w in self.TWO_SPEED:
+            op = random_endomorphism(random.Random(seed), Profile.constant(PrimeField(p), d), width=w)
+            for m in range(6):
+                u = cofinal_chain(op.profile, m)
+                steps.clear()
+                r = trajectory_relative_entropy(op, u)
+                calls = self._check_rule(steps, r, w)
+                assert 1 <= calls <= 2 and r.iterations >= 27, (seed, m, calls, r.iterations)
+                with monkeypatch.context() as patch:
+                    patch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+                    assert _summary(trajectory_relative_entropy(op, u)) == _summary(r), (seed, m)
+        # GF(2), C_0: C fails at t = 3 after a gain of 10, then at t = 6 after
+        # the gain fell to 8; the top then rises by 3 at every step
+        op = random_endomorphism(random.Random(0), Profile.constant(F2, 4), width=3)
+        steps.clear()
+        r = trajectory_relative_entropy(op, cofinal_chain(op.profile, 0))
+        assert [step["call"] for step in steps if "call" in step] == [(3, 10, False), (6, 8, False)]
+        assert r.iterations == 37
+
+    def test_rule_holds_across_operators(self, monkeypatch):
+        # generic and degenerate operators over both formats, on C_0..C_2:
+        # each step runs or skips the test exactly as the rule says
+        steps = self._trace(monkeypatch)
+        skipped = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            field = PrimeField(rng.choice([2, 3]))
+            d, w = rng.randint(1, 3), rng.randint(1, 3)
+            make = degenerate_endomorphism if seed % 2 else random_endomorphism
+            op = make(rng, Profile.constant(field, d), width=w, boundary=rng.randint(0, 3))
+            for m in range(3):
+                steps.clear()
+                r = trajectory_relative_entropy(op, cofinal_chain(op.profile, m))
+                skipped += len(steps) - 1 - self._check_rule(steps, r, w)
+        assert skipped >= 100
+
+    @pytest.mark.parametrize("seed, p, m", [(138, 2, 0), (156, 3, 0)])
+    def test_stalled_top_tests_again(self, monkeypatch, seed, p, m):
+        # p, d = 2, the width w (2, then 3) and the boundary drawn from
+        # Random(seed), as test_rule_holds_across_operators draws them: C
+        # fails at step 3 with top t, and step 4 gains the same, but its top
+        # stalls short of t + w.  Its edge then also holds images of rows
+        # below t, the bound of the skip does not hold, and C passes there:
+        # the leading edge stops the chain at step 4
+        steps = self._trace(monkeypatch)
+        rng = random.Random(seed)
+        field = PrimeField(rng.choice([2, 3]))
+        d, w = rng.randint(1, 3), rng.randint(1, 3)
+        assert (field.p, d) == (p, 2)
+        op = random_endomorphism(rng, Profile.constant(field, d), width=w, boundary=rng.randint(0, 3))
+        u = cofinal_chain(op.profile, m)
+        r = trajectory_relative_entropy(op, u)
+        (t, g, failed), (t4, g4, passed) = steps[2]["call"], steps[3]["call"]
+        assert failed is False and passed is True and g4 == g and t < t4 < t + w
+        self._check_rule(steps, r, w)
+        with monkeypatch.context() as patch:
+            patch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+            assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
 
 
 class TestTotalEntropy:
@@ -794,6 +926,64 @@ class TestLatePlateau:
     @pytest.mark.parametrize("seed, d, ent", CASES)
     def test_default_config_reads_the_late_value(self, seed, d, ent):
         assert total_entropy(self._op(seed, d)).value == ent
+
+    @staticmethod
+    def _generic():
+        """A generic operator: p, width and d drawn from Random(80004) in
+        that order, then random_endomorphism with the default boundary."""
+        rng = random.Random(80004)
+        p, width, d = rng.choice([2, 3, 5]), rng.randint(1, 3), rng.randint(1, 3)
+        return random_endomorphism(rng, Profile.constant(PrimeField(p), d), width=width)
+
+    def test_generic_long_sweep_rises_at_b_hi_plus_width(self):
+        # GF(3), d = 2, width 3, b = [-3, 3]: no degenerate block, and the
+        # rise still comes at m = 6
+        op = self._generic()
+        assert (op.profile.field, op.profile.d_right, op.width, op.b_lo, op.b_hi) == (F3, 2, 3, -3, 3)
+        r = total_entropy(op, EntropyConfig(plateau_streak=8, max_chain_index=20))
+        assert (r.value, r.status) == (6, Status.PLATEAU)
+        assert r.certificate == (3, 4, 4, 5, 5, 5) + (6,) * 8
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: the chain-index plateau stops before m = b_hi + width, on generic operators too",
+    )
+    def test_generic_default_config_reads_the_late_value(self):
+        assert total_entropy(self._generic()).value == 6
+
+
+class TestDistantSubspace:
+    """ROADMAP item 2: on a compact open subspace far left of the operator's
+    boundary region the trajectory readings drop after the structural
+    horizon, so the default plateau rule accepts a value they later leave."""
+
+    @staticmethod
+    def _case():
+        """p, width, d and the boundary drawn from Random(303192) in that
+        order, then random_endomorphism, and U = U_{-7}."""
+        rng = random.Random(303192)
+        p, width, d, boundary = rng.choice([2, 3]), rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 3)
+        profile = Profile.constant(PrimeField(p), d)
+        op = random_endomorphism(rng, profile, width=width, boundary=boundary)
+        return op, CompactOpenSubspace.make(profile, -7)
+
+    def test_long_run_reaches_the_fixed_point(self):
+        # GF(2), d = 2, width 1, b = [-2, 2]: the chain gains 1 for 13 steps,
+        # past the default run's plateau, then reaches a fixed point
+        op, u = self._case()
+        assert (op.profile.field, op.profile.d_right, op.width, op.b_lo, op.b_hi) == (F2, 2, 1, -2, 2)
+        r = trajectory_relative_entropy(op, u, EntropyConfig(plateau_streak=40, max_trajectory_steps=600))
+        assert _summary(r) == (0, Status.EXACT, (1,) * 13 + (0,), 14)
+        r = trajectory_relative_entropy(op, CompactOpenSubspace.make(op.profile, -6))
+        assert _summary(r) == (0, Status.EXACT, (1,) * 12 + (0,), 13)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 2: the structural horizon ignores how far U lies from the boundary region",
+    )
+    def test_default_config_reads_the_fixed_point(self):
+        op, u = self._case()
+        assert trajectory_relative_entropy(op, u).value == 0
 
 
 class TestClosedForms:
@@ -1000,7 +1190,8 @@ def growing_union(gains):
 
     def fake(basis, rows):
         if P == 2:
-            return [1 << i for i in range(len(basis) + next(gains))]
+            merged = [1 << i for i in range(len(basis) + next(gains))]
+            return merged, merged[len(basis):]
         n, k = basis.ambient_dim, basis.rank + next(gains)
         return L.SubspaceBasis.span(basis.field, np.eye(n, dtype=np.int64)[:k], ambient_dim=n)
 
@@ -1024,7 +1215,9 @@ union_calls = []
 
 def union_dropping_third(basis, rows):
     union_calls.append(rows)
-    return basis if len(union_calls) == 3 else real_union(basis, rows)
+    if len(union_calls) == 3:
+        return (basis, []) if P == 2 else basis
+    return real_union(basis, rows)
 
 
 patch_union(union_dropping_third)

@@ -175,3 +175,43 @@ def test_prime_matmul_matches_python_ints_on_every_route(case):
     assert got.dtype == np.int64
     assert got.shape == (a.shape[0], b.shape[1])
     assert got.tolist() == want
+
+
+@st.composite
+def rational_cases(draw):
+    """Q operands with entries of every kind the arrays may hold: Fractions
+    with small, negative and large (up to 10^30) denominators, ints and
+    np.int64; inner size 0 and all-zero columns included."""
+    rows, inner, cols = draw(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
+    den = st.integers(1, 12) | st.integers(-(10**30), 10**30).filter(bool)
+    entry = st.one_of(
+        st.builds(Fraction, st.integers(-(10**40), 10**40), den),
+        st.integers(-(10**20), 10**20),
+        st.integers(-(2**62), 2**62).map(np.int64),
+        st.just(Fraction(0)),
+    )
+
+    def operand(r, c):
+        a = np.empty((r, c), dtype=object)
+        for i in range(r):
+            for j in range(c):
+                a[i, j] = draw(entry)
+        if c and draw(st.booleans()):
+            a[:, draw(st.integers(0, c - 1))] = Fraction(0)
+        return a
+
+    return operand(rows, inner), operand(inner, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rational_cases())
+@example(case=(np.empty((2, 0), dtype=object), np.empty((0, 3), dtype=object)))
+def test_rational_matmul_matches_fraction_dot(case):
+    a, b = case
+    as_fractions = np.vectorize(lambda x: Fraction(int(x)) if not isinstance(x, Fraction) else x, otypes=[object])
+    fa, fb = as_fractions(a).reshape(a.shape), as_fractions(b).reshape(b.shape)
+    want = np.dot(fa, fb) if a.shape[1] else np.full((a.shape[0], b.shape[1]), Fraction(0), dtype=object)
+    got = QQ.matmul(a, b)
+    assert got.dtype == object and got.shape == (a.shape[0], b.shape[1])
+    assert all(type(x) is Fraction for x in got.flat)
+    assert got.tolist() == want.tolist()

@@ -27,7 +27,7 @@ def _bits(rng, m, n):
 
 class TestMerge:
     """merge on packed rows: an echelon basis with rref_union's pivots that
-    keeps the block's rows as they are."""
+    keeps the block's rows as they are, and the rows it added."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -48,24 +48,26 @@ class TestMerge:
         if extra:
             rows = np.concatenate([rows, np.array(extra, dtype=np.int64).reshape(-1, n)])
         want = rref_union(SubspaceBasis.span(F2, unpack(block, n), ambient_dim=n), rows)
-        got = merge(block, pack(rows))
+        got, added = merge(block, pack(rows))
         assert got == sorted(got, key=lambda r: r & -r)
         assert [(r & -r).bit_length() - 1 for r in got] == list(want.pivots)  # distinct, as the pivots are
         assert echelon(got) == pack(want.mat)
         kept = iter(got)
         assert all(r in kept for r in block)  # the block's rows, verbatim and in order
+        # the added rows are the merged rows the block lacks, in pivot order
+        assert added == [r for r in got if r not in block]
         if len(got) == len(block):
-            assert got is block
+            assert got is block and added == []
 
     def test_empty_sides(self):
         block = [0b011]
-        assert merge(block, []) is block
-        assert merge([], [0b110, 0b011, 0]) == [0b011, 0b110]
+        assert merge(block, [])[0] is block and merge(block, [0b011])[1] == []
+        assert merge([], [0b110, 0b011, 0]) == ([0b011, 0b110], [0b011, 0b110])
         assert echelon([0b110, 0b011, 0]) == [0b101, 0b110]
 
     def test_block_rows_kept_unreduced(self):
         # 0b011 holds the new pivot bit 1; a reduced merge would clear it
-        assert merge([0b011], [0b110, 0b011, 0]) == [0b011, 0b110]
+        assert merge([0b011], [0b110, 0b011, 0]) == ([0b011, 0b110], [0b110])
 
 
 class TestAct:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import llcent.linalg as linalg
 from llcent.errors import NotContained, ProfileMismatch
@@ -348,13 +350,39 @@ class TestProfileShapes:
         assert a.window_offsets(-1, 2) == {0: 0, 1: 2, 2: 3}
         assert a.window_dim(-4, 3) == 2 + 2 + 1 + 2 + 1 + 3 + 1
 
+    @staticmethod
+    def assert_window_arithmetic(p, span=6):
+        """window_dim(a, b) is the sum of dim(n) over (a, b], and 0 for b <= a,
+        on every window within `span` levels of the boundary levels."""
+        levels = range(p.n_lo - span, p.n_hi + span + 1)
+        for a in levels:
+            for b in levels:
+                assert p.window_dim(a, b) == sum(p.dim(n) for n in range(a + 1, b + 1)), (a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.dictionaries(st.integers(-4, 4), st.integers(0, 3), max_size=5),
+        d_left=st.integers(0, 3),
+        d_right=st.integers(0, 3),
+    )
+    def test_window_dim_is_the_sum_of_level_dims(self, dims, d_left, d_right):
+        # windows that start or end left of n_lo, inside the boundary levels
+        # and right of n_hi, empty and reversed ones (b <= a) included
+        p = Profile.from_dims(F3, dims, d_left, d_right)
+        self.assert_window_arithmetic(p)
+        assert p.window_dim(p.n_hi + 1, p.n_lo - 2) == 0
+        far = 10**6
+        assert p.window_dim(-far, far) == p.window_dim(-far, p.n_lo - 1) + p.window_dim(p.n_lo - 1, far)
+        assert p.window_dim(p.n_hi, far) == (far - p.n_hi) * d_right
+
     def test_pickled_state_holds_no_window_table(self):
         a = Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1)
         self.windows(a)
-        assert not {"_window_coords", "_window_dims", "_window_offsets", "_hash"} & set(a.__getstate__())
+        assert not {"_window_coords", "_sums", "_window_offsets", "_hash"} & set(a.__getstate__())
         copy = pickle.loads(pickle.dumps(a))
-        assert copy._window_dims == copy._window_offsets == copy._window_coords == {}
+        assert copy._window_offsets == copy._window_coords == {}
         assert self.windows(copy) == self.windows(a)
+        self.assert_window_arithmetic(copy)
 
     def test_lookup_on_fresh_equal_profile_compares_no_profiles(self, monkeypatch):
         a = Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1)
@@ -373,5 +401,7 @@ class TestProfileShapes:
         p = Profile.constant(F2, 1)
         for a in range(-WINDOW_TABLE_SIZE - 1, 1):
             assert p.window_dim(a, 0) == -a
-        assert 0 < len(p._window_dims) <= WINDOW_TABLE_SIZE
+            assert p.window_offsets(a - 1, a) == {a: 0}
+        assert 0 < len(p._window_offsets) <= WINDOW_TABLE_SIZE
+        self.assert_window_arithmetic(p)
 

@@ -10,10 +10,12 @@ arguments.  It then feeds each recorded call to ``_grow_chain`` and to
 ``grow_chain_full_window`` of tests/_oracles.py, the loop that never
 stops early.  It prints, per catalog and per shape (field, d_right, band
 width), how many chains stopped early at a full-rank leading edge and at
-a repeated front state and how many steps that saved, the total time of
-the engine's loop against the oracle and the loop's time per shape (best
-of 3 replays each); it exits 1 when the two return another value,
-status, certificate or step count on any call.
+a repeated front state and how many steps that saved, how many of the
+leading-edge rank tests of the steps taken the loop skipped because an
+earlier one failed (`_grow_chain`), the total time of the engine's loop
+against the oracle and the loop's time per shape (best of 3 replays
+each); it exits 1 when the two return another value, status, certificate
+or step count on any call.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/chain_replay.py [--check]
 
@@ -33,6 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import llcent.entropy as entropy  # noqa: E402
+import llcent.gf2rows as gf2rows  # noqa: E402
 from _oracles import grow_chain_full_window  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
 from llcent.fields import PrimeField  # noqa: E402
@@ -92,10 +95,23 @@ def shape(args):
     return f"{op.profile.field.name} d={op.profile.d_right} w={op.width}"
 
 
+KEYS = ("chains", "edge", "front", "filled", "steps", "tests", "skipped")
+KERNELS = (entropy._ArrayRows, gf2rows.ChainRows)
+
+
 def replay(calls):
-    """(mismatches, {shape: {"chains", "edge", "front", "filled", "steps"}}) over the calls."""
+    """(mismatches, {shape: {key: count for key in KEYS}}) over the calls."""
     stop = []  # "edge" or "front" for the step that ended the stepping, then the steps it saved
+    tested = []  # one entry per edge test the current call ran
     real_fixed, real_fill = entropy._readings_fixed, entropy._fill_repeated
+    real_edges = [k.edge for k in KERNELS]
+
+    def counting(real):
+        def edge(self, *args):
+            tested.append(None)
+            return real(self, *args)
+
+        return edge
 
     def fixed(front, prev, edge):
         reason = real_fixed(front, prev, edge)
@@ -109,17 +125,23 @@ def replay(calls):
         return r
 
     entropy._readings_fixed, entropy._fill_repeated = fixed, fill
-    got, stops = [], []
+    for kernels, real in zip(KERNELS, real_edges):
+        kernels.edge = counting(real)
+    got, stops, tests = [], [], []
     try:
         for args in calls:
             stop.clear()
+            tested.clear()
             got.append(entropy._grow_chain(*args))
             stops.append(tuple(stop) if len(stop) == 2 else None)
+            tests.append(len(tested))
     finally:
         entropy._readings_fixed, entropy._fill_repeated = real_fixed, real_fill
+        for kernels, real in zip(KERNELS, real_edges):
+            kernels.edge = real
     bad = []
-    counts = defaultdict(lambda: dict.fromkeys(("chains", "edge", "front", "filled", "steps"), 0))
-    for k, (args, r, s) in enumerate(zip(calls, got, stops)):
+    counts = defaultdict(lambda: dict.fromkeys(KEYS, 0))
+    for k, (args, r, s, ran) in enumerate(zip(calls, got, stops, tests)):
         want = grow_chain_full_window(*args)
         if summary(r) != summary(want):
             bad.append(f"call {k} ({args[-1]}): got {summary(r)}, oracle {summary(want)}")
@@ -129,13 +151,18 @@ def replay(calls):
         if s:
             c[s[0]] += 1
             c["filled"] += s[1]
+        # every step taken after the first has an edge test, run or skipped
+        taken = r.iterations - (s[1] if s else 0)
+        c["tests"] += taken - 1
+        c["skipped"] += taken - 1 - ran
     return bad, dict(counts)
 
 
 def line(label, c):
     return (
         f"{label}: {c['chains']} chains, {c['edge']} stopped at a leading edge and {c['front']} at a "
-        f"repeated front, {c['filled']} of {c['steps']} steps filled ({c['filled'] / max(c['steps'], 1):.0%})"
+        f"repeated front, {c['filled']} of {c['steps']} steps filled ({c['filled'] / max(c['steps'], 1):.0%}), "
+        f"{c['skipped']} of {c['tests']} edge rank tests skipped"
     )
 
 
@@ -161,7 +188,7 @@ def main(argv=None) -> int:
         total_bad += len(bad)
         for text in bad:
             print(f"MISMATCH {name} {text}")
-        total = {key: sum(c[key] for c in counts.values()) for key in ("chains", "edge", "front", "filled", "steps")}
+        total = {key: sum(c[key] for c in counts.values()) for key in KEYS}
         print(f"{line(name, total)}, {len(bad)} mismatches")
         for label in sorted(counts):
             print(f"  {line(label, counts[label])}")

@@ -43,15 +43,15 @@ shifts of all of a step's rows at once.  Over any other field they are
 arrays (`_ArrayRows`), merged into the reduced form by
 `linalg.rref_union` and mapped by `operators._apply_action`.
 
-What an engine sets up before its first step depends only on the
-operator it maps with and the chain's tail, so it is kept on that
-operator: the kernels (`_chain_rows`, per tail a0), the action table
-whose first rows and columns are the images of U_top for every top
-(`operators.image_rows_mod_tail`, per tail), and the limit-free tail
+The costly set-up of an engine depends only on the operator it maps
+with and the chain's tail, so it is kept on that operator: the action
+table whose first rows and columns are the images of U_top for every top
+(`operators.image_rows_mod_tail`, per tail) and the limit-free tail
 constant c (`_tail_constant`, per tail and a0).  Every member C_m = U_m
 of the cofinal chain has tail 0, so a sweep over m in `total_entropy`
 builds each of them once, and maps each level once: the image of C_m is
-the first block of the image of C_{m+1}.
+the first block of the image of C_{m+1}.  The kernels (`_chain_rows`)
+are cheap, and built for each chain.
 
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
@@ -69,8 +69,7 @@ from __future__ import annotations
 
 import enum
 import math
-import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,19 +399,11 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
 
 
 def _chain_rows(img_op, a0):
-    """The chain loop's kernels for the field: packed rows over GF(2), arrays
-    otherwise; kept on the operator per tail a0, as they hold no chain state.
-
-    The kernels see the operator through a weak proxy: a strong reference
-    back to the operator that keeps them would be a cycle, freed only by
-    the garbage collector.
-    """
-    k = img_op._chains.get(a0)
-    if k is None:
-        f = img_op.profile.field
-        packed = f.dtype is not object and f.p == 2
-        k = img_op._chains[a0] = (gf2rows.ChainRows if packed else _ArrayRows)(weakref.proxy(img_op), a0)
-    return k
+    """The chain loop's kernels for the field over the tail a0, new for each
+    chain: packed rows over GF(2), arrays otherwise."""
+    f = img_op.profile.field
+    packed = f.dtype is not object and f.p == 2
+    return (gf2rows.ChainRows if packed else _ArrayRows)(img_op, a0)
 
 
 class _ArrayRows:
@@ -439,12 +430,8 @@ class _ArrayRows:
         nonzero = np.flatnonzero(np.any(rows != 0, axis=0))
         if not nonzero.size:
             return rows[:, :0], top, top
-        starts = list(p.window_offsets(lo, top).values())
-        # level lo + j is the last level starting at or before column c
-        first = bisect_right(starts, int(nonzero[0]))
-        last = bisect_right(starts, int(nonzero[-1]))
-        end = starts[last - 1] + p.dim(lo + last)
-        return rows[:, starts[first - 1] : end], lo + first - 1, lo + last
+        first, last = p.level_at(lo, int(nonzero[0])), p.level_at(lo, int(nonzero[-1]))
+        return rows[:, p.window_dim(lo, first - 1) : p.window_dim(lo, last)], first - 1, last
 
     def edge(self, rows, lo, top, t, g):
         """Conditions A-C of the leading-edge stop in _grow_chain.
@@ -540,11 +527,9 @@ class _ArrayRows:
         p, w = self.p, self.op.width
         # the new rows vanish left of their first pivot: map them from the
         # level below the one holding it
-        starts = list(p.window_offsets(lo, top).values())
-        j = bisect_right(starts, basis.pivots[new[0]])  # level lo + j holds it
-        src_lo = lo + j - 1
+        src_lo = p.level_at(lo, basis.pivots[new[0]]) - 1
         delta_lo, delta_top = max(self.a0, src_lo - w), top + w
-        rows = _apply_action(self.op, basis.mat[new, starts[j - 1] :], src_lo, top, delta_lo, delta_top)
+        rows = _apply_action(self.op, basis.mat[new, p.window_dim(lo, src_lo) :], src_lo, top, delta_lo, delta_top)
         return rows, delta_lo, delta_top
 
 
@@ -601,18 +586,14 @@ def _tail_constant(inverse: BandedOperator, tail: int, a0: int) -> int:
     return c
 
 
-def _cross_check(r_traj: EntropyResult, r_lf: EntropyResult, u: CompactOpenSubspace):
-    if r_traj.reliable() and r_lf.reliable() and r_traj.value != r_lf.value:
-        raise EngineDisagreement(
-            f"trajectory {r_traj.value} vs limit-free {r_lf.value} on {u!r}"
-        )
-
-
 def relative_entropy_both(op, inverse, u, cfg=DEFAULT_CONFIG):
     """Run both engines on U and cross-assert their values."""
     r_traj = trajectory_relative_entropy(op, u, cfg)
     r_lf = limit_free_relative_entropy(op, inverse, u, cfg)
-    _cross_check(r_traj, r_lf, u)
+    if r_traj.reliable() and r_lf.reliable() and r_traj.value != r_lf.value:
+        raise EngineDisagreement(
+            f"trajectory {r_traj.value} vs limit-free {r_lf.value} on {u!r}"
+        )
     return r_traj, r_lf
 
 
@@ -662,13 +643,12 @@ def total_entropy(
         cm = cofinal_chain(profile, m)
         if engine == "limitfree":
             r = limit_free_relative_entropy(op, inverse, cm, cfg)
+        elif engine == "both":
+            r, r_lf = relative_entropy_both(op, inverse, cm, cfg)
+            if not r.reliable():
+                r = r_lf
         else:
             r = trajectory_relative_entropy(op, cm, cfg)
-            if engine == "both":
-                r_lf = limit_free_relative_entropy(op, inverse, cm, cfg)
-                _cross_check(r, r_lf, cm)
-                if not r.reliable():
-                    r = r_lf
         if prev is not None and prev.reliable() and r.reliable() and r.value < prev.value:
             raise EngineInvariant(
                 f"chain entropies must be non-decreasing, got {values + [r.value]}"

@@ -20,7 +20,7 @@ the window.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import reduce
 from operator import or_
 
@@ -204,16 +204,14 @@ class ChainRows:
     per mapped row, zero rows included, all in the absolute bits of the
     window over (a0, infinity).  The array kernels of `entropy` take the
     same arguments and return the same things in their own format.
+    `entropy._chain_rows` builds one per chain, from the operator's tables
+    (`_cached`) and the profile's `window_dim` and `level_at`.
     """
 
     def __init__(self, op, a0: int):
         p = op.profile
         self.op, self.p, self.a0, self.w = op, p, a0, op.width
         d = self.d = p.d_right
-        # level of a bit: bisect over the level starts up to n_hi, then
-        # levels of width d_right
-        self._starts = [p.window_dim(a0, n) for n in range(a0, p.n_hi)]
-        self._base = p.window_dim(a0, p.n_hi)
         # right of b_hi: the sources of a row x are the bits from
         # window_dim(a0, b_hi) on, taken to a slot of their own, w d bits up
         # so that no image falls below the slot (`act`)
@@ -237,11 +235,6 @@ class ChainRows:
         """The bit of the first coordinate above `level` (level >= a0)."""
         return self.p.window_dim(self.a0, level)
 
-    def _level(self, bit: int) -> int:
-        if bit >= self._base:
-            return self.p.n_hi + 1 + (bit - self._base) // self.d
-        return self.a0 + bisect_right(self._starts, bit)
-
     # -- the kernels ---------------------------------------------------------
     def start(self, basis, rows):
         """The packed chain basis and first images (given over (a0, ...])."""
@@ -253,7 +246,8 @@ class ChainRows:
         bits = reduce(or_, rows, 0)
         if not bits:
             return rows, top, top
-        return rows, self._level(_low(bits).bit_length() - 1) - 1, self._level(bits.bit_length() - 1)
+        level = self.p.level_at
+        return rows, level(self.a0, _low(bits).bit_length() - 1) - 1, level(self.a0, bits.bit_length() - 1)
 
     def edge(self, rows, lo, top, t, g):
         """Conditions A-C of the leading-edge stop: True, False or None as

@@ -38,7 +38,7 @@ class BandedOperator:
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
         "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
-        "_tables", "_chains", "_tail_ranks", "_reach", "__weakref__",
+        "_tables", "_tail_ranks", "_reach",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -57,16 +57,8 @@ class BandedOperator:
         self._violations = None  # validate's list, kept by entropy._check_op
         self._inverse = None  # the inverse entropy._check_pair verified
         self._tables = {}  # tail a -> (M, action rows of (a - w, M] into (a, M + w])
-        self._chains = {}  # tail a0 -> the chain loop's kernels (entropy._chain_rows)
         self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
         self._reach = None  # _boundary_reach's (down, up)
-
-    def __getstate__(self):
-        # the chain kernels see the operator through a weak proxy, which
-        # would pickle as a second copy of it; they are rebuilt on use
-        state = {name: getattr(self, name) for name in self.__slots__ if name != "__weakref__"}
-        state["_chains"] = {}
-        return None, state
 
     def _norm_blocks(self, f, blocks, d):
         out = {}
@@ -416,22 +408,21 @@ def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_
     (taken modulo the tail), images above dst_hi must not occur."""
     p = op.profile
     f = p.field
-    src_offs = p.window_offsets(src_lo, src_hi)
-    dst_offs = p.window_offsets(dst_lo, dst_hi)
+    dst_offs = {m: p.window_dim(dst_lo, m - 1) for m in range(dst_lo + 1, dst_hi + 1)}
     mat = f.zeros(p.window_dim(src_lo, src_hi), p.window_dim(dst_lo, dst_hi))
     for n in range(src_lo + 1, src_hi + 1):
+        first = p.window_dim(src_lo, n - 1)
         for i in range(p.dim(n)):
-            row = src_offs[n] + i
             for (m, s), v in op.column(n, i).support.items():
                 if m <= dst_lo:
                     continue
                 if m > dst_hi:
                     raise ValueError("action window too small for the band")
-                mat[row, dst_offs[m] + s] = v
+                mat[first + i, dst_offs[m] + s] = v
     return mat
 
 
-def _stationary_image(f, x, stack, n0: int, dst_lo: int, dst_hi: int, dst_offs: dict, out):
+def _stationary_image(p, x, stack, n0: int, dst_lo: int, dst_hi: int, out):
     """Add the images of the stationary source levels n0, n0+1, ... into out.
 
     x holds the rows' coordinates at those levels as an (m, count, d)
@@ -448,6 +439,7 @@ def _stationary_image(f, x, stack, n0: int, dst_lo: int, dst_hi: int, dst_offs: 
     lo, hi = n0 + shifts[0], n0 + count - 1 + shifts[-1]  # levels reached
     if hi > dst_hi:
         raise ValueError("action window too small for the band")
+    f = p.field
     img = f.matmul(x.reshape(m * count, d), stacked).reshape(m, count, len(shifts), d)
     reach = f.zeros(m, (hi - lo + 1) * d).reshape(m, hi - lo + 1, d)
     for k, j in enumerate(shifts):
@@ -455,7 +447,8 @@ def _stationary_image(f, x, stack, n0: int, dst_lo: int, dst_hi: int, dst_offs: 
     first = max(lo, dst_lo + 1)  # images at levels <= dst_lo are dropped
     if first <= hi:
         width = (hi - first + 1) * d
-        out[:, dst_offs[first] : dst_offs[first] + width] += reach[:, first - lo :].reshape(m, width)
+        start = p.window_dim(dst_lo, first - 1)
+        out[:, start : start + width] += reach[:, first - lo :].reshape(m, width)
 
 
 def _apply_action(
@@ -486,15 +479,13 @@ def _apply_action(
         # only boundary levels (or empty ones): the dense action is the whole map
         return f.matmul(rows, _action_rows(op, src_lo, src_hi, dst_lo, dst_hi))
     m = rows.shape[0]
-    src_offs = p.window_offsets(src_lo, src_hi)
-    dst_offs = p.window_offsets(dst_lo, dst_hi)
     out = f.zeros(m, p.window_dim(dst_lo, dst_hi))
     if has_left:
-        x = rows[:, : src_offs[left_hi] + p.d_left].reshape(m, left_hi - src_lo, p.d_left)
-        _stationary_image(f, x, op.stationary_stack("left"), src_lo + 1, dst_lo, dst_hi, dst_offs, out)
+        x = rows[:, : p.window_dim(src_lo, left_hi)].reshape(m, left_hi - src_lo, p.d_left)
+        _stationary_image(p, x, op.stationary_stack("left"), src_lo + 1, dst_lo, dst_hi, out)
     if has_right:
-        x = rows[:, src_offs[right_lo] :].reshape(m, src_hi - right_lo + 1, p.d_right)
-        _stationary_image(f, x, op.stationary_stack("right"), right_lo, dst_lo, dst_hi, dst_offs, out)
+        x = rows[:, p.window_dim(src_lo, right_lo - 1) :].reshape(m, src_hi - right_lo + 1, p.d_right)
+        _stationary_image(p, x, op.stationary_stack("right"), right_lo, dst_lo, dst_hi, out)
     lo, hi = max(src_lo + 1, op.b_lo), min(src_hi, op.b_hi)
     if lo <= hi:
         # the images of levels lo..hi lie inside (lo - 1 - down, hi + up]
@@ -503,8 +494,8 @@ def _apply_action(
         cut_lo = min(max(dst_lo, lo - 1 - down), cut_hi)
         action = _action_rows(op, lo - 1, hi, cut_lo, cut_hi)
         if action.shape[1]:
-            start = dst_offs[cut_lo + 1]
-            boundary = rows[:, src_offs[lo] : src_offs[hi] + p.dim(hi)]
+            start = p.window_dim(dst_lo, cut_lo)
+            boundary = rows[:, p.window_dim(src_lo, lo - 1) : p.window_dim(src_lo, hi)]
             out[:, start : start + action.shape[1]] += f.matmul(boundary, action)
     return f.normalize(out)
 

@@ -20,12 +20,15 @@ presentation canonical: two subspaces are equal iff their presentations
 are identical.
 
 Sums, quotients, operator images and the entropy chains all read W
-modulo some U_a, as rows over the window of levels (a, b]; that layout
-is written once, in `CompactOpenSubspace.rows_over`.
+modulo some U_a, as rows over the window of levels (a, b], written once
+in `CompactOpenSubspace.rows_over`; only `Profile.window_dim` (where a
+level starts) and `Profile.level_at` (which level holds a column) know
+that flattened layout.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -33,9 +36,6 @@ import numpy as np
 
 from .errors import NotContained, ProfileMismatch
 from .linalg import SubspaceBasis, subspace_combine
-
-WINDOW_TABLE_SIZE = 4096  # entries per window table of a profile
-_WINDOW_TABLES = ("_window_coords", "_window_offsets")
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,11 @@ class Profile:
             raise ValueError("boundary list must cover levels n_lo..n_hi")
         if self.d_left < 0 or self.d_right < 0 or any(d < 0 for d in self.boundary):
             raise ValueError("dimensions must be non-negative")
-        self._new_window_tables()
+        self._new_sums()
 
-    def _new_window_tables(self):
-        # Each instance keeps its own window tables, keyed by (a, b): a table
-        # shared by every profile would compare equal profiles built apart
-        # (unpickled, or built by separate callers) on every lookup.
-        for name in _WINDOW_TABLES:
-            object.__setattr__(self, name, {})
-        # window_dim's constants; prefix[j] is the dimension of the first j
+    def _new_sums(self):
+        # the window layout's constants, kept per instance so that no lookup
+        # compares profiles; prefix[j] is the dimension of the first j
         # boundary levels
         prefix = (0, *accumulate(self.boundary))
         object.__setattr__(self, "_sums", (self.n_lo - 1, len(self.boundary), prefix, self.d_left, self.d_right))
@@ -90,15 +86,15 @@ class Profile:
 
     def __getstate__(self):
         # the field's hash hashes a string, which differs between processes;
-        # the window tables and sums are rebuilt
+        # the sums are rebuilt
         state = dict(self.__dict__)
-        for name in ("_hash", "_sums", *_WINDOW_TABLES):
+        for name in ("_hash", "_sums"):
             state.pop(name, None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._new_window_tables()
+        self._new_sums()
 
     @classmethod
     def constant(cls, field, d: int) -> "Profile":
@@ -136,25 +132,15 @@ class Profile:
         )
 
     # -- window flattening: coordinates of levels in (a, b] ----------------
-    # The table lookups are inlined.  A full table is cleared, which bounds
-    # it at WINDOW_TABLE_SIZE entries.
-    def window_coords(self, a: int, b: int) -> list:
-        try:
-            return self._window_coords[a, b]
-        except KeyError:
-            table = self._window_coords
-            if len(table) >= WINDOW_TABLE_SIZE:
-                table.clear()
-            coords = table[a, b] = [(n, i) for n in range(a + 1, b + 1) for i in range(self.dim(n))]
-            return coords
-
     def window_dim(self, a: int, b: int) -> int:
         """The dimension of the levels (a, b], 0 when b <= a.
 
         It runs on every engine step, so it takes no table.  With S(n) the
         dimension of the levels (n_lo - 1, n], negative below n_lo - 1, it
         is S(b) - S(a): prefix sums over the boundary levels, and d_left or
-        d_right per level outside them.
+        d_right per level outside them.  Coordinate i of level n is column
+        window_dim(a, n - 1) + i of the window over (a, b]; `level_at`
+        inverts that.
         """
         if b <= a:
             return 0
@@ -172,19 +158,24 @@ class Profile:
             return s_b - prefix[i]
         return s_b - i * d_left
 
-    def window_offsets(self, a: int, b: int) -> dict:
-        try:
-            return self._window_offsets[a, b]
-        except KeyError:
-            table = self._window_offsets
-            if len(table) >= WINDOW_TABLE_SIZE:
-                table.clear()
-            offs, pos = {}, 0
-            for n in range(a + 1, b + 1):
-                offs[n] = pos
-                pos += self.dim(n)
-            table[a, b] = offs
-            return offs
+    def level_at(self, a: int, col: int) -> int:
+        """The level of column col >= 0 of the window over (a, ...): the least
+        n with window_dim(a, n) > col.
+
+        With S as in `window_dim` it is the least n with S(n) > S(a) + col:
+        a division on either side of the boundary levels, a bisection over
+        their prefix sums inside them.  ValueError when no level holds the
+        column (zero-dimensional levels from there on).
+        """
+        base, last, prefix, d_left, d_right = self._sums
+        s = col + (self.window_dim(base, a) if a >= base else -self.window_dim(a, base))  # S(a) + col
+        if s < 0:  # left of the boundary levels, where d_left > 0
+            return base + s // d_left + 1
+        if s < prefix[last]:
+            return base + bisect_right(prefix, s)
+        if not d_right:
+            raise ValueError(f"no level holds column {col} of the window over ({a}, ...)")
+        return base + last + (s - prefix[last]) // d_right + 1
 
 
 class LlcVector:
@@ -250,9 +241,8 @@ class LlcVector:
 
     def to_window(self, a: int, b: int, clip_low: bool = False) -> np.ndarray:
         """Flatten over the coordinates of levels (a, b]."""
-        f = self.profile.field
-        offs = self.profile.window_offsets(a, b)
-        arr = f.zeros(1, self.profile.window_dim(a, b))[0]
+        p = self.profile
+        arr = p.field.zeros(1, p.window_dim(a, b))[0]
         for (n, i), v in self.support.items():
             if n <= a:
                 if clip_low:
@@ -260,16 +250,18 @@ class LlcVector:
                 raise ValueError(f"support at level {n} below window cut {a}")
             if n > b:
                 raise ValueError(f"support at level {n} above window top {b}")
-            arr[offs[n] + i] = v
+            arr[p.window_dim(a, n - 1) + i] = v
         return arr
 
     @classmethod
     def from_window(cls, profile: Profile, a: int, b: int, arr) -> "LlcVector":
         arr = profile.field.array(arr).reshape(-1)
         support = {}
-        for idx, (n, i) in enumerate(profile.window_coords(a, b)):
-            if arr[idx] != 0:
-                support[(n, i)] = arr[idx]
+        for n in range(a + 1, b + 1):
+            off = profile.window_dim(a, n - 1)
+            for i in range(profile.dim(n)):
+                if arr[off + i] != 0:
+                    support[(n, i)] = arr[off + i]
         return cls(profile, support)
 
     def _check(self, other):
@@ -636,14 +628,13 @@ def blockwise_restrict_quotient(pattern: BlockwisePattern, u: CompactOpenSubspac
     f = profile.field
     a, b = u.tail, u.top
     # window part of W over (a, b], one padded row per per-level basis row
-    offs = profile.window_offsets(a, b)
     total = profile.window_dim(a, b)
     w_rows = []
     for n in range(a + 1, b + 1):
         basis = pattern.level_basis(n)
         for row in basis.mat:
             wide = f.zeros(1, total)[0]
-            wide[offs[n] : offs[n] + profile.dim(n)] = row
+            wide[profile.window_dim(a, n - 1) : profile.window_dim(a, n)] = row
             w_rows.append(wide)
     w_window = SubspaceBasis.span(f, np.array(w_rows) if w_rows else [], ambient_dim=total)
     inter = subspace_combine(u.window, w_window, "intersect") if total else w_window
@@ -651,11 +642,12 @@ def blockwise_restrict_quotient(pattern: BlockwisePattern, u: CompactOpenSubspac
     def present(target, rows, read):
         # each level's part of a row, read by `read` into the target profile's
         # coordinates of that level
-        t_offs = target.window_offsets(a, b)
         out = f.zeros(rows.shape[0], target.window_dim(a, b))
         for n in range(a + 1, b + 1):
+            src = slice(profile.window_dim(a, n - 1), profile.window_dim(a, n))
+            dst = slice(target.window_dim(a, n - 1), target.window_dim(a, n))
             for r, row in enumerate(rows):
-                out[r, t_offs[n] : t_offs[n] + target.dim(n)] = read(n, row[offs[n] : offs[n] + profile.dim(n)])
+                out[r, dst] = read(n, row[src])
         return CompactOpenSubspace.from_rows(target, a, out, b)
 
     u_in_w = present(pattern.sub_profile(), inter.mat, pattern.coords_level)

@@ -856,14 +856,23 @@ class TestTotalEntropy:
                 trajectory_relative_entropy(broken, cofinal_chain(P1, 0))
         assert calls[2:] == [broken]
 
-    def test_pickled_operator_drops_its_chain_kernels(self):
-        op, inv = random_automorphism(random.Random(2), Profile.constant(F2, 2))
+    @pytest.mark.parametrize("field", [F2, F3], ids=lambda f: f.name)
+    def test_pickled_operator_keeps_its_tables(self, field, monkeypatch):
+        # default slot pickling, as the benchmark worker receives operators
+        op, inv = random_automorphism(random.Random(2), Profile.constant(field, 2))
         r = total_entropy(op, inverse=inv)
-        assert op._chains and inv._chains
+        assert op._inverse is inv and op._tables and inv._tail_ranks
+        assert bool(op._packed) == (field is F2)
         copy = pickle.loads(pickle.dumps(op))
-        assert copy._chains == {} and copy._inverse._chains == {}
+        assert copy._tables.keys() == op._tables.keys()
+        for a, (top, rows) in op._tables.items():
+            assert copy._tables[a][0] == top and np.array_equal(copy._tables[a][1], rows)
+        assert (copy._packed, copy._reach, copy._violations) == (op._packed, op._reach, op._violations)
+        assert copy._inverse == inv and copy._inverse._tail_ranks == inv._tail_ranks
+        calls = []
+        monkeypatch.setattr(entropy_module, "verify_inverse", lambda f, g: calls.append(1))
         assert total_entropy(copy, inverse=copy._inverse) == r
-        assert copy._chains and copy._inverse._chains  # rebuilt on use
+        assert calls == []  # the pair stays verified
 
     def test_one_tail_constant_elimination_per_tail(self, monkeypatch):
         import llcent.linalg as linalg

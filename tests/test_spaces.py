@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import llcent.linalg as linalg
@@ -338,7 +338,16 @@ class TestProfileShapes:
 
     @staticmethod
     def windows(p):
-        return [(p.window_dim(*w), p.window_offsets(*w), p.window_coords(*w)) for w in TestProfileShapes.WINDOWS]
+        """Per window (a, b]: its width, the column where each level starts
+        and the level of each column."""
+        return [
+            (
+                p.window_dim(a, b),
+                [p.window_dim(a, n - 1) for n in range(a + 1, b + 1)],
+                [p.level_at(a, c) for c in range(p.window_dim(a, b))],
+            )
+            for a, b in TestProfileShapes.WINDOWS
+        ]
 
     def test_equal_profiles_built_apart_give_identical_windows(self):
         a = Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1)
@@ -346,8 +355,7 @@ class TestProfileShapes:
         want = self.windows(a)
         for other in (b, pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b))):
             assert self.windows(other) == want
-        assert a.window_coords(-1, 2) == [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2)]
-        assert a.window_offsets(-1, 2) == {0: 0, 1: 2, 2: 3}
+        assert self.windows(a)[1] == (6, [0, 2, 3], [0, 0, 1, 2, 2, 2])
         assert a.window_dim(-4, 3) == 2 + 2 + 1 + 2 + 1 + 3 + 1
 
     @staticmethod
@@ -375,12 +383,36 @@ class TestProfileShapes:
         assert p.window_dim(-far, far) == p.window_dim(-far, p.n_lo - 1) + p.window_dim(p.n_lo - 1, far)
         assert p.window_dim(p.n_hi, far) == (far - p.n_hi) * d_right
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.dictionaries(st.integers(-4, 4), st.integers(0, 3), max_size=5),
+        d_left=st.integers(0, 3),
+        d_right=st.integers(0, 3),
+    )
+    @example(dims={-2: 0, -1: 3, 0: 0, 2: 1}, d_left=2, d_right=1)
+    @example(dims={0: 0, 1: 2}, d_left=0, d_right=3)
+    def test_level_at_is_the_least_level_past_the_column(self, dims, d_left, d_right):
+        # every a within 6 levels of the boundary levels and every column of
+        # the window up to n_hi + 6, on profiles with zero-dimension levels
+        # and d_left != d_right among them
+        p = Profile.from_dims(F3, dims, d_left, d_right)
+        span = 6
+        for a in range(p.n_lo - span, p.n_hi + span + 1):
+            for col in range(p.window_dim(a, p.n_hi + span)):
+                n = p.level_at(a, col)
+                assert p.window_dim(a, n) > col >= p.window_dim(a, n - 1), (a, col, n)
+
+    def test_level_at_past_the_last_nonzero_level(self):
+        p = Profile.from_dims(F3, {-1: 1, 0: 2, 1: 0}, 2, 0)
+        assert [p.level_at(-3, c) for c in range(p.window_dim(-3, 5))] == [-2, -2, -1, 0, 0]
+        with pytest.raises(ValueError):
+            p.level_at(-3, p.window_dim(-3, 5))
+
     def test_pickled_state_holds_no_window_table(self):
         a = Profile.from_dims(F3, {-1: 1, 0: 2, 2: 3}, 2, 1)
         self.windows(a)
-        assert not {"_window_coords", "_sums", "_window_offsets", "_hash"} & set(a.__getstate__())
+        assert not {"_sums", "_hash"} & set(a.__getstate__())
         copy = pickle.loads(pickle.dumps(a))
-        assert copy._window_offsets == copy._window_coords == {}
         assert self.windows(copy) == self.windows(a)
         self.assert_window_arithmetic(copy)
 
@@ -395,13 +427,4 @@ class TestProfileShapes:
             self.windows(fresh)
         assert calls == []
 
-    def test_window_tables_are_bounded(self):
-        from llcent.spaces import WINDOW_TABLE_SIZE
-
-        p = Profile.constant(F2, 1)
-        for a in range(-WINDOW_TABLE_SIZE - 1, 1):
-            assert p.window_dim(a, 0) == -a
-            assert p.window_offsets(a - 1, a) == {a: 0}
-        assert 0 < len(p._window_offsets) <= WINDOW_TABLE_SIZE
-        self.assert_window_arithmetic(p)
 

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from llcent.entropy import EntropyConfig, total_entropy
+from llcent.entropy import EntropyConfig, Status, total_entropy
 from llcent.errors import InvarianceFailure, NotAnInverse
 from llcent.fields import PrimeField
 from llcent.generators import (
     block_diagonal_instance,
+    degenerate_endomorphism,
     group_pattern,
     levelwise_change_of_basis,
     random_automorphism,
@@ -65,6 +66,29 @@ class TestLogLaw:
         rep = check_property("log_law", op=make_shift(P1, "left"), k=0)
         assert rep.verdict is Verdict.VERIFIED
         assert rep.sides["ent_power"].value == 0
+
+    # ROADMAP item 1 in a law: the degenerate operator of
+    # test_entropy.TestLatePlateau._op(9, 1), whose chain-index readings
+    # rise after the plateau that the default stop accepts
+    LATE = EntropyConfig(plateau_streak=8, max_chain_index=30, max_trajectory_steps=256)
+
+    @staticmethod
+    def _late_rise():
+        return degenerate_endomorphism(random.Random(9), Profile.constant(F3, 1), width=3, boundary=3)
+
+    def test_late_rise_holds_on_a_long_sweep(self):
+        rep = check_property("log_law", self.LATE, op=self._late_rise(), k=2)
+        assert rep.verdict is Verdict.VERIFIED
+        sides = {name: (r.value, r.status) for name, r in rep.sides.items()}
+        assert sides == {"ent_power": (6, Status.PLATEAU), "ent_base": (3, Status.PLATEAU)}
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: both sides plateau early, at ent_power 5 and ent_base 2, so the law reads Violated",
+    )
+    def test_late_rise_holds_under_the_default_config(self):
+        rep = check_property("log_law", op=self._late_rise(), k=2)
+        assert rep.verdict is Verdict.VERIFIED
 
 
 class TestConjugation:

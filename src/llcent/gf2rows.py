@@ -158,19 +158,14 @@ def _side(op, side: str, levels: int):
     return _cached(op, ("right", count), lambda: _slices(op.right_blocks, op.profile.d_right, count))
 
 
-def _boundary_columns(op) -> list:
-    """The images of the boundary coordinates, levels b_lo..b_hi in window
-    order, as ints over the window (b_lo - 1 - w, infinity)."""
-    p = op.profile
-    ref = op.b_lo - 1 - op.width  # every boundary image lies above it, by the band
-    cols = []
-    for n in range(op.b_lo, op.b_hi + 1):
-        for i in range(p.dim(n)):
-            col = 0
-            for m, s in op.column(n, i).support:
-                col |= 1 << (p.window_dim(ref, m - 1) + s)
-            cols.append(col)
-    return cols
+def _boundary_columns(op) -> tuple:
+    """(ref, cols): the images of the boundary coordinates, levels
+    b_lo..b_hi in window order, as ints over the window (ref, infinity),
+    ref = b_lo - 1 - down below every image: the rows of the operator's
+    boundary block, packed (`operators._boundary_block`)."""
+    from .operators import _boundary_block, _boundary_reach  # operators imports linalg, which imports this module
+
+    return op.b_lo - 1 - _boundary_reach(op)[0], pack(_boundary_block(op)[0])
 
 
 class _Front:
@@ -224,8 +219,8 @@ class ChainRows:
         self._left = _side(op, "left", left) if left > 0 else ((), ())
         # the boundary levels above a0, through the operator's column ints
         lb = max(a0, op.b_lo - 1)
-        ref = op.b_lo - 1 - op.width
-        self._cols = _cached(op, "columns", lambda: _boundary_columns(op))[p.window_dim(op.b_lo - 1, lb) :]
+        ref, cols = _cached(op, "columns", lambda: _boundary_columns(op))
+        self._cols = cols[p.window_dim(op.b_lo - 1, lb) :]
         self._cols_at = p.window_dim(a0, lb)
         self._cols_mask = (1 << max(self._right_at - self._cols_at, 0)) - 1
         self._cols_shift = p.window_dim(a0, ref) if ref >= a0 else -p.window_dim(ref, a0)
@@ -237,7 +232,11 @@ class ChainRows:
 
     # -- the kernels ---------------------------------------------------------
     def start(self, basis, rows):
-        """The packed chain basis and first images (given over (a0, ...])."""
+        """The packed chain basis and first images (given over (a0, ...]).
+
+        A full-rank basis in reduced form is the identity, bit k in row k."""
+        if basis.rank == basis.ambient_dim:
+            return [1 << k for k in range(basis.rank)], pack(rows)
         return pack(basis.mat), pack(rows)
 
     def trim(self, rows, lo, top):

@@ -16,9 +16,19 @@ to blockwise invariant subspaces, and induced quotient maps; inverses
 are verified against a caller-supplied candidate rather than computed,
 by one banded product per order of the pair, without building either
 composite (`verify_inverse`).
+
+Dense actions (`_action_rows`) make no per-entry column reads on the
+levels every operator has: each operator keeps one boundary block, the
+images of its boundary levels as dense rows, built once from its columns
+(`_boundary_block`), and the stationary levels are whole shifted copies
+of a row of blocks (`_stationary_rows`), which also gives `compose` its
+block convolution as one product.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,7 +48,7 @@ class BandedOperator:
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
         "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
-        "_tables", "_tail_ranks", "_reach",
+        "_tables", "_tail_ranks", "_reach", "_block",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -59,6 +69,7 @@ class BandedOperator:
         self._tables = {}  # tail a -> (M, action rows of (a - w, M] into (a, M + w])
         self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
         self._reach = None  # _boundary_reach's (down, up)
+        self._block = None  # _boundary_block's dense boundary images
 
     def _norm_blocks(self, f, blocks, d):
         out = {}
@@ -80,16 +91,16 @@ class BandedOperator:
         blocks = self.left_blocks if n < self.b_lo else self.right_blocks
         support = {}
         for j in range(-self.width, self.width + 1):
-            col = blocks[j][:, i]
-            for r in range(col.shape[0]):
-                if col[r] != 0:
-                    support[(n + j, r)] = col[r]
+            for r, v in enumerate(blocks[j][:, i].tolist()):
+                if v:
+                    support[(n + j, r)] = v
         vec = LlcVector(self.profile, support)
         self._stationary_cache[(n, i)] = vec
         return vec
 
     def stationary_stack(self, side: str):
-        """(shifts, stacked) for the nonzero stationary blocks of one side.
+        """(shifts, stacked) for one side's stationary blocks, the shifts
+        running from its first nonzero block to its last.
 
         stacked holds the transposed blocks side by side, so one product
         of level coordinates with it gives the image components at every
@@ -98,7 +109,8 @@ class BandedOperator:
         stack = self._stacks.get(side)
         if stack is None:
             blocks = self.left_blocks if side == "left" else self.right_blocks
-            shifts = [j for j, block in blocks.items() if np.any(block != 0)]
+            nonzero = [j for j, block in blocks.items() if np.count_nonzero(block)]
+            shifts = list(range(nonzero[0], nonzero[-1] + 1)) if nonzero else []
             stacked = np.concatenate([blocks[j].T for j in shifts], axis=1) if shifts else None
             stack = self._stacks[side] = (shifts, stacked)
         return stack
@@ -131,14 +143,28 @@ class BandedOperator:
         return self._edge_power
 
     def apply(self, v: LlcVector) -> LlcVector:
-        if v.profile != self.profile:
+        """The image of v, summed column by column into one dict.
+
+        The sums are reduced as they are made, and the slots are those of
+        columns over this profile, so the support is kept as it is unless
+        a stored column belongs to another profile (which `validate`
+        refuses); then the vector checks it.
+        """
+        p = self.profile
+        if v.profile != p:
             raise ProfileMismatch("vector over a different profile")
-        f = self.profile.field
-        out = {}
+        f = p.field
+        add, mul, zero = f.add, f.mul, f.zero
+        out, own = {}, True
+        get = out.get
         for (n, i), c in v.support.items():
-            for key, val in self.column(n, i).support.items():
-                out[key] = f.add(out.get(key, f.zero), f.mul(val, c))
-        return LlcVector(self.profile, out)
+            col = self.column(n, i)
+            own = own and col.profile is p
+            for key, val in col.support.items():
+                out[key] = add(get(key, zero), mul(val, c))
+        if not own:
+            return LlcVector(p, out)
+        return LlcVector._reduced(p, {key: val for key, val in out.items() if val})
 
     # -- equality: stationary blocks plus the union boundary region --------
     def __eq__(self, other):
@@ -245,26 +271,27 @@ def make_shift(profile: Profile, direction: str) -> BandedOperator:
 
 
 def compose(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
-    """The composite f_op . g_op (apply g first)."""
+    """The composite f_op . g_op (apply g first).
+
+    Its stationary blocks are the convolutions sum_{j1+j2=j} F_{j1} G_{j2},
+    one product per side in the rows convention of `_action_rows`: the
+    rows of one level under g, [G_-wg^T ... G_wg^T], times the rows of the
+    2 wg + 1 levels they reach under f give [C_-w^T ... C_w^T]
+    (`_stationary_rows`).  Its columns over the boundary region are
+    f_op.apply of g_op's columns.
+    """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("composing operators over different profiles")
     p = f_op.profile
     f = p.field
     w = f_op.width + g_op.width
 
-    def convolve(fb, gb, d):
-        out = {}
-        for j in range(-w, w + 1):
-            acc = f.zeros(d, d)
-            for j2 in range(-g_op.width, g_op.width + 1):
-                j1 = j - j2
-                if -f_op.width <= j1 <= f_op.width:
-                    acc = f.normalize(acc + f.matmul(fb[j1], gb[j2]))
-            out[j] = acc
-        return out
+    def convolve(side, d):
+        conv = f.matmul(_stationary_rows(g_op, side, 1), _stationary_rows(f_op, side, 2 * g_op.width + 1))
+        return {j: conv[:, (j + w) * d : (j + w + 1) * d].T for j in range(-w, w + 1)}
 
-    left = convolve(f_op.left_blocks, g_op.left_blocks, p.d_left)
-    right = convolve(f_op.right_blocks, g_op.right_blocks, p.d_right)
+    left = convolve("left", p.d_left)
+    right = convolve("right", p.d_right)
     b_lo = min(g_op.b_lo, f_op.b_lo - g_op.width, p.n_lo - w)
     b_hi = max(g_op.b_hi, f_op.b_hi + g_op.width, p.n_hi + w)
     columns = {
@@ -349,10 +376,12 @@ def verify_inverse(f_op: BandedOperator, g_op: BandedOperator) -> bool:
       comparison of `BandedOperator.__eq__`, and the rows in between are
       its column comparison over the region.
 
-    `_action_rows` reads `column()` as `compose`'s `apply` does, over
-    windows that hold every image (`_image_window`), so the product is
-    exact for any operator, not only under `validate` as the stacked
-    route of `_apply_action` is.
+    `_action_rows` gives each level the images `column()` gives it: the
+    boundary levels from the operator's boundary block, the stationary
+    levels by whole blocks only where their images stay in the constant
+    regions, `column()` itself in between.  Its windows hold every image
+    (`_image_window`), so the product is exact for any operator, not only
+    under `validate` as the stacked route of `_apply_action` is.
     """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("operators over different profiles")
@@ -402,15 +431,130 @@ def _image_window(op: BandedOperator, lo: int, hi: int):
     return lo - down, hi + up
 
 
+def _boundary_block(op: BandedOperator) -> tuple:
+    """(rows, left_last, right_first), built once per operator.
+
+    rows are the images of the boundary levels b_lo..b_hi, row
+    window_dim(b_lo - 1, n - 1) + i holding `column(n, i)` over the
+    coordinates (b_lo - 1 - down, b_hi + up], (down, up) from
+    `_boundary_reach`, so every stored image fits whole.  The levels up to
+    left_last and from right_first on act by whole d x d stationary blocks
+    on images that stay in the constant d_left / d_right regions
+    (`_stationary_rows`); that holds for every level outside [min(b_lo,
+    n_lo - w), max(b_hi, n_hi + w)] when the side's blocks are d x d, and
+    `validate` makes that range the boundary region.  The levels between
+    reach levels of other dimensions, where `column()` decides.
+    """
+    if op._block is None:
+        p, w = op.profile, op.width
+        down, up = _boundary_reach(op)
+        lo = op.b_lo - 1 - down
+        offs = list(accumulate((p.dim(m) for m in range(lo + 1, op.b_hi + up)), initial=0))
+        at, vals, r = ([], []), [], 0
+        for n in range(op.b_lo, op.b_hi + 1):
+            cols = op.columns[n]
+            for i in range(p.dim(n)):
+                for (m, s), v in cols[i].support.items():
+                    at[0].append(r)
+                    at[1].append(offs[m - lo - 1] + s)
+                    vals.append(v)
+                r += 1
+        rows = p.field.zeros(r, p.window_dim(lo, op.b_hi + up))
+        rows[at] = vals
+
+        def whole(blocks, d):
+            return w >= 0 and all(b.shape == (d, d) for b in blocks.values())
+
+        left_last = min(op.b_lo, p.n_lo - w) - 1 if whole(op.left_blocks, p.d_left) else -math.inf
+        right_first = max(op.b_hi, p.n_hi + w) + 1 if whole(op.right_blocks, p.d_right) else math.inf
+        op._block = (rows, left_last, right_first)
+    return op._block
+
+
+def _stationary_rows(op: BandedOperator, side: str, count: int) -> np.ndarray:
+    """The action rows of `count` consecutive levels that act by one side's
+    stationary blocks, over the count + 2w levels they reach: row block k
+    holds B_-w^T ... B_w^T from column block k on, the nonzero span of
+    which is `stationary_stack`.
+
+    The rows of fewer levels are the first rows and columns of these, so
+    each side keeps the rows of the most levels asked for (in `_stacks`),
+    at least twice the last count kept.  They are written into a flat
+    buffer in which row block k starts k (d L + d) entries in, L the row
+    length, so that one write puts the stack into every row block.
+    """
+    d = op.profile.d_left if side == "left" else op.profile.d_right
+    w = op.width
+    kept = op._stacks.get((side, "rows"))
+    if kept is None or kept.shape[0] < count * d:
+        size = count if kept is None else max(count, 2 * kept.shape[0] // d)
+        length = (size + 2 * w) * d
+        buf = op.profile.field.zeros(1, size * (d * length + d))
+        shifts, stacked = op.stationary_stack(side)
+        if shifts:
+            skew = buf.reshape(size, d * length + d)[:, : d * length].reshape(size, d, length)
+            skew[:, :, (shifts[0] + w) * d : (shifts[-1] + w + 1) * d] = stacked
+        kept = op._stacks[side, "rows"] = buf[0, : size * d * length].reshape(size * d, length)
+    return kept[: count * d, : (count + 2 * w) * d]
+
+
+def _place(p, mat, first: int, rows, lo: int, hi: int, dst_lo: int, dst_hi: int):
+    """Copy rows over the coordinates (lo, hi] into mat over (dst_lo, dst_hi],
+    from row `first` on: the columns at levels <= dst_lo are dropped, and a
+    nonzero one above dst_hi raises ValueError.  Columns of rows past hi
+    must be zero."""
+    if hi > dst_hi and np.count_nonzero(rows[:, p.window_dim(lo, dst_hi) :]):
+        raise ValueError("action window too small for the band")
+    a, b = max(lo, dst_lo), min(hi, dst_hi)
+    if a < b:
+        start, width, at = p.window_dim(lo, a), p.window_dim(a, b), p.window_dim(dst_lo, a)
+        mat[first : first + rows.shape[0], at : at + width] = rows[:, start : start + width]
+
+
 def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_hi: int) -> np.ndarray:
     """Matrix of the operator from the source window (src_lo, src_hi] into
     the coordinates (dst_lo, dst_hi]; images below dst_lo are dropped
-    (taken modulo the tail), images above dst_hi must not occur."""
+    (taken modulo the tail), images above dst_hi must not occur.
+
+    The source levels fall into runs (`_boundary_block`): the boundary
+    levels copy a slice of the boundary block, the levels that act by
+    whole stationary blocks on either side a slice of `_stationary_rows`,
+    and any level in between (only where the boundary region does not
+    cover [n_lo - w, n_hi + w]) is written entry by entry from `column()`,
+    which gives its image or raises.  The runs go in level order, so the
+    first level that raises is the one a level-by-level pass would meet.
+    No offset table is built: each run finds its columns from
+    `Profile.window_dim`.
+    """
     p = op.profile
-    f = p.field
-    dst_offs = {m: p.window_dim(dst_lo, m - 1) for m in range(dst_lo + 1, dst_hi + 1)}
-    mat = f.zeros(p.window_dim(src_lo, src_hi), p.window_dim(dst_lo, dst_hi))
-    for n in range(src_lo + 1, src_hi + 1):
+    w = op.width
+    mat = p.field.zeros(p.window_dim(src_lo, src_hi), p.window_dim(dst_lo, dst_hi))
+    rows, left_last, right_first = _boundary_block(op)
+    left = min(src_hi, left_last)
+    if left > src_lo and p.d_left:
+        _place(p, mat, 0, _stationary_rows(op, "left", left - src_lo), src_lo - w, left + w, dst_lo, dst_hi)
+    if left_last < op.b_lo - 1:
+        _by_columns(op, mat, range(max(src_lo, left_last) + 1, min(op.b_lo - 1, src_hi) + 1), src_lo, dst_lo, dst_hi)
+    a, b = max(src_lo + 1, op.b_lo), min(src_hi, op.b_hi)
+    if a <= b:
+        # the images of the levels a..b lie in (a - 1 - down, b + up]
+        down, up = _boundary_reach(op)
+        base = op.b_lo - 1
+        block = rows[p.window_dim(base, a - 1) : p.window_dim(base, b)]
+        _place(p, mat, p.window_dim(src_lo, a - 1), block, base - down, b + up, dst_lo, dst_hi)
+    if right_first > op.b_hi + 1:
+        _by_columns(op, mat, range(max(src_lo, op.b_hi) + 1, min(right_first - 1, src_hi) + 1), src_lo, dst_lo, dst_hi)
+    right = max(src_lo + 1, right_first)
+    if right <= src_hi and p.d_right:
+        stat = _stationary_rows(op, "right", src_hi - right + 1)
+        _place(p, mat, p.window_dim(src_lo, right - 1), stat, right - 1 - w, src_hi + w, dst_lo, dst_hi)
+    return mat
+
+
+def _by_columns(op: BandedOperator, mat, levels, src_lo: int, dst_lo: int, dst_hi: int):
+    """Write the images of the source levels one `column()` entry at a time."""
+    p = op.profile
+    for n in levels:
         first = p.window_dim(src_lo, n - 1)
         for i in range(p.dim(n)):
             for (m, s), v in op.column(n, i).support.items():
@@ -418,8 +562,7 @@ def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_
                     continue
                 if m > dst_hi:
                     raise ValueError("action window too small for the band")
-                mat[first + i, dst_offs[m] + s] = v
-    return mat
+                mat[first + i, p.window_dim(dst_lo, m - 1) + s] = v
 
 
 def _stationary_image(p, x, stack, n0: int, dst_lo: int, dst_hi: int, out):

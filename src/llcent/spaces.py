@@ -196,6 +196,14 @@ class LlcVector:
         self.support = clean
 
     @classmethod
+    def _reduced(cls, profile: Profile, support: dict) -> "LlcVector":
+        """A vector on a support whose scalars are already reduced and nonzero
+        and whose slots are in range, kept without another check."""
+        vec = cls.__new__(cls)
+        vec.profile, vec.support = profile, support
+        return vec
+
+    @classmethod
     def zero(cls, profile: Profile) -> "LlcVector":
         return cls(profile, {})
 

@@ -42,6 +42,7 @@ from llcent.generators import (
 )
 from llcent.operators import (
     BandedOperator,
+    _action_rows,
     automorphism_image,
     decompose_vc_vd,
     identity_operator,
@@ -869,6 +870,17 @@ class TestTotalEntropy:
             assert copy._tables[a][0] == top and np.array_equal(copy._tables[a][1], rows)
         assert (copy._packed, copy._reach, copy._violations) == (op._packed, op._reach, op._violations)
         assert copy._inverse == inv and copy._inverse._tail_ranks == inv._tail_ranks
+        # the boundary block comes along whole, or is rebuilt the same
+        rows, left_last, right_first = op._block
+        kept = copy._block
+        assert kept is None or (
+            kept[1:] == (left_last, right_first) and kept[0].dtype == rows.dtype and np.array_equal(kept[0], rows)
+        )
+        window = (op.b_lo - 3, op.b_hi + 2, op.b_lo - 6, op.b_hi + 6)
+        assert np.array_equal(_action_rows(copy, *window), _action_rows(op, *window))
+        copy._block = None
+        assert np.array_equal(_action_rows(copy, *window), _action_rows(op, *window))
+        assert np.array_equal(copy._block[0], rows) and copy._block[1:] == (left_last, right_first)
         calls = []
         monkeypatch.setattr(entropy_module, "verify_inverse", lambda f, g: calls.append(1))
         assert total_entropy(copy, inverse=copy._inverse) == r

@@ -14,7 +14,7 @@ from llcent.generators import random_automorphism, random_endomorphism
 from llcent.gf2rows import ChainRows, echelon, merge, pack, unpack
 from llcent.linalg import SubspaceBasis, rref_union
 from llcent.operators import _apply_action
-from llcent.spaces import Profile, cofinal_chain
+from llcent.spaces import CompactOpenSubspace, LlcVector, Profile, cofinal_chain
 
 from _oracles import grow_chain_full_window
 
@@ -114,6 +114,20 @@ class TestAct:
         want = pack(_apply_action(op, rows, src_lo, src_hi, a0, src_hi + op.width))
         got = ChainRows(op, a0).act([r << p.window_dim(a0, src_lo) for r in pack(rows)])
         assert got == want
+
+
+class TestStart:
+    def test_full_rank_basis_packs_as_the_identity(self):
+        # a full-rank member's reduced basis is the identity; other bases pack
+        op = random_endomorphism(random.Random(4), Profile.constant(F2, 2), width=1)
+        kernels = ChainRows(op, -2)
+        partial = CompactOpenSubspace.make(op.profile, -1, [LlcVector.unit(op.profile, 1, 0)])
+        for u, full in ((cofinal_chain(op.profile, 1), True), (partial, False)):
+            basis = u.expand_window(-2, u.top)
+            assert (basis.rank == basis.ambient_dim) is full
+            block, rows = kernels.start(basis, basis.mat)
+            assert block == pack(basis.mat) and rows == pack(basis.mat)
+        assert kernels.start(SubspaceBasis.full(F2, 5), F2.zeros(0, 5))[0] == [1, 2, 4, 8, 16]
 
 
 def _both_loops(run):

@@ -1,5 +1,6 @@
 """Banded operator structure, composition, images and induced maps."""
 
+import math
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llcent.entropy import _ArrayRows
-from llcent.errors import InvarianceFailure, NonConstantProfile, ProfileMismatch
+from llcent.errors import EngineInvariant, InvarianceFailure, NonConstantProfile, ProfileMismatch
 from llcent.fields import QQ, PrimeField
 from llcent.generators import (
     degenerate_endomorphism,
@@ -22,6 +23,7 @@ from llcent.linalg import SubspaceBasis
 from llcent.operators import (
     BandedOperator,
     _action_rows,
+    _boundary_block,
     _apply_action,
     automorphism_image,
     compose,
@@ -46,7 +48,12 @@ from llcent.spaces import (
 )
 
 from _dense import image_plus_tail_bits, subspace_bits
-from _oracles import verify_inverse_by_composites
+from _oracles import (
+    action_rows_by_columns,
+    compose_by_columns,
+    same_operator,
+    verify_inverse_by_composites,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -290,6 +297,124 @@ class TestVerifyInverse:
         for f_op, g_op, want in pairs:
             assert verify_inverse(f_op, g_op) is want
             assert verify_inverse(g_op, f_op) is want
+
+
+def _outcome(fn, *args):
+    """("ok", result) or (exception type, message); `column()` raises
+    IndexError where a stationary block has fewer slots than the level."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, IndexError, EngineInvariant) as exc:
+        return type(exc), str(exc)
+
+
+class TestDenseRoutes:
+    """_action_rows and compose against the per-column oracles, on any operator.
+
+    Besides validated operators, the operators drawn include columns that
+    leave their band and boundary regions cut short of [n_lo - w, n_hi + w],
+    where a stationary level can reach a level of another dimension: there
+    the routes must give `column()`'s images or raise as it does.
+    """
+
+    FIELDS = (F2, F3, PrimeField(5), QQ)
+    KINDS = ("valid", "band_leaving", "short_region")
+
+    @staticmethod
+    @st.composite
+    def profiles(draw):
+        field = draw(st.sampled_from(TestDenseRoutes.FIELDS))
+        if draw(st.booleans()):
+            return Profile.constant(field, draw(st.integers(0, 3)))
+        dims = draw(st.dictionaries(st.integers(-3, 3), st.integers(0, 3), max_size=5))
+        return Profile.from_dims(field, dims, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+
+    @staticmethod
+    @st.composite
+    def operators(draw, profile):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        width = draw(st.integers(0, 3))
+        op = random_endomorphism(rng, profile, width=width, boundary=draw(st.integers(0, 3)))
+        kind = draw(st.sampled_from(TestDenseRoutes.KINDS))
+        columns = {n: tuple(cols) for n, cols in op.columns.items()}
+        if kind == "band_leaving":
+            # one boundary column gains an entry 1-3 levels past its band
+            sources = [(n, i) for n, cols in columns.items() for i in range(len(cols))]
+            n, i = draw(st.sampled_from(sources)) if sources else (0, None)
+            gap = draw(st.integers(width + 1, width + 3)) * draw(st.sampled_from((-1, 1)))
+            if i is not None and profile.dim(n + gap):
+                support = dict(columns[n][i].support)
+                support[(n + gap, draw(st.integers(0, profile.dim(n + gap) - 1)))] = profile.field.one
+                columns[n] = columns[n][:i] + (LlcVector(profile, support),) + columns[n][i + 1 :]
+        elif kind == "short_region":
+            lo = draw(st.integers(op.b_lo, op.b_hi))
+            hi = draw(st.integers(lo, op.b_hi))
+            columns = {n: columns[n] for n in range(lo, hi + 1)}
+        return BandedOperator(profile, width, op.left_blocks, op.right_blocks, columns)
+
+    @staticmethod
+    @st.composite
+    def windows(draw, op):
+        src_lo = draw(st.integers(op.b_lo - 5, op.b_hi + 2))
+        src_hi = draw(st.integers(src_lo, op.b_hi + 5))
+        # dst_lo above src_lo - width cuts images off below the window
+        dst_lo = draw(st.integers(src_lo - op.width - 4, max(src_hi, src_lo - op.width - 4)))
+        # a window short of the reach of some image must raise
+        dst_hi = max(dst_lo, src_hi + op.width + draw(st.integers(-2, 4)))
+        return src_lo, src_hi, dst_lo, dst_hi
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_action_rows_match_the_columns(self, data):
+        profile = data.draw(self.profiles())
+        op = data.draw(self.operators(profile))
+        for _ in range(3):
+            window = data.draw(self.windows(op))
+            want = _outcome(action_rows_by_columns, op, *window)
+            got = _outcome(_action_rows, op, *window)
+            if want[0] != "ok":
+                assert got == want
+            else:
+                assert got[0] == "ok" and got[1].dtype == want[1].dtype
+                assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_compose_matches_the_columns(self, data):
+        profile = data.draw(self.profiles())
+        f_op, g_op = data.draw(self.operators(profile)), data.draw(self.operators(profile))
+        want = _outcome(compose_by_columns, f_op, g_op)
+        got = _outcome(compose, f_op, g_op)
+        if want[0] != "ok":
+            assert got == want
+        else:
+            assert got[0] == "ok" and same_operator(got[1], want[1])
+
+    def test_short_region_raises_where_a_column_does(self):
+        # d_left = 2 but level n_lo = 0 has one slot: left level -1 of a
+        # width-1 operator whose region starts at 0 reaches slot 1 of level
+        # 0, which column() refuses, and so must the dense action
+        profile = Profile.from_dims(F2, {0: 1}, 2, 2)
+        ones = F2.array([[1, 1], [1, 1]])
+        op = BandedOperator(profile, 1, {1: ones}, {}, {0: [LlcVector(profile, {(0, 0): 1})]})
+        with pytest.raises(ValueError, match="slot 1 out of range at level 0"):
+            op.column(-1, 0)
+        with pytest.raises(ValueError, match="slot 1 out of range at level 0"):
+            _action_rows(op, -2, 0, -3, 1)
+        # the levels below it stay inside the d_left region, by whole blocks
+        assert np.array_equal(_action_rows(op, -5, -2, -6, -1), action_rows_by_columns(op, -5, -2, -6, -1))
+        rows, left_last, right_first = _boundary_block(op)
+        # one row, over the levels (-2, 1] of dimensions 2, 1, 2
+        assert (left_last, right_first) == (-2, 2) and rows.shape == (1, 5)
+
+    def test_blocks_of_the_wrong_shape_go_through_column(self):
+        # a 1 x 2 left block where d_left = 2 (validate refuses it): column()
+        # still reads an image from it, and so does the dense action
+        profile = Profile.constant(F3, 2)
+        op = BandedOperator(profile, 1, {1: F3.array([[1, 2]])}, {}, identity_operator(profile).columns)
+        assert validate(op) and _boundary_block(op)[1] == -math.inf
+        for window in ((-4, 2, -6, 4), (-4, -1, -3, 1)):
+            assert np.array_equal(_action_rows(op, *window), action_rows_by_columns(op, *window))
 
 
 class TestImageModTail:

@@ -41,17 +41,16 @@ block rows at its pivots and leaves the block's rows as they are, and
 the stationary action right of the boundary region is a few masked
 shifts of all of a step's rows at once.  Over any other field they are
 arrays (`_ArrayRows`), merged into the reduced form by
-`linalg.rref_union` and mapped by `operators._apply_action`.
+`linalg.rref_union` and mapped by one product with the dense action
+matrix of `operators._action_rows`.
 
 The costly set-up of an engine depends only on the operator it maps
-with and the chain's tail, so it is kept on that operator: the action
-table whose first rows and columns are the images of U_top for every top
-(`operators.image_rows_mod_tail`, per tail) and the limit-free tail
-constant c (`_tail_constant`, per tail and a0).  Every member C_m = U_m
-of the cofinal chain has tail 0, so a sweep over m in `total_entropy`
-builds each of them once, and maps each level once: the image of C_m is
-the first block of the image of C_{m+1}.  The kernels (`_chain_rows`)
-are cheap, and built for each chain.
+with and the chain's tail, so it is kept on that operator: the
+limit-free tail constant c (`_tail_constant`, per tail and a0), and the
+boundary block and stationary rows every dense action is sliced from
+(`operators._action_rows`), of which the images of a chain member U_top
+are the action rows themselves (`operators.image_rows_mod_tail`).  The
+kernels (`_chain_rows`) are cheap, and built for each chain.
 
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:
@@ -88,7 +87,7 @@ from .fields import PrimeField
 from .linalg import SubspaceBasis
 from .operators import (
     BandedOperator,
-    _apply_action,
+    _action_rows,
     image_rows_mod_tail,
     validate,
     verify_inverse,
@@ -230,9 +229,9 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     a0 must be a tail that every chain member contains, and at most
     tail(U); the chain starts from U modulo U_{a0} over (a0, u.top]
     (`CompactOpenSubspace.expand_window`).  The first step maps all of U,
-    tail included (`image_rows_mod_tail`, a slice of img_op's action table
-    when U is a chain member), so later steps only map the rows the last
-    step added.  A step's gain is the rank it adds, a codimension because
+    tail included (`image_rows_mod_tail`, img_op's dense action rows when
+    U is a chain member), so later steps only map the rows the last step
+    added.  A step's gain is the rank it adds, a codimension because
     the members nest over the common tail a0.  The readings must be non-increasing
     (EngineInvariant otherwise); a zero gain is a chain fixed point, hence
     EXACT.
@@ -247,10 +246,9 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     pivot-sorted list, split by bisection; and a step's images are, right
     of b_hi, the XOR over the shifts s of (x & M_s) << s, M_s holding the
     slots whose stationary entries move by s bits
-    (`gf2rows.ChainRows.act`).  That is exact by the same argument as
-    `operators._apply_action`: `validate` gives b_hi >= n_hi + w, so those
-    sources and their images lie in the constant d_right region, where a
-    level moves by d_right bits.
+    (`gf2rows.ChainRows.act`).  That is exact because `validate` gives
+    b_hi >= n_hi + w, so those sources and their images lie in the
+    constant d_right region, where a level moves by d_right bits.
 
     The chain X is held as an active block, an echelon basis of X
     intersected with the coordinates above a level lo, over (lo, top],
@@ -529,8 +527,8 @@ class _ArrayRows:
         # level below the one holding it
         src_lo = p.level_at(lo, basis.pivots[new[0]]) - 1
         delta_lo, delta_top = max(self.a0, src_lo - w), top + w
-        rows = _apply_action(self.op, basis.mat[new, p.window_dim(lo, src_lo) :], src_lo, top, delta_lo, delta_top)
-        return rows, delta_lo, delta_top
+        action = _action_rows(self.op, src_lo, top, delta_lo, delta_top)
+        return p.field.matmul(basis.mat[new, p.window_dim(lo, src_lo) :], action), delta_lo, delta_top
 
 
 def trajectory_relative_entropy(

@@ -138,7 +138,8 @@ def _cached(op, key, build):
     """The operator's packed-action table `key`, built on first use.
 
     These tables do not depend on the chain's tail a0, so every chain of
-    the operator shares them, as it shares `stationary_stack`.
+    the operator shares them, as every dense action shares the operator's
+    stationary rows (`operators._stationary_rows`).
     """
     table = op._packed.get(key)
     if table is None:

@@ -22,7 +22,10 @@ levels every operator has: each operator keeps one boundary block, the
 images of its boundary levels as dense rows, built once from its columns
 (`_boundary_block`), and the stationary levels are whole shifted copies
 of a row of blocks (`_stationary_rows`), which also gives `compose` its
-block convolution as one product.
+block convolution as one product.  `_action_rows` is the only array
+action: the image of a block of rows is one product with it
+(`image_rows_mod_tail`, the array chain kernels of `entropy`), and the
+packed GF(2) kernels of `gf2rows` read the same boundary block.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class BandedOperator:
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
         "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
-        "_tables", "_tail_ranks", "_reach", "_block",
+        "_tail_ranks", "_reach", "_block",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -61,12 +64,11 @@ class BandedOperator:
         self.b_lo = min(self.columns) if self.columns else 0
         self.b_hi = max(self.columns) if self.columns else 0
         self._stationary_cache = {}
-        self._stacks = {}
+        self._stacks = {}  # side -> `_stationary_rows`' kept rows
         self._edge_power = None
         self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
         self._violations = None  # validate's list, kept by entropy._check_op
         self._inverse = None  # the inverse entropy._check_pair verified
-        self._tables = {}  # tail a -> (M, action rows of (a - w, M] into (a, M + w])
         self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
         self._reach = None  # _boundary_reach's (down, up)
         self._block = None  # _boundary_block's dense boundary images
@@ -98,31 +100,16 @@ class BandedOperator:
         self._stationary_cache[(n, i)] = vec
         return vec
 
-    def stationary_stack(self, side: str):
-        """(shifts, stacked) for one side's stationary blocks, the shifts
-        running from its first nonzero block to its last.
-
-        stacked holds the transposed blocks side by side, so one product
-        of level coordinates with it gives the image components at every
-        shift at once.  Cached: an operator's blocks never change.
-        """
-        stack = self._stacks.get(side)
-        if stack is None:
-            blocks = self.left_blocks if side == "left" else self.right_blocks
-            nonzero = [j for j, block in blocks.items() if np.count_nonzero(block)]
-            shifts = list(range(nonzero[0], nonzero[-1] + 1)) if nonzero else []
-            stacked = np.concatenate([blocks[j].T for j in shifts], axis=1) if shifts else None
-            stack = self._stacks[side] = (shifts, stacked)
-        return stack
-
     def right_edge_power(self) -> np.ndarray:
         """The columns of a basis of the column space of Psi^e, cached.
 
         Psi takes the coordinates of w consecutive right-stationary levels
         t+1..t+w to the components of their images on the next w levels
-        t+w+1..t+2w, in the rows convention of `stationary_stack`: block
-        (a, b), from level t+1+a to level t+w+1+b, is right_blocks[w+b-a]
-        transposed for b <= a and zero otherwise.  Kernels of powers of a
+        t+w+1..t+2w, in the rows convention of `_action_rows`: block (a, b),
+        from level t+1+a to level t+w+1+b, is right_blocks[w+b-a]
+        transposed for b <= a and zero otherwise: the last w column blocks
+        of the stationary rows of the levels t+1..t+w, which reach the
+        levels t+1-w..t+2w (`_stationary_rows`).  Kernels of powers of a
         (w d_right)-square matrix stop growing by exponent w d_right, so
         Psi is squared up to the first power of two e at least that.  The
         columns kept are Psi^e's at the pivots of its reduced form: they
@@ -132,10 +119,7 @@ class BandedOperator:
         if self._edge_power is None:
             f = self.profile.field
             w, d = self.width, self.profile.d_right
-            psi = f.zeros(w * d, w * d)
-            for a in range(w):
-                for b in range(a + 1):
-                    psi[a * d : (a + 1) * d, b * d : (b + 1) * d] = self.right_blocks[w + b - a].T
+            psi = _stationary_rows(self, "right", w)[:, 2 * w * d :]
             e = 1
             while e < w * d:
                 psi, e = f.matmul(psi, psi), 2 * e
@@ -380,8 +364,8 @@ def verify_inverse(f_op: BandedOperator, g_op: BandedOperator) -> bool:
     boundary levels from the operator's boundary block, the stationary
     levels by whole blocks only where their images stay in the constant
     regions, `column()` itself in between.  Its windows hold every image
-    (`_image_window`), so the product is exact for any operator, not only
-    under `validate` as the stacked route of `_apply_action` is.
+    (`_image_window`), so the product is exact for any operator, whether
+    `validate` accepts it or not.
     """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("operators over different profiles")
@@ -474,27 +458,26 @@ def _boundary_block(op: BandedOperator) -> tuple:
 def _stationary_rows(op: BandedOperator, side: str, count: int) -> np.ndarray:
     """The action rows of `count` consecutive levels that act by one side's
     stationary blocks, over the count + 2w levels they reach: row block k
-    holds B_-w^T ... B_w^T from column block k on, the nonzero span of
-    which is `stationary_stack`.
+    holds the stack B_-w^T ... B_w^T from column block k on.
 
     The rows of fewer levels are the first rows and columns of these, so
     each side keeps the rows of the most levels asked for (in `_stacks`),
-    at least twice the last count kept.  They are written into a flat
-    buffer in which row block k starts k (d L + d) entries in, L the row
-    length, so that one write puts the stack into every row block.
+    at least one and at least twice the last count kept.  They are written
+    into a flat buffer in which row block k starts k (d L + d) entries in,
+    L the row length, so that one write puts the stack into every row
+    block.
     """
     d = op.profile.d_left if side == "left" else op.profile.d_right
     w = op.width
-    kept = op._stacks.get((side, "rows"))
+    kept = op._stacks.get(side)
     if kept is None or kept.shape[0] < count * d:
-        size = count if kept is None else max(count, 2 * kept.shape[0] // d)
+        size = max(count, 1) if kept is None else max(count, 2 * kept.shape[0] // d)
         length = (size + 2 * w) * d
         buf = op.profile.field.zeros(1, size * (d * length + d))
-        shifts, stacked = op.stationary_stack(side)
-        if shifts:
-            skew = buf.reshape(size, d * length + d)[:, : d * length].reshape(size, d, length)
-            skew[:, :, (shifts[0] + w) * d : (shifts[-1] + w + 1) * d] = stacked
-        kept = op._stacks[side, "rows"] = buf[0, : size * d * length].reshape(size * d, length)
+        blocks = op.left_blocks if side == "left" else op.right_blocks
+        skew = buf.reshape(size, d * length + d)[:, : d * length].reshape(size, d, length)
+        skew[:, :, : (2 * w + 1) * d] = np.concatenate([blocks[j].T for j in range(-w, w + 1)], axis=1)
+        kept = op._stacks[side] = buf[0, : size * d * length].reshape(size * d, length)
     return kept[: count * d, : (count + 2 * w) * d]
 
 
@@ -565,107 +548,6 @@ def _by_columns(op: BandedOperator, mat, levels, src_lo: int, dst_lo: int, dst_h
                 mat[first + i, p.window_dim(dst_lo, m - 1) + s] = v
 
 
-def _stationary_image(p, x, stack, n0: int, dst_lo: int, dst_hi: int, out):
-    """Add the images of the stationary source levels n0, n0+1, ... into out.
-
-    x holds the rows' coordinates at those levels as an (m, count, d)
-    array.  The component at level n+j of the image of level n is block j
-    applied to it, so a single product with the stacked blocks (see
-    `BandedOperator.stationary_stack`) covers every level and shift; the
-    shifted images are summed over the levels they reach, all of which
-    have dimension d, and added to out once.
-    """
-    m, count, d = x.shape
-    shifts, stacked = stack
-    if not shifts:
-        return
-    lo, hi = n0 + shifts[0], n0 + count - 1 + shifts[-1]  # levels reached
-    if hi > dst_hi:
-        raise ValueError("action window too small for the band")
-    f = p.field
-    img = f.matmul(x.reshape(m * count, d), stacked).reshape(m, count, len(shifts), d)
-    reach = f.zeros(m, (hi - lo + 1) * d).reshape(m, hi - lo + 1, d)
-    for k, j in enumerate(shifts):
-        reach[:, j - shifts[0] : j - shifts[0] + count] += img[:, :, k]
-    first = max(lo, dst_lo + 1)  # images at levels <= dst_lo are dropped
-    if first <= hi:
-        width = (hi - first + 1) * d
-        start = p.window_dim(dst_lo, first - 1)
-        out[:, start : start + width] += reach[:, first - lo :].reshape(m, width)
-
-
-def _apply_action(
-    op: BandedOperator, rows: np.ndarray, src_lo: int, src_hi: int, dst_lo: int, dst_hi: int
-) -> np.ndarray:
-    """rows @ _action_rows(op, src_lo, src_hi, dst_lo, dst_hi), without
-    forming the dense action matrix.
-
-    rows are coordinates over the source window (src_lo, src_hi]; the
-    result is over (dst_lo, dst_hi], images at levels <= dst_lo dropped,
-    and raises ValueError when an image would land above dst_hi.  Source
-    levels left of b_lo and right of b_hi act by the stationary blocks,
-    one product per side for all such levels and shifts at once; `validate`
-    guarantees that those levels and their images lie in the constant
-    d_left / d_right regions of the profile.  Only the boundary levels
-    [b_lo, b_hi] go through the dense `_action_rows`, restricted to the
-    destination levels their stored columns reach (`_boundary_reach`), so
-    a column that leaves its band is kept or refused as `_action_rows`
-    keeps or refuses it.
-    """
-    p = op.profile
-    f = p.field
-    left_hi = min(src_hi, op.b_lo - 1)  # last stationary level on the left
-    right_lo = max(src_lo, op.b_hi) + 1  # first stationary level on the right
-    has_left = src_lo < left_hi and p.d_left
-    has_right = right_lo <= src_hi and p.d_right
-    if not (has_left or has_right):
-        # only boundary levels (or empty ones): the dense action is the whole map
-        return f.matmul(rows, _action_rows(op, src_lo, src_hi, dst_lo, dst_hi))
-    m = rows.shape[0]
-    out = f.zeros(m, p.window_dim(dst_lo, dst_hi))
-    if has_left:
-        x = rows[:, : p.window_dim(src_lo, left_hi)].reshape(m, left_hi - src_lo, p.d_left)
-        _stationary_image(p, x, op.stationary_stack("left"), src_lo + 1, dst_lo, dst_hi, out)
-    if has_right:
-        x = rows[:, p.window_dim(src_lo, right_lo - 1) :].reshape(m, src_hi - right_lo + 1, p.d_right)
-        _stationary_image(p, x, op.stationary_stack("right"), right_lo, dst_lo, dst_hi, out)
-    lo, hi = max(src_lo + 1, op.b_lo), min(src_hi, op.b_hi)
-    if lo <= hi:
-        # the images of levels lo..hi lie inside (lo - 1 - down, hi + up]
-        down, up = _boundary_reach(op)
-        cut_hi = min(dst_hi, hi + up)
-        cut_lo = min(max(dst_lo, lo - 1 - down), cut_hi)
-        action = _action_rows(op, lo - 1, hi, cut_lo, cut_hi)
-        if action.shape[1]:
-            start = p.window_dim(dst_lo, cut_lo)
-            boundary = rows[:, p.window_dim(src_lo, lo - 1) : p.window_dim(src_lo, hi)]
-            out[:, start : start + action.shape[1]] += f.matmul(boundary, action)
-    return f.normalize(out)
-
-
-def _action_table(op: BandedOperator, a: int, top: int) -> np.ndarray:
-    """`_action_rows(op, a - w, M, a, M + w)` for some M >= top, kept per tail a.
-
-    Each table reaches the largest top requested so far: a request above
-    the kept M builds the rows of the levels (M, top] through one
-    `_action_rows` call and pads the kept rows with the zero columns
-    (M + w, top + w], so every row is built once.
-    """
-    kept = op._tables.get(a)
-    if kept is not None and kept[0] >= top:
-        return kept[1]
-    w = op.width
-    rows = _action_rows(op, a - w if kept is None else kept[0], top, a, top + w)
-    if kept is not None:
-        old = kept[1]
-        table = op.profile.field.zeros(old.shape[0] + rows.shape[0], rows.shape[1])
-        table[: old.shape[0], : old.shape[1]] = old
-        table[old.shape[0] :] = rows
-        rows = table
-    op._tables[a] = (top, rows)
-    return rows
-
-
 def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
     """Rows spanning op(W) mod U_a over the coordinates (a, top]; returns (rows, top).
 
@@ -673,10 +555,9 @@ def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
     bandedness drops every deeper source into U_a.  When W = U_top with
     tail(W) >= a - width (every chain member C_m, and the U_tail of the
     limit-free tail constant), those rows are the unit rows of (a - width,
-    top], so their images are the first rows and columns of the operator's
-    action table at a (`_action_table`); the columns the slice drops must
-    be zero, else ValueError as from `_action_rows`.  Any other W is mapped
-    by `_apply_action`.
+    top], so their images are the action rows themselves; any other W is
+    mapped by one product with them.  An image above top raises ValueError
+    (`_action_rows`).
     """
     if w.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
@@ -688,13 +569,10 @@ def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
         # every source sits deep enough that its image stays inside U_a
         return p.field.zeros(0, 0), a
     dst_hi = max(w.top + op.width, a)
+    action = _action_rows(op, src_lo, w.top, a, dst_hi)
     if src_lo <= w.tail and w.window.rank == p.window_dim(w.tail, w.top):
-        image = _action_table(op, a, w.top)[: p.window_dim(src_lo, w.top)]
-        cols = p.window_dim(a, dst_hi)
-        if np.any(image[:, cols:] != 0):
-            raise ValueError("action window too small for the band")
-        return image[:, :cols].copy(), dst_hi
-    return _apply_action(op, w.rows_over(src_lo, w.top), src_lo, w.top, a, dst_hi), dst_hi
+        return action, dst_hi
+    return p.field.matmul(w.rows_over(src_lo, w.top), action), dst_hi
 
 
 def automorphism_image(op: BandedOperator, x: CompactOpenSubspace, inverse_width: int) -> CompactOpenSubspace:

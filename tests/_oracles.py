@@ -19,6 +19,9 @@ which convolves the blocks in one product, must return the same.
 `verify_inverse_by_composites` builds both composites with
 `compose_by_columns` and compares each with the identity operator;
 `llcent.operators.verify_inverse` must give the same verdict.
+`edge_map_by_blocks` writes the stationary edge map Psi block by block;
+`BandedOperator.right_edge_power`, which slices it from the operator's
+stationary rows, must return the columns of its power that it gives.
 """
 
 import numpy as np
@@ -36,7 +39,6 @@ from llcent.errors import EngineInvariant, ProfileMismatch
 from llcent.linalg import pad_basis_columns, rref_union
 from llcent.operators import (
     BandedOperator,
-    _apply_action,
     automorphism_image,
     identity_operator,
     image_rows_mod_tail,
@@ -97,6 +99,19 @@ def action_rows_by_columns(op: BandedOperator, src_lo: int, src_hi: int, dst_lo:
                     raise ValueError("action window too small for the band")
                 mat[first + i, dst_offs[m] + s] = v
     return mat
+
+
+def edge_map_by_blocks(op: BandedOperator) -> np.ndarray:
+    """Psi of `BandedOperator.right_edge_power`, one d_right x d_right block
+    at a time: block (a, b), from level t+1+a to level t+w+1+b, is
+    right_blocks[w+b-a] transposed for b <= a and zero otherwise."""
+    f = op.profile.field
+    w, d = op.width, op.profile.d_right
+    psi = f.zeros(w * d, w * d)
+    for a in range(w):
+        for b in range(a + 1):
+            psi[a * d : (a + 1) * d, b * d : (b + 1) * d] = op.right_blocks[w + b - a].T
+    return psi
 
 
 def _image_by_columns(op: BandedOperator, vec: LlcVector) -> LlcVector:
@@ -257,10 +272,10 @@ def grow_chain_full_window(img_op, u, a0, offset, cfg, horizon, noun):
     The chain is one reduced basis over (a0, top], starting from U modulo
     U_{a0} (`expand_window`); every step pads the images to the whole
     window, merges them into the whole basis, and maps the new rows over
-    the whole window again.  The first images come from the stacked route,
-    `_apply_action` on U modulo U_{a0 - width}, where the engine's
-    `image_rows_mod_tail` slices them from the operator's action table
-    when U is a chain member.  Same signature and result as `_grow_chain`.
+    the whole window again.  Every image is a product with the dense
+    action that `action_rows_by_columns` fills from the operator's columns,
+    the first one of U modulo U_{a0 - width}, so the loop shares no action
+    code with the engine.  Same signature and result as `_grow_chain`.
     """
     p = img_op.profile
     f = p.field
@@ -269,7 +284,7 @@ def grow_chain_full_window(img_op, u, a0, offset, cfg, horizon, noun):
     src_lo = a0 - img_op.width
     if top > src_lo:
         delta_top = max(top + img_op.width, a0)
-        delta = _apply_action(img_op, u.rows_over(src_lo, top), src_lo, top, a0, delta_top)
+        delta = f.matmul(u.rows_over(src_lo, top), action_rows_by_columns(img_op, src_lo, top, a0, delta_top))
     else:
         delta, delta_top = f.zeros(0, 0), a0
     readings: list = []
@@ -293,5 +308,6 @@ def grow_chain_full_window(img_op, u, a0, offset, cfg, horizon, noun):
         if _plateaued(readings, cfg.plateau_streak, horizon):
             return EntropyResult(d, Status.PLATEAU, tuple(readings), u, step)
         new_rows = basis.mat[[i for i, piv in enumerate(basis.pivots) if piv not in old_piv]]
-        delta, delta_top = _apply_action(img_op, new_rows, a0, top, a0, top + img_op.width), top + img_op.width
+        delta_top = top + img_op.width
+        delta = f.matmul(new_rows, action_rows_by_columns(img_op, a0, top, a0, delta_top))
     return EntropyResult(readings[-1], Status.LOWER_BOUND, tuple(readings), u, cfg.max_trajectory_steps)

@@ -862,12 +862,9 @@ class TestTotalEntropy:
         # default slot pickling, as the benchmark worker receives operators
         op, inv = random_automorphism(random.Random(2), Profile.constant(field, 2))
         r = total_entropy(op, inverse=inv)
-        assert op._inverse is inv and op._tables and inv._tail_ranks
+        assert op._inverse is inv and inv._tail_ranks
         assert bool(op._packed) == (field is F2)
         copy = pickle.loads(pickle.dumps(op))
-        assert copy._tables.keys() == op._tables.keys()
-        for a, (top, rows) in op._tables.items():
-            assert copy._tables[a][0] == top and np.array_equal(copy._tables[a][1], rows)
         assert (copy._packed, copy._reach, copy._violations) == (op._packed, op._reach, op._violations)
         assert copy._inverse == inv and copy._inverse._tail_ranks == inv._tail_ranks
         # the boundary block comes along whole, or is rebuilt the same

@@ -13,10 +13,9 @@ from llcent.fields import PrimeField
 from llcent.generators import random_automorphism, random_endomorphism
 from llcent.gf2rows import ChainRows, echelon, merge, pack, unpack
 from llcent.linalg import SubspaceBasis, rref_union
-from llcent.operators import _apply_action
 from llcent.spaces import CompactOpenSubspace, LlcVector, Profile, cofinal_chain
 
-from _oracles import grow_chain_full_window
+from _oracles import action_rows_by_columns, grow_chain_full_window
 
 F2 = PrimeField(2)
 
@@ -71,7 +70,8 @@ class TestMerge:
 
 
 class TestAct:
-    """ChainRows.act is _apply_action with the images at levels <= a0 dropped."""
+    """ChainRows.act is the product with the dense action, filled column by
+    column (`action_rows_by_columns`), with the images at levels <= a0 dropped."""
 
     PLACEMENTS = ("left_of", "across", "inside", "right_of")
 
@@ -108,10 +108,10 @@ class TestAct:
 
     @settings(max_examples=300, deadline=None)
     @given(case=cases())
-    def test_matches_apply_action(self, case):
+    def test_matches_the_dense_action(self, case):
         op, rows, a0, src_lo, src_hi = case
         p = op.profile
-        want = pack(_apply_action(op, rows, src_lo, src_hi, a0, src_hi + op.width))
+        want = pack(F2.matmul(rows, action_rows_by_columns(op, src_lo, src_hi, a0, src_hi + op.width)))
         got = ChainRows(op, a0).act([r << p.window_dim(a0, src_lo) for r in pack(rows)])
         assert got == want
 

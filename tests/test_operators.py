@@ -24,7 +24,6 @@ from llcent.operators import (
     BandedOperator,
     _action_rows,
     _boundary_block,
-    _apply_action,
     automorphism_image,
     compose,
     decompose_vc_vd,
@@ -51,6 +50,7 @@ from _dense import image_plus_tail_bits, subspace_bits
 from _oracles import (
     action_rows_by_columns,
     compose_by_columns,
+    edge_map_by_blocks,
     same_operator,
     verify_inverse_by_composites,
 )
@@ -317,7 +317,7 @@ class TestDenseRoutes:
     the routes must give `column()`'s images or raise as it does.
     """
 
-    FIELDS = (F2, F3, PrimeField(5), QQ)
+    FIELDS = (F2, F3, PrimeField(5), PrimeField(2**31 - 1), QQ)
     KINDS = ("valid", "band_leaving", "short_region")
 
     @staticmethod
@@ -355,8 +355,9 @@ class TestDenseRoutes:
     @staticmethod
     @st.composite
     def windows(draw, op):
-        src_lo = draw(st.integers(op.b_lo - 5, op.b_hi + 2))
-        src_hi = draw(st.integers(src_lo, op.b_hi + 5))
+        # windows across, inside, and wholly left or right of [b_lo, b_hi]
+        src_lo = draw(st.integers(op.b_lo - 11, op.b_hi + 4))
+        src_hi = draw(st.integers(src_lo, max(src_lo, op.b_hi) + 6))
         # dst_lo above src_lo - width cuts images off below the window
         dst_lo = draw(st.integers(src_lo - op.width - 4, max(src_hi, src_lo - op.width - 4)))
         # a window short of the reach of some image must raise
@@ -417,6 +418,31 @@ class TestDenseRoutes:
             assert np.array_equal(_action_rows(op, *window), action_rows_by_columns(op, *window))
 
 
+class TestRightEdgePower:
+    """right_edge_power against Psi written block by block (`edge_map_by_blocks`)."""
+
+    @pytest.mark.parametrize("field", [F2, F3, PrimeField(2**31 - 1), QQ], ids=str)
+    @pytest.mark.parametrize("d_right", range(4))
+    @pytest.mark.parametrize("width", range(4))
+    def test_matches_the_block_oracle(self, width, d_right, field):
+        rng = random.Random(16 * width + 4 * d_right)
+        for make in (random_endomorphism, degenerate_endomorphism):
+            dims = {n: rng.randint(0, 3) for n in range(rng.randint(-2, 0), rng.randint(0, 2) + 1)}
+            profile = Profile.from_dims(field, dims, rng.randint(0, 2), d_right)
+            op = make(rng, profile, width=width, boundary=rng.randint(0, 2))
+            psi = edge_map_by_blocks(op)
+            n = width * d_right
+            # Psi^1 .. Psi^e, e the first power of two >= n, one product at a time
+            powers = [psi]
+            while len(powers) < n or len(powers) & (len(powers) - 1):
+                powers.append(field.matmul(powers[-1], psi))
+            want = powers[-1][:, list(SubspaceBasis.span(field, powers[-1]).pivots)]
+            got = op.right_edge_power()
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            # the image of Psi^k stops shrinking by k = n: its rank is that of Psi^n
+            assert got.shape[1] == (SubspaceBasis.span(field, powers[n - 1]).rank if n else 0)
+
+
 class TestImageModTail:
     def test_right_shift_of_tail(self):
         beta = make_shift(P1, "right")
@@ -450,7 +476,8 @@ class TestImageModTail:
 
 
 class TestActionTable:
-    """image_rows_mod_tail on W = U_top slices the operator's action table at a."""
+    """image_rows_mod_tail on W = U_top returns the operator's dense action
+    rows of (a - width, top] into (a, top + width]."""
 
     @pytest.mark.parametrize("field", [F2, F3, PrimeField(2**31 - 1), QQ], ids=str)
     def test_slices_match_the_stacked_route(self, field):
@@ -463,25 +490,13 @@ class TestActionTable:
             assert not validate(op)
             for a in sorted({0, -op.width}):
                 src = a - op.width
-                # tops in random order, so that later requests slice a wider table
-                tops = list(range(src + 1, 6))
-                rng.shuffle(tops)
-                for b in tops:
+                for b in range(src + 1, 6):
                     u = cofinal_chain(profile, b) if b >= 0 else CompactOpenSubspace.make(profile, b)
                     rows, top = image_rows_mod_tail(op, u, a)
                     want_top = max(u.top + op.width, a)
-                    want = _apply_action(op, u.rows_over(src, u.top), src, u.top, a, want_top)
+                    want = field.matmul(u.rows_over(src, u.top), action_rows_by_columns(op, src, u.top, a, want_top))
                     assert top == want_top
                     assert rows.dtype == want.dtype and np.array_equal(rows, want)
-                assert a in op._tables
-
-    def test_table_grows_to_the_largest_top_requested(self):
-        op = random_endomorphism(random.Random(3), P2, width=2)
-        for b in (1, 4, 2):
-            image_rows_mod_tail(op, cofinal_chain(P2, b), 0)
-        top, table = op._tables[0]
-        assert top == 4 and table.shape == (P2.window_dim(-2, 4), P2.window_dim(0, 6))
-        assert np.array_equal(table, _action_rows(op, -2, 4, 0, 6))
 
     def test_out_of_band_column_raises(self):
         shift = make_shift(P1, "right")
@@ -493,10 +508,10 @@ class TestActionTable:
             return BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
 
         assert validate(broken())
-        # the image leaves the window (0, top + 1] when the table is built ...
+        # the image leaves the window (0, top + 1] ...
         with pytest.raises(ValueError, match="action window too small"):
             image_rows_mod_tail(broken(), cofinal_chain(P1, 1), 0)
-        # ... and when it is sliced from a table built for a higher top
+        # ... also after the operator mapped a higher top
         op = broken()
         rows, top = image_rows_mod_tail(op, cofinal_chain(P1, 3), 0)
         assert np.array_equal(rows, _action_rows(op, -1, 3, 0, 4))
@@ -510,16 +525,17 @@ class TestActionTable:
     def test_out_of_band_image_inside_the_window(self, level, target, dst_hi):
         # the right shift with one boundary column moved out of its band,
         # down (e_{-1} -> e_{-3}) or up (e_1 -> e_3); not validated.  The
-        # image lies inside (-4, dst_hi], so the stacked route keeps it as
-        # the dense action does, for any window the tables do not cover
+        # image lies inside (-4, dst_hi], so the dense action keeps it, as
+        # the column-by-column one does
         shift = make_shift(P1, "right")
         columns = dict(shift.columns)
         columns[level] = (unit(P1, target),)
         op = BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
         assert validate(op)
         rows = cofinal_chain(P1, 1).rows_over(-5, 1)
-        want = F2.matmul(rows, _action_rows(op, -5, 1, -4, dst_hi))
-        assert np.array_equal(_apply_action(op, rows, -5, 1, -4, dst_hi), want)
+        got = F2.matmul(rows, _action_rows(op, -5, 1, -4, dst_hi))
+        assert np.array_equal(got, F2.matmul(rows, action_rows_by_columns(op, -5, 1, -4, dst_hi)))
+        assert got[P1.window_dim(-5, level - 1), P1.window_dim(-4, target - 1)] == 1
 
 
 def _bounded_subspace(rng):
@@ -668,7 +684,8 @@ class TestOperatorAdd:
 
 
 class TestBandedApplication:
-    """_apply_action equals the product with the dense action matrix."""
+    """The dense action of rows that vanish below some level, on windows
+    placed anywhere against the boundary region."""
 
     FIELDS = (PrimeField(2), PrimeField(3), PrimeField(2**31 - 1), QQ)
     # where the source window (src_lo, src_hi] sits against [b_lo, b_hi]
@@ -704,58 +721,27 @@ class TestBandedApplication:
         else:
             src_lo = draw(st.integers(b_lo - 1, b_hi))
             src_hi = draw(st.integers(src_lo, b_hi))
-        # dst_lo at or below src_lo - width keeps every image; above it cuts some off
-        dst_lo = draw(st.integers(src_lo - width - 2, max(src_hi, src_lo - width - 2)))
-        # one level short of the band's reach exercises the too-small window
-        dst_hi = max(dst_lo, src_hi + width - draw(st.sampled_from((0, 0, 0, 1))))
         m = draw(st.integers(0, 4))
         rows = random_matrix(rng, field, m, profile.window_dim(src_lo, src_hi))
-        return op, rows, (src_lo, src_hi, dst_lo, dst_hi)
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=cases())
-    def test_matches_dense_action(self, case):
-        op, rows, window = case
-        f = op.profile.field
-        try:
-            want = f.matmul(rows, _action_rows(op, *window))
-        except ValueError:
-            with pytest.raises(ValueError, match="action window too small"):
-                _apply_action(op, rows, *window)
-            return
-        got = _apply_action(op, rows, *window)
-        assert got.shape == want.shape
-        assert np.array_equal(got, f.normalize(want))
+        return op, rows, src_lo, src_hi
 
     @settings(max_examples=200, deadline=None)
     @given(case=cases(), data=st.data())
     def test_source_trimmed_to_first_nonzero_level(self, case, data):
         # the chain loop maps rows that vanish up to some level s from s on:
         # once trimmed, the images equal those of the whole window
-        op, rows, (src_lo, src_hi, _, _) = case
+        op, rows, src_lo, src_hi = case
         p, w = op.profile, op.width
         s = data.draw(st.integers(src_lo, src_hi))
         a0 = src_lo - data.draw(st.integers(0, w + 2))
         cut = p.window_dim(src_lo, s)
         rows = rows.copy()
         rows[:, :cut] = p.field.zero
-        full = _apply_action(op, rows, src_lo, src_hi, max(a0, src_lo - w), src_hi + w)
-        part = _apply_action(op, rows[:, cut:], s, src_hi, max(a0, s - w), src_hi + w)
+        full = p.field.matmul(rows, _action_rows(op, src_lo, src_hi, max(a0, src_lo - w), src_hi + w))
+        part = p.field.matmul(rows[:, cut:], _action_rows(op, s, src_hi, max(a0, s - w), src_hi + w))
         kernels = _ArrayRows(op, a0)
         full_trim = kernels.trim(full, max(a0, src_lo - w), src_hi + w)
         part_trim = kernels.trim(part, max(a0, s - w), src_hi + w)
         assert full_trim[1:] == part_trim[1:]
         assert full_trim[0].shape == part_trim[0].shape
         assert np.array_equal(full_trim[0], part_trim[0])
-
-    def test_stationary_levels_never_build_the_dense_action(self, monkeypatch):
-        import llcent.operators as ops
-
-        def refuse(*args):
-            raise AssertionError("dense action built for stationary levels")
-
-        monkeypatch.setattr(ops, "_action_rows", refuse)
-        op = make_shift(P2, "right")
-        rows = F2.array([[1, 0, 0, 1, 1, 1]])  # levels -19, -18, -17
-        got = _apply_action(op, rows, -20, -17, -20, -16)
-        assert got.tolist() == [[0, 0, 1, 0, 0, 1, 1, 1]]

@@ -17,6 +17,13 @@ against the oracle and the loop's time per shape (best of 3 replays
 each); it exits 1 when the two return another value, status, certificate
 or step count on any call.
 
+The same passes record every ``llcent.operators._action_rows`` call, at
+each module that binds it, with the matrix it returned or the exception
+it raised.  Each is replayed through ``action_rows_by_columns`` of
+tests/_oracles.py, which fills the dense action one ``column()`` entry at
+a time; a call that gives another matrix or dtype, or another exception,
+is a mismatch too, and one summary line counts the calls per catalog.
+
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/chain_replay.py [--check]
 
 --check replays once, without the timing, and prints only the mismatches
@@ -31,12 +38,15 @@ import time
 from collections import defaultdict
 from functools import partial
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import llcent.entropy as entropy  # noqa: E402
 import llcent.gf2rows as gf2rows  # noqa: E402
-from _oracles import grow_chain_full_window  # noqa: E402
+import llcent.operators as operators  # noqa: E402
+from _oracles import action_rows_by_columns, grow_chain_full_window  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
 from llcent.fields import PrimeField  # noqa: E402
 from llcent.generators import degenerate_endomorphism  # noqa: E402
@@ -44,6 +54,7 @@ from llcent.spaces import Profile  # noqa: E402
 
 REPEATS = 3
 DEGENERATE = 60  # operators in the degenerate_gf2 catalog
+ACTION_SITES = (operators, entropy)  # the modules that bind _action_rows
 
 
 def workload_pass(name):
@@ -69,21 +80,63 @@ CATALOGS = {
 }
 
 
+def outcome(fn, *args):
+    """("ok", matrix) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the oracle must raise what the action raised
+        return type(exc), str(exc)
+
+
 def record(name):
-    """The argument tuples of every _grow_chain call in one pass of a catalog."""
-    calls = []
-    real = entropy._grow_chain
+    """(The argument tuples of every _grow_chain call in one pass of a
+    catalog, (arguments, outcome) of every _action_rows call in it)."""
+    calls, actions = [], []
+    real, real_action = entropy._grow_chain, operators._action_rows
 
     def recording(*args):
         calls.append(args)
         return real(*args)
 
+    def recording_action(*args):
+        try:
+            mat = real_action(*args)
+        except Exception as exc:
+            actions.append((args, (type(exc), str(exc))))
+            raise
+        # a copy, as callers may change the matrix they are handed
+        actions.append((args, ("ok", mat.copy())))
+        return mat
+
     entropy._grow_chain = recording
+    for module in ACTION_SITES:
+        module._action_rows = recording_action
     try:
         CATALOGS[name]()
     finally:
         entropy._grow_chain = real
-    return calls
+        for module in ACTION_SITES:
+            module._action_rows = real_action
+    return calls, actions
+
+
+def replay_actions(actions):
+    """Mismatch descriptions of the recorded _action_rows calls against the oracle."""
+    bad = []
+    for k, (args, got) in enumerate(actions):
+        want = outcome(action_rows_by_columns, *args)
+        if got[0] == want[0] == "ok":
+            same = got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        else:
+            same = got == want
+        if not same:
+            bad.append(f"call {k} {args[1:]} of {args[0]!r}: got {described(got)}, oracle {described(want)}")
+    return bad
+
+
+def described(result):
+    kind, value = result
+    return f"{value.dtype} matrix of shape {value.shape}" if kind == "ok" else f"{kind.__name__}({value!r})"
 
 
 def summary(r):
@@ -181,9 +234,15 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="store_true", help="replay once and check; no timing")
     args = ap.parse_args(argv)
 
-    total_bad = 0
+    total_bad = action_bad = 0
+    action_counts = []
     for name in CATALOGS:
-        calls = record(name)
+        calls, actions = record(name)
+        bad_actions = replay_actions(actions)
+        action_bad += len(bad_actions)
+        action_counts.append(f"{len(actions)} {name}")
+        for text in bad_actions:
+            print(f"MISMATCH _action_rows {name} {text}")
         bad, counts = replay(calls)
         total_bad += len(bad)
         for text in bad:
@@ -200,7 +259,11 @@ def main(argv=None) -> int:
                 by_shape[shape(call)].append(call)
             for label in sorted(by_shape):
                 print(f"  {label}: _grow_chain {best_s(entropy._grow_chain, by_shape[label]):.4f} s")
-    return 1 if total_bad else 0
+    print(
+        f"_action_rows: {', '.join(action_counts[:-1])} and {action_counts[-1]} calls replayed "
+        f"against the column-by-column action, {action_bad} mismatches"
+    )
+    return 1 if total_bad or action_bad else 0
 
 
 if __name__ == "__main__":

@@ -77,7 +77,6 @@ from .errors import (
     EngineDisagreement,
     EngineInvariant,
     InfiniteField,
-    InvalidOperator,
     NonConstantProfile,
     NotAnInverse,
     ProfileMismatch,
@@ -88,8 +87,8 @@ from .linalg import SubspaceBasis
 from .operators import (
     BandedOperator,
     _action_rows,
+    _check_op,
     image_rows_mod_tail,
-    validate,
     verify_inverse,
 )
 from .spaces import CompactOpenSubspace, Profile, cofinal_chain
@@ -133,14 +132,6 @@ class EntropyResult:
         return self.status is not Status.LOWER_BOUND
 
 
-def _check_op(op: BandedOperator):
-    # validated once per operator: its blocks never change after construction
-    if op._violations is None:
-        op._violations = validate(op)
-    if op._violations:
-        raise InvalidOperator(op._violations)
-
-
 def _check_pair(op: BandedOperator, inverse: BandedOperator):
     """Both operators valid and inverse to each other, as the limit-free engine needs."""
     # a verified pair is kept on op and recognized by identity; a pair that
@@ -181,22 +172,19 @@ def _structural_horizon(op: BandedOperator, u: CompactOpenSubspace) -> int:
 
 
 def _front_repeats(front, prev) -> bool:
-    """True when a front state (lo, ...) repeats the previous step's one
+    """True when a front state (lo, key) repeats the previous step's one
     level shift s > 0 later.
 
-    The rest of a state is relative to lo, so equal entries mean the same
-    stored rows shifted by s; None marks a step taken below b_hi.  The
-    array format's state is (lo, pivots, block, images), the packed one's
-    (lo, top - lo, block rows, image rows), both taken right before the
-    merge.  Equal states step alike (see `_grow_chain`), whether or not
-    the basis is canonical: the packed block is an echelon basis.
+    The key is hashable and relative to lo, so equal keys mean the same
+    stored rows shifted by s; None marks a step taken below b_hi.  Each
+    kernel's `front` makes the key right before the merge, from top - lo,
+    the block and the images: the array format's holds the pivots and each
+    matrix's shape and entries, the packed one's the block and image rows
+    shifted down to lo.  Equal states step alike (see `_grow_chain`),
+    whether or not the basis is canonical: the packed block is an echelon
+    basis.
     """
-    if front is None or prev is None or front[0] <= prev[0]:
-        return False
-    return all(
-        a.shape == b.shape and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-        for a, b in zip(front[1:], prev[1:])
-    )
+    return front is not None and prev is not None and front[0] > prev[0] and front[1] == prev[1]
 
 
 def _readings_fixed(front, prev, edge):
@@ -269,9 +257,9 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     (EngineInvariant otherwise); the gain is read after that merge.
 
     The loop stops stepping once the front repeats.  While lo >= b_hi of
-    img_op, each step takes a front state right before its merge: the
-    block's pivots, its matrix and the padded images, all relative to lo
-    (packed: top - lo and the rows and images shifted down to lo).
+    img_op, each step takes a front state right before its merge: top -
+    lo, the block's pivots, its matrix and the padded images, all
+    relative to lo (packed: the rows and images shifted down to lo).
     When it equals the previous step's state with lo moved up by s > 0,
     every later step is that step shifted by s levels, so every later
     reading repeats, and the loop appends the reading until the plateau
@@ -292,8 +280,7 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
       >= b_hi, so every source level acts by the right stationary blocks.
       `validate` gives b_hi >= n_hi + w, and n_hi >= 0 >= tail(U) >= a0,
       so every image lies above src_lo - w >= n_hi, in the constant
-      d_right region, and above a0: nothing is cut at the tail.  Level
-      widths there are all d_right, so the matrix width fixes top - lo.
+      d_right region, and above a0: nothing is cut at the tail.
     * By induction each later front state is the repeated one shifted by
       a further s with lo >= b_hi, and each later gain equals the
       repeated one.
@@ -518,7 +505,12 @@ class _ArrayRows:
 
     @staticmethod
     def front(lo, top, basis, rows):
-        return (lo, basis.pivots, basis.mat, rows)
+        """The front state (lo, key); see `_front_repeats`.  The entries are
+        listed, not taken as bytes, which over Q would be object pointers."""
+        mat = basis.mat
+        return lo, (
+            top - lo, basis.pivots, mat.shape, tuple(mat.ravel().tolist()), rows.shape, tuple(rows.ravel().tolist())
+        )
 
     def images(self, basis, new, lo, top):
         """The images of the rows of `basis` the last merge added, by index."""

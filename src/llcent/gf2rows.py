@@ -162,33 +162,11 @@ def _side(op, side: str, levels: int):
 def _boundary_columns(op) -> tuple:
     """(ref, cols): the images of the boundary coordinates, levels
     b_lo..b_hi in window order, as ints over the window (ref, infinity),
-    ref = b_lo - 1 - down below every image: the rows of the operator's
+    ref = b_lo - 1 - w below every image: the rows of the operator's
     boundary block, packed (`operators._boundary_block`)."""
-    from .operators import _boundary_block, _boundary_reach  # operators imports linalg, which imports this module
+    from .operators import _boundary_block  # operators imports linalg, which imports this module
 
-    return op.b_lo - 1 - _boundary_reach(op)[0], pack(_boundary_block(op)[0])
-
-
-class _Front:
-    """A packed front state's block and image rows, compared relative to
-    their own lo: equal to another state's when the rows are equal shifted
-    down by `at`, the bit of lo.  `entropy._front_repeats` compares lo and
-    top - lo first, so the rows are shifted only when those match."""
-
-    __slots__ = ("at", "block", "rows")
-    __hash__ = None
-
-    def __init__(self, at: int, block: list, rows: list):
-        self.at, self.block, self.rows = at, block, rows
-
-    def __eq__(self, other):
-        a, b = self.at, other.at
-        return (
-            len(self.block) == len(other.block)
-            and len(self.rows) == len(other.rows)
-            and all(x >> a == y >> b for x, y in zip(self.block, other.block))
-            and all(x >> a == y >> b for x, y in zip(self.rows, other.rows))
-        )
+    return op.b_lo - 1 - op.width, pack(_boundary_block(op))
 
 
 class ChainRows:
@@ -294,8 +272,10 @@ class ChainRows:
         return merge(block, rows)
 
     def front(self, lo, top, block, rows):
-        """The front state relative to lo; see `entropy._front_repeats`."""
-        return (lo, top - lo, _Front(self.at(lo), block, rows))
+        """The front state (lo, key), the rows shifted down to the bit of
+        lo; see `entropy._front_repeats`."""
+        at = self.at(lo)
+        return lo, (top - lo, tuple(x >> at for x in block), tuple(x >> at for x in rows))
 
     def images(self, block, kept, lo, top):
         """The images of the rows the last merge kept."""

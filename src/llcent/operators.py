@@ -17,26 +17,29 @@ are verified against a caller-supplied candidate rather than computed,
 by one banded product per order of the pair, without building either
 composite (`verify_inverse`).
 
-Dense actions (`_action_rows`) make no per-entry column reads on the
-levels every operator has: each operator keeps one boundary block, the
-images of its boundary levels as dense rows, built once from its columns
-(`_boundary_block`), and the stationary levels are whole shifted copies
-of a row of blocks (`_stationary_rows`), which also gives `compose` its
-block convolution as one product.  `_action_rows` is the only array
-action: the image of a block of rows is one product with it
+Dense actions (`_action_rows`) are taken only of operators that
+`validate` accepts (`_check_op` refuses the others with its violations),
+and make no per-entry column reads: each operator keeps one boundary
+block, the images of its boundary levels as dense rows, built once from
+its columns (`_boundary_block`), and the stationary levels are whole
+shifted copies of a row of blocks (`_stationary_rows`), which also gives
+`compose` its block convolution as one product.  `_action_rows` is the
+only array action: the image of a block of rows is one product with it
 (`image_rows_mod_tail`, the array chain kernels of `entropy`), and the
 packed GF(2) kernels of `gf2rows` read the same boundary block.
+`compose` checks nothing: on any operator it gives the composite of the
+images `column()` gives.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import (
     EngineInvariant,
+    InvalidOperator,
     InvarianceFailure,
     NonConstantProfile,
     ProfileMismatch,
@@ -51,7 +54,7 @@ class BandedOperator:
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
         "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
-        "_tail_ranks", "_reach", "_block",
+        "_tail_ranks", "_block",
     )
 
     def __init__(self, profile: Profile, width: int, left_blocks: dict, right_blocks: dict, columns: dict):
@@ -67,10 +70,9 @@ class BandedOperator:
         self._stacks = {}  # side -> `_stationary_rows`' kept rows
         self._edge_power = None
         self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
-        self._violations = None  # validate's list, kept by entropy._check_op
+        self._violations = None  # validate's list, kept by _check_op
         self._inverse = None  # the inverse entropy._check_pair verified
         self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
-        self._reach = None  # _boundary_reach's (down, up)
         self._block = None  # _boundary_block's dense boundary images
 
     def _norm_blocks(self, f, blocks, d):
@@ -212,6 +214,15 @@ def validate(op: BandedOperator) -> list:
                     out.append(f"band exceeded: column ({n},{i}) reaches level {m}")
                     break
     return out
+
+
+def _check_op(op: BandedOperator):
+    """Raise InvalidOperator with `validate`'s violations, if there are any."""
+    # validated once per operator: its blocks never change after construction
+    if op._violations is None:
+        op._violations = validate(op)
+    if op._violations:
+        raise InvalidOperator(op._violations)
 
 
 def _boundary_span(profile: Profile, width: int):
@@ -360,12 +371,10 @@ def verify_inverse(f_op: BandedOperator, g_op: BandedOperator) -> bool:
       comparison of `BandedOperator.__eq__`, and the rows in between are
       its column comparison over the region.
 
-    `_action_rows` gives each level the images `column()` gives it: the
-    boundary levels from the operator's boundary block, the stationary
-    levels by whole blocks only where their images stay in the constant
-    regions, `column()` itself in between.  Its windows hold every image
-    (`_image_window`), so the product is exact for any operator, whether
-    `validate` accepts it or not.
+    `_action_rows` gives each level the images `column()` gives it, and
+    refuses an operator that `validate` rejects (InvalidOperator).  On
+    the others every image lies within the band, so windows widened by
+    the width on each side hold them all and the product is exact.
     """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("operators over different profiles")
@@ -379,61 +388,29 @@ def _composes_to_identity(f_op: BandedOperator, g_op: BandedOperator) -> bool:
     wg, w = g_op.width, f_op.width + g_op.width
     lo = min(g_op.b_lo, f_op.b_lo - wg, p.n_lo - w) - 2
     hi = max(g_op.b_hi, f_op.b_hi + wg, p.n_hi + w) + 1
-    mid_lo, mid_hi = _image_window(g_op, lo, hi)
-    dst_lo, dst_hi = _image_window(f_op, mid_lo, mid_hi)  # holds (lo, hi], as mid_lo <= lo - w_g
     prod = f.matmul(
-        _action_rows(g_op, lo, hi, mid_lo, mid_hi),
-        _action_rows(f_op, mid_lo, mid_hi, dst_lo, dst_hi),
+        _action_rows(g_op, lo, hi, lo - wg, hi + wg),
+        _action_rows(f_op, lo - wg, hi + wg, lo - w, hi + w),
     )
-    m, start = prod.shape[0], p.window_dim(dst_lo, lo)
+    m, start = prod.shape[0], p.window_dim(lo - w, lo)
     unit = f.zeros(m, prod.shape[1])
     unit[:, start : start + m] = f.eye(m)
     return np.array_equal(prod, unit)
 
 
-def _boundary_reach(op: BandedOperator) -> tuple:
-    """(down, up): the most levels an image lies below and above its source
-    level, at least the band width.
+def _boundary_block(op: BandedOperator) -> np.ndarray:
+    """The images of the boundary levels b_lo..b_hi as dense rows, built
+    once per operator, after `_check_op` accepts it.
 
-    The band bounds the stationary columns; the stored boundary columns are
-    read, once per operator, so that no image is cut off even where one
-    leaves the band (which `validate` refuses).
-    """
-    if op._reach is None:
-        down = up = op.width
-        for n, cols in op.columns.items():
-            for col in cols:
-                for m, _slot in col.support:
-                    down, up = max(down, n - m), max(up, m - n)
-        op._reach = (down, up)
-    return op._reach
-
-
-def _image_window(op: BandedOperator, lo: int, hi: int):
-    """A window (a, b] that holds the images of the levels (lo, hi]."""
-    down, up = _boundary_reach(op)
-    return lo - down, hi + up
-
-
-def _boundary_block(op: BandedOperator) -> tuple:
-    """(rows, left_last, right_first), built once per operator.
-
-    rows are the images of the boundary levels b_lo..b_hi, row
-    window_dim(b_lo - 1, n - 1) + i holding `column(n, i)` over the
-    coordinates (b_lo - 1 - down, b_hi + up], (down, up) from
-    `_boundary_reach`, so every stored image fits whole.  The levels up to
-    left_last and from right_first on act by whole d x d stationary blocks
-    on images that stay in the constant d_left / d_right regions
-    (`_stationary_rows`); that holds for every level outside [min(b_lo,
-    n_lo - w), max(b_hi, n_hi + w)] when the side's blocks are d x d, and
-    `validate` makes that range the boundary region.  The levels between
-    reach levels of other dimensions, where `column()` decides.
+    Row window_dim(b_lo - 1, n - 1) + i holds `column(n, i)` over the
+    coordinates (b_lo - 1 - w, b_hi + w], which hold every image, as
+    `validate` keeps each column within its band.
     """
     if op._block is None:
+        _check_op(op)
         p, w = op.profile, op.width
-        down, up = _boundary_reach(op)
-        lo = op.b_lo - 1 - down
-        offs = list(accumulate((p.dim(m) for m in range(lo + 1, op.b_hi + up)), initial=0))
+        lo = op.b_lo - 1 - w
+        offs = list(accumulate((p.dim(m) for m in range(lo + 1, op.b_hi + w)), initial=0))
         at, vals, r = ([], []), [], 0
         for n in range(op.b_lo, op.b_hi + 1):
             cols = op.columns[n]
@@ -443,15 +420,9 @@ def _boundary_block(op: BandedOperator) -> tuple:
                     at[1].append(offs[m - lo - 1] + s)
                     vals.append(v)
                 r += 1
-        rows = p.field.zeros(r, p.window_dim(lo, op.b_hi + up))
+        rows = p.field.zeros(r, p.window_dim(lo, op.b_hi + w))
         rows[at] = vals
-
-        def whole(blocks, d):
-            return w >= 0 and all(b.shape == (d, d) for b in blocks.values())
-
-        left_last = min(op.b_lo, p.n_lo - w) - 1 if whole(op.left_blocks, p.d_left) else -math.inf
-        right_first = max(op.b_hi, p.n_hi + w) + 1 if whole(op.right_blocks, p.d_right) else math.inf
-        op._block = (rows, left_last, right_first)
+        op._block = rows
     return op._block
 
 
@@ -499,53 +470,33 @@ def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_
     the coordinates (dst_lo, dst_hi]; images below dst_lo are dropped
     (taken modulo the tail), images above dst_hi must not occur.
 
-    The source levels fall into runs (`_boundary_block`): the boundary
-    levels copy a slice of the boundary block, the levels that act by
-    whole stationary blocks on either side a slice of `_stationary_rows`,
-    and any level in between (only where the boundary region does not
-    cover [n_lo - w, n_hi + w]) is written entry by entry from `column()`,
-    which gives its image or raises.  The runs go in level order, so the
-    first level that raises is the one a level-by-level pass would meet.
-    No offset table is built: each run finds its columns from
-    `Profile.window_dim`.
+    The operator must be one that `validate` accepts; any other raises
+    InvalidOperator (`_boundary_block`).  The source levels fall into
+    three runs: the levels below b_lo act by whole left stationary blocks,
+    and the levels above b_hi by whole right ones, a slice of
+    `_stationary_rows` each, as `validate` puts the levels they reach in
+    the constant d_left / d_right regions; the boundary levels copy a
+    slice of the boundary block.  No offset table is built: each run finds
+    its columns from `Profile.window_dim`.
     """
     p = op.profile
     w = op.width
+    rows = _boundary_block(op)
     mat = p.field.zeros(p.window_dim(src_lo, src_hi), p.window_dim(dst_lo, dst_hi))
-    rows, left_last, right_first = _boundary_block(op)
-    left = min(src_hi, left_last)
+    left = min(src_hi, op.b_lo - 1)
     if left > src_lo and p.d_left:
         _place(p, mat, 0, _stationary_rows(op, "left", left - src_lo), src_lo - w, left + w, dst_lo, dst_hi)
-    if left_last < op.b_lo - 1:
-        _by_columns(op, mat, range(max(src_lo, left_last) + 1, min(op.b_lo - 1, src_hi) + 1), src_lo, dst_lo, dst_hi)
     a, b = max(src_lo + 1, op.b_lo), min(src_hi, op.b_hi)
     if a <= b:
-        # the images of the levels a..b lie in (a - 1 - down, b + up]
-        down, up = _boundary_reach(op)
+        # the images of the levels a..b lie in (a - 1 - w, b + w]
         base = op.b_lo - 1
         block = rows[p.window_dim(base, a - 1) : p.window_dim(base, b)]
-        _place(p, mat, p.window_dim(src_lo, a - 1), block, base - down, b + up, dst_lo, dst_hi)
-    if right_first > op.b_hi + 1:
-        _by_columns(op, mat, range(max(src_lo, op.b_hi) + 1, min(right_first - 1, src_hi) + 1), src_lo, dst_lo, dst_hi)
-    right = max(src_lo + 1, right_first)
+        _place(p, mat, p.window_dim(src_lo, a - 1), block, base - w, b + w, dst_lo, dst_hi)
+    right = max(src_lo + 1, op.b_hi + 1)
     if right <= src_hi and p.d_right:
         stat = _stationary_rows(op, "right", src_hi - right + 1)
         _place(p, mat, p.window_dim(src_lo, right - 1), stat, right - 1 - w, src_hi + w, dst_lo, dst_hi)
     return mat
-
-
-def _by_columns(op: BandedOperator, mat, levels, src_lo: int, dst_lo: int, dst_hi: int):
-    """Write the images of the source levels one `column()` entry at a time."""
-    p = op.profile
-    for n in levels:
-        first = p.window_dim(src_lo, n - 1)
-        for i in range(p.dim(n)):
-            for (m, s), v in op.column(n, i).support.items():
-                if m <= dst_lo:
-                    continue
-                if m > dst_hi:
-                    raise ValueError("action window too small for the band")
-                mat[first + i, p.window_dim(dst_lo, m - 1) + s] = v
 
 
 def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
@@ -556,13 +507,15 @@ def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
     tail(W) >= a - width (every chain member C_m, and the U_tail of the
     limit-free tail constant), those rows are the unit rows of (a - width,
     top], so their images are the action rows themselves; any other W is
-    mapped by one product with them.  An image above top raises ValueError
-    (`_action_rows`).
+    mapped by one product with them.  An operator that `validate` rejects
+    raises InvalidOperator (`_check_op`); on the others the images lie in
+    (a, top + width].
     """
     if w.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
     if a > 0:
         raise ValueError("tail level must be <= 0")
+    _check_op(op)
     p = op.profile
     src_lo = a - op.width
     if w.top <= src_lo:

@@ -19,10 +19,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidOperator, ParseError, ValidationError
 from .fields import PrimeField, field_from_name
 from .linalg import SubspaceBasis
-from .operators import BandedOperator, identity_operator, make_shift, validate
+from .operators import BandedOperator, _check_op, identity_operator, make_shift
 from .spaces import BlockwisePattern, CompactOpenSubspace, LlcVector, Profile, cofinal_chain
 from .entropy import DEFAULT_CONFIG, EntropyConfig
 
@@ -272,9 +272,10 @@ def _operator_from_json(profile, obj, path, label):
             for i, col in enumerate(cols)
         ]
     op = BandedOperator(profile, width, blocks("left_blocks"), blocks("right_blocks"), columns)
-    violations = validate(op)
-    if violations:
-        raise ValidationError([f"{label}: {v}" for v in violations])
+    try:
+        _check_op(op)  # kept on the operator, so the engines do not validate it again
+    except InvalidOperator as exc:
+        raise ValidationError([f"{label}: {v}" for v in exc.violations]) from None
     return op, None
 
 

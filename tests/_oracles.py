@@ -31,7 +31,6 @@ from llcent.entropy import (
     EntropyConfig,
     EntropyResult,
     Status,
-    _check_op,
     _plateaued,
     _structural_horizon,
 )
@@ -39,6 +38,7 @@ from llcent.errors import EngineInvariant, ProfileMismatch
 from llcent.linalg import pad_basis_columns, rref_union
 from llcent.operators import (
     BandedOperator,
+    _check_op,
     automorphism_image,
     identity_operator,
     image_rows_mod_tail,

@@ -1,6 +1,5 @@
 """Banded operator structure, composition, images and induced maps."""
 
-import math
 import random
 
 import numpy as np
@@ -8,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llcent.entropy import _ArrayRows
-from llcent.errors import EngineInvariant, InvarianceFailure, NonConstantProfile, ProfileMismatch
+import llcent.operators as operators_module
+from llcent.entropy import _ArrayRows, total_entropy
+from llcent.errors import (
+    EngineInvariant,
+    InvalidOperator,
+    InvarianceFailure,
+    NonConstantProfile,
+    ProfileMismatch,
+)
 from llcent.fields import QQ, PrimeField
 from llcent.generators import (
     degenerate_endomorphism,
@@ -23,7 +29,6 @@ from llcent.linalg import SubspaceBasis
 from llcent.operators import (
     BandedOperator,
     _action_rows,
-    _boundary_block,
     automorphism_image,
     compose,
     decompose_vc_vd,
@@ -87,6 +92,35 @@ class TestValidate:
         cols = {0: op.columns[0]}
         bad = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, cols)
         assert any("does not cover" in v for v in validate(bad))
+
+    def test_each_operator_validated_once(self, monkeypatch):
+        calls = []
+        real = operators_module.validate
+        monkeypatch.setattr(operators_module, "validate", lambda op: calls.append(op) or real(op))
+        op, inv = make_shift(P1, "right"), make_shift(P1, "left")
+        u = cofinal_chain(P1, 1)
+        assert verify_inverse(op, inv)
+        assert total_entropy(op, inverse=inv).value == 1
+        assert image_rows_mod_tail(op, u, 0)[1] == 2
+        assert automorphism_image(op, u, inv.width) == cofinal_chain(P1, 2)
+        # verify_inverse maps by inv first
+        assert len(calls) == 2 and calls[0] is inv and calls[1] is op
+        # an invalid operator is refused by every route on every call, and
+        # validated once; U_{-2} lies too deep for the dense action to run
+        broken = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, {0: op.columns[0]})
+        routes = (
+            lambda: verify_inverse(broken, inv),
+            lambda: verify_inverse(inv, broken),
+            lambda: total_entropy(broken, inverse=inv),
+            lambda: image_rows_mod_tail(broken, u, 0),
+            lambda: image_rows_mod_tail(broken, CompactOpenSubspace.make(P1, -2), 0),
+            lambda: automorphism_image(broken, u, inv.width),
+        )
+        for _ in range(2):
+            for route in routes:
+                with pytest.raises(InvalidOperator, match="does not cover"):
+                    route()
+        assert len(calls) == 3 and calls[2] is broken
 
 
 class TestShifts:
@@ -266,16 +300,17 @@ class TestVerifyInverse:
         assert verify_inverse(*pair) == verify_inverse_by_composites(*pair)
 
     def test_columns_leaving_the_band(self):
-        # e_0 -> e_0 + e_{-5} at width 0: validate reports the band, and the
-        # image at level -5 must still count
+        # e_0 -> e_0 + e_{-5} at width 0: validate reports the band, and
+        # verify_inverse refuses the operator in either order
         def width_0(column_0):
             return BandedOperator(P1, 0, {0: F2.eye(1)}, {0: F2.eye(1)}, {0: [LlcVector(P1, column_0)]})
 
         f_op, ident = width_0({(0, 0): 1, (-5, 0): 1}), width_0({(0, 0): 1})
         assert validate(f_op) == ["band exceeded: column (0,0) reaches level -5"]
-        for pair in ((f_op, ident), (ident, f_op), (f_op, f_op), (ident, ident)):
-            assert verify_inverse(*pair) == verify_inverse_by_composites(*pair)
-        assert verify_inverse(f_op, f_op) and not verify_inverse(f_op, ident)
+        for pair in ((f_op, ident), (ident, f_op), (f_op, f_op)):
+            with pytest.raises(InvalidOperator, match=r"^band exceeded: column \(0,0\) reaches level -5$"):
+                verify_inverse(*pair)
+        assert verify_inverse(ident, ident) and verify_inverse_by_composites(ident, ident)
 
     def test_builds_no_composite(self, monkeypatch):
         import llcent.operators as ops
@@ -309,12 +344,14 @@ def _outcome(fn, *args):
 
 
 class TestDenseRoutes:
-    """_action_rows and compose against the per-column oracles, on any operator.
+    """_action_rows and compose against the per-column oracles.
 
     Besides validated operators, the operators drawn include columns that
     leave their band and boundary regions cut short of [n_lo - w, n_hi + w],
-    where a stationary level can reach a level of another dimension: there
-    the routes must give `column()`'s images or raise as it does.
+    where a stationary level can reach a level of another dimension.
+    `compose` must give `column()`'s images or raise as it does on every
+    operator; `_action_rows` must do so on the operators `validate`
+    accepts and refuse the others with its violations.
     """
 
     FIELDS = (F2, F3, PrimeField(5), PrimeField(2**31 - 1), QQ)
@@ -369,8 +406,14 @@ class TestDenseRoutes:
     def test_action_rows_match_the_columns(self, data):
         profile = data.draw(self.profiles())
         op = data.draw(self.operators(profile))
+        violations = validate(op)
         for _ in range(3):
             window = data.draw(self.windows(op))
+            if violations:
+                with pytest.raises(InvalidOperator) as refused:
+                    _action_rows(op, *window)
+                assert refused.value.violations == violations
+                continue
             want = _outcome(action_rows_by_columns, op, *window)
             got = _outcome(_action_rows, op, *window)
             if want[0] != "ok":
@@ -394,28 +437,26 @@ class TestDenseRoutes:
     def test_short_region_raises_where_a_column_does(self):
         # d_left = 2 but level n_lo = 0 has one slot: left level -1 of a
         # width-1 operator whose region starts at 0 reaches slot 1 of level
-        # 0, which column() refuses, and so must the dense action
+        # 0, which column() refuses; the dense action refuses the operator,
+        # whose region does not cover [n_lo - 1, n_hi + 1], on every window
         profile = Profile.from_dims(F2, {0: 1}, 2, 2)
         ones = F2.array([[1, 1], [1, 1]])
         op = BandedOperator(profile, 1, {1: ones}, {}, {0: [LlcVector(profile, {(0, 0): 1})]})
         with pytest.raises(ValueError, match="slot 1 out of range at level 0"):
             op.column(-1, 0)
-        with pytest.raises(ValueError, match="slot 1 out of range at level 0"):
-            _action_rows(op, -2, 0, -3, 1)
-        # the levels below it stay inside the d_left region, by whole blocks
-        assert np.array_equal(_action_rows(op, -5, -2, -6, -1), action_rows_by_columns(op, -5, -2, -6, -1))
-        rows, left_last, right_first = _boundary_block(op)
-        # one row, over the levels (-2, 1] of dimensions 2, 1, 2
-        assert (left_last, right_first) == (-2, 2) and rows.shape == (1, 5)
+        for window in ((-2, 0, -3, 1), (-5, -2, -6, -1)):
+            with pytest.raises(InvalidOperator, match=r"^boundary region \[0,0\] does not cover \[-1,1\]$"):
+                _action_rows(op, *window)
 
     def test_blocks_of_the_wrong_shape_go_through_column(self):
         # a 1 x 2 left block where d_left = 2 (validate refuses it): column()
-        # still reads an image from it, and so does the dense action
+        # still reads an image from it, the dense action refuses the operator
         profile = Profile.constant(F3, 2)
         op = BandedOperator(profile, 1, {1: F3.array([[1, 2]])}, {}, identity_operator(profile).columns)
-        assert validate(op) and _boundary_block(op)[1] == -math.inf
+        assert op.column(-5, 0) == LlcVector(profile, {(-4, 0): 1})
         for window in ((-4, 2, -6, 4), (-4, -1, -3, 1)):
-            assert np.array_equal(_action_rows(op, *window), action_rows_by_columns(op, *window))
+            with pytest.raises(InvalidOperator, match=r"left block at shift 1: expected shape \(2, 2\), got \(1, 2\)"):
+                _action_rows(op, *window)
 
 
 class TestRightEdgePower:
@@ -500,42 +541,37 @@ class TestActionTable:
 
     def test_out_of_band_column_raises(self):
         shift = make_shift(P1, "right")
-
-        def broken():
-            # level 1's column reaches level 3, past its band [0, 2]; not validated
-            columns = dict(shift.columns)
-            columns[1] = (unit(P1, 3),)
-            return BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
-
-        assert validate(broken())
-        # the image leaves the window (0, top + 1] ...
+        # level 1's column reaches level 3, past its band [0, 2]
+        columns = dict(shift.columns)
+        columns[1] = (unit(P1, 3),)
+        op = BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
+        assert validate(op) == ["band exceeded: column (1,0) reaches level 3"]
+        # refused whether or not the window (0, top + 1] would hold the image
+        for top in (1, 2, 3):
+            with pytest.raises(InvalidOperator, match="band exceeded"):
+                image_rows_mod_tail(op, cofinal_chain(P1, top), 0)
+        # a window short of a valid operator's images raises
         with pytest.raises(ValueError, match="action window too small"):
-            image_rows_mod_tail(broken(), cofinal_chain(P1, 1), 0)
-        # ... also after the operator mapped a higher top
-        op = broken()
-        rows, top = image_rows_mod_tail(op, cofinal_chain(P1, 3), 0)
-        assert np.array_equal(rows, _action_rows(op, -1, 3, 0, 4))
-        with pytest.raises(ValueError, match="action window too small"):
-            image_rows_mod_tail(op, cofinal_chain(P1, 1), 0)
-        # inside the window the dense action is exact
-        rows, top = image_rows_mod_tail(op, cofinal_chain(P1, 2), 0)
-        assert top == 3 and np.array_equal(rows, _action_rows(op, -1, 2, 0, 3))
+            _action_rows(shift, -1, 1, 0, 1)
+        rows, top = image_rows_mod_tail(shift, cofinal_chain(P1, 2), 0)
+        assert top == 3 and np.array_equal(rows, _action_rows(shift, -1, 2, 0, 3))
 
     @pytest.mark.parametrize("level, target, dst_hi", [(-1, -3, 2), (1, 3, 3)])
     def test_out_of_band_image_inside_the_window(self, level, target, dst_hi):
         # the right shift with one boundary column moved out of its band,
-        # down (e_{-1} -> e_{-3}) or up (e_1 -> e_3); not validated.  The
-        # image lies inside (-4, dst_hi], so the dense action keeps it, as
-        # the column-by-column one does
+        # down (e_{-1} -> e_{-3}) or up (e_1 -> e_3).  column() still gives
+        # the image, and the window (-4, dst_hi] would hold it, but the
+        # dense routes refuse the operator
         shift = make_shift(P1, "right")
         columns = dict(shift.columns)
         columns[level] = (unit(P1, target),)
         op = BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
-        assert validate(op)
-        rows = cofinal_chain(P1, 1).rows_over(-5, 1)
-        got = F2.matmul(rows, _action_rows(op, -5, 1, -4, dst_hi))
-        assert np.array_equal(got, F2.matmul(rows, action_rows_by_columns(op, -5, 1, -4, dst_hi)))
-        assert got[P1.window_dim(-5, level - 1), P1.window_dim(-4, target - 1)] == 1
+        assert validate(op) == [f"band exceeded: column ({level},0) reaches level {target}"]
+        assert op.column(level, 0) == unit(P1, target)
+        with pytest.raises(InvalidOperator, match="band exceeded"):
+            _action_rows(op, -5, 1, -4, dst_hi)
+        with pytest.raises(InvalidOperator, match="band exceeded"):
+            image_rows_mod_tail(op, cofinal_chain(P1, 1), -3)
 
 
 def _bounded_subspace(rng):

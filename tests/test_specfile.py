@@ -57,6 +57,24 @@ def test_block_dimension_mismatch_rejected():
         spec_from_dict(doc)
 
 
+def test_parsed_operators_are_validated_once(monkeypatch):
+    import llcent.operators as operators_module
+    from llcent.entropy import total_entropy
+
+    field = PrimeField(3)
+    profile = Profile.constant(field, 1)
+    op, inv = random_automorphism(random.Random(4), profile)
+    text = serialize_spec(SpecFile(field=field, profile=profile, operator=op, inverse=inv))
+    calls = []
+    real = operators_module.validate
+    monkeypatch.setattr(operators_module, "validate", lambda op: calls.append(op) or real(op))
+    spec = parse_spec(text)
+    assert len(calls) == 2 and calls[0] is spec.operator and calls[1] is spec.inverse
+    # the engines reuse the parser's verdict
+    total_entropy(spec.operator, inverse=spec.inverse)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("field", [{"p": 2}, 2, None, ["Q"]])
 def test_non_string_field_is_a_parse_error(field):
     doc = json.loads(BASIC)

@@ -64,7 +64,7 @@ from .entropy import (
     UnitEntropy,
     h_alg_value,
     limit_free_relative_entropy,
-    relative_entropy_both,
+    relative_entropies,
     shift_closed_form,
     total_entropy,
     trajectory_relative_entropy,

@@ -23,10 +23,8 @@ from .entropy import (
     Status,
     choose_engine,
     h_alg_value,
-    limit_free_relative_entropy,
-    relative_entropy_both,
+    relative_entropies,
     total_entropy,
-    trajectory_relative_entropy,
 )
 from .errors import EngineDisagreement, LlcentError, ValidationError
 from .fields import PrimeField
@@ -121,7 +119,7 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
         if command == "entropy":
             engine = choose_engine(flags.engine, spec.inverse)
             report["engine"] = engine
-            r = total_entropy(spec.operator, cfg, spec.inverse if engine != "trajectory" else None, engine=engine)
+            r = total_entropy(spec.operator, cfg, spec.inverse, engine=engine)
             seen.append(r)
             report["results"]["entropy"] = _entropy_json(r, spec.field)
 
@@ -130,19 +128,11 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
                 raise ValidationError(["relative-entropy needs a subspace in the spec file"])
             engine = choose_engine(flags.engine, spec.inverse)
             report["engine"] = engine
-            if engine == "both":
-                rt, rl = relative_entropy_both(spec.operator, spec.inverse, spec.subspace, cfg)
-                runs = {"trajectory": rt, "limitfree": rl}
-            elif engine == "trajectory":
-                runs = {"trajectory": trajectory_relative_entropy(spec.operator, spec.subspace, cfg)}
-            else:
-                runs = {"limitfree": limit_free_relative_entropy(spec.operator, spec.inverse, spec.subspace, cfg)}
-            for name, r in runs.items():
+            for name, r in relative_entropies(spec.operator, spec.subspace, cfg, spec.inverse, engine).items():
                 seen.append(r)
                 report["results"][name] = _entropy_json(r, spec.field)
 
         elif command == "compare-engines":
-            choose_engine("both", spec.inverse)
             subspaces = (
                 [("subspace", spec.subspace)]
                 if spec.subspace is not None
@@ -153,14 +143,11 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
             )
             pairs = {}
             for label, u in subspaces:
-                rt, rl = relative_entropy_both(spec.operator, spec.inverse, u, cfg)
-                seen.extend([rt, rl])
-                # relative_entropy_both raises on a disagreement, so every emitted pair agrees
-                pairs[label] = {
-                    "trajectory": _entropy_json(rt, spec.field),
-                    "limitfree": _entropy_json(rl, spec.field),
-                    "agree": True,
-                }
+                runs = relative_entropies(spec.operator, u, cfg, spec.inverse, "both")
+                seen.extend(runs.values())
+                # relative_entropies raises on a disagreement, so every emitted pair agrees
+                pairs[label] = {name: _entropy_json(r, spec.field) for name, r in runs.items()}
+                pairs[label]["agree"] = True
             report["results"]["comparisons"] = pairs
 
         elif command == "shift-closed-form":

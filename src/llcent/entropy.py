@@ -576,17 +576,6 @@ def _tail_constant(inverse: BandedOperator, tail: int, a0: int) -> int:
     return c
 
 
-def relative_entropy_both(op, inverse, u, cfg=DEFAULT_CONFIG):
-    """Run both engines on U and cross-assert their values."""
-    r_traj = trajectory_relative_entropy(op, u, cfg)
-    r_lf = limit_free_relative_entropy(op, inverse, u, cfg)
-    if r_traj.reliable() and r_lf.reliable() and r_traj.value != r_lf.value:
-        raise EngineDisagreement(
-            f"trajectory {r_traj.value} vs limit-free {r_lf.value} on {u!r}"
-        )
-    return r_traj, r_lf
-
-
 def choose_engine(engine, inverse) -> str:
     """The engine a run uses: `engine` when given, else "both" with an
     inverse and "trajectory" without.
@@ -603,6 +592,26 @@ def choose_engine(engine, inverse) -> str:
     return engine
 
 
+def relative_entropies(op, u, cfg=DEFAULT_CONFIG, inverse=None, engine=None) -> dict:
+    """H(phi, U) by the engines `engine` names (see `choose_engine`).
+
+    Returns {"trajectory": r, "limitfree": r} with the engines that ran, in
+    that order.  With both, EngineDisagreement when both results are
+    reliable and their values differ.
+    """
+    engine = choose_engine(engine, inverse)
+    runs = {}
+    if engine != "limitfree":
+        runs["trajectory"] = trajectory_relative_entropy(op, u, cfg)
+    if engine != "trajectory":
+        runs["limitfree"] = limit_free_relative_entropy(op, inverse, u, cfg)
+    if len(runs) == 2:
+        r_traj, r_lf = runs.values()
+        if r_traj.reliable() and r_lf.reliable() and r_traj.value != r_lf.value:
+            raise EngineDisagreement(f"trajectory {r_traj.value} vs limit-free {r_lf.value} on {u!r}")
+    return runs
+
+
 def total_entropy(
     op: BandedOperator,
     cfg: EntropyConfig = DEFAULT_CONFIG,
@@ -613,11 +622,10 @@ def total_entropy(
 
     The H values are non-decreasing in m; the run stops once they plateau
     for `plateau_streak` indices starting past the structural horizon
-    n_hi + width, or reports a lower bound at the chain cap.  With an
-    inverse, each H is computed by both engines and cross-asserted
-    (engine="both", the default when an inverse is supplied); engine may
-    also name a single engine, "limitfree" requiring the inverse.  Any
-    other engine name raises ValueError.  The inverse pair is verified
+    n_hi + width, or reports a lower bound at the chain cap.  Each H comes
+    from `relative_entropies` with the same engine: with both (the default
+    when an inverse is supplied), the trajectory result unless it is a
+    lower bound, then the limit-free one.  The inverse pair is verified
     once, before the chain loop.
     """
     _check_op(op)
@@ -631,14 +639,8 @@ def total_entropy(
     prev = None
     for m in range(cfg.max_chain_index + 1):
         cm = cofinal_chain(profile, m)
-        if engine == "limitfree":
-            r = limit_free_relative_entropy(op, inverse, cm, cfg)
-        elif engine == "both":
-            r, r_lf = relative_entropy_both(op, inverse, cm, cfg)
-            if not r.reliable():
-                r = r_lf
-        else:
-            r = trajectory_relative_entropy(op, cm, cfg)
+        runs = list(relative_entropies(op, cm, cfg, inverse, engine).values())
+        r = runs[0] if runs[0].reliable() else runs[-1]
         if prev is not None and prev.reliable() and r.reliable() and r.value < prev.value:
             raise EngineInvariant(
                 f"chain entropies must be non-decreasing, got {values + [r.value]}"

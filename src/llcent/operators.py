@@ -587,51 +587,44 @@ def induce_on_subspace_and_quotient(op: BandedOperator, pattern: BlockwisePatter
 
     lo = min(pattern.m_lo - w - 1, op.b_lo)
     hi = max(pattern.m_hi + w + 1, op.b_hi)
+    images = {}  # level -> the images of the pattern's basis vectors there
     for n in range(lo, hi + 1):
-        basis = pattern.level_basis(n)
-        for row in basis.mat:
-            vec = LlcVector(p, {(n, i): row[i] for i in range(len(row)) if row[i] != 0})
+        images[n] = []
+        for row in pattern.level_basis(n).mat:
+            vec = LlcVector.from_window(p, n - 1, n, row)
             img = op.apply(vec)
             if not pattern.member(img):
                 raise InvarianceFailure(vec, img)
+            images[n].append(img)
 
     sub_p = pattern.sub_profile()
     quot_p = pattern.quotient_profile()
+
+    def read(img, profile, coords):
+        """The vector over `profile` with coords(m, component of img at m) at each level m."""
+        support = {}
+        for m in img.levels():
+            for k, c in enumerate(coords(m, img.level_component(m))):
+                if c != 0:
+                    support[(m, k)] = c
+        return LlcVector(profile, support)
 
     left_r = {j: _restrict_block(f, op.left_blocks[j], pattern.left) for j in range(-w, w + 1)}
     right_r = {j: _restrict_block(f, op.right_blocks[j], pattern.right) for j in range(-w, w + 1)}
     left_q = {j: _project_block(f, op.left_blocks[j], pattern.left) for j in range(-w, w + 1)}
     right_q = {j: _project_block(f, op.right_blocks[j], pattern.right) for j in range(-w, w + 1)}
 
-    r_lo = min(op.b_lo, sub_p.n_lo - w)
-    r_hi = max(op.b_hi, sub_p.n_hi + w)
-    cols_r, cols_q = {}, {}
-    for n in range(r_lo, r_hi + 1):
-        basis = pattern.level_basis(n)
-        row_cols = []
-        for row in basis.mat:
-            vec = LlcVector(p, {(n, i): row[i] for i in range(len(row)) if row[i] != 0})
-            img = op.apply(vec)
-            support = {}
-            for m in img.levels():
-                coords = pattern.coords_level(m, img.level_component(m))
-                for k in range(len(coords)):
-                    if coords[k] != 0:
-                        support[(m, k)] = coords[k]
-            row_cols.append(LlcVector(sub_p, support))
-        cols_r[n] = row_cols
-
-        q_cols = []
-        for c in basis.free_columns().tolist():
-            img = op.apply(LlcVector.unit(p, n, c))
-            support = {}
-            for m in img.levels():
-                proj = pattern.project_level(m, img.level_component(m))
-                for k in range(len(proj)):
-                    if proj[k] != 0:
-                        support[(m, k)] = proj[k]
-            q_cols.append(LlcVector(quot_p, support))
-        cols_q[n] = q_cols
+    # the sub-profile's region lies inside m_lo..m_hi, so these levels lie
+    # inside lo..hi and the restriction reads its columns from `images`
+    levels = range(min(op.b_lo, sub_p.n_lo - w), max(op.b_hi, sub_p.n_hi + w) + 1)
+    cols_r = {n: [read(img, sub_p, pattern.coords_level) for img in images[n]] for n in levels}
+    cols_q = {
+        n: [
+            read(op.apply(LlcVector.unit(p, n, c)), quot_p, pattern.project_level)
+            for c in pattern.level_basis(n).free_columns().tolist()
+        ]
+        for n in levels
+    }
 
     restricted = BandedOperator(sub_p, w, left_r, right_r, cols_r)
     induced = BandedOperator(quot_p, w, left_q, right_q, cols_q)

@@ -12,7 +12,7 @@ import time
 
 from llcent.entropy import (
     h_alg_value,
-    relative_entropy_both,
+    relative_entropies,
     shift_closed_form,
     total_entropy,
     trajectory_relative_entropy,
@@ -128,7 +128,7 @@ def test_criterion_4_cross_engine_validation():
         assert op.width <= 2 and op.b_lo >= -3 and op.b_hi <= 3
         for m in (0, 2):
             u = cofinal_chain(profile, m)
-            r_traj, r_lf = relative_entropy_both(op, inv, u)
+            r_traj, r_lf = relative_entropies(op, u, inverse=inv).values()
             if r_traj.reliable() and r_lf.reliable():
                 assert r_traj.value == r_lf.value, (seed, m, r_traj, r_lf)
                 agreements += 1

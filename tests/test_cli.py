@@ -22,7 +22,7 @@ from llcent.entropy import EntropyResult, Status
 from llcent.errors import EngineInvariant
 from llcent.fields import PrimeField
 from llcent.generators import random_endomorphism
-from llcent.spaces import Profile
+from llcent.spaces import Profile, cofinal_chain
 from llcent.specfile import SpecFile, parse_spec, serialize_spec
 
 SHIFT = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift","inverse":"left_shift"}'
@@ -189,22 +189,33 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["trajectory"]["status"] == "LowerBound"
 
-    def test_exit_4_engine_disagreement(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [["entropy"], ["relative-entropy", "--engine", "both"], ["compare-engines"]],
+        ids=["entropy", "relative-entropy", "compare-engines"],
+    )
+    def test_exit_4_engine_disagreement(self, tmp_path, capsys, monkeypatch, argv):
+        # the trajectory engine lies on the chain member C_1 only, which the
+        # entropy sweep reaches second and the other two read as the spec's subspace
         import llcent.entropy as entropy
 
         real = entropy.trajectory_relative_entropy
+        c1 = cofinal_chain(Profile.constant(PrimeField(2), 1), 1)
 
         def lying(op, u, cfg):
             r = real(op, u, cfg)
+            if u != c1:
+                return r
             return EntropyResult(r.value + 1, Status.PLATEAU, r.certificate, r.witness, r.iterations)
 
         monkeypatch.setattr(entropy, "trajectory_relative_entropy", lying)
         spec = SHIFT[:-1] + ',"subspace":{"chain_index":1}}'
-        code = main(["relative-entropy", write(tmp_path, spec), "--engine", "both"])
+        code = main([argv[0], write(tmp_path, spec), *argv[1:]])
         assert code == EXIT_DISAGREEMENT
         report = json.loads(capsys.readouterr().out)
-        assert report["results"]["error"]["kind"] == "EngineDisagreement"
-        assert "vs limit-free" in report["results"]["error"]["message"]
+        assert report["results"] == {
+            "error": {"kind": "EngineDisagreement", "message": f"trajectory 2 vs limit-free 1 on {c1!r}"}
+        }
 
     def test_missing_file(self, capsys):
         assert main(["entropy", "/nonexistent/spec.json"]) == EXIT_SPEC_ERROR

@@ -16,10 +16,11 @@ import llcent.entropy as entropy_module
 import llcent.operators as operators_module
 from llcent.entropy import (
     EntropyConfig,
+    EntropyResult,
     Status,
     h_alg_value,
     limit_free_relative_entropy,
-    relative_entropy_both,
+    relative_entropies,
     shift_closed_form,
     total_entropy,
     trajectory_relative_entropy,
@@ -195,9 +196,36 @@ class TestCrossEngine:
             profile = Profile.constant(field, rng.choice([1, 2]))
             op, inv = random_automorphism(rng, profile)
             for m in (0, 2):
-                rt, rl = relative_entropy_both(op, inv, cofinal_chain(profile, m))
+                rt, rl = relative_entropies(op, cofinal_chain(profile, m), inverse=inv).values()
                 assert rt.reliable() and rl.reliable()
                 assert rt.value == rl.value
+
+    @pytest.mark.parametrize(
+        "engine, keys",
+        [
+            (None, ["trajectory", "limitfree"]),
+            ("both", ["trajectory", "limitfree"]),
+            ("trajectory", ["trajectory"]),
+            ("limitfree", ["limitfree"]),
+        ],
+    )
+    def test_relative_entropies_runs_the_named_engines(self, engine, keys):
+        beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
+        u = cofinal_chain(P1, 1)
+        alone = {
+            "trajectory": trajectory_relative_entropy(beta, u),
+            "limitfree": limit_free_relative_entropy(beta, lam, u),
+        }
+        runs = relative_entropies(beta, u, inverse=lam, engine=engine)
+        assert list(runs) == keys
+        assert runs == {key: alone[key] for key in keys}
+        # without an inverse only the trajectory engine can run
+        if "limitfree" in keys:
+            with pytest.raises(NotAnInverse):
+                relative_entropies(beta, u, engine=engine or "both")
+        else:
+            assert relative_entropies(beta, u, engine=engine) == {"trajectory": alone["trajectory"]}
+        assert relative_entropies(beta, u) == {"trajectory": alone["trajectory"]}
 
     def test_partial_trajectory_matches_inverse_chain(self):
         # the n-fold inverse image of T_n equals the inverse image of the
@@ -806,6 +834,24 @@ class TestTotalEntropy:
         assert r.status is Status.LOWER_BOUND
         assert r.value == 1
 
+    @pytest.mark.parametrize("bound_at", [0, 2, None], ids=["index_0", "index_2", "every_index"])
+    def test_both_reads_the_limit_free_result_where_the_trajectory_is_a_bound(self, monkeypatch, bound_at):
+        # a trajectory reading cut to a LowerBound (and too high) is replaced
+        # by the limit-free one at that index, so the sweep stays reliable
+        beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
+        limit_free = total_entropy(beta, inverse=lam, engine="limitfree")
+        real = entropy_module.trajectory_relative_entropy
+
+        def bounded(op, u, cfg):
+            r = real(op, u, cfg)
+            if bound_at is not None and u != cofinal_chain(P1, bound_at):
+                return r
+            return EntropyResult(r.value + 5, Status.LOWER_BOUND, r.certificate, r.witness, r.iterations)
+
+        monkeypatch.setattr(entropy_module, "trajectory_relative_entropy", bounded)
+        r = total_entropy(beta, inverse=lam, engine="both")
+        assert r == limit_free  # value, status, certificate, witness and index count
+
     def test_unknown_engine_name_rejected(self):
         # a misspelt name must not fall back to one engine and skip the cross-check
         beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
@@ -844,12 +890,12 @@ class TestTotalEntropy:
         op, inv = make_shift(P1, "right"), make_shift(P1, "left")
         u = cofinal_chain(P1, 1)
         for _ in range(2):
-            relative_entropy_both(op, inv, u)
+            relative_entropies(op, u, inverse=inv)
         assert len(calls) == 1
         # a pair that fails is not kept: it is checked and rejected on every call
         for _ in range(2):
             with pytest.raises(NotAnInverse):
-                relative_entropy_both(op, op, u)
+                relative_entropies(op, u, inverse=op)
         assert len(calls) == 3
 
     def test_each_operator_validated_once(self, monkeypatch):

@@ -18,7 +18,9 @@ from llcent.errors import (
 )
 from llcent.fields import QQ, PrimeField
 from llcent.generators import (
+    block_diagonal_instance,
     degenerate_endomorphism,
+    group_pattern,
     levelwise_change_of_basis,
     random_automorphism,
     random_endomorphism,
@@ -659,6 +661,63 @@ class TestInduce:
                 # compare through the slot identification of first_slots
                 expect = {(m, s): v for (m, s), v in img.support.items() if s < 2}
                 assert sub_img.support == expect
+
+
+def _embedded(pattern, v):
+    """The vector of the profile with W_m-coordinates v's component at each level m."""
+    f = pattern.profile.field
+    support = {}
+    for m in v.levels():
+        comp = f.matmul(v.level_component(m).reshape(1, -1), pattern.level_basis(m).mat)[0]
+        support.update({(m, i): c for i, c in enumerate(comp) if c != 0})
+    return LlcVector(pattern.profile, support)
+
+
+def _projected(pattern, profile, v):
+    """The image of v in the quotient by the pattern, over its profile."""
+    support = {}
+    for m in v.levels():
+        proj = pattern.project_level(m, v.level_component(m))
+        support.update({(m, k): c for k, c in enumerate(proj) if c != 0})
+    return LlcVector(profile, support)
+
+
+class TestInduceProperties:
+    """Block-diagonal instances, where every union of slot groups is an
+    invariant pattern and a first_slots pattern may cut a group."""
+
+    @staticmethod
+    def _check_commutes(op, pattern):
+        restricted, induced = induce_on_subspace_and_quotient(op, pattern)
+        p, w = op.profile, op.width
+        levels = range(min(op.b_lo, pattern.m_lo) - w - 1, max(op.b_hi, pattern.m_hi) + w + 2)
+        for n in levels:
+            # the restriction commutes with the pattern's coordinates
+            for k, row in enumerate(pattern.level_basis(n).mat):
+                img = op.apply(LlcVector.from_window(p, n - 1, n, row))
+                assert _embedded(pattern, restricted.apply(LlcVector.unit(restricted.profile, n, k))) == img, (n, k)
+            # the induced map commutes with the projection
+            for i in range(p.dim(n)):
+                x = LlcVector.unit(p, n, i)
+                want = _projected(pattern, induced.profile, op.apply(x))
+                assert induced.apply(_projected(pattern, induced.profile, x)) == want, (n, i)
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(5), QQ], ids=lambda f: f.name)
+    def test_restriction_and_quotient_commute(self, field):
+        raised = 0
+        for seed in range(25):
+            rng = random.Random(seed)
+            dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            op, _inv, groups, _ents = block_diagonal_instance(rng, field, dims)
+            self._check_commutes(op, group_pattern(op.profile, groups, [g for g in groups if rng.random() < 0.5]))
+            pattern = BlockwisePattern.first_slots(op.profile, rng.randint(1, sum(dims)))
+            try:
+                self._check_commutes(op, pattern)
+            except InvarianceFailure as err:
+                raised += 1
+                assert pattern.member(err.witness) and not pattern.member(err.image), seed
+                assert err.image == op.apply(err.witness), seed
+        assert raised > 0
 
 
 class TestDecompose:

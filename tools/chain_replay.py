@@ -30,40 +30,25 @@ is a mismatch too, and one summary line counts the calls per catalog.
 and the summary lines.
 """
 
-import argparse
-import os
 import random
 import sys
-import time
 from collections import defaultdict
 from functools import partial
 
 import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+from _replay import best_s, catalog_pass, check_only, recorded  # first: it sets the import path
 
-import llcent.entropy as entropy  # noqa: E402
-import llcent.gf2rows as gf2rows  # noqa: E402
-import llcent.operators as operators  # noqa: E402
-from _oracles import action_rows_by_columns, grow_chain_full_window  # noqa: E402
-from bench.workloads import WORKLOADS  # noqa: E402
-from llcent.fields import PrimeField  # noqa: E402
-from llcent.generators import degenerate_endomorphism  # noqa: E402
-from llcent.spaces import Profile  # noqa: E402
+import llcent.entropy as entropy
+import llcent.gf2rows as gf2rows
+import llcent.operators as operators
+from _oracles import action_rows_by_columns, grow_chain_full_window
+from llcent.fields import PrimeField
+from llcent.generators import degenerate_endomorphism
+from llcent.spaces import Profile
 
 REPEATS = 3
 DEGENERATE = 60  # operators in the degenerate_gf2 catalog
-ACTION_SITES = (operators, entropy)  # the modules that bind _action_rows
-
-
-def workload_pass(name):
-    """One catalog pass of a benchmark workload."""
-    workload = WORKLOADS[name]
-    for i in range(workload.size):
-        inst = workload.build(i)
-        for task in workload.tasks:
-            workload.solve(task, inst)
 
 
 def degenerate_pass():
@@ -74,8 +59,8 @@ def degenerate_pass():
 
 
 CATALOGS = {
-    "endo_fields": partial(workload_pass, "endo_fields"),
-    "automorphism_laws": partial(workload_pass, "automorphism_laws"),
+    "endo_fields": partial(catalog_pass, "endo_fields"),
+    "automorphism_laws": partial(catalog_pass, "automorphism_laws"),
     "degenerate_gf2": degenerate_pass,
 }
 
@@ -91,33 +76,8 @@ def outcome(fn, *args):
 def record(name):
     """(The argument tuples of every _grow_chain call in one pass of a
     catalog, (arguments, outcome) of every _action_rows call in it)."""
-    calls, actions = [], []
-    real, real_action = entropy._grow_chain, operators._action_rows
-
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
-
-    def recording_action(*args):
-        try:
-            mat = real_action(*args)
-        except Exception as exc:
-            actions.append((args, (type(exc), str(exc))))
-            raise
-        # a copy, as callers may change the matrix they are handed
-        actions.append((args, ("ok", mat.copy())))
-        return mat
-
-    entropy._grow_chain = recording
-    for module in ACTION_SITES:
-        module._action_rows = recording_action
-    try:
-        CATALOGS[name]()
-    finally:
-        entropy._grow_chain = real
-        for module in ACTION_SITES:
-            module._action_rows = real_action
-    return calls, actions
+    runs = recorded(CATALOGS[name], {"_grow_chain": (entropy, None), "_action_rows": (operators, None)})
+    return [args for args, _outcome in runs["_grow_chain"]], runs["_action_rows"]
 
 
 def replay_actions(actions):
@@ -219,20 +179,8 @@ def line(label, c):
     )
 
 
-def best_s(fn, calls) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for args in calls:
-            fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true", help="replay once and check; no timing")
-    args = ap.parse_args(argv)
+    check = check_only(__doc__, argv)
 
     total_bad = action_bad = 0
     action_counts = []
@@ -251,14 +199,14 @@ def main(argv=None) -> int:
         print(f"{line(name, total)}, {len(bad)} mismatches")
         for label in sorted(counts):
             print(f"  {line(label, counts[label])}")
-        if not args.check:
-            loop, oracle = best_s(entropy._grow_chain, calls), best_s(grow_chain_full_window, calls)
+        if not check:
+            loop, oracle = best_s(entropy._grow_chain, calls, REPEATS), best_s(grow_chain_full_window, calls, REPEATS)
             print(f"  _grow_chain {loop:.4f} s, full window {oracle:.4f} s, oracle/loop {oracle / loop:.2f}")
             by_shape = defaultdict(list)
             for call in calls:
                 by_shape[shape(call)].append(call)
             for label in sorted(by_shape):
-                print(f"  {label}: _grow_chain {best_s(entropy._grow_chain, by_shape[label]):.4f} s")
+                print(f"  {label}: _grow_chain {best_s(entropy._grow_chain, by_shape[label], REPEATS):.4f} s")
     print(
         f"_action_rows: {', '.join(action_counts[:-1])} and {action_counts[-1]} calls replayed "
         f"against the column-by-column action, {action_bad} mismatches"

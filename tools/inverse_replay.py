@@ -24,67 +24,30 @@ replays); it exits 1 on any verdict or composite mismatch.
 and the summary lines.
 """
 
-import argparse
-import os
 import sys
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+from _replay import best_s, catalog_pass, check_only, recorded  # first: it sets the import path
 
-import llcent.entropy  # noqa: E402
-import llcent.generators  # noqa: E402
-import llcent.operators  # noqa: E402
-import llcent.theorems  # noqa: E402
-from _oracles import compose_by_columns, same_operator, verify_inverse_by_composites  # noqa: E402
-from bench.workloads import WORKLOADS  # noqa: E402
+import llcent.operators
+from _oracles import compose_by_columns, same_operator, verify_inverse_by_composites
+from bench.workloads import WORKLOADS
 
 NAME = "automorphism_laws"
-BINDINGS = (llcent.operators, llcent.entropy, llcent.theorems, llcent.generators)
 RECORDED = ("verify_inverse", "compose")
 REPEATS = 3
 
 
 def record():
     """{name: the (f_op, g_op) arguments of every call} over one catalog pass."""
+    # built first, so that the generators' own calls are not recorded
     workload = WORKLOADS[NAME]
     insts = [workload.build(i) for i in range(workload.size)]
-    calls = {name: [] for name in RECORDED}
-    real = {name: getattr(llcent.operators, name) for name in RECORDED}
-
-    def recording(name):
-        def wrapped(f_op, g_op):
-            calls[name].append((f_op, g_op))
-            return real[name](f_op, g_op)
-        return wrapped
-
-    patched = [(module, name) for module in BINDINGS for name in RECORDED if hasattr(module, name)]
-    for module, name in patched:
-        setattr(module, name, recording(name))
-    try:
-        for inst in insts:
-            for task in workload.tasks:
-                workload.solve(task, inst)
-    finally:
-        for module, name in patched:
-            setattr(module, name, real[name])
-    return calls
-
-
-def best_s(fn, calls) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for pair in calls:
-            fn(*pair)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    runs = recorded(lambda: catalog_pass(NAME, insts), {name: (llcent.operators, None) for name in RECORDED})
+    return {name: [args for args, _outcome in runs[name]] for name in RECORDED}
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true", help="replay once and check; no timing")
-    args = ap.parse_args(argv)
+    check = check_only(__doc__, argv)
 
     calls = record()
     verify, compose = llcent.operators.verify_inverse, llcent.operators.compose
@@ -105,10 +68,11 @@ def main(argv=None) -> int:
             bad_compose += 1
             print(f"MISMATCH {NAME} composite {k} ({f_op!r}, {g_op!r})")
     print(f"{NAME}: {len(compose_calls)} compose calls replayed, {bad_compose} mismatches")
-    if not args.check:
-        mine, oracle = best_s(verify, inverse_calls), best_s(verify_inverse_by_composites, inverse_calls)
+    if not check:
+        mine = best_s(verify, inverse_calls, REPEATS)
+        oracle = best_s(verify_inverse_by_composites, inverse_calls, REPEATS)
         print(f"  verify_inverse {mine:.4f} s, composites {oracle:.4f} s, composites/verify {oracle / mine:.2f}")
-        mine, oracle = best_s(compose, compose_calls), best_s(compose_by_columns, compose_calls)
+        mine, oracle = best_s(compose, compose_calls, REPEATS), best_s(compose_by_columns, compose_calls, REPEATS)
         print(f"  compose {mine:.4f} s, by columns {oracle:.4f} s, by columns/compose {oracle / mine:.2f}")
     return 1 if bad or bad_compose else 0
 

@@ -17,21 +17,16 @@ shape than the oracle on any input, or mutates it.
 and a summary line (a few seconds, most of it the recording).
 """
 
-import argparse
 import collections
-import os
 import statistics
 import sys
-import time
 
 import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [ROOT, os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+from _replay import best_s, catalog_pass, check_only, recorded  # first: it sets the import path
 
-import llcent.linalg as linalg  # noqa: E402
-from _oracles import rref_per_pivot  # noqa: E402
-from bench.workloads import WORKLOADS  # noqa: E402
+import llcent.linalg as linalg
+from _oracles import rref_per_pivot
 
 REPEATS = 5
 TOP_SHAPES = 8
@@ -41,24 +36,13 @@ RECORDED = ("endo_fields", "automorphism_laws")
 def record():
     """The (field, input) pairs of every _rref call in one pass of each
     recorded workload."""
-    calls = []
-    real = linalg._rref
 
-    def recording(field, a):
-        calls.append((field, np.array(a, copy=True)))
-        return real(field, a)
-
-    linalg._rref = recording
-    try:
+    def passes():
         for name in RECORDED:
-            workload = WORKLOADS[name]
-            for i in range(workload.size):
-                inst = workload.build(i)
-                for task in workload.tasks:
-                    workload.solve(task, inst)
-    finally:
-        linalg._rref = real
-    return calls
+            catalog_pass(name)
+
+    runs = recorded(passes, {"_rref": (linalg, lambda args: (args[0], np.array(args[1], copy=True)))})
+    return [args for args, _outcome in runs["_rref"]]
 
 
 def mismatch(field, a):
@@ -77,20 +61,8 @@ def mismatch(field, a):
     return None
 
 
-def best_s(fn, group) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for field, a in group:
-            fn(field, a)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true", help="replay once and check; no timing")
-    args = ap.parse_args(argv)
+    check = check_only(__doc__, argv)
 
     calls = record()
     groups = collections.defaultdict(list)
@@ -103,7 +75,7 @@ def main(argv=None) -> int:
             if why:
                 bad += 1
                 print(f"MISMATCH {name} input {k} ({a.shape[0]}x{a.shape[1]}): {why}")
-        if args.check:
+        if check:
             continue
         shapes = collections.Counter(a.shape for _, a in group)
         full = sum(linalg._rref(f, a)[0].shape[0] == a.shape[0] for f, a in group)
@@ -112,7 +84,7 @@ def main(argv=None) -> int:
             f"x{statistics.median(a.shape[1] for _, a in group):g}, {full} at full row rank"
         )
         print("  " + ", ".join(f"{m}x{n}: {c}" for (m, n), c in shapes.most_common(TOP_SHAPES)))
-        route, oracle = best_s(linalg._rref, group), best_s(rref_per_pivot, group)
+        route, oracle = best_s(linalg._rref, group, REPEATS), best_s(rref_per_pivot, group, REPEATS)
         print(f"  route {route:.4f} s, oracle {oracle:.4f} s, oracle/route {oracle / route:.2f}")
     print(f"{len(calls)} inputs over {len(groups)} fields, {bad} mismatches")
     return 1 if bad else 0

@@ -24,6 +24,7 @@ from .entropy import (
     choose_engine,
     h_alg_value,
     relative_entropies,
+    shift_closed_form,
     total_entropy,
 )
 from .errors import EngineDisagreement, LlcentError, ValidationError
@@ -151,8 +152,6 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
             report["results"]["comparisons"] = pairs
 
         elif command == "shift-closed-form":
-            from .entropy import shift_closed_form
-
             if spec.operator_name not in ("right_shift", "left_shift"):
                 raise ValidationError(["shift-closed-form needs a named shift operator"])
             k = spec.k if spec.k is not None else 1
@@ -181,7 +180,7 @@ def run_command(command: str, spec: SpecFile, flags: Flags):
         report["results"]["error"] = {"kind": "EngineDisagreement", "message": str(exc)}
         return report, EXIT_DISAGREEMENT
 
-    if code == EXIT_OK and cfg.strict and any(r.status is Status.LOWER_BOUND for r in seen):
+    if code == EXIT_OK and cfg.strict and any(not r.reliable() for r in seen):
         code = EXIT_LOWER_BOUND
     return report, code
 

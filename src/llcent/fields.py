@@ -111,9 +111,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -171,9 +168,6 @@ class PrimeField:
             acc = ((((a[:, s] @ hi[s]) % p) << LIMB_BITS) + a[:, s] @ lo[s] + acc) % p
         return acc
 
-    def elements(self):
-        return range(self.p)
-
 
 class RationalField:
     """The field of rational numbers; elements are `Fraction` values."""
@@ -209,9 +203,6 @@ class RationalField:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b

@@ -16,7 +16,8 @@ def level_bit(lo: int, level: int) -> int:
 def vector_bits(vec, lo: int, hi: int) -> int:
     bits = 0
     for (n, _i), v in vec.support.items():
-        assert lo <= n <= hi, f"support level {n} outside [{lo},{hi}]"
+        if not lo <= n <= hi:
+            raise ValueError(f"support level {n} outside [{lo},{hi}]")
         if v % 2:
             bits |= level_bit(lo, n)
     return bits
@@ -31,7 +32,8 @@ def span_set(gens) -> frozenset:
 
 def subspace_bits(w, lo: int, hi: int) -> frozenset:
     """All truncated elements of a compact open subspace with tail >= lo."""
-    assert w.tail >= lo and w.top <= hi
+    if not (w.tail >= lo and w.top <= hi):
+        raise ValueError(f"subspace tail {w.tail} and top {w.top} outside [{lo},{hi}]")
     gens = [level_bit(lo, n) for n in range(lo, w.tail + 1)]
     gens += [vector_bits(v, lo, hi) for v in w.window_vectors()]
     return span_set(gens)

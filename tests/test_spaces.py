@@ -23,7 +23,7 @@ from llcent.spaces import (
     open_quotient_dim,
 )
 
-from _dense import dim_of, level_bit, subspace_bits, span_set
+from _dense import dim_of, level_bit, span_set, subspace_bits, vector_bits
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -255,6 +255,16 @@ class TestDenseOracle:
             assert subspace_bits(total, self.LO, self.HI) == span_set(sorted(sa | sb))
             assert subspace_bits(inter, self.LO, self.HI) == sa & sb
             assert open_quotient_dim(total, a) == dim_of(span_set(sorted(sa | sb))) - dim_of(sa)
+
+    # the guards are plain raises, so they still fire under python -O
+    def test_support_outside_the_levels_raises(self):
+        with pytest.raises(ValueError, match=r"support level 4 outside \[-3,3\]"):
+            vector_bits(unit(P1, 4), self.LO, self.HI)
+
+    def test_subspace_tail_below_the_levels_raises(self):
+        w = CompactOpenSubspace.make(P1, self.LO - 1, [unit(P1, -2).add(unit(P1, 1))])
+        with pytest.raises(ValueError, match=r"subspace tail -4 and top 1 outside \[-3,3\]"):
+            subspace_bits(w, self.LO, self.HI)
 
 
 class TestBlockwise:

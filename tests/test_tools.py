@@ -1,0 +1,62 @@
+"""The recorder of tools/replay.py: every route recorded, results unchanged, bindings restored."""
+
+import importlib.util
+import os
+import random
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "replay.py")
+_spec = importlib.util.spec_from_file_location("replay", TOOL)
+replay = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(replay)
+
+import llcent.operators as operators  # noqa: E402
+from llcent.entropy import total_entropy  # noqa: E402
+from llcent.fields import PrimeField  # noqa: E402
+from llcent.generators import levelwise_change_of_basis  # noqa: E402
+from llcent.spaces import Profile  # noqa: E402
+
+
+def entropy_with_inverse():
+    """total_entropy of a conjugated shift over GF(3), with its inverse.
+
+    The pair is built through the module attribute `operators.compose`,
+    which is a binding site the recorder wraps."""
+    profile = Profile.constant(PrimeField(3), 2)
+    cob, cob_inv = levelwise_change_of_basis(random.Random(5), profile)
+    op = operators.compose(operators.compose(cob, operators.make_shift(profile, "right")), cob_inv)
+    inv = operators.compose(operators.compose(cob, operators.make_shift(profile, "left")), cob_inv)
+    return total_entropy(op, inverse=inv)
+
+
+def bindings():
+    """{(module name, attribute): function} for every binding site of every target."""
+    out = {}
+    for name, module in replay.TARGETS.items():
+        real = getattr(module, name)
+        for site, attr in replay.binding_sites(real):
+            out[(site.__name__, attr)] = real
+    return out
+
+
+def test_records_every_route_and_keeps_the_result():
+    before = bindings()
+    want = entropy_with_inverse()
+    got = []
+    calls = replay.recorded(lambda: got.append(entropy_with_inverse()))
+    assert {name: len(c) > 0 for name, c in calls.items()} == dict.fromkeys(replay.TARGETS, True)
+    assert got == [want]
+    assert bindings() == before
+
+
+def test_restores_every_binding_site_when_the_run_raises():
+    before = bindings()
+
+    def run():
+        entropy_with_inverse()
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        replay.recorded(run)
+    assert bindings() == before

@@ -87,7 +87,6 @@ from .linalg import SubspaceBasis
 from .operators import (
     BandedOperator,
     _action_rows,
-    _check_op,
     image_rows_mod_tail,
     verify_inverse,
 )
@@ -133,13 +132,11 @@ class EntropyResult:
 
 
 def _check_pair(op: BandedOperator, inverse: BandedOperator):
-    """Both operators valid and inverse to each other, as the limit-free engine needs."""
+    """The two operators inverse to each other, as the limit-free engine needs."""
     # a verified pair is kept on op and recognized by identity; a pair that
     # fails is not kept, so it is rejected on every call
     if op._inverse is inverse:
         return
-    _check_op(op)
-    _check_op(inverse)
     if not verify_inverse(op, inverse):
         raise NotAnInverse("limit-free engine needs a verified inverse pair")
     op._inverse = inverse
@@ -533,7 +530,6 @@ def trajectory_relative_entropy(
     point forces every later increment to vanish, hence status EXACT with
     value 0; otherwise the plateau (or cap) rules decide.
     """
-    _check_op(op)
     if u.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
     return _grow_chain(op, u, u.tail, 0, cfg, _structural_horizon(op, u), "trajectory increments")
@@ -628,7 +624,6 @@ def total_entropy(
     lower bound, then the limit-free one.  The inverse pair is verified
     once, before the chain loop.
     """
-    _check_op(op)
     engine = choose_engine(engine, inverse)
     if engine != "trajectory":
         _check_pair(op, inverse)

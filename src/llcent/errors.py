@@ -30,7 +30,8 @@ class NonConstantProfile(LlcentError):
 
 
 class InvalidOperator(LlcentError):
-    """An operator failed structural validation."""
+    """An operator's data breaks the banded contract: the constructor
+    raises this with `validate`'s list, so no such operator is built."""
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -17,9 +17,9 @@ are verified against a caller-supplied candidate rather than computed,
 by one banded product per order of the pair, without building either
 composite (`verify_inverse`).
 
-Dense actions (`_action_rows`) are taken only of operators that
-`validate` accepts (`_check_op` refuses the others with its violations),
-and make no per-entry column reads: each operator keeps one boundary
+Every operator is valid: the constructor runs `validate` and raises
+InvalidOperator with its violations.  Dense actions (`_action_rows`)
+make no per-entry column reads: each operator keeps one boundary
 block, the images of its boundary levels as dense rows, built once from
 its columns (`_boundary_block`), and the stationary levels are whole
 shifted copies of a row of blocks (`_stationary_rows`), which also gives
@@ -27,8 +27,6 @@ shifted copies of a row of blocks (`_stationary_rows`), which also gives
 only array action: the image of a block of rows is one product with it
 (`image_rows_mod_tail`, the array chain kernels of `entropy`), and the
 packed GF(2) kernels of `gf2rows` read the same boundary block.
-`compose` checks nothing: on any operator it gives the composite of the
-images `column()` gives.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ class BandedOperator:
 
     __slots__ = (
         "profile", "width", "left_blocks", "right_blocks", "columns", "b_lo", "b_hi",
-        "_stationary_cache", "_stacks", "_edge_power", "_packed", "_violations", "_inverse",
+        "_stationary_cache", "_stacks", "_edge_power", "_packed", "_inverse",
         "_tail_ranks", "_block",
     )
 
@@ -70,18 +68,19 @@ class BandedOperator:
         self._stacks = {}  # side -> `_stationary_rows`' kept rows
         self._edge_power = None
         self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
-        self._violations = None  # validate's list, kept by _check_op
         self._inverse = None  # the inverse entropy._check_pair verified
         self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
         self._block = None  # _boundary_block's dense boundary images
+        violations = validate(self)
+        if violations:
+            raise InvalidOperator(violations)
 
     def _norm_blocks(self, f, blocks, d):
-        out = {}
-        for j in range(-self.width, self.width + 1):
-            if j in blocks:
-                out[j] = f.array(blocks[j])
-            else:
-                out[j] = f.zeros(d, d)
+        """Every given block, and zero blocks at the other shifts in [-w, w];
+        `validate` reports the shifts outside the band."""
+        w = self.width
+        out = {j: f.array(blocks[j]) if j in blocks else f.zeros(d, d) for j in range(-w, w + 1)}
+        out.update((j, f.array(b)) for j, b in blocks.items() if j not in out)
         return out
 
     # -- column access -----------------------------------------------------
@@ -132,24 +131,19 @@ class BandedOperator:
         """The image of v, summed column by column into one dict.
 
         The sums are reduced as they are made, and the slots are those of
-        columns over this profile, so the support is kept as it is unless
-        a stored column belongs to another profile (which `validate`
-        refuses); then the vector checks it.
+        columns over this profile (`validate`), so the support is kept as
+        it is.
         """
         p = self.profile
         if v.profile != p:
             raise ProfileMismatch("vector over a different profile")
         f = p.field
         add, mul, zero = f.add, f.mul, f.zero
-        out, own = {}, True
+        out = {}
         get = out.get
         for (n, i), c in v.support.items():
-            col = self.column(n, i)
-            own = own and col.profile is p
-            for key, val in col.support.items():
+            for key, val in self.column(n, i).support.items():
                 out[key] = add(get(key, zero), mul(val, c))
-        if not own:
-            return LlcVector(p, out)
         return LlcVector._reduced(p, {key: val for key, val in out.items() if val})
 
     # -- equality: stationary blocks plus the union boundary region --------
@@ -164,7 +158,7 @@ class BandedOperator:
             ):
                 a = mine.get(j, self.profile.field.zeros(d, d))
                 b = theirs.get(j, self.profile.field.zeros(d, d))
-                if a.shape != b.shape or not np.array_equal(a, b):
+                if not np.array_equal(a, b):
                     return False
         lo = min(self.b_lo, other.b_lo)
         hi = max(self.b_hi, other.b_hi)
@@ -193,6 +187,10 @@ def validate(op: BandedOperator) -> list:
             out.append(f"left block at shift {j}: expected shape {(p.d_left, p.d_left)}, got {op.left_blocks[j].shape}")
         if op.right_blocks[j].shape != (p.d_right, p.d_right):
             out.append(f"right block at shift {j}: expected shape {(p.d_right, p.d_right)}, got {op.right_blocks[j].shape}")
+    for side, blocks in (("left", op.left_blocks), ("right", op.right_blocks)):
+        if len(blocks) != 2 * op.width + 1:
+            for j in sorted(set(blocks) - set(range(-op.width, op.width + 1))):
+                out.append(f"{side} block at shift {j} outside the band [{-op.width},{op.width}]")
     if op.b_lo > p.n_lo - op.width or op.b_hi < p.n_hi + op.width:
         out.append(
             f"boundary region [{op.b_lo},{op.b_hi}] does not cover [{p.n_lo - op.width},{p.n_hi + op.width}]"
@@ -214,15 +212,6 @@ def validate(op: BandedOperator) -> list:
                     out.append(f"band exceeded: column ({n},{i}) reaches level {m}")
                     break
     return out
-
-
-def _check_op(op: BandedOperator):
-    """Raise InvalidOperator with `validate`'s violations, if there are any."""
-    # validated once per operator: its blocks never change after construction
-    if op._violations is None:
-        op._violations = validate(op)
-    if op._violations:
-        raise InvalidOperator(op._violations)
 
 
 def _boundary_span(profile: Profile, width: int):
@@ -372,9 +361,8 @@ def verify_inverse(f_op: BandedOperator, g_op: BandedOperator) -> bool:
       its column comparison over the region.
 
     `_action_rows` gives each level the images `column()` gives it, and
-    refuses an operator that `validate` rejects (InvalidOperator).  On
-    the others every image lies within the band, so windows widened by
-    the width on each side hold them all and the product is exact.
+    every image lies within the band, so windows widened by the width on
+    each side hold them all and the product is exact.
     """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("operators over different profiles")
@@ -400,14 +388,13 @@ def _composes_to_identity(f_op: BandedOperator, g_op: BandedOperator) -> bool:
 
 def _boundary_block(op: BandedOperator) -> np.ndarray:
     """The images of the boundary levels b_lo..b_hi as dense rows, built
-    once per operator, after `_check_op` accepts it.
+    once per operator.
 
     Row window_dim(b_lo - 1, n - 1) + i holds `column(n, i)` over the
     coordinates (b_lo - 1 - w, b_hi + w], which hold every image, as
     `validate` keeps each column within its band.
     """
     if op._block is None:
-        _check_op(op)
         p, w = op.profile, op.width
         lo = op.b_lo - 1 - w
         offs = list(accumulate((p.dim(m) for m in range(lo + 1, op.b_hi + w)), initial=0))
@@ -470,14 +457,12 @@ def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_
     the coordinates (dst_lo, dst_hi]; images below dst_lo are dropped
     (taken modulo the tail), images above dst_hi must not occur.
 
-    The operator must be one that `validate` accepts; any other raises
-    InvalidOperator (`_boundary_block`).  The source levels fall into
-    three runs: the levels below b_lo act by whole left stationary blocks,
-    and the levels above b_hi by whole right ones, a slice of
-    `_stationary_rows` each, as `validate` puts the levels they reach in
-    the constant d_left / d_right regions; the boundary levels copy a
-    slice of the boundary block.  No offset table is built: each run finds
-    its columns from `Profile.window_dim`.
+    The source levels fall into three runs: the levels below b_lo act by
+    whole left stationary blocks, and the levels above b_hi by whole right
+    ones, a slice of `_stationary_rows` each, as `validate` puts the
+    levels they reach in the constant d_left / d_right regions; the
+    boundary levels copy a slice of the boundary block.  No offset table
+    is built: each run finds its columns from `Profile.window_dim`.
     """
     p = op.profile
     w = op.width
@@ -507,15 +492,12 @@ def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
     tail(W) >= a - width (every chain member C_m, and the U_tail of the
     limit-free tail constant), those rows are the unit rows of (a - width,
     top], so their images are the action rows themselves; any other W is
-    mapped by one product with them.  An operator that `validate` rejects
-    raises InvalidOperator (`_check_op`); on the others the images lie in
-    (a, top + width].
+    mapped by one product with them.  The images lie in (a, top + width].
     """
     if w.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")
     if a > 0:
         raise ValueError("tail level must be <= 0")
-    _check_op(op)
     p = op.profile
     src_lo = a - op.width
     if w.top <= src_lo:

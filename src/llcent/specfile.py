@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import InvalidOperator, ParseError, ValidationError
 from .fields import PrimeField, field_from_name
 from .linalg import SubspaceBasis
-from .operators import BandedOperator, _check_op, identity_operator, make_shift
+from .operators import BandedOperator, identity_operator, make_shift
 from .spaces import BlockwisePattern, CompactOpenSubspace, LlcVector, Profile, cofinal_chain
 from .entropy import DEFAULT_CONFIG, EntropyConfig
 
@@ -32,7 +32,6 @@ _TOP_KEYS = {
     "schema_version", "field", "profile", "operator", "inverse", "subspace",
     "pattern", "chain", "second", "k", "conjugator", "conjugator_inverse", "config",
 }
-_NAMED_OPERATORS = ("right_shift", "left_shift", "identity")
 
 # Size limits.  An operator stores a d x d block per shift in [-w, w], and
 # the engines hold rows over windows of levels times d coordinates that
@@ -271,12 +270,10 @@ def _operator_from_json(profile, obj, path, label):
             _vector_from_json(profile, col, f"{path}.boundary_columns.{n}[{i}]")
             for i, col in enumerate(cols)
         ]
-    op = BandedOperator(profile, width, blocks("left_blocks"), blocks("right_blocks"), columns)
     try:
-        _check_op(op)  # kept on the operator, so the engines do not validate it again
+        return BandedOperator(profile, width, blocks("left_blocks"), blocks("right_blocks"), columns), None
     except InvalidOperator as exc:
         raise ValidationError([f"{label}: {v}" for v in exc.violations]) from None
-    return op, None
 
 
 def _operator_to_json(op: BandedOperator, name):

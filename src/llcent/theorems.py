@@ -47,10 +47,11 @@ class PropertyReport:
 
 
 def _conclude(name, inputs, sides, holds, witness="") -> PropertyReport:
+    witness = "" if holds else witness
     if any(not r.reliable() for r in sides.values()):
         return PropertyReport(name, inputs, sides, Verdict.INCONCLUSIVE, witness)
     verdict = Verdict.VERIFIED if holds else Verdict.VIOLATED
-    return PropertyReport(name, inputs, sides, verdict, "" if holds else witness)
+    return PropertyReport(name, inputs, sides, verdict, witness)
 
 
 def _split_entropies(op, pattern, cfg, inverse):

@@ -38,7 +38,6 @@ from llcent.errors import EngineInvariant, ProfileMismatch
 from llcent.linalg import pad_basis_columns, rref_union
 from llcent.operators import (
     BandedOperator,
-    _check_op,
     automorphism_image,
     identity_operator,
     image_rows_mod_tail,
@@ -228,7 +227,6 @@ def ent_dim_discrete(
     read off absolutely; this is an independent route that must agree
     with the quotient-based trajectory engine on the same inputs.
     """
-    _check_op(op)
     if not op.profile.is_discrete():
         raise ValueError("ent_dim needs a discrete profile (levels <= 0 empty)")
     if f.profile != op.profile:

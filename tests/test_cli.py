@@ -32,6 +32,26 @@ SPLIT = '{"field":"GF(2)","profile":{"constant":2},"operator":"right_shift","inv
 # empty column list at level 0
 SKIPS_LEVEL_0 = '{"width":0,"left_blocks":{"0":[[1]]},"right_blocks":{"0":[[1]]},"boundary_columns":{"-1":[[[-1,0,1]]],"1":[[[1,0,1]]]}}'
 NO_COLUMNS = '{"width":0,"left_blocks":{"0":[[1]]},"right_blocks":{"0":[[1]]},"boundary_columns":{"0":[]}}'
+# every input of every property: a pattern, an exhausting chain, a second
+# system, a power and a conjugating pair
+EVERY_INPUT = {
+    "field": "GF(2)",
+    "profile": {"constant": 2},
+    "operator": "right_shift",
+    "inverse": "left_shift",
+    "pattern": {"first_slots": 1},
+    "chain": [{"first_slots": 1}, {"first_slots": 2}],
+    "second": {"profile": {"constant": 1}, "operator": "left_shift", "inverse": "right_shift"},
+    "k": 2,
+    "conjugator": "right_shift",
+    "conjugator_inverse": "left_shift",
+}
+# lower bounds at every step and chain cap: ent(beta^2) = 2 ent(beta) holds
+# on the truncated values too, but the sides are LowerBounds
+TRUNCATED_LOG_LAW = (
+    '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift","inverse":"left_shift",'
+    '"k":2,"config":{"max_trajectory_steps":1,"max_chain_index":1}}'
+)
 
 
 def write(tmp_path, text, name="spec.json"):
@@ -189,6 +209,31 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["trajectory"]["status"] == "LowerBound"
 
+    def test_exit_3_strict_inconclusive(self, tmp_path, capsys):
+        path = write(tmp_path, TRUNCATED_LOG_LAW)
+        for flags, code in (([], EXIT_OK), (["--strict"], EXIT_LOWER_BOUND)):
+            assert main(["check", "log_law", path, *flags]) == code
+            check = json.loads(capsys.readouterr().out)["results"]["check"]
+            # the law holds on the values, so no witness of a violation is shown
+            assert (check["verdict"], check["witness"]) == ("Inconclusive", "")
+
+    def test_exit_2_block_outside_the_band(self, tmp_path, capsys):
+        # shift-1 blocks of a width-0 operator are refused, not dropped
+        op = '{"width":0,"left_blocks":{"0":[[1]],"1":[[1]]},"right_blocks":{"0":[[1]],"1":[[1]]},"boundary_columns":{"0":[[[0,0,1]]]}}'
+        spec = f'{{"field":"GF(2)","profile":{{"constant":1}},"operator":{op}}}'
+        assert main(["entropy", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: operator: left block at shift 1 outside the band [0,0]; "
+            "operator: right block at shift 1 outside the band [0,0]\n"
+        )
+
+    def test_exit_2_unsupported_schema_version(self, tmp_path, capsys):
+        spec = SHIFT[:-1] + ',"schema_version":2}'
+        assert main(["entropy", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        assert capsys.readouterr().err == "error: unsupported schema_version 2 at $.schema_version\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["entropy"], ["relative-entropy", "--engine", "both"], ["compare-engines"]],
@@ -337,6 +382,28 @@ class TestCommands:
     def test_check_weak_addition(self, tmp_path, capsys):
         spec = SHIFT[:-1] + ',"second":{"profile":{"constant":1},"operator":"left_shift","inverse":"right_shift"}}'
         assert main(["check", "weak_addition", write(tmp_path, spec)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "prop, needs, message",
+        [
+            ("addition", ["pattern"], "check addition needs a pattern in the spec file"),
+            ("log_law", ["k"], "check log_law needs k in the spec file"),
+            ("conjugation", ["conjugator", "conjugator_inverse"], "check conjugation needs conjugator and conjugator_inverse"),
+            ("weak_addition", ["second"], "check weak_addition needs a second system"),
+            ("monotonicity", ["pattern"], "check monotonicity needs a pattern in the spec file"),
+            ("dd_reduction", [], None),
+            ("direct_limit", ["chain"], "check direct_limit needs a chain of patterns"),
+        ],
+    )
+    def test_check_every_property(self, tmp_path, capsys, prop, needs, message):
+        assert main(["check", prop, write(tmp_path, json.dumps(EVERY_INPUT))]) == EXIT_OK
+        check = json.loads(capsys.readouterr().out)["results"]["check"]
+        assert (check["property"], check["verdict"], check["witness"]) == (prop, "Verified", "")
+        for key in needs:
+            doc = {k: v for k, v in EVERY_INPUT.items() if k != key}
+            assert main(["check", prop, write(tmp_path, json.dumps(doc))]) == EXIT_SPEC_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_check_needs_inputs(self, tmp_path):
         assert main(["check", "addition", write(tmp_path, SHIFT)]) == EXIT_SPEC_ERROR

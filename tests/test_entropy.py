@@ -15,6 +15,7 @@ import pytest
 import llcent.entropy as entropy_module
 import llcent.operators as operators_module
 from llcent.entropy import (
+    ENGINES,
     EntropyConfig,
     EntropyResult,
     Status,
@@ -119,21 +120,22 @@ class TestTrajectoryEngine:
     def test_identity_invariant_subspace(self):
         rng = random.Random(2)
         for _ in range(5):
-            u = _random_subspace(rng)
+            u = random_open_subspace(rng, P1)
             r = trajectory_relative_entropy(identity_operator(P1), u)
             assert (r.value, r.status) == (0, Status.EXACT)
 
     def test_invalid_operator_rejected(self):
+        # an operator the engines could not run on is never built
         op = make_shift(P1, "right")
-        broken = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, {0: op.columns[0]})
-        with pytest.raises(InvalidOperator):
-            trajectory_relative_entropy(broken, cofinal_chain(P1, 0))
+        with pytest.raises(InvalidOperator) as exc:
+            BandedOperator(P1, 1, op.left_blocks, op.right_blocks, {0: op.columns[0]})
+        assert exc.value.violations == ["boundary region [0,0] does not cover [-1,1]"]
 
     def test_chain_growth_and_alpha_monotone(self):
         rng = random.Random(3)
         for _ in range(10):
             op = random_endomorphism(rng, P1, width=rng.randint(1, 2))
-            u = _random_subspace(rng)
+            u = random_open_subspace(rng, P1)
             chain = trajectory_subspaces(op, u, 6)
             for a, b in zip(chain, chain[1:]):
                 assert open_contains(b, a)
@@ -174,7 +176,7 @@ class TestLimitFreeEngine:
         checked = 0
         for seed in range(30):
             op, inv = random_automorphism(random.Random(seed), P1)
-            u = _random_subspace(rng)
+            u = random_open_subspace(rng, P1)
             chain = inverse_trajectory_subspaces(op, inv, u, 8)
             for a, b in zip(chain, chain[1:]):
                 if a == b:
@@ -233,7 +235,7 @@ class TestCrossEngine:
         for seed in range(12):
             rng = random.Random(seed)
             op, inv = random_automorphism(rng, P1)
-            u = _random_subspace(rng)
+            u = random_open_subspace(rng, P1)
             ts = trajectory_subspaces(op, u, 7)
             us = inverse_trajectory_subspaces(op, inv, u, 6)
             for n in range(1, 7):
@@ -261,7 +263,7 @@ class TestCertificates:
             for seed in range(10):
                 rng = random.Random(1000 * i + seed)
                 op, inv = random_automorphism(rng, profile)
-                yield op, inv, _random_subspace(rng, profile, tail_lo=-2)
+                yield op, inv, random_open_subspace(rng, profile, tail_lo=-2)
 
     def test_trajectory_certificate_is_chain_codimensions(self):
         for op, inv, u in self._cases():
@@ -863,12 +865,10 @@ class TestTotalEntropy:
 
     @pytest.mark.parametrize("engine", ["both", "limitfree"])
     def test_bad_inverse_rejected_before_the_chain(self, engine):
-        beta, lam = make_shift(P1, "right"), make_shift(P1, "left")
-        broken = BandedOperator(P1, 1, lam.left_blocks, lam.right_blocks, {0: lam.columns[0]})
+        beta = make_shift(P1, "right")
         cases = [
             (NotAnInverse, beta),
             (ProfileMismatch, make_shift(Profile.constant(F2, 2), "left")),
-            (InvalidOperator, broken),
         ]
         for error, inverse in cases:
             with pytest.raises(error):
@@ -899,19 +899,17 @@ class TestTotalEntropy:
         assert len(calls) == 3
 
     def test_each_operator_validated_once(self, monkeypatch):
+        # one validate call per construction, none from the engines
         calls = []
         real = operators_module.validate
         monkeypatch.setattr(operators_module, "validate", lambda op: calls.append(op) or real(op))
         op, inv = make_shift(P1, "right"), make_shift(P1, "left")
-        r = total_entropy(op, inverse=inv)
-        assert r.value == 1 and r.iterations > 1
         assert calls == [op, inv]
-        # an invalid operator is rejected on every call, validated once
-        broken = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, {0: op.columns[0]})
-        for _ in range(2):
-            with pytest.raises(InvalidOperator):
-                trajectory_relative_entropy(broken, cofinal_chain(P1, 0))
-        assert calls[2:] == [broken]
+        for engine in ENGINES:
+            r = total_entropy(op, inverse=inv, engine=engine)
+            assert r.value == 1 and r.iterations > 1
+        assert trajectory_relative_entropy(op, cofinal_chain(P1, 0)).value == 1
+        assert calls == [op, inv]
 
     @pytest.mark.parametrize("field", [F2, F3], ids=lambda f: f.name)
     def test_pickled_operator_keeps_its_tables(self, field, monkeypatch):
@@ -921,7 +919,7 @@ class TestTotalEntropy:
         assert op._inverse is inv and inv._tail_ranks
         assert bool(op._packed) == (field is F2)
         copy = pickle.loads(pickle.dumps(op))
-        assert (copy._packed, copy._violations) == (op._packed, op._violations)
+        assert copy._packed == op._packed
         assert copy._inverse == inv and copy._inverse._tail_ranks == inv._tail_ranks
         # the boundary block comes along whole, or is rebuilt the same
         rows, kept = op._block, copy._block
@@ -1142,7 +1140,7 @@ class TestFinitePartReduction:
         rng = random.Random(73)
         for seed in range(12):
             op = random_endomorphism(random.Random(seed), P1, width=rng.randint(1, 2))
-            u = _random_subspace(rng)
+            u = random_open_subspace(rng, P1)
             f_gens = list(u.window_vectors())
             for n in range(u.tail - op.width + 1, u.tail + 1):
                 f_gens.append(LlcVector.unit(P1, n, 0))
@@ -1177,19 +1175,6 @@ class TestUnitConversion:
 
         with pytest.raises(InfiniteField):
             h_alg_value(EntropyResult(1, Status.EXACT, ()), QQ)
-
-
-def _random_subspace(rng, profile=P1, tail_lo=-3, top_hi=3):
-    tail = rng.randint(tail_lo, 0)
-    gens = []
-    for _ in range(rng.randint(0, 3)):
-        support = {}
-        for n in range(tail + 1, top_hi + 1):
-            for i in range(profile.dim(n)):
-                if rng.random() < 0.5:
-                    support[(n, i)] = rng.randrange(1, profile.field.p)
-        gens.append(LlcVector(profile, support))
-    return CompactOpenSubspace.make(profile, tail, gens)
 
 
 class TestConfig:

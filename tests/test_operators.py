@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import llcent.operators as operators_module
 from llcent.entropy import _ArrayRows, total_entropy
 from llcent.errors import (
-    EngineInvariant,
     InvalidOperator,
     InvarianceFailure,
     NonConstantProfile,
@@ -72,7 +71,17 @@ def unit(profile, n, i=0):
     return LlcVector.unit(profile, n, i)
 
 
+def refused(profile, width, left, right, columns):
+    """The violations InvalidOperator carries when the operator is built."""
+    with pytest.raises(InvalidOperator) as exc:
+        BandedOperator(profile, width, left, right, columns)
+    return exc.value.violations
+
+
 class TestValidate:
+    """The constructor runs `validate`: an operator that breaks the banded
+    contract is never built, and InvalidOperator carries every violation."""
+
     def test_shift_is_clean(self):
         assert validate(make_shift(P1, "right")) == []
         assert validate(identity_operator(P2)) == []
@@ -81,48 +90,103 @@ class TestValidate:
         op = make_shift(P1, "right")
         bad_cols = dict(op.columns)
         bad_cols[0] = (unit(P1, 2),)  # level 0 reaching level 2 with width 1
-        bad = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, bad_cols)
-        assert any("band exceeded" in v for v in validate(bad))
+        violations = refused(P1, 1, op.left_blocks, op.right_blocks, bad_cols)
+        assert violations == ["band exceeded: column (0,0) reaches level 2"]
 
     def test_block_shape_mismatch(self):
         op = identity_operator(P2)
-        bad = BandedOperator(P2, 0, {0: F2.eye(1)}, {0: F2.eye(2)}, op.columns)
-        assert any("expected shape" in v for v in validate(bad))
+        violations = refused(P2, 0, {0: F2.eye(1)}, {0: F2.eye(2)}, op.columns)
+        assert violations == ["left block at shift 0: expected shape (2, 2), got (1, 1)"]
 
     def test_boundary_coverage(self):
         op = make_shift(P1, "right")
-        cols = {0: op.columns[0]}
-        bad = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, cols)
-        assert any("does not cover" in v for v in validate(bad))
+        violations = refused(P1, 1, op.left_blocks, op.right_blocks, {0: op.columns[0]})
+        assert violations == ["boundary region [0,0] does not cover [-1,1]"]
+
+    # one operator per kind of violation, with validate's exact list
+    P_RAGGED = Profile.from_dims(F2, {0: 1}, 2, 2)
+    P3 = Profile.constant(F3, 2)
+    KINDS = {
+        "negative_width": ((P1, -1, {}, {}, {}), ["negative band width"]),
+        # a 1 x 2 left block where d_left = 2
+        "left_block_shape": (
+            (P3, 1, {1: F3.array([[1, 2]])}, {}, make_shift(P3, "right").columns),
+            ["left block at shift 1: expected shape (2, 2), got (1, 2)"],
+        ),
+        "right_block_shape": (
+            (P2, 1, {}, {1: F2.array([[1, 0]])}, make_shift(P2, "right").columns),
+            ["right block at shift 1: expected shape (2, 2), got (1, 2)"],
+        ),
+        "block_outside_the_band": (
+            (P1, 0, {0: F2.eye(1), 1: F2.eye(1)}, {-2: F2.eye(1), 0: F2.eye(1), 3: F2.eye(1)},
+             identity_operator(P1).columns),
+            [
+                "left block at shift 1 outside the band [0,0]",
+                "right block at shift -2 outside the band [0,0]",
+                "right block at shift 3 outside the band [0,0]",
+            ],
+        ),
+        # left level -1 would reach slot 1 of level 0, which has one slot
+        "boundary_coverage": (
+            (P_RAGGED, 1, {1: F2.array([[1, 1], [1, 1]])}, {}, {0: [LlcVector(P_RAGGED, {(0, 0): 1})]}),
+            ["boundary region [0,0] does not cover [-1,1]"],
+        ),
+        "missing_level": (
+            (P1, 0, {0: F2.eye(1)}, {0: F2.eye(1)}, {-1: [unit(P1, -1)], 1: [unit(P1, 1)]}),
+            ["missing boundary columns at level 0"],
+        ),
+        "column_count": (
+            (P_RAGGED, 0, {}, {}, {0: [unit(P_RAGGED, 0), LlcVector.zero(P_RAGGED)]}),
+            ["boundary columns at level 0: expected 1, got 2"],
+        ),
+        "column_over_another_profile": (
+            (P1, 0, {0: F2.eye(1)}, {0: F2.eye(1)}, {0: [unit(P2, 0)]}),
+            ["column (0,0) over a different profile"],
+        ),
+        "band_exceeded": (
+            (P1, 0, {0: F2.eye(1)}, {0: F2.eye(1)}, {0: [LlcVector(P1, {(0, 0): 1, (-5, 0): 1})]}),
+            ["band exceeded: column (0,0) reaches level -5"],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_violation_kind_raises_at_construction(self, kind):
+        args, want = self.KINDS[kind]
+        assert refused(*args) == want
+
+    def test_violations_keep_their_order(self):
+        # every kind that validate reports past the first, in its order
+        p = Profile.constant(F2, 2)
+        columns = {
+            -1: [unit(p, -1), unit(p, -1, 1)],
+            1: [unit(p, 1)],
+            2: [unit(P1, 2), LlcVector(p, {(5, 0): 1})],
+        }
+        violations = refused(p, 1, {0: F2.eye(1), 2: F2.eye(2)}, {}, columns)
+        assert violations == [
+            "left block at shift 0: expected shape (2, 2), got (1, 1)",
+            "left block at shift 2 outside the band [-1,1]",
+            "missing boundary columns at level 0",
+            "boundary columns at level 1: expected 2, got 1",
+            "column (2,0) over a different profile",
+            "band exceeded: column (2,1) reaches level 5",
+        ]
 
     def test_each_operator_validated_once(self, monkeypatch):
+        # one validate call per construction, none from any route
         calls = []
         real = operators_module.validate
         monkeypatch.setattr(operators_module, "validate", lambda op: calls.append(op) or real(op))
         op, inv = make_shift(P1, "right"), make_shift(P1, "left")
+        assert calls == [op, inv]
         u = cofinal_chain(P1, 1)
         assert verify_inverse(op, inv)
         assert total_entropy(op, inverse=inv).value == 1
         assert image_rows_mod_tail(op, u, 0)[1] == 2
         assert automorphism_image(op, u, inv.width) == cofinal_chain(P1, 2)
-        # verify_inverse maps by inv first
-        assert len(calls) == 2 and calls[0] is inv and calls[1] is op
-        # an invalid operator is refused by every route on every call, and
-        # validated once; U_{-2} lies too deep for the dense action to run
-        broken = BandedOperator(P1, 1, op.left_blocks, op.right_blocks, {0: op.columns[0]})
-        routes = (
-            lambda: verify_inverse(broken, inv),
-            lambda: verify_inverse(inv, broken),
-            lambda: total_entropy(broken, inverse=inv),
-            lambda: image_rows_mod_tail(broken, u, 0),
-            lambda: image_rows_mod_tail(broken, CompactOpenSubspace.make(P1, -2), 0),
-            lambda: automorphism_image(broken, u, inv.width),
-        )
-        for _ in range(2):
-            for route in routes:
-                with pytest.raises(InvalidOperator, match="does not cover"):
-                    route()
-        assert len(calls) == 3 and calls[2] is broken
+        assert calls == [op, inv]
+        two = compose(op, op)
+        assert calls == [op, inv, two]
 
 
 class TestShifts:
@@ -302,16 +366,12 @@ class TestVerifyInverse:
         assert verify_inverse(*pair) == verify_inverse_by_composites(*pair)
 
     def test_columns_leaving_the_band(self):
-        # e_0 -> e_0 + e_{-5} at width 0: validate reports the band, and
-        # verify_inverse refuses the operator in either order
+        # e_0 -> e_0 + e_{-5} at width 0 is never built: validate reports the band
         def width_0(column_0):
-            return BandedOperator(P1, 0, {0: F2.eye(1)}, {0: F2.eye(1)}, {0: [LlcVector(P1, column_0)]})
+            return (P1, 0, {0: F2.eye(1)}, {0: F2.eye(1)}, {0: [LlcVector(P1, column_0)]})
 
-        f_op, ident = width_0({(0, 0): 1, (-5, 0): 1}), width_0({(0, 0): 1})
-        assert validate(f_op) == ["band exceeded: column (0,0) reaches level -5"]
-        for pair in ((f_op, ident), (ident, f_op), (f_op, f_op)):
-            with pytest.raises(InvalidOperator, match=r"^band exceeded: column \(0,0\) reaches level -5$"):
-                verify_inverse(*pair)
+        assert refused(*width_0({(0, 0): 1, (-5, 0): 1})) == ["band exceeded: column (0,0) reaches level -5"]
+        ident = BandedOperator(*width_0({(0, 0): 1}))
         assert verify_inverse(ident, ident) and verify_inverse_by_composites(ident, ident)
 
     def test_builds_no_composite(self, monkeypatch):
@@ -337,23 +397,28 @@ class TestVerifyInverse:
 
 
 def _outcome(fn, *args):
-    """("ok", result) or (exception type, message); `column()` raises
-    IndexError where a stationary block has fewer slots than the level."""
+    """("ok", result) or (ValueError, message)."""
     try:
         return "ok", fn(*args)
-    except (ValueError, IndexError, EngineInvariant) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
+
+
+def _built(args, want):
+    """The operator built from `args`, or None once building it has raised
+    InvalidOperator with the violations `want`."""
+    if want:
+        assert refused(*args) == want
+        return None
+    return BandedOperator(*args)
 
 
 class TestDenseRoutes:
     """_action_rows and compose against the per-column oracles.
 
-    Besides validated operators, the operators drawn include columns that
-    leave their band and boundary regions cut short of [n_lo - w, n_hi + w],
-    where a stationary level can reach a level of another dimension.
-    `compose` must give `column()`'s images or raise as it does on every
-    operator; `_action_rows` must do so on the operators `validate`
-    accepts and refuse the others with its violations.
+    Besides valid operators, the draws include columns that leave their
+    band and boundary regions cut short of [n_lo - w, n_hi + w]; those
+    must raise InvalidOperator at construction with `validate`'s list.
     """
 
     FIELDS = (F2, F3, PrimeField(5), PrimeField(2**31 - 1), QQ)
@@ -371,11 +436,13 @@ class TestDenseRoutes:
     @staticmethod
     @st.composite
     def operators(draw, profile):
+        """(the constructor's arguments, the violations they break the contract with)."""
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         width = draw(st.integers(0, 3))
         op = random_endomorphism(rng, profile, width=width, boundary=draw(st.integers(0, 3)))
         kind = draw(st.sampled_from(TestDenseRoutes.KINDS))
         columns = {n: tuple(cols) for n, cols in op.columns.items()}
+        want = []
         if kind == "band_leaving":
             # one boundary column gains an entry 1-3 levels past its band
             sources = [(n, i) for n, cols in columns.items() for i in range(len(cols))]
@@ -385,11 +452,15 @@ class TestDenseRoutes:
                 support = dict(columns[n][i].support)
                 support[(n + gap, draw(st.integers(0, profile.dim(n + gap) - 1)))] = profile.field.one
                 columns[n] = columns[n][:i] + (LlcVector(profile, support),) + columns[n][i + 1 :]
+                want = [f"band exceeded: column ({n},{i}) reaches level {n + gap}"]
         elif kind == "short_region":
             lo = draw(st.integers(op.b_lo, op.b_hi))
             hi = draw(st.integers(lo, op.b_hi))
             columns = {n: columns[n] for n in range(lo, hi + 1)}
-        return BandedOperator(profile, width, op.left_blocks, op.right_blocks, columns)
+            need_lo, need_hi = profile.n_lo - width, profile.n_hi + width
+            if lo > need_lo or hi < need_hi:
+                want = [f"boundary region [{lo},{hi}] does not cover [{need_lo},{need_hi}]"]
+        return (profile, width, op.left_blocks, op.right_blocks, columns), want
 
     @staticmethod
     @st.composite
@@ -407,15 +478,11 @@ class TestDenseRoutes:
     @given(data=st.data())
     def test_action_rows_match_the_columns(self, data):
         profile = data.draw(self.profiles())
-        op = data.draw(self.operators(profile))
-        violations = validate(op)
+        op = _built(*data.draw(self.operators(profile)))
+        if op is None:
+            return
         for _ in range(3):
             window = data.draw(self.windows(op))
-            if violations:
-                with pytest.raises(InvalidOperator) as refused:
-                    _action_rows(op, *window)
-                assert refused.value.violations == violations
-                continue
             want = _outcome(action_rows_by_columns, op, *window)
             got = _outcome(_action_rows, op, *window)
             if want[0] != "ok":
@@ -428,37 +495,15 @@ class TestDenseRoutes:
     @given(data=st.data())
     def test_compose_matches_the_columns(self, data):
         profile = data.draw(self.profiles())
-        f_op, g_op = data.draw(self.operators(profile)), data.draw(self.operators(profile))
+        f_op, g_op = _built(*data.draw(self.operators(profile))), _built(*data.draw(self.operators(profile)))
+        if f_op is None or g_op is None:
+            return
         want = _outcome(compose_by_columns, f_op, g_op)
         got = _outcome(compose, f_op, g_op)
         if want[0] != "ok":
             assert got == want
         else:
             assert got[0] == "ok" and same_operator(got[1], want[1])
-
-    def test_short_region_raises_where_a_column_does(self):
-        # d_left = 2 but level n_lo = 0 has one slot: left level -1 of a
-        # width-1 operator whose region starts at 0 reaches slot 1 of level
-        # 0, which column() refuses; the dense action refuses the operator,
-        # whose region does not cover [n_lo - 1, n_hi + 1], on every window
-        profile = Profile.from_dims(F2, {0: 1}, 2, 2)
-        ones = F2.array([[1, 1], [1, 1]])
-        op = BandedOperator(profile, 1, {1: ones}, {}, {0: [LlcVector(profile, {(0, 0): 1})]})
-        with pytest.raises(ValueError, match="slot 1 out of range at level 0"):
-            op.column(-1, 0)
-        for window in ((-2, 0, -3, 1), (-5, -2, -6, -1)):
-            with pytest.raises(InvalidOperator, match=r"^boundary region \[0,0\] does not cover \[-1,1\]$"):
-                _action_rows(op, *window)
-
-    def test_blocks_of_the_wrong_shape_go_through_column(self):
-        # a 1 x 2 left block where d_left = 2 (validate refuses it): column()
-        # still reads an image from it, the dense action refuses the operator
-        profile = Profile.constant(F3, 2)
-        op = BandedOperator(profile, 1, {1: F3.array([[1, 2]])}, {}, identity_operator(profile).columns)
-        assert op.column(-5, 0) == LlcVector(profile, {(-4, 0): 1})
-        for window in ((-4, 2, -6, 4), (-4, -1, -3, 1)):
-            with pytest.raises(InvalidOperator, match=r"left block at shift 1: expected shape \(2, 2\), got \(1, 2\)"):
-                _action_rows(op, *window)
 
 
 class TestRightEdgePower:
@@ -542,17 +587,8 @@ class TestActionTable:
                     assert rows.dtype == want.dtype and np.array_equal(rows, want)
 
     def test_out_of_band_column_raises(self):
-        shift = make_shift(P1, "right")
-        # level 1's column reaches level 3, past its band [0, 2]
-        columns = dict(shift.columns)
-        columns[1] = (unit(P1, 3),)
-        op = BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
-        assert validate(op) == ["band exceeded: column (1,0) reaches level 3"]
-        # refused whether or not the window (0, top + 1] would hold the image
-        for top in (1, 2, 3):
-            with pytest.raises(InvalidOperator, match="band exceeded"):
-                image_rows_mod_tail(op, cofinal_chain(P1, top), 0)
         # a window short of a valid operator's images raises
+        shift = make_shift(P1, "right")
         with pytest.raises(ValueError, match="action window too small"):
             _action_rows(shift, -1, 1, 0, 1)
         rows, top = image_rows_mod_tail(shift, cofinal_chain(P1, 2), 0)
@@ -561,19 +597,13 @@ class TestActionTable:
     @pytest.mark.parametrize("level, target, dst_hi", [(-1, -3, 2), (1, 3, 3)])
     def test_out_of_band_image_inside_the_window(self, level, target, dst_hi):
         # the right shift with one boundary column moved out of its band,
-        # down (e_{-1} -> e_{-3}) or up (e_1 -> e_3).  column() still gives
-        # the image, and the window (-4, dst_hi] would hold it, but the
-        # dense routes refuse the operator
+        # down (e_{-1} -> e_{-3}) or up (e_1 -> e_3), is never built, even
+        # where the window (-4, dst_hi] would hold the image
         shift = make_shift(P1, "right")
         columns = dict(shift.columns)
         columns[level] = (unit(P1, target),)
-        op = BandedOperator(P1, 1, shift.left_blocks, shift.right_blocks, columns)
-        assert validate(op) == [f"band exceeded: column ({level},0) reaches level {target}"]
-        assert op.column(level, 0) == unit(P1, target)
-        with pytest.raises(InvalidOperator, match="band exceeded"):
-            _action_rows(op, -5, 1, -4, dst_hi)
-        with pytest.raises(InvalidOperator, match="band exceeded"):
-            image_rows_mod_tail(op, cofinal_chain(P1, 1), -3)
+        violations = refused(P1, 1, shift.left_blocks, shift.right_blocks, columns)
+        assert violations == [f"band exceeded: column ({level},0) reaches level {target}"]
 
 
 def _bounded_subspace(rng):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import llcent.linalg as linalg
 from llcent.errors import NotContained, ProfileMismatch
 from llcent.fields import PrimeField
+from llcent.generators import random_open_subspace
 from llcent.linalg import SubspaceBasis
 from llcent.spaces import (
     BlockwisePattern,
@@ -158,29 +159,16 @@ class TestCofinalChain:
     def test_cofinal_for_canonical_subspaces(self):
         rng = random.Random(3)
         for _ in range(20):
-            w = random_subspace(rng, P1)
+            w = random_open_subspace(rng, P1)
             cm = cofinal_chain(P1, max(w.top, 0))
             assert open_quotient_dim(cm, w) >= 0
-
-
-def random_subspace(rng, profile, tail_lo=-3, top_hi=3):
-    tail = rng.randint(tail_lo, 0)
-    gens = []
-    for _ in range(rng.randint(0, 3)):
-        support = {}
-        for n in range(tail + 1, top_hi + 1):
-            for i in range(profile.dim(n)):
-                if rng.random() < 0.5:
-                    support[(n, i)] = rng.randrange(1, profile.field.p)
-        gens.append(LlcVector(profile, support))
-    return CompactOpenSubspace.make(profile, tail, gens)
 
 
 class TestCanonicalEquality:
     def test_non_canonical_presentations_agree(self):
         rng = random.Random(17)
         for _ in range(60):
-            w = random_subspace(rng, P1)
+            w = random_open_subspace(rng, P1)
             # re-present with a deeper tail and redundant generators
             deeper = w.tail - rng.randint(0, 2)
             gens = [unit(P1, n) for n in range(deeper + 1, w.tail + 1)]
@@ -203,7 +191,7 @@ class TestLatticeLaws:
     def test_laws_on_random_triples(self):
         rng = random.Random(29)
         for _ in range(40):
-            a, b, c = (random_subspace(rng, P1) for _ in range(3))
+            a, b, c = (random_open_subspace(rng, P1) for _ in range(3))
             for mode in ("sum", "intersect"):
                 assert open_combine(a, b, mode) == open_combine(b, a, mode)
                 lhs = open_combine(open_combine(a, b, mode), c, mode)
@@ -216,7 +204,7 @@ class TestLatticeLaws:
     def test_modular_dimension_additivity(self):
         rng = random.Random(37)
         for _ in range(40):
-            a, b = random_subspace(rng, P1), random_subspace(rng, P1)
+            a, b = random_open_subspace(rng, P1), random_open_subspace(rng, P1)
             mid = open_combine(a, b, "sum")
             c = open_combine(mid, cofinal_chain(P1, rng.randint(0, 3)), "sum")
             assert open_quotient_dim(c, a) == open_quotient_dim(c, mid) + open_quotient_dim(mid, a)
@@ -244,8 +232,8 @@ class TestDenseOracle:
     def test_combine_and_quotient_match_enumeration(self):
         rng = random.Random(41)
         for _ in range(120):
-            a = random_subspace(rng, P1, tail_lo=self.LO, top_hi=self.HI)
-            b = random_subspace(rng, P1, tail_lo=self.LO, top_hi=self.HI)
+            a = random_open_subspace(rng, P1, tail_lo=self.LO, top_hi=self.HI)
+            b = random_open_subspace(rng, P1, tail_lo=self.LO, top_hi=self.HI)
             for w in (a, b):
                 again, raw = self.represent(rng, w)
                 assert again == w and subspace_bits(again, self.LO, self.HI) == raw

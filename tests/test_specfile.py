@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from llcent.entropy import EntropyConfig
 from llcent.errors import ParseError, ValidationError
 from llcent.fields import PrimeField, QQ
-from llcent.generators import random_automorphism, random_endomorphism
+from llcent.generators import random_automorphism, random_endomorphism, random_open_subspace
 from llcent.specfile import (
     MAX_CHAIN_INDEX,
     MAX_DEPTH,
@@ -19,12 +20,13 @@ from llcent.specfile import (
     MAX_TRAJECTORY_STEPS,
     MAX_WIDTH,
     SpecFile,
+    _TOP_KEYS,
     parse_spec,
     serialize_spec,
     spec_from_dict,
     to_canonical_dict,
 )
-from llcent.spaces import Profile, cofinal_chain
+from llcent.spaces import BlockwisePattern, Profile, cofinal_chain
 
 
 BASIC = '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift"}'
@@ -226,6 +228,44 @@ def test_round_trip_generated_specs(seed):
     if spec.subspace is not None:
         assert again.subspace == spec.subspace
     assert serialize_spec(again) == text
+
+
+def test_round_trip_carries_every_key():
+    # every top-level key the parser reads, over a non-constant profile,
+    # with explicit operators in every operator slot
+    rng = random.Random(5)
+    field = PrimeField(3)
+    profile = Profile.from_dims(field, {-1: 2, 0: 0, 1: 3}, 1, 2)
+    second_profile = Profile.constant(field, 1)
+    second = SpecFile(
+        field=field, profile=second_profile,
+        operator=random_endomorphism(rng, second_profile), inverse=random_endomorphism(rng, second_profile),
+    )
+    spec = SpecFile(
+        field=field, profile=profile,
+        operator=random_endomorphism(rng, profile), inverse=random_endomorphism(rng, profile, width=2),
+        subspace=random_open_subspace(rng, profile), pattern=BlockwisePattern.first_slots(profile, 1),
+        chain=[BlockwisePattern.first_slots(profile, 1), BlockwisePattern.full(profile)],
+        second=second, k=3,
+        conjugator=random_endomorphism(rng, profile), conjugator_inverse=random_endomorphism(rng, profile),
+        config=EntropyConfig(plateau_streak=2, max_trajectory_steps=9, max_chain_index=5, strict=True),
+    )
+    text = serialize_spec(spec)
+    doc = json.loads(text)
+    assert doc.keys() == _TOP_KEYS and doc["second"].keys() == {"profile", "operator", "inverse"}
+    assert doc["profile"] == {"d_left": 1, "boundary": [2, 0, 3], "d_right": 2, "n_lo": -1, "n_hi": 1}
+    again = parse_spec(text)
+    assert again == spec and serialize_spec(again) == text
+    for key in ("operator", "inverse", "conjugator", "conjugator_inverse"):
+        assert getattr(again, key) == getattr(spec, key)
+    assert again.subspace == spec.subspace and again.config == spec.config
+
+
+def test_unsupported_schema_version_is_a_parse_error():
+    for version in (0, 2, "1", None):
+        with pytest.raises(ParseError, match="unsupported schema_version") as exc:
+            spec_from_dict({**json.loads(BASIC), "schema_version": version})
+        assert exc.value.position == "$.schema_version"
 
 
 def test_serialization_is_deterministic():

@@ -67,6 +67,15 @@ class TestLogLaw:
         assert rep.verdict is Verdict.VERIFIED
         assert rep.sides["ent_power"].value == 0
 
+    def test_inconclusive_law_that_holds_has_no_witness(self):
+        # both sides are lower bounds, and 2 = 2*1 holds on them
+        cfg = EntropyConfig(max_trajectory_steps=1, max_chain_index=1)
+        rep = check_property("log_law", cfg, op=make_shift(P1, "right"), k=2, inverse=make_shift(P1, "left"))
+        assert rep.verdict is Verdict.INCONCLUSIVE and rep.witness == ""
+        assert {name: r.status for name, r in rep.sides.items()} == {
+            "ent_power": Status.LOWER_BOUND, "ent_base": Status.LOWER_BOUND,
+        }
+
     # ROADMAP item 1 in a law: the degenerate operator of
     # test_entropy.TestLatePlateau._op(9, 1), whose chain-index readings
     # rise after the plateau that the default stop accepts

@@ -13,9 +13,10 @@ well defined on the whole space, image-bounded on the product side, and
 continuous: the preimage of U_a contains U_{a-w} up to finitely many
 linear conditions.  The class is closed under composition, restriction
 to blockwise invariant subspaces, and induced quotient maps; inverses
-are verified against a caller-supplied candidate rather than computed,
-by one banded product per order of the pair, without building either
-composite (`verify_inverse`).
+are verified against a caller-supplied candidate rather than computed.
+A composite f.g has one banded product, of g's action rows by f's
+(`_composite_rows`): `compose` reads f.g off it, and `verify_inverse`
+compares it with the unit rows, one product per order of the pair.
 
 Every operator is valid: the constructor runs `validate` and raises
 InvalidOperator with its violations.  Dense actions (`_action_rows`)
@@ -24,9 +25,8 @@ block, the images of its boundary levels as dense rows, built once from
 its columns (`_boundary_block`), and the stationary levels are whole
 shifted copies of a row of blocks (`_stationary_rows`), which also gives
 `compose` its block convolution as one product.  `_action_rows` is the
-only array action: the image of a block of rows is one product with it
-(`image_rows_mod_tail`, the array chain kernels of `entropy`), and the
-packed GF(2) kernels of `gf2rows` read the same boundary block.
+only array action; the packed GF(2) kernels of `gf2rows` read the same
+boundary block.
 """
 
 from __future__ import annotations
@@ -255,40 +255,44 @@ def make_shift(profile: Profile, direction: str) -> BandedOperator:
 
 
 def compose(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
-    """The composite f_op . g_op (apply g first).
+    """The composite f_op . g_op (apply g first), read off the rows of
+    `_composite_rows` on the levels b_lo-1 .. b_hi+1 of its region.
 
     Its stationary blocks are the convolutions sum_{j1+j2=j} F_{j1} G_{j2},
     one product per side in the rows convention of `_action_rows`: the
     rows of one level under g, [G_-wg^T ... G_wg^T], times the rows of the
     2 wg + 1 levels they reach under f give [C_-w^T ... C_w^T]
-    (`_stationary_rows`).  Its columns over the boundary region are
-    f_op.apply of g_op's columns.
+    (`_stationary_rows`).  The stationary rule must continue the region:
+    the rows of level b_lo-1 are the left stack then zeros, those of level
+    b_hi+1 zeros then the right stack.  The rows in between are its columns.
     """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("composing operators over different profiles")
-    p = f_op.profile
-    f = p.field
-    w = f_op.width + g_op.width
+    p, w = f_op.profile, f_op.width + g_op.width
+    b_lo, b_hi, prod = _composite_rows(f_op, g_op)
+    rows, cols = prod.shape
 
-    def convolve(side, d):
-        conv = f.matmul(_stationary_rows(g_op, side, 1), _stationary_rows(f_op, side, 2 * g_op.width + 1))
+    def convolve(side, d, edge, at):
+        """One side's blocks, checked against `edge`, the rows of the level
+        just past the region there, whose images start at column `at`."""
+        conv = p.field.matmul(_stationary_rows(g_op, side, 1), _stationary_rows(f_op, side, 2 * g_op.width + 1))
+        want = p.field.zeros(d, cols)
+        want[:, at : at + conv.shape[1]] = conv
+        if not np.array_equal(edge, want):
+            raise EngineInvariant("compose: stationary mismatch")
         return {j: conv[:, (j + w) * d : (j + w + 1) * d].T for j in range(-w, w + 1)}
 
-    left = convolve("left", p.d_left)
-    right = convolve("right", p.d_right)
-    b_lo = min(g_op.b_lo, f_op.b_lo - g_op.width, p.n_lo - w)
-    b_hi = max(g_op.b_hi, f_op.b_hi + g_op.width, p.n_hi + w)
-    columns = {
-        n: [f_op.apply(g_op.column(n, i)) for i in range(p.dim(n))]
-        for n in range(b_lo, b_hi + 1)
-    }
-    out = BandedOperator(p, w, left, right, columns)
-    # stationary rule must continue the explicit columns beyond the region
-    for n in (b_lo - 1, b_hi + 1):
-        for i in range(p.dim(n)):
-            if out.column(n, i) != f_op.apply(g_op.column(n, i)):
-                raise EngineInvariant("compose: stationary mismatch")
-    return out
+    left = convolve("left", p.d_left, prod[: p.d_left], 0)
+    right = convolve("right", p.d_right, prod[rows - p.d_right :], cols - (2 * w + 1) * p.d_right)
+    body = prod[p.d_left : rows - p.d_right]
+    keys = [(m, s) for m in range(b_lo - 1 - w, b_hi + 2 + w) for s in range(p.dim(m))]
+    supports = [{} for _ in range(body.shape[0])]
+    at = np.nonzero(body)
+    for r, c, v in zip(at[0].tolist(), at[1].tolist(), body[at].tolist()):
+        supports[r][keys[c]] = v
+    images = iter(supports)
+    columns = {n: [LlcVector._reduced(p, next(images)) for _ in range(p.dim(n))] for n in range(b_lo, b_hi + 1)}
+    return BandedOperator(p, w, left, right, columns)
 
 
 def operator_add(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
@@ -342,47 +346,43 @@ def power(op: BandedOperator, k: int) -> BandedOperator:
 def verify_inverse(f_op: BandedOperator, g_op: BandedOperator) -> bool:
     """True iff f_op and g_op compose to the identity both ways.
 
-    Each order is one banded product, with no composite built: for f.g,
-    the rows of `_action_rows(g) @ _action_rows(f)` over the levels
-    b_lo-1 .. b_hi+1, where [b_lo, b_hi] is the boundary region `compose`
-    gives f.g, must be the unit rows at their own coordinates.  That is
-    the comparison `compose(f, g) == identity_operator(...)`:
-
-    * at a level n < b_lo, g acts by its left blocks, and every level it
-      reaches from n, at most n + w_g, lies below f.b_lo, so f acts there
-      by its left blocks too;
-    * all of these levels lie below n_lo, in the constant region, so f.g
-      at n is the stationary rule of the convolved blocks
-      sum_{j1+j2=j} F_{j1} G_{j2}, and the same holds on the right past
-      b_hi;
-    * so the rows of levels b_lo-1 and b_hi+1 are unit rows exactly when
-      the convolved blocks are the identity's, which is the block
-      comparison of `BandedOperator.__eq__`, and the rows in between are
-      its column comparison over the region.
-
-    `_action_rows` gives each level the images `column()` gives it, and
-    every image lies within the band, so windows widened by the width on
-    each side hold them all and the product is exact.
+    Each order is the product `compose` reads f.g off (`_composite_rows`),
+    with no composite built: its rows must be the unit rows at their own
+    coordinates, which is `compose(f, g) == identity_operator(...)`: unit
+    edge rows are the identity's convolved blocks, and the rows in between
+    are the composite's columns over its region.
     """
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("operators over different profiles")
     return _composes_to_identity(f_op, g_op) and _composes_to_identity(g_op, f_op)
 
 
-def _composes_to_identity(f_op: BandedOperator, g_op: BandedOperator) -> bool:
-    """f_op . g_op fixes each basis vector of levels b_lo-1 .. b_hi+1 of compose's region."""
+def _composite_rows(f_op: BandedOperator, g_op: BandedOperator):
+    """(b_lo, b_hi, rows): the boundary region of f_op . g_op, and its rows
+    on the levels b_lo-1 .. b_hi+1 over (b_lo-2-w, b_hi+1+w], w the sum of
+    the widths, as one exact product of `_action_rows` windows widened by
+    the band.  Below b_lo, g acts by its left blocks and reaches only
+    levels where f does too, all below n_lo, so f.g acts there by the
+    convolved blocks; the same holds past b_hi.
+    """
     p = f_op.profile
-    f = p.field
     wg, w = g_op.width, f_op.width + g_op.width
-    lo = min(g_op.b_lo, f_op.b_lo - wg, p.n_lo - w) - 2
-    hi = max(g_op.b_hi, f_op.b_hi + wg, p.n_hi + w) + 1
-    prod = f.matmul(
+    b_lo = min(g_op.b_lo, f_op.b_lo - wg, p.n_lo - w)
+    b_hi = max(g_op.b_hi, f_op.b_hi + wg, p.n_hi + w)
+    lo, hi = b_lo - 2, b_hi + 1
+    return b_lo, b_hi, p.field.matmul(
         _action_rows(g_op, lo, hi, lo - wg, hi + wg),
         _action_rows(f_op, lo - wg, hi + wg, lo - w, hi + w),
     )
-    m, start = prod.shape[0], p.window_dim(lo - w, lo)
-    unit = f.zeros(m, prod.shape[1])
-    unit[:, start : start + m] = f.eye(m)
+
+
+def _composes_to_identity(f_op: BandedOperator, g_op: BandedOperator) -> bool:
+    """f_op . g_op fixes each basis vector of the levels `_composite_rows` acts on."""
+    p = f_op.profile
+    b_lo, _b_hi, prod = _composite_rows(f_op, g_op)
+    m, start = prod.shape[0], p.window_dim(b_lo - 2 - f_op.width - g_op.width, b_lo - 2)
+    unit = p.field.zeros(m, prod.shape[1])
+    unit[:, start : start + m] = p.field.eye(m)
     return np.array_equal(prod, unit)
 
 

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .entropy import DEFAULT_CONFIG, total_entropy
-from .errors import EngineInvariant, InvarianceFailure, NotAnInverse
+from .errors import EngineInvariant, InvarianceFailure, NotAnInverse, ValidationError
 from .operators import (
     BandedOperator,
     compose,
@@ -219,7 +219,7 @@ def _check_direct_limit(cfg, op, chain, inverse=None):
     maximum of the restricted entropies, and bounds each of them.
     """
     if not chain or not _is_full_pattern(chain[-1]):
-        raise ValueError("the chain must exhaust the space (last pattern full)")
+        raise ValidationError(["the chain must exhaust the space (last pattern full)"])
     total = total_entropy(op, cfg, inverse)
     sides = {"ent": total}
     values = []

@@ -15,7 +15,7 @@ from the pivot on) must return exactly what it returns.
 `BandedOperator.column`, and `compose_by_columns` builds a composite column
 by column with small block products; `llcent.operators._action_rows`, which
 slices an operator's boundary block and stationary rows, and `compose`,
-which convolves the blocks in one product, must return the same.
+which reads the composite off one banded product, must return the same.
 `verify_inverse_by_composites` builds both composites with
 `compose_by_columns` and compares each with the identity operator;
 `llcent.operators.verify_inverse` must give the same verdict.

@@ -199,6 +199,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: image of e[-1,0] leaves the subspace\n"
 
+    def test_exit_2_chain_not_exhausting(self, tmp_path, capsys):
+        spec = '{"field":"GF(2)","profile":{"constant":2},"operator":"right_shift","chain":[{"first_slots":1}]}'
+        assert main(["check", "direct_limit", write(tmp_path, spec)]) == EXIT_SPEC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the chain must exhaust the space (last pattern full)\n"
+
     def test_exit_3_strict_lower_bound(self, tmp_path, capsys):
         spec = (
             '{"field":"GF(2)","profile":{"constant":1},"operator":"right_shift",'

@@ -1286,9 +1286,21 @@ E.trajectory_relative_entropy = lambda op, c, cfg: E.EntropyResult(next(values),
 print(fired(lambda: E.total_entropy(right)))
 E.trajectory_relative_entropy = real_trajectory
 
+real_rows = O._composite_rows
+
+
+def rows_off_the_left_stack(f_op, g_op):
+    # a nonzero past the left stack in the row of the level below the region
+    b_lo, b_hi, prod = real_rows(f_op, g_op)
+    prod[0, -1] = (prod[0, -1] + 1) % P
+    return b_lo, b_hi, prod
+
+
+O._composite_rows = rows_off_the_left_stack
+print(fired(lambda: O.compose(right, right)))
+O._composite_rows = real_rows
 real_eq, real_is_zero = LlcVector.__eq__, LlcVector.is_zero
 LlcVector.__eq__ = lambda self, other: False
-print(fired(lambda: O.compose(right, right)))
 print(fired(lambda: O.decompose_vc_vd(right)))
 LlcVector.__eq__ = real_eq
 LlcVector.is_zero = lambda self: False

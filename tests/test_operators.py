@@ -505,6 +505,14 @@ class TestDenseRoutes:
         else:
             assert got[0] == "ok" and same_operator(got[1], want[1])
 
+    @pytest.mark.parametrize("field, d, width", [(F2, 16, 4), (PrimeField(2**31 - 1), 4, 2), (QQ, 2, 2)], ids=str)
+    def test_compose_matches_the_columns_on_wide_operators(self, field, d, width):
+        # products over many levels of wide blocks, which the drawn operators do not reach
+        profile = Profile.constant(field, d)
+        for i in range(2):
+            f_op, g_op = (random_endomorphism(random.Random(i + k), profile, width=width) for k in (0, 1))
+            assert same_operator(compose(f_op, g_op), compose_by_columns(f_op, g_op))
+
 
 class TestRightEdgePower:
     """right_edge_power against Psi written block by block (`edge_map_by_blocks`)."""

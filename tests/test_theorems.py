@@ -5,7 +5,7 @@ import random
 import pytest
 
 from llcent.entropy import EntropyConfig, Status, total_entropy
-from llcent.errors import InvarianceFailure, NotAnInverse
+from llcent.errors import InvarianceFailure, NotAnInverse, ValidationError
 from llcent.fields import PrimeField
 from llcent.generators import (
     block_diagonal_instance,
@@ -185,7 +185,7 @@ class TestDirectLimit:
         assert rep.verdict is Verdict.VERIFIED
 
     def test_chain_must_end_full(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="the chain must exhaust the space"):
             check_property(
                 "direct_limit", op=make_shift(P2, "right"),
                 chain=[BlockwisePattern.first_slots(P2, 1)],

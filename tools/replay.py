@@ -1,6 +1,6 @@
 """Replay of real calls through llcent's five fast routes against their oracles.
 
-Runs three catalogs, each once, with ``linalg._rref``,
+Runs four catalogs, each once, with ``linalg._rref``,
 ``entropy._grow_chain``, ``operators._action_rows``,
 ``operators.verify_inverse`` and ``operators.compose`` wrapped at every
 llcent module that binds them, to record their arguments:
@@ -11,7 +11,12 @@ llcent module that binds them, to record their arguments:
   ``compose`` calls are recorded and replayed too;
 * ``degenerate_gf2``: ``total_entropy`` on GF(2) operators with degenerate
   right blocks (``generators.degenerate_endomorphism`` from
-  ``random.Random(i)`` for i < 60, d_right 1-4 and band width 1-3 in turn).
+  ``random.Random(i)`` for i < 60, d_right 1-4 and band width 1-3 in turn);
+* ``wide_composites``: ``compose`` on pairs of ``random_endomorphism`` from
+  consecutive seeds, ``random.Random(i)`` and ``random.Random(i + 1)`` for
+  i < 3, on constant profiles of GF(2) d=16 band width 4, GF(2^31-1) d=4
+  width 2 and Q d=2 width 2: products over many levels of wide blocks,
+  which the benchmark workloads do not compose.
 
 Then it replays every recorded call through the route and through its
 oracle in tests/_oracles.py, and prints a ``MISMATCH`` line for each of:
@@ -65,13 +70,15 @@ import llcent.entropy as entropy  # noqa: E402
 import llcent.gf2rows as gf2rows  # noqa: E402
 import llcent.linalg as linalg  # noqa: E402
 import llcent.operators as operators  # noqa: E402
-from llcent.fields import PrimeField  # noqa: E402
-from llcent.generators import degenerate_endomorphism  # noqa: E402
+from llcent.fields import QQ, PrimeField  # noqa: E402
+from llcent.generators import degenerate_endomorphism, random_endomorphism  # noqa: E402
 from llcent.spaces import Profile  # noqa: E402
 
 REPEATS = 3
 TOP_SHAPES = 8
 DEGENERATE = 60  # operators in the degenerate_gf2 catalog
+WIDE = ((PrimeField(2), 16, 4), (PrimeField(2**31 - 1), 4, 2), (QQ, 2, 2))  # (field, d, band width)
+WIDE_PAIRS = 3  # composite pairs per shape in the wide_composites catalog
 TARGETS = {
     "_rref": linalg,
     "_grow_chain": entropy,
@@ -97,10 +104,19 @@ def degenerate_pass():
         entropy.total_entropy(degenerate_endomorphism(random.Random(i), profile, width=1 + i // 4 % 3))
 
 
+def wide_pass():
+    """compose on the pairs of the wide_composites catalog."""
+    for field, d, width in WIDE:
+        profile = Profile.constant(field, d)
+        for i in range(WIDE_PAIRS):
+            operators.compose(*(random_endomorphism(random.Random(i + k), profile, width=width) for k in (0, 1)))
+
+
 CATALOGS = {
     "endo_fields": lambda: catalog_pass("endo_fields"),
     "automorphism_laws": lambda: catalog_pass("automorphism_laws"),
     "degenerate_gf2": degenerate_pass,
+    "wide_composites": wide_pass,
 }
 
 

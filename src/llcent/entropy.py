@@ -36,9 +36,10 @@ the field picks, as it picks `linalg._rref`'s routes: `trim`, `edge`,
 `set_aside`, `bring_back`, `widen`, `union`, `front` and `images`.  Over
 GF(2) the chain's rows stay Python ints from the first step to the last
 (`gf2rows.ChainRows`): bit k is coordinate k of the window over the tail,
-so widening the window moves no bit, a merge XORs each new row with the
-block rows at its pivots and leaves the block's rows as they are, and
-the stationary action right of the boundary region is a few masked
+so widening the window moves no bit; the block is one pivot map for the
+whole chain, into which a merge enters each new row in place, XOR-ing it
+with the block rows at its pivots and leaving those rows as they are;
+and the stationary action right of the boundary region is a few masked
 shifts of all of a step's rows at once.  Over any other field they are
 arrays (`_ArrayRows`), merged into the reduced form by
 `linalg.rref_union` and mapped by one product with the dense action
@@ -172,14 +173,16 @@ def _front_repeats(front, prev) -> bool:
     """True when a front state (lo, key) repeats the previous step's one
     level shift s > 0 later.
 
-    The key is hashable and relative to lo, so equal keys mean the same
-    stored rows shifted by s; None marks a step taken below b_hi.  Each
-    kernel's `front` makes the key right before the merge, from top - lo,
-    the block and the images: the array format's holds the pivots and each
-    matrix's shape and entries, the packed one's the block and image rows
-    shifted down to lo.  Equal states step alike (see `_grow_chain`),
-    whether or not the basis is canonical: the packed block is an echelon
-    basis.
+    The key (`gf2rows.FrontKey`) is hashable and relative to lo, so equal
+    keys mean the same stored rows shifted by s; None marks a step taken
+    below b_hi.  Each kernel's `front` makes the key right before the
+    merge, from top - lo, the block and the images: the array format's
+    holds the pivots and each matrix's shape and entries, the packed one's
+    the block's rows as a set and the images in order, shifted down to lo.
+    The key hashes and first compares by top - lo and the row counts, and
+    builds its rows only when those agree.  Equal states step alike (see
+    `_grow_chain`), whether or not the basis is canonical: the packed block
+    is an echelon basis.
     """
     return front is not None and prev is not None and front[0] > prev[0] and front[1] == prev[1]
 
@@ -227,8 +230,10 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     the other returns in its, so everything below holds for both.  In the
     packed format a row is an int over the window (a0, infinity), bit k
     its coordinate k in column order, so the lowest set bit is the pivot
-    and padding to a wider window is no work; the settled stack is one
-    pivot-sorted list, split by bisection; and a step's images are, right
+    and padding to a wider window is no work; the block is one pivot map
+    (a dict from pivot to row) for the whole chain, which merges enter
+    rows into and `set_aside` pops rows from, in place; the settled stack
+    is one pivot-sorted list, split by bisection; and a step's images are, right
     of b_hi, the XOR over the shifts s of (x & M_s) << s, M_s holding the
     slots whose stationary entries move by s bits
     (`gf2rows.ChainRows.act`).  That is exact because `validate` gives
@@ -243,8 +248,9 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     nonzero level of the new images (`trim`).  The images vanish up to lo,
     and a nonzero sum of settled rows does not (its pivot lies there); so
     the rank they add to the block is the rank they add to X.  The packed
-    merge (`gf2rows.merge`) keeps the block's rows and adds echelon rows,
-    the array merge (`linalg.rref_union`) returns the reduced form; each
+    merge (`gf2rows.merge`) enters echelon rows into the block's pivot map
+    in place and keeps the rows it has, the array merge
+    (`linalg.rref_union`) returns the reduced form; each
     `union` also returns which rows it added, the rows the next step maps
     (`images`).  They represent X_{n+1}/X_n either way, and the images of other
     representatives differ by images of X_n, inside X_{n+1}, so the gains
@@ -256,7 +262,8 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     The loop stops stepping once the front repeats.  While lo >= b_hi of
     img_op, each step takes a front state right before its merge: top -
     lo, the block's pivots, its matrix and the padded images, all
-    relative to lo (packed: the rows and images shifted down to lo).
+    relative to lo (packed: the block's rows as a set and the images in
+    order, shifted down to lo).
     When it equals the previous step's state with lo moved up by s > 0,
     every later step is that step shifted by s levels, so every later
     reading repeats, and the loop appends the reading until the plateau
@@ -266,8 +273,11 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     * At that point the block spans X intersected with the coordinates
       above lo, and the images are the rows to merge.  The merge, the
       rows it adds, their images and the next lo and top are a function
-      of the stored rows in their stored order, so no canonical form is
-      needed; the same spaces in another basis only stop later.
+      of the block's rows and the images in their order, so no canonical
+      form is needed; the same spaces in another basis only stop later.
+      The order in which the pivot map holds the block's rows does not
+      enter: each image row meets the block row at its current lowest
+      bit, and `set_aside` and `bring_back` move rows by pivot.
     * A step reads rows below lo only through `bring_back`.  With s > 0
       the last step went no lower than its own lo, so it was a function
       of its front state alone, and the next step from the shifted state
@@ -438,7 +448,7 @@ class _ArrayRows:
         f = self.p.field
         off = (start - t) * d
         image = f.matmul(rows[:, rows.shape[1] - cols :], power[off : off + cols])
-        return SubspaceBasis.span(f, image).rank == g
+        return len(linalg._rref(f, image)[1]) == g
 
     def set_aside(self, basis, lo, new_lo, settled):
         """Raise the bottom of the active block from lo to new_lo.
@@ -502,11 +512,18 @@ class _ArrayRows:
 
     @staticmethod
     def front(lo, top, basis, rows):
-        """The front state (lo, key); see `_front_repeats`.  The entries are
-        listed, not taken as bytes, which over Q would be object pointers."""
+        """The front state (lo, key); see `_front_repeats`.  The full key
+        holds the pivots and each matrix's shape and entries, as bytes for
+        int64 and listed over Q, whose bytes would be object pointers; no
+        kernel writes to a block or image array once made."""
         mat = basis.mat
-        return lo, (
-            top - lo, basis.pivots, mat.shape, tuple(mat.ravel().tolist()), rows.shape, tuple(rows.ravel().tolist())
+
+        def entries(a):
+            return a.tobytes() if a.dtype != object else tuple(a.ravel().tolist())
+
+        return lo, gf2rows.FrontKey(
+            (top - lo, basis.rank, rows.shape[0]),
+            lambda: (basis.pivots, mat.shape, entries(mat), rows.shape, entries(rows)),
         )
 
     def images(self, basis, new, lo, top):

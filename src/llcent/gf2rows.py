@@ -15,7 +15,11 @@ GF(2) chain: the chain's rows stay packed from the first step to the
 last, bit k being coordinate k of the window over (a0, infinity), levels
 ascending and slots within a level.  So the bits are absolute: widening
 the window moves no bit, and the lowest set bit of a row is its pivot in
-the window.
+the window.  The chain's active block is one pivot map, a dict from each
+row's lowest set bit to the row, kept for the whole chain: a merge enters
+the new rows into it in place (`merge`), and raising the block's bottom
+pops the rows below it.  `FrontKey` is the front state of either chain
+format, compared in full only when its cheap parts agree.
 """
 
 from __future__ import annotations
@@ -69,22 +73,19 @@ def _enter(pivots: dict, rows) -> list:
     return kept
 
 
-def merge(block: list, rows) -> tuple:
-    """(An echelon basis of span(block) + span(rows), the rows it kept),
-    both sorted by pivot.
+def merge(block: dict, rows) -> tuple:
+    """(block, the rows it kept, sorted by pivot): the rows entered into
+    the echelon basis `block` in place.
 
-    `block` must be an echelon basis sorted by pivot.  The new rows are
-    entered by `_enter`, so the block's rows come back unchanged and in
-    order, the kept rows inserted by pivot, and `block` itself when none
-    is kept.  The pivots are those of `linalg.rref_union` on the unpacked
-    rows; the rows are not reduced (`echelon` is).  The kept rows are the
-    ones the chain loop maps next (`ChainRows.images`).
+    `block` maps each row's pivot (its lowest set bit) to the row.  The new
+    rows are entered by `_enter`, so the block's rows stay as they are and
+    the kept ones join them; the pivots are those of `linalg.rref_union`
+    on the unpacked rows, and the rows are not reduced (`echelon` is).
+    The kept rows are the ones the chain loop maps next
+    (`ChainRows.images`).
     """
-    pivots = {r & -r: r for r in block}
-    kept = _enter(pivots, rows)
-    if not kept:
-        return block, kept
-    return [pivots[low] for low in sorted(pivots)], [pivots[low] for low in sorted(kept)]
+    kept = _enter(block, rows)
+    return block, [block[low] for low in sorted(kept)]
 
 
 def echelon(rows) -> list:
@@ -106,6 +107,37 @@ def echelon(rows) -> list:
             hits ^= bit
         kept[low], mask = x, mask | low
     return [kept[low] for low in sorted(kept)]
+
+
+class FrontKey:
+    """The key of a chain's front state (`entropy._front_repeats`), built
+    lazily.
+
+    `cheap` holds top - lo and the row counts, and `full()` the stored rows
+    relative to lo, made by `make` on first use.  Two keys are equal when
+    both parts are, and the full parts are compared only when the cheap
+    ones agree, so a chain whose fronts keep widening never builds one.
+    Keys hash by their cheap part, so equal keys hash alike and a dict of
+    past keys can hold them.
+    """
+
+    __slots__ = ("cheap", "_make", "_full")
+
+    def __init__(self, cheap: tuple, make):
+        self.cheap, self._make, self._full = cheap, make, None
+
+    def full(self):
+        if self._make is not None:
+            self._full, self._make = self._make(), None
+        return self._full
+
+    def __hash__(self):
+        return hash(self.cheap)
+
+    def __eq__(self, other):
+        if not isinstance(other, FrontKey):
+            return NotImplemented
+        return self.cheap == other.cheap and self.full() == other.full()
 
 
 def _slices(blocks: dict, d: int, levels: int) -> tuple:
@@ -172,14 +204,16 @@ def _boundary_columns(op) -> tuple:
 class ChainRows:
     """The kernels of `entropy._grow_chain` for one GF(2) chain over the tail a0.
 
-    A block is an echelon basis as a pivot-sorted list of ints (`merge`
-    adds rows to it without touching the rows it has), the settled stack
-    one pivot-sorted list, and a step's images one list with an int
-    per mapped row, zero rows included, all in the absolute bits of the
-    window over (a0, infinity).  The array kernels of `entropy` take the
-    same arguments and return the same things in their own format.
-    `entropy._chain_rows` builds one per chain, from the operator's tables
-    (`_cached`) and the profile's `window_dim` and `level_at`.
+    The block is one pivot map for the whole chain, a dict from each row's
+    pivot (lowest set bit) to the row, which `union` enters new rows into
+    in place (`merge`) and `set_aside` pops the rows below the new bottom
+    from; its rank is its length.  The settled stack is one pivot-sorted
+    list, and a step's images one list with an int per mapped row, zero
+    rows included, all in the absolute bits of the window over
+    (a0, infinity).  The array kernels of `entropy` take the same arguments
+    and return the same things in their own format.  `entropy._chain_rows`
+    builds one per chain, from the operator's tables (`_cached`) and the
+    profile's `window_dim` and `level_at`.
     """
 
     def __init__(self, op, a0: int):
@@ -187,9 +221,10 @@ class ChainRows:
         self.op, self.p, self.a0, self.w = op, p, a0, op.width
         d = self.d = p.d_right
         # right of b_hi: the sources of a row x are the bits from
-        # window_dim(a0, b_hi) on, taken to a slot of their own, w d bits up
-        # so that no image falls below the slot (`act`)
+        # window_dim(a0, b_hi) on, cut at a whole level and taken to a slot
+        # of their own, w d bits up so that no image falls below it (`act`)
         self._right_at = p.window_dim(a0, op.b_hi)
+        self._near_mask = (1 << self._right_at) - 1
         self._right_wd = op.width * d
         # left of b_lo: the bits below window_dim(a0, b_lo - 1); images at
         # levels <= a0 fall below bit 0 and drop off
@@ -211,12 +246,12 @@ class ChainRows:
 
     # -- the kernels ---------------------------------------------------------
     def start(self, basis, rows):
-        """The packed chain basis and first images (given over (a0, ...]).
+        """The packed chain block and first images (given over (a0, ...]).
 
         A full-rank basis in reduced form is the identity, bit k in row k."""
         if basis.rank == basis.ambient_dim:
-            return [1 << k for k in range(basis.rank)], pack(rows)
-        return pack(basis.mat), pack(rows)
+            return {1 << k: 1 << k for k in range(basis.rank)}, pack(rows)
+        return {r & -r: r for r in pack(basis.mat)}, pack(rows)
 
     def trim(self, rows, lo, top):
         """(rows, lo, top) with lo one level below the lowest nonzero level
@@ -251,9 +286,14 @@ class ChainRows:
         return len(echelon(image)) == g
 
     def set_aside(self, block, lo, new_lo, settled):
-        k = bisect_left(block, 1 << self.at(new_lo), key=_low)
-        settled.extend(block[:k])
-        return block[k:]
+        """Pop the rows with pivots at or below new_lo onto the settled
+        stack, in pivot order, above every row already there."""
+        cut = 1 << self.at(new_lo)
+        below = [low for low in block if low < cut]
+        if below:
+            below.sort()
+            settled.extend(map(block.pop, below))
+        return block
 
     def bring_back(self, settled, new_lo, top):
         k = bisect_left(settled, 1 << self.at(new_lo), key=_low)
@@ -267,15 +307,19 @@ class ChainRows:
     rank = staticmethod(len)
 
     def union(self, block, rows):
-        """(The merged block, the rows it kept), by the module's merge,
-        looked up at call time."""
+        """(The block with the rows entered, the rows it kept), by the
+        module's merge, looked up at call time."""
         return merge(block, rows)
 
     def front(self, lo, top, block, rows):
-        """The front state (lo, key), the rows shifted down to the bit of
-        lo; see `entropy._front_repeats`."""
-        at = self.at(lo)
-        return lo, (top - lo, tuple(x >> at for x in block), tuple(x >> at for x in rows))
+        """The front state (lo, key): the block's rows as a set and the
+        images in order, shifted down to the bit of lo when compared.  The
+        block changes in place, so the key holds its rows as they are now."""
+        at, held = self.at(lo), tuple(block.values())
+        return lo, FrontKey(
+            (top - lo, len(held), len(rows)),
+            lambda: (frozenset(x >> at for x in held), tuple(x >> at for x in rows)),
+        )
 
     def images(self, block, kept, lo, top):
         """The images of the rows the last merge kept."""
@@ -287,31 +331,36 @@ class ChainRows:
         Left-stationary and boundary sources go row by row, through the
         bit-sliced left blocks and the boundary column ints.  The sources
         right of b_hi go through the bit-sliced right blocks, every row at
-        once: each row's part right of b_hi takes a slot of its own in one
-        int, w d bits above the slot's start and with room for the largest
-        shift above, in slots whose length is a multiple of d, so that slot
-        i of a level stays slot i.  This is exact because `validate` gives
-        b_hi >= n_hi + w: those sources and their images lie in the constant
-        d_right region, where the level of a bit moves by whole blocks.
+        once: each row's part from the first level right of b_hi that
+        holds a source bit of any row takes a slot of its own in one int,
+        w d bits above the slot's start and with room for the largest shift
+        above, in slots whose length is a multiple of d, so that slot i of
+        a level stays slot i.  This is exact because `validate` gives
+        b_hi >= n_hi + w: those sources and their images lie in the
+        constant d_right region, where the level of a bit moves by whole
+        blocks.
         """
         at, wd, d = self._right_at, self._right_wd, self.d
-        near = (1 << at) - 1
-        out = [self._near(x) if x & near else 0 for x in rows]
-        parts = [(x >> at) << wd for x in rows]
-        width = reduce(or_, parts, 0).bit_length()
-        if not width:
+        near, bits = self._near_mask, reduce(or_, rows, 0)
+        out = [self._near(x) if x & near else 0 for x in rows] if bits & near else [0] * len(rows)
+        src = bits >> at
+        if not src:
             return out
-        stride = -(-(width + wd + d) // d) * d
-        up, down = _side(self.op, "right", len(parts) * stride // d)
+        # the first whole level right of b_hi that holds a source bit
+        skip = (_low(src).bit_length() - 1) // d * d
+        width = (src >> skip).bit_length()
+        cut = at + skip
+        stride = -(-(width + 2 * wd + d) // d) * d
+        up, down = _side(self.op, "right", len(rows) * stride // d)
         big = 0
-        for k, part in enumerate(parts):
-            big |= part << (k * stride)
+        for k, x in enumerate(rows):
+            big |= (x >> cut) << (k * stride + wd)
         y = 0
         for m, s in up:
             y ^= (big & m) << s
         for m, s in down:
             y ^= (big & m) >> s
-        keep, back = (1 << stride) - 1, at - wd
+        keep, back = (1 << stride) - 1, cut - wd
         return [o ^ ((y >> (k * stride)) & keep) << back for k, o in enumerate(out)]
 
     def _near(self, x: int) -> int:

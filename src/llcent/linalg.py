@@ -52,8 +52,9 @@ def _rref(field, a: np.ndarray):
     The pivot row vanishes left of its pivot column, so each elimination
     updates only the columns from the pivot on, in place.  Over GF(p) it
     updates every row and reduces mod p, so the entries stay in [0, p) and
-    the products below p^2 <= 2^62; on the small int64 matrices the engines
-    make, finding the rows to skip costs more numpy calls than it saves.
+    the products below p^2 <= 2^62, with one `np.remainder` into the block
+    per pivot; on the small int64 matrices the engines make, finding the
+    rows to skip costs more numpy calls than it saves.
     Over Q, where each entry is a Fraction operation, it updates only the
     rows from the first to the last that is nonzero in the pivot column
     (one slice; the rows between with a zero there, the pivot row among
@@ -71,7 +72,7 @@ def _rref(field, a: np.ndarray):
         if r == m:
             break
         column = a[:, col]
-        hits = np.flatnonzero(column[r:])
+        hits = column[r:].nonzero()[0]
         if not hits.size:
             continue
         sel = r + int(hits[0])
@@ -81,13 +82,13 @@ def _rref(field, a: np.ndarray):
         c = column.copy()
         c[r] = field.zero
         if row[0] != field.one:
-            row *= field.inv(row[0])
             if p:
-                row %= p
+                np.remainder(row * field.inv(row[0]), p, out=row)
+            else:
+                row *= field.inv(row[0])
         if p:
             block = a[:, col:]
-            block -= c[:, None] * row
-            block %= p
+            np.remainder(block - c[:, None] * row, p, out=block)
         else:
             hit = np.flatnonzero(c)
             if hit.size:

@@ -136,7 +136,9 @@ def _check_log_law(cfg, op, k, inverse=None):
     powered = power(op, k)
     pow_inverse = power(inverse, k) if inverse is not None else None
     lhs = total_entropy(powered, cfg, pow_inverse)
-    base = total_entropy(op, cfg, inverse)
+    # for k = 1 `power` hands back the operators themselves: one run serves both sides
+    same = powered is op and pow_inverse is inverse
+    base = lhs if same else total_entropy(op, cfg, inverse)
     sides = {"ent_power": lhs, "ent_base": base}
     holds = lhs.value == k * base.value
     return _conclude(

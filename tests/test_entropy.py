@@ -88,8 +88,9 @@ def _widened(op, width):
 
 def _record_merges(monkeypatch, record):
     """Call record(rank, rows) before every merge of the chain loop: the
-    packed merge of a GF(2) chain and rref_union of any other field, each
-    looked up at call time."""
+    packed merge of a GF(2) chain, which enters the rows into the block's
+    pivot map in place (so its rank is read before the merge), and
+    rref_union of any other field, each looked up at call time."""
     import llcent.gf2rows as gf2rows
     import llcent.linalg as linalg
 
@@ -438,7 +439,7 @@ class TestFrontRepeat:
                     checked += len(got)
             fields_seen.add(field)
         assert fields_seen == set(self.FIELDS) and checked == 10 * 9 * 9
-        assert {len(key) for _, key in states} == {3, 6}  # the packed and the array keys
+        assert {len(key.full()) for _, key in states} == {2, 5}  # the packed and the array keys
         # the stop fired, saved steps, and filled runs ended both ways
         assert any(r.iterations > stepped for stepped, r in fills)
         assert {r.status for _, r in fills} == {Status.PLATEAU, Status.LOWER_BOUND}
@@ -495,8 +496,8 @@ class TestFrontRepeat:
 
         def reduced_merge(block, rows):
             merged, added = real(block, rows)
-            reduced, new = gf2rows.echelon(merged), {x & -x for x in added}
-            return reduced, [x for x in reduced if x & -x in new]
+            reduced, new = gf2rows.echelon(merged.values()), {x & -x for x in added}
+            return {x & -x: x for x in reduced}, [x for x in reduced if x & -x in new]
 
         with monkeypatch.context() as m:
             m.setattr(gf2rows, "merge", reduced_merge)
@@ -1246,8 +1247,8 @@ def growing_union(gains):
 
     def fake(basis, rows):
         if P == 2:
-            merged = [1 << i for i in range(len(basis) + next(gains))]
-            return merged, merged[len(basis):]
+            merged = {1 << i: 1 << i for i in range(len(basis) + next(gains))}
+            return merged, list(merged.values())[len(basis):]
         n, k = basis.ambient_dim, basis.rank + next(gains)
         return L.SubspaceBasis.span(basis.field, np.eye(n, dtype=np.int64)[:k], ambient_dim=n)
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import llcent.entropy as entropy_module
 from llcent.entropy import EntropyConfig, limit_free_relative_entropy, trajectory_relative_entropy
-from llcent.fields import PrimeField
+from llcent.fields import QQ, PrimeField
 from llcent.generators import random_automorphism, random_endomorphism
-from llcent.gf2rows import ChainRows, echelon, merge, pack, unpack
+from llcent.operators import make_shift
+from llcent.gf2rows import ChainRows, FrontKey, echelon, merge, pack, unpack
 from llcent.linalg import SubspaceBasis, rref_union
 from llcent.spaces import CompactOpenSubspace, LlcVector, Profile, cofinal_chain
 
@@ -25,8 +26,9 @@ def _bits(rng, m, n):
 
 
 class TestMerge:
-    """merge on packed rows: an echelon basis with rref_union's pivots that
-    keeps the block's rows as they are, and the rows it added."""
+    """merge on the pivot map: enters the rows into the block in place, with
+    rref_union's pivots, keeps the block's rows as they are, and returns the
+    rows it added."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -40,33 +42,37 @@ class TestMerge:
     def test_matches_rref_union(self, n, rank, new, zeros, repeats, seed):
         rng = random.Random(seed)
         # an echelon block, in general not reduced: random bits above each pivot
-        block = [rng.getrandbits(n) >> low << low | 1 << low for low in sorted(rng.sample(range(n), min(rank, n)))]
+        rows_before = [rng.getrandbits(n) >> low << low | 1 << low for low in sorted(rng.sample(range(n), min(rank, n)))]
+        rng.shuffle(rows_before)  # a pivot map holds its rows in any order
+        block = {r & -r: r for r in rows_before}
         rows = _bits(rng, new, n)
-        pool = [*rows, *unpack(block, n)]
+        pool = [*rows, *unpack(rows_before, n)]
         extra = [np.zeros(n, dtype=np.int64)] * zeros + [rng.choice(pool) for _ in range(repeats if pool else 0)]
         if extra:
             rows = np.concatenate([rows, np.array(extra, dtype=np.int64).reshape(-1, n)])
-        want = rref_union(SubspaceBasis.span(F2, unpack(block, n), ambient_dim=n), rows)
+        want = rref_union(SubspaceBasis.span(F2, unpack(sorted(rows_before, key=lambda r: r & -r), n), ambient_dim=n), rows)
         got, added = merge(block, pack(rows))
-        assert got == sorted(got, key=lambda r: r & -r)
-        assert [(r & -r).bit_length() - 1 for r in got] == list(want.pivots)  # distinct, as the pivots are
-        assert echelon(got) == pack(want.mat)
-        kept = iter(got)
-        assert all(r in kept for r in block)  # the block's rows, verbatim and in order
-        # the added rows are the merged rows the block lacks, in pivot order
-        assert added == [r for r in got if r not in block]
-        if len(got) == len(block):
-            assert got is block and added == []
+        assert got is block  # entered in place
+        assert all(low == r & -r for low, r in got.items())  # each row under its own pivot
+        assert sorted(got) == [1 << c for c in want.pivots]  # distinct, as the pivots are
+        assert echelon(got.values()) == pack(want.mat)
+        # the block's rows, verbatim and in their order, then the added ones
+        assert list(got.values())[: len(rows_before)] == rows_before
+        # the added rows are the merged rows the block lacked, in pivot order
+        assert added == [got[low] for low in sorted(got) if got[low] not in rows_before]
+        if len(got) == len(rows_before):
+            assert added == []
 
     def test_empty_sides(self):
-        block = [0b011]
+        block = {1: 0b011}
         assert merge(block, [])[0] is block and merge(block, [0b011])[1] == []
-        assert merge([], [0b110, 0b011, 0]) == ([0b011, 0b110], [0b011, 0b110])
+        assert block == {1: 0b011}
+        assert merge({}, [0b110, 0b011, 0]) == ({1: 0b011, 2: 0b110}, [0b011, 0b110])
         assert echelon([0b110, 0b011, 0]) == [0b101, 0b110]
 
     def test_block_rows_kept_unreduced(self):
         # 0b011 holds the new pivot bit 1; a reduced merge would clear it
-        assert merge([0b011], [0b110, 0b011, 0]) == ([0b011, 0b110], [0b110])
+        assert merge({1: 0b011}, [0b110, 0b011, 0]) == ({1: 0b011, 2: 0b110}, [0b110])
 
 
 class TestAct:
@@ -106,14 +112,89 @@ class TestAct:
         rows = _bits(rng, draw(st.integers(0, 5)), profile.window_dim(src_lo, src_hi))
         return op, rows, a0, src_lo, src_hi
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=cases())
-    def test_matches_the_dense_action(self, case):
-        op, rows, a0, src_lo, src_hi = case
+    @staticmethod
+    def _check(op, rows, a0, src_lo, src_hi):
         p = op.profile
         want = pack(F2.matmul(rows, action_rows_by_columns(op, src_lo, src_hi, a0, src_hi + op.width)))
         got = ChainRows(op, a0).act([r << p.window_dim(a0, src_lo) for r in pack(rows)])
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=cases())
+    def test_matches_the_dense_action(self, case):
+        self._check(*case)
+
+    @pytest.mark.parametrize(
+        "profile, width, window",
+        [
+            # band width 0, so no slot room below the sources, on two levels
+            (Profile.constant(F2, 2), 0, (0, 2)),
+            (Profile.constant(F2, 2), 0, (0, 0)),
+            # no coordinates right of n_hi: nothing goes through the right blocks
+            (Profile.from_dims(F2, {-1: 2, 0: 1}, 2, 0), 1, (-3, 4)),
+            # every source bit at or left of b_hi, and some right of it
+            (Profile.from_dims(F2, {0: 3}, 1, 2), 2, (-4, 1)),
+            (Profile.from_dims(F2, {0: 3}, 1, 2), 2, (-4, 9)),
+        ],
+    )
+    def test_edge_shapes(self, profile, width, window):
+        rng = random.Random(7)
+        op = random_endomorphism(rng, profile, width=width, boundary=1)
+        src_lo, src_hi = window
+        a0 = min(0, src_lo)
+        for zero_right in (False, True):
+            rows = _bits(rng, 4, profile.window_dim(src_lo, src_hi))
+            if zero_right and src_hi > op.b_hi:
+                rows[:, profile.window_dim(src_lo, max(src_lo, op.b_hi)) :] = 0
+            self._check(op, rows, a0, src_lo, src_hi)
+
+
+class TestFrontKey:
+    """Front keys hash by top - lo and the row counts, and are equal exactly
+    when the states are, relative to lo: the packed block as a set of rows,
+    the images in order."""
+
+    def test_packed_keys(self):
+        # d = 2 from level 0 on, a0 = 0: the bit of lo is 2 lo
+        kernels = ChainRows(make_shift(Profile.constant(F2, 2), "right"), 0)
+        rows, images = [0b0111, 0b1010, 0b10000], [0b1100, 0b100001]
+
+        def state(lo, order, imgs, top_above=4):
+            at = 2 * lo
+            block = {r << at & -(r << at): r << at for r in order}
+            return kernels.front(lo, lo + top_above, block, [x << at for x in imgs])
+
+        lo, key = state(3, rows, images)
+        shifted = state(5, rows[::-1], images)  # the block's rows entered in another order
+        assert shifted[0] == 5 and shifted[1] == key and hash(shifted[1]) == hash(key)
+        assert {key: 1}[shifted[1]] == 1  # a dict of past keys finds it
+        assert state(5, rows, images[::-1])[1] != key  # the images in another order
+        assert state(5, rows[:2], images)[1] != key
+        assert state(5, rows, images, top_above=5)[1] != key
+        assert state(5, [rows[0], rows[1], 0b10100], images)[1] != key
+
+    @pytest.mark.parametrize("field", [PrimeField(3), QQ])
+    def test_array_keys(self, field):
+        front = entropy_module._ArrayRows.front
+        basis = SubspaceBasis.span(field, field.array([[1, 2, 0, 1], [0, 0, 1, 1]]))
+        other = SubspaceBasis.span(field, field.array([[1, 2, 0, 1], [0, 0, 1, 2]]))
+        images = field.array([[0, 1, 1, 2, 1]])
+        _, key = front(2, 6, basis, images)
+        _, same = front(4, 8, SubspaceBasis.span(field, field.array([[0, 0, 1, 1], [1, 2, 0, 1]])), images.copy())
+        assert same == key and hash(same) == hash(key) and {key: 1}[same] == 1
+        assert front(4, 8, other, images)[1] != key
+        assert front(4, 8, basis, field.array([[0, 1, 1, 2, 2]]))[1] != key
+        assert front(4, 9, basis, images)[1] != key
+
+    def test_full_parts_built_only_when_the_cheap_ones_agree(self):
+        def never():
+            raise AssertionError("full key built")
+
+        assert FrontKey((3, 2, 1), never) != FrontKey((3, 2, 2), never)
+        made = []
+        a, b = (FrontKey((3, 2, 1), lambda v=v: made.append(v) or v) for v in ("x", "y"))
+        assert a != b and made == ["x", "y"]
+        assert a != b and made == ["x", "y"]  # each full key is built once
 
 
 class TestStart:
@@ -126,8 +207,10 @@ class TestStart:
             basis = u.expand_window(-2, u.top)
             assert (basis.rank == basis.ambient_dim) is full
             block, rows = kernels.start(basis, basis.mat)
-            assert block == pack(basis.mat) and rows == pack(basis.mat)
-        assert kernels.start(SubspaceBasis.full(F2, 5), F2.zeros(0, 5))[0] == [1, 2, 4, 8, 16]
+            assert list(block.values()) == pack(basis.mat) and rows == pack(basis.mat)
+            assert all(low == r & -r for low, r in block.items())
+        block = kernels.start(SubspaceBasis.full(F2, 5), F2.zeros(0, 5))[0]
+        assert list(block.values()) == [1, 2, 4, 8, 16] and all(low == r for low, r in block.items())
 
 
 def _both_loops(run):

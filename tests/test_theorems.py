@@ -14,7 +14,7 @@ from llcent.generators import (
     levelwise_change_of_basis,
     random_automorphism,
 )
-from llcent.operators import make_shift
+from llcent.operators import BandedOperator, make_shift
 from llcent.spaces import BlockwisePattern, Profile
 from llcent.theorems import Verdict, check_addition, check_property
 
@@ -61,6 +61,30 @@ class TestLogLaw:
         )
         assert rep.verdict is Verdict.VERIFIED
         assert rep.sides["ent_power"].value == k
+
+    def test_k_one_runs_total_entropy_once(self, monkeypatch):
+        # power(op, 1) is op itself, so one run serves both sides; the report
+        # equals the one made from two runs, on copies of the operators
+        import llcent.theorems as theorems
+
+        op, inv = random_automorphism(random.Random(5), Profile.constant(F3, 2))
+        runs, real = [], theorems.total_entropy
+
+        def counting(*args):
+            runs.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(theorems, "total_entropy", counting)
+        rep = check_property("log_law", op=op, k=1, inverse=inv)
+        assert len(runs) == 1 and runs[0] is op
+        runs.clear()
+
+        def copy(o, k):
+            return BandedOperator(o.profile, o.width, o.left_blocks, o.right_blocks, o.columns)
+
+        monkeypatch.setattr(theorems, "power", copy)
+        assert check_property("log_law", op=op, k=1, inverse=inv) == rep
+        assert len(runs) == 2 and runs[1] is op and runs[0] is not op
 
     def test_k_zero_is_identity(self):
         rep = check_property("log_law", op=make_shift(P1, "left"), k=0)

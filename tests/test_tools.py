@@ -60,3 +60,18 @@ def test_restores_every_binding_site_when_the_run_raises():
     with pytest.raises(RuntimeError, match="stop"):
         replay.recorded(run)
     assert bindings() == before
+
+
+def test_cold_replays_start_from_empty_operator_caches():
+    calls = replay.recorded(entropy_with_inverse)["_grow_chain"]
+    assert any(args[0]._stacks or args[0]._block is not None for args in calls)  # warm once recorded
+    seen = []
+
+    def probe(op, *rest):
+        seen.append((op, not op._stacks and op._block is None and not op._tail_ranks and op._inverse is None))
+
+    replay.cold_s(probe, calls)
+    assert len(seen) == replay.REPEATS * len(calls) and all(cold for _, cold in seen)
+    # operators shared between the recorded calls are shared within a copy
+    first = seen[: len(calls)]
+    assert len({id(op) for op, _ in first}) == len({id(args[0]) for args in calls})

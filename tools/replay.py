@@ -41,14 +41,20 @@ oracle in tests/_oracles.py, and prints a ``MISMATCH`` line for each of:
 It exits 1 on any mismatch.  Without --check it also prints, per catalog,
 the shape histogram of the ``_rref`` inputs per field and the total time
 of each route against its oracle (best of 3 replays), and of
-``_grow_chain`` per shape.
+``_grow_chain`` per shape.  The recorded operators' caches are warm by
+then, so each route is also timed cold (best of 3 replays on fresh
+unpickled copies of the calls, whose operators are rebuilt from their
+blocks and columns, every per-operator cache empty).
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/replay.py [--check]
 """
 
 import argparse
 import contextlib
+import copyreg
+import io
 import os
+import pickle
 import random
 import statistics
 import sys
@@ -183,21 +189,43 @@ def recorded(run):
     return calls
 
 
+def run_s(fn, calls) -> float:
+    """The time of fn(*args) for every args in calls."""
+    t0 = time.perf_counter()
+    for args in calls:
+        fn(*args)
+    return time.perf_counter() - t0
+
+
 def best_s(fn, calls) -> float:
-    """The least time over REPEATS replays of fn(*args) for every args in calls."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for args in calls:
-            fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    """The least time over REPEATS replays of the calls."""
+    return min(run_s(fn, calls) for _ in range(REPEATS))
+
+
+def cold_s(fn, calls) -> float:
+    """best_s on fresh copies: each replay runs a new unpickled copy of the
+    calls, every operator in it rebuilt by its constructor, so that no
+    cache it fills on use is warm (shared operators stay shared within a
+    copy)."""
+    op_type = operators.BandedOperator
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf)
+    pickler.dispatch_table = copyreg.dispatch_table.copy()
+    pickler.dispatch_table[op_type] = lambda op: (
+        op_type, (op.profile, op.width, op.left_blocks, op.right_blocks, op.columns)
+    )
+    pickler.dump(calls)
+    return min(run_s(fn, pickle.loads(buf.getvalue())) for _ in range(REPEATS))
 
 
 def timed(route, oracle, calls):
-    """The timing line of a route against its oracle over the calls."""
-    mine, theirs = best_s(route, calls), best_s(oracle, calls)
-    return f"  {route.__name__} {mine:.4f} s, {oracle.__name__} {theirs:.4f} s, oracle/route {theirs / mine:.2f}"
+    """The timing line of a route against its oracle over the calls, and
+    the route's cold time."""
+    mine, theirs, cold = best_s(route, calls), best_s(oracle, calls), cold_s(route, calls)
+    return (
+        f"  {route.__name__} {mine:.4f} s (cold {cold:.4f} s), {oracle.__name__} {theirs:.4f} s, "
+        f"oracle/route {theirs / mine:.2f}"
+    )
 
 
 def rref_mismatch(field, a):
@@ -328,7 +356,11 @@ def replay_chains(name, calls, check) -> int:
         for call in calls:
             by_shape[shape(call)].append(call)
         for label in sorted(by_shape):
-            print(f"  {label}: _grow_chain {best_s(entropy._grow_chain, by_shape[label]):.4f} s")
+            group = by_shape[label]
+            print(
+                f"  {label}: _grow_chain {best_s(entropy._grow_chain, group):.4f} s "
+                f"(cold {cold_s(entropy._grow_chain, group):.4f} s)"
+            )
     return len(bad)
 
 

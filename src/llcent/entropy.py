@@ -169,20 +169,51 @@ def _structural_horizon(op: BandedOperator, u: CompactOpenSubspace) -> int:
     return span_u + span_b + d_max * (2 * op.width + 1)
 
 
+class FrontKey:
+    """The key of a chain's front state (`_front_repeats`), built lazily
+    from the parts a kernel's `front` returns.
+
+    `cheap` holds top - lo and the row counts, and `full()` the stored rows
+    relative to lo, made by `make` on first use.  Two keys are equal when
+    both parts are, and the full parts are compared only when the cheap
+    ones agree, so a chain whose fronts keep widening never builds one.
+    Keys hash by their cheap part, so equal keys hash alike and a dict of
+    past keys can hold them.
+    """
+
+    __slots__ = ("cheap", "_make", "_full")
+
+    def __init__(self, cheap: tuple, make):
+        self.cheap, self._make, self._full = cheap, make, None
+
+    def full(self):
+        if self._make is not None:
+            self._full, self._make = self._make(), None
+        return self._full
+
+    def __hash__(self):
+        return hash(self.cheap)
+
+    def __eq__(self, other):
+        if not isinstance(other, FrontKey):
+            return NotImplemented
+        return self.cheap == other.cheap and self.full() == other.full()
+
+
 def _front_repeats(front, prev) -> bool:
     """True when a front state (lo, key) repeats the previous step's one
     level shift s > 0 later.
 
-    The key (`gf2rows.FrontKey`) is hashable and relative to lo, so equal
-    keys mean the same stored rows shifted by s; None marks a step taken
-    below b_hi.  Each kernel's `front` makes the key right before the
-    merge, from top - lo, the block and the images: the array format's
-    holds the pivots and each matrix's shape and entries, the packed one's
-    the block's rows as a set and the images in order, shifted down to lo.
-    The key hashes and first compares by top - lo and the row counts, and
-    builds its rows only when those agree.  Equal states step alike (see
-    `_grow_chain`), whether or not the basis is canonical: the packed block
-    is an echelon basis.
+    The key (`FrontKey`) is hashable and relative to lo, so equal keys
+    mean the same stored rows shifted by s; None marks a step taken below
+    b_hi.  `_grow_chain` makes the key right before the merge from the
+    parts each kernel's `front` returns, built from top - lo, the block
+    and the images: the array format's full key holds the pivots and each
+    matrix's shape and entries, the packed one's the block's rows as a set
+    and the images in order, shifted down to lo.  The key hashes and first
+    compares by top - lo and the row counts, and builds its rows only when
+    those agree.  Equal states step alike (see `_grow_chain`), whether or
+    not the basis is canonical: the packed block is an echelon basis.
     """
     return front is not None and prev is not None and front[0] > prev[0] and front[1] == prev[1]
 
@@ -369,7 +400,7 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
                         f"{len(back)}, raised it by {k.rank(basis) - rank}"
                     )
             if lo >= img_op.b_hi:
-                front = k.front(lo, top, basis, delta)
+                front = lo, FrontKey(*k.front(lo, top, basis, delta))
             rank = k.rank(basis)
             basis, added = k.union(basis, delta)
             gain = k.rank(basis) - rank
@@ -512,18 +543,22 @@ class _ArrayRows:
 
     @staticmethod
     def front(lo, top, basis, rows):
-        """The front state (lo, key); see `_front_repeats`.  The full key
-        holds the pivots and each matrix's shape and entries, as bytes for
-        int64 and listed over Q, whose bytes would be object pointers; no
-        kernel writes to a block or image array once made."""
+        """The parts of the front key (`FrontKey`): top - lo and the row
+        counts, and a maker of the pivots and each matrix's shape and
+        entries, as bytes for int64 and listed over Q, whose bytes would
+        be object pointers; no kernel writes to a block or image array
+        once made."""
         mat = basis.mat
 
         def entries(a):
             return a.tobytes() if a.dtype != object else tuple(a.ravel().tolist())
 
-        return lo, gf2rows.FrontKey(
-            (top - lo, basis.rank, rows.shape[0]),
-            lambda: (basis.pivots, mat.shape, entries(mat), rows.shape, entries(rows)),
+        return (top - lo, basis.rank, rows.shape[0]), lambda: (
+            basis.pivots,
+            mat.shape,
+            entries(mat),
+            rows.shape,
+            entries(rows),
         )
 
     def images(self, basis, new, lo, top):

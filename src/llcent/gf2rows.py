@@ -18,8 +18,7 @@ the window moves no bit, and the lowest set bit of a row is its pivot in
 the window.  The chain's active block is one pivot map, a dict from each
 row's lowest set bit to the row, kept for the whole chain: a merge enters
 the new rows into it in place (`merge`), and raising the block's bottom
-pops the rows below it.  `FrontKey` is the front state of either chain
-format, compared in full only when its cheap parts agree.
+pops the rows below it.
 """
 
 from __future__ import annotations
@@ -107,37 +106,6 @@ def echelon(rows) -> list:
             hits ^= bit
         kept[low], mask = x, mask | low
     return [kept[low] for low in sorted(kept)]
-
-
-class FrontKey:
-    """The key of a chain's front state (`entropy._front_repeats`), built
-    lazily.
-
-    `cheap` holds top - lo and the row counts, and `full()` the stored rows
-    relative to lo, made by `make` on first use.  Two keys are equal when
-    both parts are, and the full parts are compared only when the cheap
-    ones agree, so a chain whose fronts keep widening never builds one.
-    Keys hash by their cheap part, so equal keys hash alike and a dict of
-    past keys can hold them.
-    """
-
-    __slots__ = ("cheap", "_make", "_full")
-
-    def __init__(self, cheap: tuple, make):
-        self.cheap, self._make, self._full = cheap, make, None
-
-    def full(self):
-        if self._make is not None:
-            self._full, self._make = self._make(), None
-        return self._full
-
-    def __hash__(self):
-        return hash(self.cheap)
-
-    def __eq__(self, other):
-        if not isinstance(other, FrontKey):
-            return NotImplemented
-        return self.cheap == other.cheap and self.full() == other.full()
 
 
 def _slices(blocks: dict, d: int, levels: int) -> tuple:
@@ -312,13 +280,14 @@ class ChainRows:
         return merge(block, rows)
 
     def front(self, lo, top, block, rows):
-        """The front state (lo, key): the block's rows as a set and the
-        images in order, shifted down to the bit of lo when compared.  The
-        block changes in place, so the key holds its rows as they are now."""
+        """The parts of the front key (`entropy.FrontKey`): top - lo and
+        the row counts, and a maker of the block's rows as a set and the
+        images in order, shifted down to the bit of lo.  The block changes
+        in place, so the maker holds its rows as they are now."""
         at, held = self.at(lo), tuple(block.values())
-        return lo, FrontKey(
-            (top - lo, len(held), len(rows)),
-            lambda: (frozenset(x >> at for x in held), tuple(x >> at for x in rows)),
+        return (top - lo, len(held), len(rows)), lambda: (
+            frozenset(x >> at for x in held),
+            tuple(x >> at for x in rows),
         )
 
     def images(self, block, kept, lo, top):

@@ -463,19 +463,9 @@ def _action_rows(op: BandedOperator, src_lo: int, src_hi: int, dst_lo: int, dst_
     levels they reach in the constant d_left / d_right regions; the
     boundary levels copy a slice of the boundary block.  No offset table
     is built: each run finds its columns from `Profile.window_dim`.
-
-    When the source window lies right of b_hi (src_lo >= b_hi) and the
-    destination is exactly its band (src_lo - w, src_hi + w], as on every
-    step of a chain right of the boundary region, the matrix is the
-    stationary rows themselves, returned as a read-only view of the rows
-    the operator keeps (a write raises ValueError).
     """
     p = op.profile
     w = op.width
-    if p.d_right and src_lo >= op.b_hi and dst_lo == src_lo - w and dst_hi == src_hi + w:
-        view = _stationary_rows(op, "right", src_hi - src_lo)
-        view.flags.writeable = False
-        return view
     rows = _boundary_block(op)
     mat = p.field.zeros(p.window_dim(src_lo, src_hi), p.window_dim(dst_lo, dst_hi))
     left = min(src_hi, op.b_lo - 1)
@@ -502,9 +492,7 @@ def image_rows_mod_tail(op: BandedOperator, w: CompactOpenSubspace, a: int):
     tail(W) >= a - width (every chain member C_m, and the U_tail of the
     limit-free tail constant), those rows are the unit rows of (a - width,
     top], so their images are the action rows themselves; any other W is
-    mapped by one product with them.  The action rows may be the
-    read-only view `_action_rows` returns.  The images lie in
-    (a, top + width].
+    mapped by one product with them.  The images lie in (a, top + width].
     """
     if w.profile != op.profile:
         raise ProfileMismatch("subspace over a different profile")

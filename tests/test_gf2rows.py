@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 import llcent.entropy as entropy_module
 from llcent.entropy import EntropyConfig, limit_free_relative_entropy, trajectory_relative_entropy
-from llcent.fields import QQ, PrimeField
+from llcent.fields import PrimeField
 from llcent.generators import random_automorphism, random_endomorphism
-from llcent.operators import make_shift
-from llcent.gf2rows import ChainRows, FrontKey, echelon, merge, pack, unpack
+from llcent.gf2rows import ChainRows, echelon, merge, pack, unpack
 from llcent.linalg import SubspaceBasis, rref_union
 from llcent.spaces import CompactOpenSubspace, LlcVector, Profile, cofinal_chain
 
@@ -147,54 +146,6 @@ class TestAct:
             if zero_right and src_hi > op.b_hi:
                 rows[:, profile.window_dim(src_lo, max(src_lo, op.b_hi)) :] = 0
             self._check(op, rows, a0, src_lo, src_hi)
-
-
-class TestFrontKey:
-    """Front keys hash by top - lo and the row counts, and are equal exactly
-    when the states are, relative to lo: the packed block as a set of rows,
-    the images in order."""
-
-    def test_packed_keys(self):
-        # d = 2 from level 0 on, a0 = 0: the bit of lo is 2 lo
-        kernels = ChainRows(make_shift(Profile.constant(F2, 2), "right"), 0)
-        rows, images = [0b0111, 0b1010, 0b10000], [0b1100, 0b100001]
-
-        def state(lo, order, imgs, top_above=4):
-            at = 2 * lo
-            block = {r << at & -(r << at): r << at for r in order}
-            return kernels.front(lo, lo + top_above, block, [x << at for x in imgs])
-
-        lo, key = state(3, rows, images)
-        shifted = state(5, rows[::-1], images)  # the block's rows entered in another order
-        assert shifted[0] == 5 and shifted[1] == key and hash(shifted[1]) == hash(key)
-        assert {key: 1}[shifted[1]] == 1  # a dict of past keys finds it
-        assert state(5, rows, images[::-1])[1] != key  # the images in another order
-        assert state(5, rows[:2], images)[1] != key
-        assert state(5, rows, images, top_above=5)[1] != key
-        assert state(5, [rows[0], rows[1], 0b10100], images)[1] != key
-
-    @pytest.mark.parametrize("field", [PrimeField(3), QQ])
-    def test_array_keys(self, field):
-        front = entropy_module._ArrayRows.front
-        basis = SubspaceBasis.span(field, field.array([[1, 2, 0, 1], [0, 0, 1, 1]]))
-        other = SubspaceBasis.span(field, field.array([[1, 2, 0, 1], [0, 0, 1, 2]]))
-        images = field.array([[0, 1, 1, 2, 1]])
-        _, key = front(2, 6, basis, images)
-        _, same = front(4, 8, SubspaceBasis.span(field, field.array([[0, 0, 1, 1], [1, 2, 0, 1]])), images.copy())
-        assert same == key and hash(same) == hash(key) and {key: 1}[same] == 1
-        assert front(4, 8, other, images)[1] != key
-        assert front(4, 8, basis, field.array([[0, 1, 1, 2, 2]]))[1] != key
-        assert front(4, 9, basis, images)[1] != key
-
-    def test_full_parts_built_only_when_the_cheap_ones_agree(self):
-        def never():
-            raise AssertionError("full key built")
-
-        assert FrontKey((3, 2, 1), never) != FrontKey((3, 2, 2), never)
-        made = []
-        a, b = (FrontKey((3, 2, 1), lambda v=v: made.append(v) or v) for v in ("x", "y"))
-        assert a != b and made == ["x", "y"]
-        assert a != b and made == ["x", "y"]  # each full key is built once
 
 
 class TestStart:

@@ -491,21 +491,6 @@ class TestDenseRoutes:
                 assert got[0] == "ok" and got[1].dtype == want[1].dtype
                 assert np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_stationary_view_is_read_only(self, field):
-        # right of b_hi into exactly the band: a view of the stationary rows
-        op = random_endomorphism(random.Random(3), Profile.from_dims(field, {-1: 1, 0: 3}, 2, 2), width=2, boundary=1)
-        w = op.width
-        for src_lo, src_hi in ((op.b_hi, op.b_hi + 1), (op.b_hi + 2, op.b_hi + 7), (op.b_hi + 1, op.b_hi + 3)):
-            window = (src_lo, src_hi, src_lo - w, src_hi + w)
-            got, want = _action_rows(op, *window), action_rows_by_columns(op, *window)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert not got.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                got[0, 0] = field.one
-            # any other destination is a matrix of its own
-            assert _action_rows(op, src_lo, src_hi, src_lo - w - 1, src_hi + w).flags.writeable
-
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_compose_matches_the_columns(self, data):

@@ -3,7 +3,11 @@
 Automorphisms are built constructively (shifts, levelwise changes of
 basis, unipotent finite-window perturbations) so an exact inverse is
 always available; invariant patterns for the addition checks are built
-as slot subsets preserved by block-diagonal operators.
+as slot subsets preserved by block-diagonal operators.  A change of
+basis inverts each matrix it draws once, when it checks the draw.  A
+unipotent 1 + N has N zero outside a finite window of source levels, so
+N is nilpotent and (1 + N)^-1 is the finite series 1 - N + N^2 - ...,
+summed as one dense matrix over the levels N touches.
 """
 
 from __future__ import annotations
@@ -16,13 +20,11 @@ from .errors import EngineInvariant
 from .linalg import invert_matrix
 from .operators import (
     BandedOperator,
+    _row_vectors,
     compose,
     identity_operator,
     make_shift,
-    operator_add,
-    scale_operator,
     verify_inverse,
-    zero_operator,
 )
 from .spaces import BlockwisePattern, CompactOpenSubspace, LlcVector, Profile
 
@@ -36,10 +38,12 @@ def random_matrix(rng: random.Random, field, rows: int, cols: int):
 
 
 def random_invertible(rng: random.Random, field, n: int):
+    """(m, m^-1) for the first invertible n x n `random_matrix` drawn."""
     while True:
         m = random_matrix(rng, field, n, n)
-        if invert_matrix(field, m) is not None:
-            return m
+        inv = invert_matrix(field, m)
+        if inv is not None:
+            return m, inv
 
 
 def random_vector(rng: random.Random, profile: Profile, levels) -> LlcVector:
@@ -112,16 +116,16 @@ def levelwise_change_of_basis(
 ):
     """A width-0 automorphism acting by an invertible matrix at each level."""
     f = profile.field
-    left_m = random_invertible(rng, f, profile.d_left)
-    right_m = random_invertible(rng, f, profile.d_right)
+    left_m, left_inv = random_invertible(rng, f, profile.d_left)
+    right_m, right_inv = random_invertible(rng, f, profile.d_right)
     lo = min(window[0], profile.n_lo)
     hi = max(window[1], profile.n_hi)
-    mats = {n: random_invertible(rng, f, profile.dim(n)) for n in range(lo, hi + 1)}
+    pairs = {n: random_invertible(rng, f, profile.dim(n)) for n in range(lo, hi + 1)}
 
-    def build(level_mat, lmat, rmat):
+    def build(which, lmat, rmat):
         columns = {}
         for n in range(lo, hi + 1):
-            m = level_mat[n]
+            m = pairs[n][which]
             per = []
             for i in range(profile.dim(n)):
                 support = {(n, r): m[r, i] for r in range(profile.dim(n)) if m[r, i] != 0}
@@ -129,43 +133,60 @@ def levelwise_change_of_basis(
             columns[n] = per
         return BandedOperator(profile, 0, {0: lmat}, {0: rmat}, columns)
 
-    op = build(mats, left_m, right_m)
-    inv_mats = {n: invert_matrix(f, m) for n, m in mats.items()}
-    inv = build(inv_mats, invert_matrix(f, left_m), invert_matrix(f, right_m))
-    return op, inv
+    return build(0, left_m, right_m), build(1, left_inv, right_inv)
 
 
 def unipotent_pair(rng: random.Random, profile: Profile, src_window: tuple = (-2, 1)):
-    """(1 + N, 1 - N + N^2 - ...) for a strictly level-increasing nilpotent N."""
+    """(1 + N, 1 - N + N^2 - ...) for a nilpotent N that shifts levels by one.
+
+    N sends each basis vector of the source levels s0..s1 to a random
+    vector one level up or down (one `step` for all), and every other level
+    to 0, so N^k = 0 for k > s1 - s0 + 1 and the inverse is a finite sum.
+    It is summed as one dense matrix over the levels s0-1..s1+1 that N
+    touches, in the rows convention of `_action_rows` (row r of R^k is
+    N^k of basis vector r).  Its width K is the largest k with N^k != 0,
+    and its region [min(n_lo, s0) - K, max(n_hi, s1) + K] is the union of
+    the regions `compose` gives N^1..N^K, so the pair equals the one built
+    term by term with `compose` and `operator_add`; for N = 0 the inverse
+    is the identity operator.
+    """
     f = profile.field
-    width = 1
+    s0, s1 = src_window
     step = rng.choice((1, -1))
-    b_lo = min(profile.n_lo - width, src_window[0] - width)
-    b_hi = max(profile.n_hi + width, src_window[1] + width)
+    b_lo = min(profile.n_lo, s0) - 1
+    b_hi = max(profile.n_hi, s1) + 1
+    window = profile.window_dim(s0 - 2, s1 + 1)  # the coordinates of the levels s0-1..s1+1
+    nil = f.zeros(window, window)
     columns = {}
     for n in range(b_lo, b_hi + 1):
         per = []
-        for _i in range(profile.dim(n)):
-            if src_window[0] <= n <= src_window[1]:
+        for i in range(profile.dim(n)):
+            image = {(n, i): f.one}
+            if s0 <= n <= s1:
                 vec = random_vector(rng, profile, [n + step])
-            else:
-                vec = LlcVector.zero(profile)
-            per.append(vec)
+                row = profile.window_dim(s0 - 2, n - 1) + i
+                for (m, j), v in vec.support.items():
+                    nil[row, profile.window_dim(s0 - 2, m - 1) + j] = v
+                image.update(vec.support)
+            per.append(LlcVector._reduced(profile, image))
         columns[n] = per
-    nil = BandedOperator(profile, width, {}, {}, columns)
+    unit_left, unit_right = {0: f.eye(profile.d_left)}, {0: f.eye(profile.d_right)}
+    op = BandedOperator(profile, 1, unit_left, unit_right, columns)
 
-    ident = identity_operator(profile)
-    op = operator_add(ident, nil)
-    inv = ident
-    term = nil
-    sign = -1
-    zero = zero_operator(profile)
-    minus_one = f.neg(f.one)
-    while not term == zero:
-        inv = operator_add(inv, scale_operator(term, f.one if sign > 0 else minus_one))
-        term = compose(nil, term)
-        sign = -sign
-    return op, inv
+    total, term, width = f.eye(window), nil, 0
+    while term.any():
+        width += 1
+        total = f.normalize(total - term if width % 2 else total + term)
+        term = f.matmul(term, nil)
+    if width == 0:
+        return op, identity_operator(profile)
+    first, last = profile.window_dim(s0 - 2, s0 - 1), profile.window_dim(s0 - 2, s1)
+    images = iter(_row_vectors(profile, total[first:last], s0 - 2, s1 + 1))
+    inv_columns = {
+        n: [next(images) if s0 <= n <= s1 else LlcVector.unit(profile, n, i) for i in range(profile.dim(n))]
+        for n in range(b_lo + 1 - width, b_hi + width)
+    }
+    return op, BandedOperator(profile, width, unit_left, unit_right, inv_columns)
 
 
 def random_automorphism(

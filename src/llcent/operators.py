@@ -284,15 +284,19 @@ def compose(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
 
     left = convolve("left", p.d_left, prod[: p.d_left], 0)
     right = convolve("right", p.d_right, prod[rows - p.d_right :], cols - (2 * w + 1) * p.d_right)
-    body = prod[p.d_left : rows - p.d_right]
-    keys = [(m, s) for m in range(b_lo - 1 - w, b_hi + 2 + w) for s in range(p.dim(m))]
-    supports = [{} for _ in range(body.shape[0])]
-    at = np.nonzero(body)
-    for r, c, v in zip(at[0].tolist(), at[1].tolist(), body[at].tolist()):
-        supports[r][keys[c]] = v
-    images = iter(supports)
-    columns = {n: [LlcVector._reduced(p, next(images)) for _ in range(p.dim(n))] for n in range(b_lo, b_hi + 1)}
+    images = iter(_row_vectors(p, prod[p.d_left : rows - p.d_right], b_lo - 2 - w, b_hi + 1 + w))
+    columns = {n: [next(images) for _ in range(p.dim(n))] for n in range(b_lo, b_hi + 1)}
     return BandedOperator(p, w, left, right, columns)
+
+
+def _row_vectors(p: Profile, rows: np.ndarray, lo: int, hi: int) -> list:
+    """Each row of reduced scalars over the coordinates (lo, hi] as a vector."""
+    keys = [(m, s) for m in range(lo + 1, hi + 1) for s in range(p.dim(m))]
+    supports = [{} for _ in range(rows.shape[0])]
+    at = np.nonzero(rows)
+    for r, c, v in zip(at[0].tolist(), at[1].tolist(), rows[at].tolist()):
+        supports[r][keys[c]] = v
+    return [LlcVector._reduced(p, support) for support in supports]
 
 
 def operator_add(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
@@ -320,15 +324,6 @@ def operator_add(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
         for n in range(b_lo, b_hi + 1)
     }
     return BandedOperator(p, w, left, right, columns)
-
-
-def scale_operator(op: BandedOperator, c) -> BandedOperator:
-    f = op.profile.field
-    c = f.coerce(c)
-    left = {j: f.normalize(b * c) for j, b in op.left_blocks.items()}
-    right = {j: f.normalize(b * c) for j, b in op.right_blocks.items()}
-    columns = {n: [col.scale(c) for col in cols] for n, cols in op.columns.items()}
-    return BandedOperator(op.profile, op.width, left, right, columns)
 
 
 def power(op: BandedOperator, k: int) -> BandedOperator:

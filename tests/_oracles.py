@@ -22,6 +22,10 @@ which reads the composite off one banded product, must return the same.
 `edge_map_by_blocks` writes the stationary edge map Psi block by block;
 `BandedOperator.right_edge_power`, which slices it from the operator's
 stationary rows, must return the columns of its power that it gives.
+`unipotent_pair_by_terms` sums (1 + N)^-1 term by term with `compose` and
+`operator_add` until a power of N is the zero operator;
+`llcent.generators.unipotent_pair`, which sums the series as one dense
+matrix, must draw the same N and return the same pair.
 """
 
 import numpy as np
@@ -35,12 +39,16 @@ from llcent.entropy import (
     _structural_horizon,
 )
 from llcent.errors import EngineInvariant, ProfileMismatch
+from llcent.generators import random_vector
 from llcent.linalg import pad_basis_columns, rref_union
 from llcent.operators import (
     BandedOperator,
     automorphism_image,
+    compose,
     identity_operator,
     image_rows_mod_tail,
+    operator_add,
+    zero_operator,
 )
 from llcent.spaces import CompactOpenSubspace, LlcVector, open_combine
 
@@ -171,6 +179,46 @@ def same_operator(a: BandedOperator, b: BandedOperator) -> bool:
         )
         and a.columns == b.columns
     )
+
+
+def unipotent_pair_by_terms(rng, profile, src_window=(-2, 1)):
+    """(1 + N, 1 - N + N^2 - ...), N drawn as `unipotent_pair` draws it and
+    the inverse summed one power of N at a time."""
+    f = profile.field
+    width = 1
+    step = rng.choice((1, -1))
+    b_lo = min(profile.n_lo - width, src_window[0] - width)
+    b_hi = max(profile.n_hi + width, src_window[1] + width)
+    columns = {}
+    for n in range(b_lo, b_hi + 1):
+        per = []
+        for _i in range(profile.dim(n)):
+            if src_window[0] <= n <= src_window[1]:
+                vec = random_vector(rng, profile, [n + step])
+            else:
+                vec = LlcVector.zero(profile)
+            per.append(vec)
+        columns[n] = per
+    nil = BandedOperator(profile, width, {}, {}, columns)
+
+    def negated(op):
+        neg = f.neg(f.one)
+        left = {j: f.normalize(b * neg) for j, b in op.left_blocks.items()}
+        right = {j: f.normalize(b * neg) for j, b in op.right_blocks.items()}
+        cols = {n: [col.scale(neg) for col in per] for n, per in op.columns.items()}
+        return BandedOperator(profile, op.width, left, right, cols)
+
+    ident = identity_operator(profile)
+    op = operator_add(ident, nil)
+    inv = ident
+    term = nil
+    sign = -1
+    zero = zero_operator(profile)
+    while not term == zero:
+        inv = operator_add(inv, term if sign > 0 else negated(term))
+        term = compose(nil, term)
+        sign = -sign
+    return op, inv
 
 
 def verify_inverse_by_composites(f_op: BandedOperator, g_op: BandedOperator) -> bool:

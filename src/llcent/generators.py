@@ -13,6 +13,7 @@ summed as one dense matrix over the levels N touches.
 from __future__ import annotations
 
 import random
+from functools import partial, reduce
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .errors import EngineInvariant
 from .linalg import invert_matrix
 from .operators import (
     BandedOperator,
-    _row_vectors,
+    _composite_region,
+    _from_rows,
     compose,
     identity_operator,
     make_shift,
@@ -180,13 +182,14 @@ def unipotent_pair(rng: random.Random, profile: Profile, src_window: tuple = (-2
         term = f.matmul(term, nil)
     if width == 0:
         return op, identity_operator(profile)
+    # the inverse's rows on its region b_lo+1-width .. b_hi+width-1 are unit
+    # rows, but for the levels s0..s1: the sum's rows over (s0-2, s1+1]
+    lo, hi = b_lo - width, b_hi + width - 1
+    rows = f.eye(profile.window_dim(lo, hi))
     first, last = profile.window_dim(s0 - 2, s0 - 1), profile.window_dim(s0 - 2, s1)
-    images = iter(_row_vectors(profile, total[first:last], s0 - 2, s1 + 1))
-    inv_columns = {
-        n: [next(images) if s0 <= n <= s1 else LlcVector.unit(profile, n, i) for i in range(profile.dim(n))]
-        for n in range(b_lo + 1 - width, b_hi + width)
-    }
-    return op, BandedOperator(profile, width, unit_left, unit_right, inv_columns)
+    at = profile.window_dim(lo, s0 - 2)
+    rows[at + first : at + last, at : at + window] = total[first:last]
+    return op, _from_rows(profile, width, unit_left, unit_right, lo + 1, hi, rows, lo, hi)
 
 
 def random_automorphism(
@@ -195,7 +198,9 @@ def random_automorphism(
     """A random banded automorphism with its exact inverse.
 
     Composes a few invertible factors; retries until the band width and
-    boundary region fit the requested budget.
+    boundary region fit the requested budget.  The composite's region and
+    width follow from the factors' (`_composite_region`), so an attempt
+    that does not fit composes nothing.
     """
     for _attempt in range(64):
         factors = []
@@ -213,11 +218,13 @@ def random_automorphism(
                 used_width += 1
             else:
                 factors.append(levelwise_change_of_basis(rng, profile, (-1, 1)))
-        op = factors[0][0]
-        for fwd, _back in factors[1:]:
-            op = compose(op, fwd)
-        inv = _reverse_inverse(factors)
-        if op.width <= max_width and op.b_lo >= -boundary and op.b_hi <= boundary:
+        regions = [(fwd.b_lo, fwd.b_hi, fwd.width) for fwd, _back in factors]
+        b_lo, b_hi, width = reduce(partial(_composite_region, profile), regions)
+        if width <= max_width and b_lo >= -boundary and b_hi <= boundary:
+            op = factors[0][0]
+            for fwd, _back in factors[1:]:
+                op = compose(op, fwd)
+            inv = _reverse_inverse(factors)
             if not verify_inverse(op, inv):
                 raise EngineInvariant("generator produced a bad inverse pair")
             return op, inv

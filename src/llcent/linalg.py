@@ -187,15 +187,6 @@ class SubspaceBasis:
     def contains_rows(self, rows: np.ndarray) -> bool:
         return not bool(np.any(self.reduce_rows(rows) != 0))
 
-    def coefficients(self, v) -> np.ndarray:
-        """Coordinates of a member vector in this basis (rows)."""
-        v = self.field.array(v).reshape(-1)
-        if bool(np.any(self.reduce_vector(v) != 0)):
-            raise NotContained("vector is not in the subspace")
-        if self.rank == 0:
-            return self.field.zeros(0, 1).reshape(0)
-        return v[list(self.pivots)]
-
     def contains(self, other: "SubspaceBasis") -> bool:
         self._check_compatible(other)
         return self.contains_rows(other.mat)

@@ -26,11 +26,15 @@ its columns (`_boundary_block`), and the stationary levels are whole
 shifted copies of a row of blocks (`_stationary_rows`), which also gives
 `compose` its block convolution as one product.  `_action_rows` is the
 only array action; the packed GF(2) kernels of `gf2rows` read the same
-boundary block.
+boundary block.  `compose`, `operator_add`, `direct_sum_operator`,
+`induce_on_subspace_and_quotient` and `decompose_vc_vd` read the
+operators they make off dense action rows and build them with one
+builder, `_from_rows`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -284,46 +288,33 @@ def compose(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
 
     left = convolve("left", p.d_left, prod[: p.d_left], 0)
     right = convolve("right", p.d_right, prod[rows - p.d_right :], cols - (2 * w + 1) * p.d_right)
-    images = iter(_row_vectors(p, prod[p.d_left : rows - p.d_right], b_lo - 2 - w, b_hi + 1 + w))
+    return _from_rows(p, w, left, right, b_lo, b_hi, prod[p.d_left : rows - p.d_right], b_lo - 2 - w, b_hi + 1 + w)
+
+
+def _from_rows(p: Profile, w: int, left: dict, right: dict, b_lo: int, b_hi: int, rows: np.ndarray, lo: int, hi: int):
+    """The operator whose boundary levels b_lo..b_hi map, in level order,
+    to the rows of reduced scalars over the coordinates (lo, hi]."""
+    images = iter(LlcVector.from_rows(p, lo, hi, rows))
     columns = {n: [next(images) for _ in range(p.dim(n))] for n in range(b_lo, b_hi + 1)}
     return BandedOperator(p, w, left, right, columns)
 
 
-def _row_vectors(p: Profile, rows: np.ndarray, lo: int, hi: int) -> list:
-    """Each row of reduced scalars over the coordinates (lo, hi] as a vector."""
-    keys = [(m, s) for m in range(lo + 1, hi + 1) for s in range(p.dim(m))]
-    supports = [{} for _ in range(rows.shape[0])]
-    at = np.nonzero(rows)
-    for r, c, v in zip(at[0].tolist(), at[1].tolist(), rows[at].tolist()):
-        supports[r][keys[c]] = v
-    return [LlcVector._reduced(p, support) for support in supports]
-
-
 def operator_add(f_op: BandedOperator, g_op: BandedOperator) -> BandedOperator:
+    """f_op + g_op, the sum of their action rows on the union of their
+    regions, which covers the wider one's band by validity."""
     if f_op.profile != g_op.profile:
         raise ProfileMismatch("adding operators over different profiles")
     p = f_op.profile
     f = p.field
     w = max(f_op.width, g_op.width)
-
-    def padded(blocks, j, d):
-        return blocks.get(j, f.zeros(d, d))
-
-    left = {
-        j: f.normalize(padded(f_op.left_blocks, j, p.d_left) + padded(g_op.left_blocks, j, p.d_left))
-        for j in range(-w, w + 1)
-    }
-    right = {
-        j: f.normalize(padded(f_op.right_blocks, j, p.d_right) + padded(g_op.right_blocks, j, p.d_right))
-        for j in range(-w, w + 1)
-    }
-    b_lo = min(f_op.b_lo, g_op.b_lo, p.n_lo - w)
-    b_hi = max(f_op.b_hi, g_op.b_hi, p.n_hi + w)
-    columns = {
-        n: [f_op.column(n, i).add(g_op.column(n, i)) for i in range(p.dim(n))]
-        for n in range(b_lo, b_hi + 1)
-    }
-    return BandedOperator(p, w, left, right, columns)
+    left, right = (
+        {j: f.normalize(mine.get(j, 0) + theirs.get(j, 0)) for j in range(-w, w + 1)}
+        for mine, theirs in ((f_op.left_blocks, g_op.left_blocks), (f_op.right_blocks, g_op.right_blocks))
+    )
+    b_lo, b_hi = min(f_op.b_lo, g_op.b_lo), max(f_op.b_hi, g_op.b_hi)
+    lo, hi = b_lo - 1 - w, b_hi + w
+    rows = _action_rows(f_op, b_lo - 1, b_hi, lo, hi) + _action_rows(g_op, b_lo - 1, b_hi, lo, hi)
+    return _from_rows(p, w, left, right, b_lo, b_hi, f.normalize(rows), lo, hi)
 
 
 def power(op: BandedOperator, k: int) -> BandedOperator:
@@ -352,18 +343,24 @@ def verify_inverse(f_op: BandedOperator, g_op: BandedOperator) -> bool:
     return _composes_to_identity(f_op, g_op) and _composes_to_identity(g_op, f_op)
 
 
+def _composite_region(p: Profile, f_region: tuple, g_region: tuple) -> tuple:
+    """(b_lo, b_hi, width) of f . g from those of f and g: below b_lo, g
+    acts by its left blocks and reaches only levels where f does too, all
+    below n_lo, so f.g acts there by the convolved blocks; the same holds
+    past b_hi."""
+    (f_lo, f_hi, wf), (g_lo, g_hi, wg) = f_region, g_region
+    w = wf + wg
+    return min(g_lo, f_lo - wg, p.n_lo - w), max(g_hi, f_hi + wg, p.n_hi + w), w
+
+
 def _composite_rows(f_op: BandedOperator, g_op: BandedOperator):
-    """(b_lo, b_hi, rows): the boundary region of f_op . g_op, and its rows
-    on the levels b_lo-1 .. b_hi+1 over (b_lo-2-w, b_hi+1+w], w the sum of
-    the widths, as one exact product of `_action_rows` windows widened by
-    the band.  Below b_lo, g acts by its left blocks and reaches only
-    levels where f does too, all below n_lo, so f.g acts there by the
-    convolved blocks; the same holds past b_hi.
+    """(b_lo, b_hi, rows): the boundary region of f_op . g_op
+    (`_composite_region`), and its rows on the levels b_lo-1 .. b_hi+1 over
+    (b_lo-2-w, b_hi+1+w], w the sum of the widths, as one exact product
+    of `_action_rows` windows widened by the band.
     """
-    p = f_op.profile
-    wg, w = g_op.width, f_op.width + g_op.width
-    b_lo = min(g_op.b_lo, f_op.b_lo - wg, p.n_lo - w)
-    b_hi = max(g_op.b_hi, f_op.b_hi + wg, p.n_hi + w)
+    p, wg = f_op.profile, g_op.width
+    b_lo, b_hi, w = _composite_region(p, (f_op.b_lo, f_op.b_hi, f_op.width), (g_op.b_lo, g_op.b_hi, g_op.width))
     lo, hi = b_lo - 2, b_hi + 1
     return b_lo, b_hi, p.field.matmul(
         _action_rows(g_op, lo, hi, lo - wg, hi + wg),
@@ -527,22 +524,23 @@ def _restrict_block(field, block: np.ndarray, basis: SubspaceBasis) -> np.ndarra
     return field.normalize(imgs[list(basis.pivots), :])
 
 
-def _project_block(field, block: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
+def _project_block(block: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
     """Matrix induced by the block on the quotient by the pattern."""
     free = basis.free_columns()
-    out = field.zeros(len(free), len(free))
-    for k, c in enumerate(free):
-        out[:, k] = basis.reduce_vector(block[:, c])[free]
-    return out
+    return basis.reduce_rows(block[:, free].T)[:, free].T
 
 
 def induce_on_subspace_and_quotient(op: BandedOperator, pattern: BlockwisePattern):
     """Check op-invariance of the pattern; return (restriction, induced quotient map).
 
-    The invariance check is finite: per-level basis images over the union
-    of the pattern window and the operator boundary region (widened by the
-    band), plus stationary block compatibility on both tails.  On failure
-    raises InvarianceFailure with a witness vector.
+    The invariance check is finite: stationary block compatibility on both
+    tails, and the images of the pattern's basis rows (`BlockwisePattern.rows`)
+    over the union of the pattern window and the operator boundary region,
+    widened by the band, as one product with the action rows.  An image
+    whose quotient reading is nonzero leaves the pattern: InvarianceFailure
+    names the first such basis vector, in level order, and its image.  The
+    restriction reads the images at the pivots, and the quotient map reads
+    the action rows of the free unit vectors modulo the pattern.
     """
     if op.profile != pattern.profile:
         raise ProfileMismatch("pattern over a different profile")
@@ -564,52 +562,44 @@ def induce_on_subspace_and_quotient(op: BandedOperator, pattern: BlockwisePatter
 
     lo = min(pattern.m_lo - w - 1, op.b_lo)
     hi = max(pattern.m_hi + w + 1, op.b_hi)
-    images = {}  # level -> the images of the pattern's basis vectors there
-    for n in range(lo, hi + 1):
-        images[n] = []
-        for row in pattern.level_basis(n).mat:
-            vec = LlcVector.from_window(p, n - 1, n, row)
-            img = op.apply(vec)
-            if not pattern.member(img):
-                raise InvarianceFailure(vec, img)
-            images[n].append(img)
+    action = _action_rows(op, lo - 1, hi, lo - 1 - w, hi + w)
+    basis_rows = pattern.rows(lo - 1, hi)
+    images = f.matmul(basis_rows, action)
+    failing = np.flatnonzero((pattern.read(images, lo - 1 - w, hi + w, quotient=True) != 0).any(axis=1))
+    if failing.size:
+        r = int(failing[0])
+        raise InvarianceFailure(
+            LlcVector.from_rows(p, lo - 1, hi, basis_rows[r : r + 1])[0],
+            LlcVector.from_rows(p, lo - 1 - w, hi + w, images[r : r + 1])[0],
+        )
 
     sub_p = pattern.sub_profile()
     quot_p = pattern.quotient_profile()
-
-    def read(img, profile, coords):
-        """The vector over `profile` with coords(m, component of img at m) at each level m."""
-        support = {}
-        for m in img.levels():
-            for k, c in enumerate(coords(m, img.level_component(m))):
-                if c != 0:
-                    support[(m, k)] = c
-        return LlcVector(profile, support)
-
     left_r = {j: _restrict_block(f, op.left_blocks[j], pattern.left) for j in range(-w, w + 1)}
     right_r = {j: _restrict_block(f, op.right_blocks[j], pattern.right) for j in range(-w, w + 1)}
-    left_q = {j: _project_block(f, op.left_blocks[j], pattern.left) for j in range(-w, w + 1)}
-    right_q = {j: _project_block(f, op.right_blocks[j], pattern.right) for j in range(-w, w + 1)}
+    left_q = {j: _project_block(op.left_blocks[j], pattern.left) for j in range(-w, w + 1)}
+    right_q = {j: _project_block(op.right_blocks[j], pattern.right) for j in range(-w, w + 1)}
 
-    # the sub-profile's region lies inside m_lo..m_hi, so these levels lie
-    # inside lo..hi and the restriction reads its columns from `images`
-    levels = range(min(op.b_lo, sub_p.n_lo - w), max(op.b_hi, sub_p.n_hi + w) + 1)
-    cols_r = {n: [read(img, sub_p, pattern.coords_level) for img in images[n]] for n in levels}
-    cols_q = {
-        n: [
-            read(op.apply(LlcVector.unit(p, n, c)), quot_p, pattern.project_level)
-            for c in pattern.level_basis(n).free_columns().tolist()
-        ]
-        for n in levels
-    }
-
-    restricted = BandedOperator(sub_p, w, left_r, right_r, cols_r)
-    induced = BandedOperator(quot_p, w, left_q, right_q, cols_q)
+    # the sub-profile's region lies inside m_lo..m_hi, so the levels
+    # b_lo..b_hi lie inside lo..hi
+    b_lo, b_hi = min(op.b_lo, sub_p.n_lo - w), max(op.b_hi, sub_p.n_hi + w)
+    sub_rows = images[sub_p.window_dim(lo - 1, b_lo - 1) : sub_p.window_dim(lo - 1, b_hi)]
+    free = np.concatenate(
+        [p.window_dim(lo - 1, n - 1) + pattern.level_basis(n).free_columns() for n in range(b_lo, b_hi + 1)]
+    )
+    restricted = _from_rows(
+        sub_p, w, left_r, right_r, b_lo, b_hi, pattern.read(sub_rows, lo - 1 - w, hi + w), lo - 1 - w, hi + w
+    )
+    induced = _from_rows(
+        quot_p, w, left_q, right_q, b_lo, b_hi,
+        pattern.read(action[free], lo - 1 - w, hi + w, quotient=True), lo - 1 - w, hi + w,
+    )
     return restricted, induced
 
 
 # -- decomposition along the product/sum splitting at level 0 --------------
 
+@dataclass(frozen=True)
 class ComponentDecomposition:
     """The four corner maps of an operator relative to V = V_c (+) V_d.
 
@@ -621,21 +611,23 @@ class ComponentDecomposition:
     kernel, which is asserted at construction.
     """
 
-    __slots__ = ("source", "phi_cc", "phi_cd", "phi_dc", "phi_dd", "c_profile", "d_profile", "cd_image_dim")
-
-    def __init__(self, source, phi_cc, phi_cd, phi_dc, phi_dd, c_profile, d_profile, cd_image_dim):
-        self.source = source
-        self.phi_cc = phi_cc
-        self.phi_cd = phi_cd
-        self.phi_dc = phi_dc
-        self.phi_dd = phi_dd
-        self.c_profile = c_profile
-        self.d_profile = d_profile
-        self.cd_image_dim = cd_image_dim
+    source: BandedOperator
+    phi_cc: BandedOperator
+    phi_cd: BandedOperator
+    phi_dc: BandedOperator
+    phi_dd: BandedOperator
+    c_profile: Profile
+    d_profile: Profile
+    cd_image_dim: int
 
 
 def decompose_vc_vd(op: BandedOperator) -> ComponentDecomposition:
-    """Corner maps of op for the canonical splitting at level 0."""
+    """Corner maps of op for the canonical splitting at level 0.
+
+    The corners are the blocks of op's boundary action rows, split at
+    level 0 on both sides; validity puts the region around level 0.  The
+    four recombine to op's own columns, an independent check.
+    """
     p = op.profile
     f = p.field
     w = op.width
@@ -649,59 +641,29 @@ def decompose_vc_vd(op: BandedOperator) -> ComponentDecomposition:
         tuple(0 if n <= 0 else p.dim(n) for n in range(p.n_lo, p.n_hi + 1)),
         p.d_right, p.n_lo, p.n_hi,
     )
-    b_lo = min(op.b_lo, p.n_lo - w)
-    b_hi = max(op.b_hi, p.n_hi + w)
-
-    def corner_columns(target_profile, source_pred, keep_lo, keep_hi):
-        cols = {}
-        for n in range(b_lo, b_hi + 1):
-            per = []
-            for i in range(target_profile.dim(n)):
-                if source_pred(n):
-                    img = op.column(n, i).restrict(lo=keep_lo, hi=keep_hi)
-                    per.append(LlcVector(target_profile, img.support))
-                else:
-                    per.append(LlcVector.zero(target_profile))
-            cols[n] = per
-        return cols
-
-    cc = BandedOperator(
-        c_profile, w, op.left_blocks, {},
-        corner_columns(c_profile, lambda n: n <= 0, None, 0),
-    )
-    dd = BandedOperator(
-        d_profile, w, {}, op.right_blocks,
-        corner_columns(d_profile, lambda n: n >= 1, 1, None),
-    )
-    cd = BandedOperator(p, w, {}, {}, corner_columns(p, lambda n: n <= 0, 1, None))
-    dc = BandedOperator(p, w, {}, {}, corner_columns(p, lambda n: n >= 1, None, 0))
+    b_lo, b_hi = op.b_lo, op.b_hi
+    lo, hi = b_lo - 1 - w, b_hi + w
+    rows = _action_rows(op, b_lo - 1, b_hi, lo, hi)
+    r0, c0 = p.window_dim(b_lo - 1, 0), p.window_dim(lo, 0)
 
     # the product-to-discrete corner: finite image, open kernel
-    cd_gens = []
-    for n in range(b_lo, 1):
-        for i in range(p.dim(n)):
-            col = cd.column(n, i)
-            if n <= -w and not col.is_zero():
-                raise EngineInvariant("corner into the discrete side must kill deep tail levels")
-            if not col.is_zero():
-                cd_gens.append(col)
-    if cd_gens:
-        top = max(max(m for (m, _s) in g.support) for g in cd_gens)
-        rows = [g.to_window(0, top) for g in cd_gens]
-        cd_image_dim = SubspaceBasis.span(f, np.array(rows), ambient_dim=p.window_dim(0, top)).rank
-    else:
-        cd_image_dim = 0
+    if np.any(rows[: p.window_dim(b_lo - 1, -w), c0:] != 0):
+        raise EngineInvariant("corner into the discrete side must kill deep tail levels")
+    cd_image_dim = SubspaceBasis.span(f, rows[:r0, c0:], ambient_dim=rows.shape[1] - c0).rank
+
+    cd_rows, dc_rows = f.zeros(*rows.shape), f.zeros(*rows.shape)
+    cd_rows[:r0, c0:] = rows[:r0, c0:]
+    dc_rows[r0:, :c0] = rows[r0:, :c0]
+    cc = _from_rows(c_profile, w, op.left_blocks, {}, b_lo, b_hi, rows[:r0, :c0], lo, hi)
+    dd = _from_rows(d_profile, w, {}, op.right_blocks, b_lo, b_hi, rows[r0:, c0:], lo, hi)
+    cd = _from_rows(p, w, {}, {}, b_lo, b_hi, cd_rows, lo, hi)
+    dc = _from_rows(p, w, {}, {}, b_lo, b_hi, dc_rows, lo, hi)
 
     # reassembly: the four corners recombine to op on the boundary region
     for n in range(b_lo, b_hi + 1):
+        own, cross = (cc, cd) if n <= 0 else (dd, dc)
         for i in range(p.dim(n)):
-            if n <= 0:
-                low = LlcVector(p, cc.column(n, i).support)
-                high = cd.column(n, i)
-            else:
-                low = dc.column(n, i)
-                high = LlcVector(p, dd.column(n, i).support)
-            if low.add(high) != op.column(n, i):
+            if LlcVector(p, own.column(n, i).support).add(cross.column(n, i)) != op.column(n, i):
                 raise EngineInvariant("corner reassembly mismatch")
 
     return ComponentDecomposition(op, cc, cd, dc, dd, c_profile, d_profile, cd_image_dim)
@@ -725,49 +687,35 @@ def direct_sum_profile(p1: Profile, p2: Profile) -> Profile:
 
 
 def direct_sum_operator(op1: BandedOperator, op2: BandedOperator):
-    """op1 x op2 on the levelwise concatenation of the two profiles."""
+    """op1 x op2 on the levelwise concatenation of the two profiles: each
+    summand's action rows sit at its slots of every level (op1's first)."""
     p1, p2 = op1.profile, op2.profile
     p = direct_sum_profile(p1, p2)
     f = p.field
     w = max(op1.width, op2.width)
 
-    def blockdiag(b1, b2, d1, d2):
+    def blockdiag(b1, b2, d1, d2, j):
         out = f.zeros(d1 + d2, d1 + d2)
-        if d1:
-            out[:d1, :d1] = b1
-        if d2:
-            out[d1:, d1:] = b2
+        if j in b1:
+            out[:d1, :d1] = b1[j]
+        if j in b2:
+            out[d1:, d1:] = b2[j]
         return out
 
-    def padded(op, j, side):
-        blocks = op.left_blocks if side == "left" else op.right_blocks
-        d = op.profile.d_left if side == "left" else op.profile.d_right
-        return blocks.get(j, f.zeros(d, d))
-
-    left = {
-        j: blockdiag(padded(op1, j, "left"), padded(op2, j, "left"), p1.d_left, p2.d_left)
-        for j in range(-w, w + 1)
-    }
-    right = {
-        j: blockdiag(padded(op1, j, "right"), padded(op2, j, "right"), p1.d_right, p2.d_right)
-        for j in range(-w, w + 1)
-    }
-
-    def embed(vec, which):
-        support = {}
-        for (m, s), v in vec.support.items():
-            slot = s if which == 1 else p1.dim(m) + s
-            support[(m, slot)] = v
-        return LlcVector(p, support)
+    left = {j: blockdiag(op1.left_blocks, op2.left_blocks, p1.d_left, p2.d_left, j) for j in range(-w, w + 1)}
+    right = {j: blockdiag(op1.right_blocks, op2.right_blocks, p1.d_right, p2.d_right, j) for j in range(-w, w + 1)}
 
     b_lo = min(op1.b_lo, op2.b_lo, p.n_lo - w)
     b_hi = max(op1.b_hi, op2.b_hi, p.n_hi + w)
-    columns = {}
-    for n in range(b_lo, b_hi + 1):
-        per = []
-        for i in range(p1.dim(n)):
-            per.append(embed(op1.column(n, i), 1))
-        for i in range(p2.dim(n)):
-            per.append(embed(op2.column(n, i), 2))
-        columns[n] = per
-    return BandedOperator(p, w, left, right, columns)
+    lo, hi = b_lo - 1 - w, b_hi + w
+    rows = f.zeros(p.window_dim(b_lo - 1, b_hi), p.window_dim(lo, hi))
+    skip = p.window_dim(lo, b_lo - 1)  # a row is its own coordinate's column less this
+    for k, op in enumerate((op1, op2)):
+        q = op.profile
+        slots = np.array(
+            [p.window_dim(lo, n - 1) + k * p1.dim(n) + s for n in range(lo + 1, hi + 1) for s in range(q.dim(n))],
+            dtype=np.intp,
+        )
+        own = slots[q.window_dim(lo, b_lo - 1) : q.window_dim(lo, b_hi)] - skip
+        rows[np.ix_(own, slots)] = _action_rows(op, b_lo - 1, b_hi, lo, hi)
+    return _from_rows(p, w, left, right, b_lo, b_hi, rows, lo, hi)

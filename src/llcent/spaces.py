@@ -23,7 +23,10 @@ Sums, quotients, operator images and the entropy chains all read W
 modulo some U_a, as rows over the window of levels (a, b], written once
 in `CompactOpenSubspace.rows_over`; only `Profile.window_dim` (where a
 level starts) and `Profile.level_at` (which level holds a column) know
-that flattened layout.
+that flattened layout.  A blockwise pattern reads such rows level by
+level with one reader, `BlockwisePattern.read`: at its pivots into the
+sub-profile's coordinates, or modulo W_n at its free columns into the
+quotient profile's.
 """
 
 from __future__ import annotations
@@ -262,15 +265,14 @@ class LlcVector:
         return arr
 
     @classmethod
-    def from_window(cls, profile: Profile, a: int, b: int, arr) -> "LlcVector":
-        arr = profile.field.array(arr).reshape(-1)
-        support = {}
-        for n in range(a + 1, b + 1):
-            off = profile.window_dim(a, n - 1)
-            for i in range(profile.dim(n)):
-                if arr[off + i] != 0:
-                    support[(n, i)] = arr[off + i]
-        return cls(profile, support)
+    def from_rows(cls, profile: Profile, a: int, b: int, rows: np.ndarray) -> list:
+        """Each row of reduced scalars over the coordinates (a, b] as a vector."""
+        keys = [(n, i) for n in range(a + 1, b + 1) for i in range(profile.dim(n))]
+        supports = [{} for _ in range(rows.shape[0])]
+        at = np.nonzero(rows)
+        for r, c, v in zip(at[0].tolist(), at[1].tolist(), rows[at].tolist()):
+            supports[r][keys[c]] = v
+        return [cls._reduced(profile, support) for support in supports]
 
     def _check(self, other):
         if self.profile != other.profile:
@@ -373,10 +375,7 @@ class CompactOpenSubspace:
 
     def window_vectors(self):
         """The window basis rows as LlcVectors."""
-        return [
-            LlcVector.from_window(self.profile, self.tail, self.top, row)
-            for row in self.window.mat
-        ]
+        return LlcVector.from_rows(self.profile, self.tail, self.top, self.window.mat)
 
     def member(self, v: LlcVector) -> bool:
         if v.profile != self.profile:
@@ -612,16 +611,35 @@ class BlockwisePattern:
                 return False
         return True
 
-    def project_level(self, n: int, comp: np.ndarray) -> np.ndarray:
-        """Quotient coordinates of a level component: reduce mod W_n, read non-pivots."""
-        basis = self.level_basis(n)
-        resid = basis.reduce_vector(comp)
-        return resid[basis.free_columns()]
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """The basis rows of each W_n over the coordinates (a, b], level by level."""
+        p = self.profile
+        bases = [self.level_basis(n).mat for n in range(a + 1, b + 1)]
+        out = p.field.zeros(sum(m.shape[0] for m in bases), p.window_dim(a, b))
+        r = c = 0
+        for m in bases:
+            out[r : r + m.shape[0], c : c + m.shape[1]] = m
+            r, c = r + m.shape[0], c + m.shape[1]
+        return out
 
-    def coords_level(self, n: int, comp: np.ndarray) -> np.ndarray:
-        """Intrinsic W_n coordinates of a member component (pivot reads)."""
-        basis = self.level_basis(n)
-        return basis.coefficients(comp)
+    def read(self, rows: np.ndarray, a: int, b: int, quotient: bool = False) -> np.ndarray:
+        """Rows over the coordinates (a, b], read level by level.
+
+        Each level's part is read at the pivots of W_n, which gives the
+        coordinates of a member row over the sub-profile, or with quotient
+        reduced mod W_n and read at its free columns, which gives the
+        coordinates of any row over the quotient profile.
+        """
+        p = self.profile
+        parts = []
+        for n in range(a + 1, b + 1):
+            basis = self.level_basis(n)
+            part = rows[:, p.window_dim(a, n - 1) : p.window_dim(a, n)]
+            if quotient:
+                parts.append(basis.reduce_rows(part)[:, basis.free_columns()])
+            else:
+                parts.append(part[:, list(basis.pivots)])
+        return np.concatenate(parts, axis=1) if parts else p.field.zeros(rows.shape[0], 0)
 
 
 def blockwise_restrict_quotient(pattern: BlockwisePattern, u: CompactOpenSubspace):
@@ -632,32 +650,10 @@ def blockwise_restrict_quotient(pattern: BlockwisePattern, u: CompactOpenSubspac
     """
     if pattern.profile != u.profile:
         raise ProfileMismatch("pattern and subspace over different profiles")
-    profile = pattern.profile
-    f = profile.field
+    f = pattern.profile.field
     a, b = u.tail, u.top
-    # window part of W over (a, b], one padded row per per-level basis row
-    total = profile.window_dim(a, b)
-    w_rows = []
-    for n in range(a + 1, b + 1):
-        basis = pattern.level_basis(n)
-        for row in basis.mat:
-            wide = f.zeros(1, total)[0]
-            wide[profile.window_dim(a, n - 1) : profile.window_dim(a, n)] = row
-            w_rows.append(wide)
-    w_window = SubspaceBasis.span(f, np.array(w_rows) if w_rows else [], ambient_dim=total)
-    inter = subspace_combine(u.window, w_window, "intersect") if total else w_window
-
-    def present(target, rows, read):
-        # each level's part of a row, read by `read` into the target profile's
-        # coordinates of that level
-        out = f.zeros(rows.shape[0], target.window_dim(a, b))
-        for n in range(a + 1, b + 1):
-            src = slice(profile.window_dim(a, n - 1), profile.window_dim(a, n))
-            dst = slice(target.window_dim(a, n - 1), target.window_dim(a, n))
-            for r, row in enumerate(rows):
-                out[r, dst] = read(n, row[src])
-        return CompactOpenSubspace.from_rows(target, a, out, b)
-
-    u_in_w = present(pattern.sub_profile(), inter.mat, pattern.coords_level)
-    u_in_quotient = present(pattern.quotient_profile(), u.window.mat, pattern.project_level)
-    return u_in_w, u_in_quotient
+    w_window = SubspaceBasis.span(f, pattern.rows(a, b), ambient_dim=pattern.profile.window_dim(a, b))
+    inter = subspace_combine(u.window, w_window, "intersect") if w_window.ambient_dim else w_window
+    u_in_w = CompactOpenSubspace.from_rows(pattern.sub_profile(), a, pattern.read(inter.mat, a, b), b)
+    quotient = pattern.read(u.window.mat, a, b, quotient=True)
+    return u_in_w, CompactOpenSubspace.from_rows(pattern.quotient_profile(), a, quotient, b)

@@ -26,6 +26,11 @@ stationary rows, must return the columns of its power that it gives.
 `operator_add` until a power of N is the zero operator;
 `llcent.generators.unipotent_pair`, which sums the series as one dense
 matrix, must draw the same N and return the same pair.
+`random_automorphism_composing_each_attempt` composes the factors of every
+attempt and lets the composite's own width and region decide;
+`llcent.generators.random_automorphism`, which decides from the factors'
+regions and composes only the attempt it keeps, must draw the same factors
+and return the same pair.
 """
 
 import numpy as np
@@ -39,7 +44,12 @@ from llcent.entropy import (
     _structural_horizon,
 )
 from llcent.errors import EngineInvariant, ProfileMismatch
-from llcent.generators import random_vector
+from llcent.generators import (
+    _reverse_inverse,
+    levelwise_change_of_basis,
+    random_vector,
+    unipotent_pair,
+)
 from llcent.linalg import pad_basis_columns, rref_union
 from llcent.operators import (
     BandedOperator,
@@ -47,6 +57,7 @@ from llcent.operators import (
     compose,
     identity_operator,
     image_rows_mod_tail,
+    make_shift,
     operator_add,
     zero_operator,
 )
@@ -219,6 +230,32 @@ def unipotent_pair_by_terms(rng, profile, src_window=(-2, 1)):
         term = compose(nil, term)
         sign = -sign
     return op, inv
+
+
+def random_automorphism_composing_each_attempt(rng, profile, max_width=2, boundary=3):
+    """`random_automorphism`'s draws, each attempt composed before its budget check."""
+    for _attempt in range(64):
+        factors = []
+        used_width = 0
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("shift", "cob", "unipotent"))
+            if kind == "shift" and used_width < max_width and profile.is_constant():
+                direction = rng.choice(("left", "right"))
+                other = "left" if direction == "right" else "right"
+                factors.append((make_shift(profile, direction), make_shift(profile, other)))
+                used_width += 1
+            elif kind == "unipotent" and used_width < max_width:
+                factors.append(unipotent_pair(rng, profile, (-2, 1)))
+                used_width += 1
+            else:
+                factors.append(levelwise_change_of_basis(rng, profile, (-1, 1)))
+        op = factors[0][0]
+        for fwd, _back in factors[1:]:
+            op = compose(op, fwd)
+        inv = _reverse_inverse(factors)
+        if op.width <= max_width and op.b_lo >= -boundary and op.b_hi <= boundary:
+            return op, inv
+    raise RuntimeError("could not fit an automorphism into the requested budget")
 
 
 def verify_inverse_by_composites(f_op: BandedOperator, g_op: BandedOperator) -> bool:

@@ -1245,9 +1245,10 @@ class TestConfig:
 # Forces each engine invariant to break: a fake chain merge whose rank gains
 # grow (so increments and codimensions increase), one that ignores its third
 # call (the re-merge at step 3 of the e_n -> e_{n-1} + e_{n+1} trajectory,
-# see TestActiveBlock), a fake relative engine
-# whose chain values fall, vector equality and zero tests that always say
-# no (compose, decompose_vc_vd), a chain restriction that returns nothing
+# see TestActiveBlock), a fake relative engine whose chain values fall,
+# composite rows off the stationary rule (compose), vector equality that
+# always says no and boundary rows from the deep tail into the discrete
+# side (decompose_vc_vd), a chain restriction that returns nothing
 # (check_addition), an inverse check that always fails (generators), a
 # merge that loses a row at the step where the front state repeats, and one
 # that loses a row at the step where the leading edge stops the chain.
@@ -1353,13 +1354,23 @@ def rows_off_the_left_stack(f_op, g_op):
 O._composite_rows = rows_off_the_left_stack
 print(fired(lambda: O.compose(right, right)))
 O._composite_rows = real_rows
-real_eq, real_is_zero = LlcVector.__eq__, LlcVector.is_zero
+real_eq = LlcVector.__eq__
 LlcVector.__eq__ = lambda self, other: False
 print(fired(lambda: O.decompose_vc_vd(right)))
 LlcVector.__eq__ = real_eq
-LlcVector.is_zero = lambda self: False
+real_action = O._action_rows
+
+
+def rows_from_the_deep_tail(op, *window):
+    # the first boundary level, at -width, reaches the top discrete level
+    rows = real_action(op, *window)
+    rows[0, -1] = 1
+    return rows
+
+
+O._action_rows = rows_from_the_deep_tail
 print(fired(lambda: O.decompose_vc_vd(right)))
-LlcVector.is_zero = real_is_zero
+O._action_rows = real_action
 
 real_split = T.blockwise_restrict_quotient
 pattern = BlockwisePattern.first_slots(profile, 1)

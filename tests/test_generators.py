@@ -1,6 +1,7 @@
 """Seeded generators: the unipotent inverse series and changes of basis."""
 
 import random
+import sys
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from llcent.linalg import invert_matrix
 from llcent.operators import verify_inverse
 from llcent.spaces import Profile
 
-from _oracles import same_operator, unipotent_pair_by_terms
+from _oracles import random_automorphism_composing_each_attempt, same_operator, unipotent_pair_by_terms
 
 FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(2**31 - 1), QQ)
 PROFILES = [Profile.constant(f, d) for f in FIELDS for d in (1, 2, 3)] + [
@@ -70,6 +71,48 @@ class TestUnipotentPair:
         for i, got in enumerate(built):
             want = _automorphism_laws_instance(i)
             assert all(same_operator(a, b) for a, b in zip(got, want)), i
+
+
+class TestRandomAutomorphism:
+    def test_automorphism_laws_catalog_is_unchanged(self, monkeypatch):
+        # the level change of basis drawn after the pair pins the RNG state
+        built = [_automorphism_laws_instance(i) for i in range(60)]
+        monkeypatch.setattr(sys.modules[__name__], "random_automorphism", random_automorphism_composing_each_attempt)
+        for i, got in enumerate(built):
+            want = _automorphism_laws_instance(i)
+            assert all(same_operator(a, b) for a, b in zip(got, want)), i
+
+    def test_matches_composing_each_attempt(self):
+        for seed in range(200):
+            profile = PROFILES[seed % len(PROFILES)]
+            mine, theirs = random.Random(seed), random.Random(seed)
+            budget = {"max_width": seed % 3 + 1, "boundary": seed % 4 + 1}
+            got = random_automorphism(mine, profile, **budget)
+            want = random_automorphism_composing_each_attempt(theirs, profile, **budget)
+            assert all(same_operator(a, b) for a, b in zip(got, want)), seed
+            assert mine.random() == theirs.random(), seed
+
+    def test_only_the_kept_attempt_composes(self, monkeypatch):
+        calls = {"compose": 0, "kept": []}
+        real_compose, real_reverse = generators_module.compose, generators_module._reverse_inverse
+
+        def counted_compose(f_op, g_op):
+            calls["compose"] += 1
+            return real_compose(f_op, g_op)
+
+        def recorded_reverse(factors):
+            calls["kept"].append(len(factors))
+            return real_reverse(factors)
+
+        monkeypatch.setattr(generators_module, "compose", counted_compose)
+        monkeypatch.setattr(generators_module, "_reverse_inverse", recorded_reverse)
+        for i in range(60):
+            calls.update(compose=0, kept=[])
+            _automorphism_laws_instance(i)
+            # the kept attempt's factors, one forward and one reverse product
+            # per factor after the first; a rejected attempt adds nothing
+            [factors] = calls["kept"]
+            assert calls["compose"] == 2 * (factors - 1), i
 
 
 class TestLevelwiseChangeOfBasis:

@@ -681,7 +681,15 @@ class TestInduce:
         )
         with pytest.raises(InvarianceFailure) as err:
             induce_on_subspace_and_quotient(beta2, lopsided)
-        assert err.value.witness is not None
+        # the first basis vector, in level order, whose image leaves W
+        assert err.value.witness == unit(P2, -1, 1)
+        assert err.value.image == unit(P2, 0, 1)
+        assert str(err.value) == "image of e[-1,1] leaves the subspace"
+        # with a second gap at level 2, e[1,1] fails too, after e[-1,1]
+        gaps = {0: SubspaceBasis.span(F2, [[1, 0]]), 2: SubspaceBasis.span(F2, [[1, 0]])}
+        with pytest.raises(InvarianceFailure) as err:
+            induce_on_subspace_and_quotient(beta2, BlockwisePattern.make(P2, lopsided.left, gaps, lopsided.right))
+        assert err.value.witness == unit(P2, -1, 1)
 
     def test_restriction_commutes_with_apply(self):
         rng = random.Random(61)
@@ -715,7 +723,8 @@ def _projected(pattern, profile, v):
     """The image of v in the quotient by the pattern, over its profile."""
     support = {}
     for m in v.levels():
-        proj = pattern.project_level(m, v.level_component(m))
+        basis = pattern.level_basis(m)
+        proj = basis.reduce_vector(v.level_component(m))[basis.free_columns()]
         support.update({(m, k): c for k, c in enumerate(proj) if c != 0})
     return LlcVector(profile, support)
 
@@ -731,8 +740,8 @@ class TestInduceProperties:
         levels = range(min(op.b_lo, pattern.m_lo) - w - 1, max(op.b_hi, pattern.m_hi) + w + 2)
         for n in levels:
             # the restriction commutes with the pattern's coordinates
-            for k, row in enumerate(pattern.level_basis(n).mat):
-                img = op.apply(LlcVector.from_window(p, n - 1, n, row))
+            for k, vec in enumerate(LlcVector.from_rows(p, n - 1, n, pattern.level_basis(n).mat)):
+                img = op.apply(vec)
                 assert _embedded(pattern, restricted.apply(LlcVector.unit(restricted.profile, n, k))) == img, (n, k)
             # the induced map commutes with the projection
             for i in range(p.dim(n)):
@@ -805,6 +814,48 @@ class TestDirectSum:
         assert verify_inverse(a, b)
 
 
+class TestDenseConstructions:
+    """The constructions built from dense action rows, against `apply` and
+    `column` on seeded operators over every field and uneven profiles."""
+
+    FIELDS = (PrimeField(2), PrimeField(3), PrimeField(2**31 - 1), QQ)
+
+    @staticmethod
+    def _profile(rng, field):
+        dims = {n: rng.randint(0, 3) for n in range(rng.randint(-2, 0), rng.randint(0, 2) + 1)}
+        return Profile.from_dims(field, dims, rng.randint(0, 2), rng.randint(0, 2))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_direct_sum_acts_by_each_summand(self, field):
+        for seed in range(20):
+            rng = random.Random(seed)
+            a = random_endomorphism(rng, self._profile(rng, field), width=rng.randint(0, 2), boundary=rng.randint(0, 2))
+            b = random_endomorphism(rng, self._profile(rng, field), width=rng.randint(0, 2), boundary=rng.randint(0, 2))
+            ds = direct_sum_operator(a, b)
+            p = ds.profile
+
+            def embedded(v, second):
+                return LlcVector(p, {(m, s + (a.profile.dim(m) if second else 0)): c for (m, s), c in v.support.items()})
+
+            for n in range(ds.b_lo - 2, ds.b_hi + 3):
+                for op, second in ((a, False), (b, True)):
+                    for i in range(op.profile.dim(n)):
+                        x = LlcVector.unit(op.profile, n, i)
+                        assert ds.apply(embedded(x, second)) == embedded(op.apply(x), second), (seed, n, i)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_corners_are_the_columns_on_their_side(self, field):
+        for seed in range(20):
+            rng = random.Random(seed)
+            p = self._profile(rng, field) if seed % 2 else Profile.constant(field, rng.randint(1, 2))
+            op = random_endomorphism(rng, p, width=rng.randint(0, 2), boundary=rng.randint(0, 2))
+            dec = decompose_vc_vd(op)
+            for n in range(op.b_lo - 2, op.b_hi + 3):
+                corner, side = (dec.phi_cc, {"hi": 0}) if n <= 0 else (dec.phi_dd, {"lo": 1})
+                for i in range(p.dim(n)):
+                    assert corner.column(n, i).support == op.column(n, i).restrict(**side).support, (seed, n, i)
+
+
 class TestOperatorAdd:
     def test_add_against_apply(self):
         rng = random.Random(71)
@@ -814,6 +865,8 @@ class TestOperatorAdd:
         for n in range(-5, 6):
             v = unit(P1, n)
             assert total.apply(v) == f_op.apply(v).add(g_op.apply(v))
+            # the stored columns hold reduced, nonzero scalars
+            assert total.column(n, 0) == f_op.column(n, 0).add(g_op.column(n, 0))
 
 
 class TestBandedApplication:

@@ -48,10 +48,11 @@ matrix of `operators._action_rows`.
 The costly set-up of an engine depends only on the operator it maps
 with and the chain's tail, so it is kept on that operator: the
 limit-free tail constant c (`_tail_constant`, per tail and a0), and the
-boundary block and stationary rows every dense action is sliced from
-(`operators._action_rows`), of which the images of a chain member U_top
-are the action rows themselves (`operators.image_rows_mod_tail`).  The
-kernels (`_chain_rows`) are cheap, and built for each chain.
+stationary rows that every dense action slices along with the block the
+operator stores from construction (`operators._action_rows`); the images
+of a chain member U_top are the action rows themselves
+(`operators.image_rows_mod_tail`).  The kernels (`_chain_rows`) are
+cheap, and built for each chain.
 
 Stationarity is guaranteed but without an effective bound, so results
 carry a status:

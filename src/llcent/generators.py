@@ -110,7 +110,7 @@ def degenerate_endomorphism(
             right[j] = f.matmul(random_matrix(rng, f, d, 1), random_matrix(rng, f, 1, d))
         elif kind == "upper":
             right[j] = f.array(np.triu(right[j], 1))
-    return BandedOperator(profile, width, op.left_blocks, right, op.columns)
+    return _from_rows(profile, width, op.left_blocks, right, op.b_lo, op.b_hi, op.block, *op.block_window)
 
 
 def levelwise_change_of_basis(
@@ -124,16 +124,14 @@ def levelwise_change_of_basis(
     hi = max(window[1], profile.n_hi)
     pairs = {n: random_invertible(rng, f, profile.dim(n)) for n in range(lo, hi + 1)}
 
+    # level n's rows are the drawn matrix transposed (column i the image of e_{n,i})
+    at = [profile.window_dim(lo - 1, n - 1) for n in range(lo, hi + 2)]
+
     def build(which, lmat, rmat):
-        columns = {}
-        for n in range(lo, hi + 1):
-            m = pairs[n][which]
-            per = []
-            for i in range(profile.dim(n)):
-                support = {(n, r): m[r, i] for r in range(profile.dim(n)) if m[r, i] != 0}
-                per.append(LlcVector(profile, support))
-            columns[n] = per
-        return BandedOperator(profile, 0, {0: lmat}, {0: rmat}, columns)
+        rows = f.zeros(at[-1], at[-1])
+        for n, a, b in zip(range(lo, hi + 1), at, at[1:]):
+            rows[a:b, a:b] = pairs[n][which].T
+        return _from_rows(profile, 0, {0: lmat}, {0: rmat}, lo, hi, rows, lo - 1, hi)
 
     return build(0, left_m, right_m), build(1, left_inv, right_inv)
 
@@ -159,21 +157,20 @@ def unipotent_pair(rng: random.Random, profile: Profile, src_window: tuple = (-2
     b_hi = max(profile.n_hi, s1) + 1
     window = profile.window_dim(s0 - 2, s1 + 1)  # the coordinates of the levels s0-1..s1+1
     nil = f.zeros(window, window)
-    columns = {}
-    for n in range(b_lo, b_hi + 1):
-        per = []
+    for n in range(s0, s1 + 1):
         for i in range(profile.dim(n)):
-            image = {(n, i): f.one}
-            if s0 <= n <= s1:
-                vec = random_vector(rng, profile, [n + step])
-                row = profile.window_dim(s0 - 2, n - 1) + i
-                for (m, j), v in vec.support.items():
-                    nil[row, profile.window_dim(s0 - 2, m - 1) + j] = v
-                image.update(vec.support)
-            per.append(LlcVector._reduced(profile, image))
-        columns[n] = per
+            row = profile.window_dim(s0 - 2, n - 1) + i
+            for (m, j), v in random_vector(rng, profile, [n + step]).support.items():
+                nil[row, profile.window_dim(s0 - 2, m - 1) + j] = v
+    # 1 + N on the levels b_lo..b_hi over (b_lo - 2, b_hi + 1]: unit rows
+    # from the level b_lo on, and N's rows and columns from s0 - 1 on
+    k, unit_at = profile.window_dim(b_lo - 1, b_hi), profile.window_dim(b_lo - 2, b_lo - 1)
+    rows = f.zeros(k, profile.window_dim(b_lo - 2, b_hi + 1))
+    rows[:, unit_at : unit_at + k] = f.eye(k)
+    r0, c0 = profile.window_dim(b_lo - 1, s0 - 2), profile.window_dim(b_lo - 2, s0 - 2)
+    rows[r0 : r0 + window, c0 : c0 + window] += nil
     unit_left, unit_right = {0: f.eye(profile.d_left)}, {0: f.eye(profile.d_right)}
-    op = BandedOperator(profile, 1, unit_left, unit_right, columns)
+    op = _from_rows(profile, 1, unit_left, unit_right, b_lo, b_hi, rows, b_lo - 2, b_hi + 1)
 
     total, term, width = f.eye(window), nil, 0
     while term.any():

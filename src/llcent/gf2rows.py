@@ -161,12 +161,10 @@ def _side(op, side: str, levels: int):
 
 def _boundary_columns(op) -> tuple:
     """(ref, cols): the images of the boundary coordinates, levels
-    b_lo..b_hi in window order, as ints over the window (ref, infinity),
-    ref = b_lo - 1 - w below every image: the rows of the operator's
-    boundary block, packed (`operators._boundary_block`)."""
-    from .operators import _boundary_block  # operators imports linalg, which imports this module
-
-    return op.b_lo - 1 - op.width, pack(_boundary_block(op))
+    b_lo..b_hi in window order, as ints over the window (ref, infinity):
+    the operator's block, packed, with ref the low end of its window,
+    below every image."""
+    return op.block_window[0], pack(op.block)
 
 
 class ChainRows:

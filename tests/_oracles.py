@@ -16,6 +16,10 @@ from the pivot on) must return exactly what it returns.
 by column with small block products; `llcent.operators._action_rows`, which
 slices an operator's boundary block and stationary rows, and `compose`,
 which reads the composite off one banded product, must return the same.
+`from_rows_by_columns` reads each boundary row as an LlcVector
+(`LlcVector.from_rows`) and builds the operator with the constructor;
+`llcent.operators._from_rows`, which keeps the rows as the operator's
+block, must build the same operator.
 `verify_inverse_by_composites` builds both composites with
 `compose_by_columns` and compares each with the identity operator;
 `llcent.operators.verify_inverse` must give the same verdict.
@@ -178,8 +182,17 @@ def compose_by_columns(f_op: BandedOperator, g_op: BandedOperator) -> BandedOper
     return out
 
 
+def from_rows_by_columns(p, w, left, right, b_lo, b_hi, rows, lo, hi) -> BandedOperator:
+    """The operator whose boundary levels b_lo..b_hi map, in level order, to
+    the rows over (lo, hi], built from them as LlcVector columns."""
+    images = iter(LlcVector.from_rows(p, lo, hi, rows))
+    columns = {n: [next(images) for _ in range(p.dim(n))] for n in range(b_lo, b_hi + 1)}
+    return BandedOperator(p, w, left, right, columns)
+
+
 def same_operator(a: BandedOperator, b: BandedOperator) -> bool:
-    """a and b have the same width, blocks, boundary region and stored columns."""
+    """a and b have the same width, blocks, boundary region and boundary
+    columns (read off their blocks)."""
     return (
         a.profile == b.profile
         and (a.width, a.b_lo, a.b_hi) == (b.width, b.b_lo, b.b_hi)

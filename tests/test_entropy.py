@@ -975,14 +975,11 @@ class TestTotalEntropy:
         copy = pickle.loads(pickle.dumps(op))
         assert copy._packed == op._packed
         assert copy._inverse == inv and copy._inverse._tail_ranks == inv._tail_ranks
-        # the boundary block comes along whole, or is rebuilt the same
-        rows, kept = op._block, copy._block
-        assert kept is None or (kept.dtype == rows.dtype and np.array_equal(kept, rows))
+        # the stored block comes along whole, over the same window
+        assert copy.block.dtype == op.block.dtype and np.array_equal(copy.block, op.block)
+        assert copy.block_window == op.block_window
         window = (op.b_lo - 3, op.b_hi + 2, op.b_lo - 6, op.b_hi + 6)
         assert np.array_equal(_action_rows(copy, *window), _action_rows(op, *window))
-        copy._block = None
-        assert np.array_equal(_action_rows(copy, *window), _action_rows(op, *window))
-        assert np.array_equal(copy._block, rows)
         calls = []
         monkeypatch.setattr(entropy_module, "verify_inverse", lambda f, g: calls.append(1))
         assert total_entropy(copy, inverse=copy._inverse) == r

@@ -172,6 +172,23 @@ class TestValidate:
             "band exceeded: column (2,1) reaches level 5",
         ]
 
+    @pytest.mark.parametrize(
+        "lo, hi, source, target",
+        [(-3, 2, -1, 1), (-3, 2, 1, -1), (-6, 5, 1, 5), (-6, 5, 0, -5)],
+        ids=["inside_the_window_up", "inside_the_window_down", "wider_window_up", "wider_window_down"],
+    )
+    def test_rows_leaving_the_band(self, lo, hi, source, target):
+        # a width-1 operator on the levels -1..1 built from rows, one entry
+        # past its band: inside the window (-3, 2] = (b_lo - 1 - w, b_hi + w],
+        # or past it in a wider window the builder records
+        rows = F2.zeros(3, P1.window_dim(lo, hi))
+        rows[:, P1.window_dim(lo, -2) : P1.window_dim(lo, 1)] = F2.eye(3)
+        operators_module._from_rows(P1, 1, {0: F2.eye(1)}, {0: F2.eye(1)}, -1, 1, rows, lo, hi)
+        rows[source + 1, P1.window_dim(lo, target - 1)] = 1
+        with pytest.raises(InvalidOperator) as exc:
+            operators_module._from_rows(P1, 1, {0: F2.eye(1)}, {0: F2.eye(1)}, -1, 1, rows, lo, hi)
+        assert exc.value.violations == [f"band exceeded: column ({source},0) reaches level {target}"]
+
     def test_each_operator_validated_once(self, monkeypatch):
         # one validate call per construction, none from any route
         calls = []
@@ -493,6 +510,20 @@ class TestDenseRoutes:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    def test_columns_read_back(self, data):
+        # the block keeps exactly the given columns, so the column-by-column
+        # oracles, which read `column`, stay independent of the block
+        profile = data.draw(self.profiles())
+        args, want = data.draw(self.operators(profile))
+        op = _built(args, want)
+        if op is None:
+            return
+        given = args[4]
+        assert op.columns == given
+        assert all(op.column(n, i) == col for n, cols in given.items() for i, col in enumerate(cols))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
     def test_compose_matches_the_columns(self, data):
         profile = data.draw(self.profiles())
         f_op, g_op = _built(*data.draw(self.operators(profile))), _built(*data.draw(self.operators(profile)))
@@ -690,6 +721,22 @@ class TestInduce:
         with pytest.raises(InvarianceFailure) as err:
             induce_on_subspace_and_quotient(beta2, BlockwisePattern.make(P2, lopsided.left, gaps, lopsided.right))
         assert err.value.witness == unit(P2, -1, 1)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_stationary_only_witness(self, side):
+        # the identity on the region -1..1, and one side's stationary block
+        # sends e_0 to e_0 + e_1: the first basis vector in level order that
+        # leaves the pattern is at the end of the checked levels on that
+        # side, min(m_lo - w, b_lo) - 1 = -2 or max(m_hi + w, b_hi) + 1 = 2
+        mix, eye = F2.array([[1, 0], [1, 1]]), F2.eye(2)
+        left, right = (mix, eye) if side == "left" else (eye, mix)
+        columns = {n: [unit(P2, n, 0), unit(P2, n, 1)] for n in range(-1, 2)}
+        op = BandedOperator(P2, 0, {0: left}, {0: right}, columns)
+        with pytest.raises(InvarianceFailure) as err:
+            induce_on_subspace_and_quotient(op, BlockwisePattern.first_slots(P2, 1))
+        level = -2 if side == "left" else 2
+        assert err.value.witness == unit(P2, level, 0)
+        assert err.value.image == unit(P2, level, 0).add(unit(P2, level, 1)) == op.apply(err.value.witness)
 
     def test_restriction_commutes_with_apply(self):
         rng = random.Random(61)

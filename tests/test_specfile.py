@@ -10,6 +10,7 @@ from llcent.entropy import EntropyConfig
 from llcent.errors import ParseError, ValidationError
 from llcent.fields import PrimeField, QQ
 from llcent.generators import random_automorphism, random_endomorphism, random_open_subspace
+from llcent.operators import BandedOperator
 from llcent.specfile import (
     MAX_CHAIN_INDEX,
     MAX_DEPTH,
@@ -228,6 +229,21 @@ def test_round_trip_generated_specs(seed):
     if spec.subspace is not None:
         assert again.subspace == spec.subspace
     assert serialize_spec(again) == text
+
+
+@pytest.mark.parametrize("case", [*range(12), "Q"])
+def test_parsed_operators_keep_their_columns(case, monkeypatch):
+    # every operator parsed from LlcVector columns reads them back off its block
+    built = []
+    real = BandedOperator.__init__
+
+    def init(self, profile, width, left, right, columns):
+        real(self, profile, width, left, right, columns)
+        built.append((self, {n: tuple(cols) for n, cols in columns.items()}))
+
+    monkeypatch.setattr(BandedOperator, "__init__", init)
+    parse_spec(json.dumps(_q_spec("-2/3")) if case == "Q" else serialize_spec(_random_spec(case)))
+    assert built and all(op.columns == given for op, given in built)
 
 
 def test_round_trip_carries_every_key():

@@ -4,6 +4,7 @@ import importlib.util
 import os
 import random
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "replay.py")
@@ -64,14 +65,32 @@ def test_restores_every_binding_site_when_the_run_raises():
 
 def test_cold_replays_start_from_empty_operator_caches():
     calls = replay.recorded(entropy_with_inverse)["_grow_chain"]
-    assert any(args[0]._stacks or args[0]._block is not None for args in calls)  # warm once recorded
+    assert any(args[0]._stacks for args in calls)  # warm once recorded
     seen = []
 
     def probe(op, *rest):
-        seen.append((op, not op._stacks and op._block is None and not op._tail_ranks and op._inverse is None))
+        seen.append((op, not op._stacks and not op._packed and not op._tail_ranks and op._inverse is None))
 
     replay.cold_s(probe, calls)
     assert len(seen) == replay.REPEATS * len(calls) and all(cold for _, cold in seen)
+    # the block is stored, not cached: every copy is rebuilt with its block
+    for k, (op, _) in enumerate(seen):
+        recorded = calls[k % len(calls)][0]
+        assert op.block_window == recorded.block_window and np.array_equal(op.block, recorded.block)
     # operators shared between the recorded calls are shared within a copy
     first = seen[: len(calls)]
     assert len({id(op) for op, _ in first}) == len({id(args[0]) for args in calls})
+
+
+def test_from_rows_replay_flags_a_broken_route(monkeypatch):
+    calls = replay.recorded(entropy_with_inverse)["_from_rows"]
+    assert calls and replay.replay_from_rows("kept", calls) == 0
+    real = operators._from_rows
+
+    def first_entry_dropped(p, w, left, right, b_lo, b_hi, rows, lo, hi):
+        rows = rows.copy()
+        rows[tuple(at[:1] for at in np.nonzero(rows))] = 0
+        return real(p, w, left, right, b_lo, b_hi, rows, lo, hi)
+
+    monkeypatch.setattr(operators, "_from_rows", first_entry_dropped)
+    assert replay.replay_from_rows("broken", calls) == sum(bool(args[6].any()) for args in calls) > 0

@@ -1,9 +1,10 @@
-"""Replay of real calls through llcent's five fast routes against their oracles.
+"""Replay of real calls through llcent's six fast routes against their oracles.
 
 Runs four catalogs, each once, with ``linalg._rref``,
 ``entropy._grow_chain``, ``operators._action_rows``,
-``operators.verify_inverse`` and ``operators.compose`` wrapped at every
-llcent module that binds them, to record their arguments:
+``operators.verify_inverse``, ``operators.compose`` and
+``operators._from_rows`` wrapped at every llcent module that binds them,
+to record their arguments:
 
 * ``endo_fields`` and ``automorphism_laws``: one catalog pass of the
   benchmark workload (every catalog id, every task), each instance built
@@ -36,7 +37,12 @@ oracle in tests/_oracles.py, and prints a ``MISMATCH`` line for each of:
   pairs that do not verify are seen too, against
   ``verify_inverse_by_composites``: another verdict;
 * ``compose`` against ``compose_by_columns``: another width, block,
-  boundary region or column (``same_operator``).
+  boundary region or column (``same_operator``);
+* ``_from_rows``, which keeps its rows as the operator's block, against
+  ``from_rows_by_columns``, which reads them as LlcVector columns and
+  builds the operator with the constructor: another operator
+  (``same_operator``), another block dtype or other block entries over
+  the union of the two block windows, or another exception.
 
 It exits 1 on any mismatch.  Without --check it also prints, per catalog,
 the shape histogram of the ``_rref`` inputs per field and the total time
@@ -44,7 +50,7 @@ of each route against its oracle (best of 3 replays), and of
 ``_grow_chain`` per shape.  The recorded operators' caches are warm by
 then, so each route is also timed cold (best of 3 replays on fresh
 unpickled copies of the calls, whose operators are rebuilt from their
-blocks and columns, every per-operator cache empty).
+stationary blocks and boundary block, every per-operator cache empty).
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/replay.py [--check]
 """
@@ -91,6 +97,7 @@ TARGETS = {
     "_action_rows": operators,
     "verify_inverse": operators,
     "compose": operators,
+    "_from_rows": operators,
 }
 
 
@@ -204,15 +211,15 @@ def best_s(fn, calls) -> float:
 
 def cold_s(fn, calls) -> float:
     """best_s on fresh copies: each replay runs a new unpickled copy of the
-    calls, every operator in it rebuilt by its constructor, so that no
-    cache it fills on use is warm (shared operators stay shared within a
-    copy)."""
-    op_type = operators.BandedOperator
+    calls, every operator in it rebuilt from its block by `_from_rows`, so
+    that no cache it fills on use is warm (shared operators stay shared
+    within a copy)."""
     buf = io.BytesIO()
     pickler = pickle.Pickler(buf)
     pickler.dispatch_table = copyreg.dispatch_table.copy()
-    pickler.dispatch_table[op_type] = lambda op: (
-        op_type, (op.profile, op.width, op.left_blocks, op.right_blocks, op.columns)
+    pickler.dispatch_table[operators.BandedOperator] = lambda op: (
+        operators._from_rows,
+        (op.profile, op.width, op.left_blocks, op.right_blocks, op.b_lo, op.b_hi, op.block, *op.block_window),
     )
     pickler.dump(calls)
     return min(run_s(fn, pickle.loads(buf.getvalue())) for _ in range(REPEATS))
@@ -412,6 +419,37 @@ def replay_composites(name, calls, check) -> int:
     return bad
 
 
+def same_block(a, b) -> bool:
+    """a's and b's blocks have one dtype and the same entries over the union
+    of their windows."""
+    p = a.profile
+    (a_lo, a_hi), (b_lo, b_hi) = a.block_window, b.block_window
+    lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
+
+    def widened(op):
+        out = p.field.zeros(op.block.shape[0], p.window_dim(lo, hi))
+        at = p.window_dim(lo, op.block_window[0])
+        out[:, at : at + op.block.shape[1]] = op.block
+        return out
+
+    return a.block.dtype == b.block.dtype and np.array_equal(widened(a), widened(b))
+
+
+def replay_from_rows(name, calls) -> int:
+    bad = 0
+    for k, args in enumerate(calls):
+        got, want = outcome(operators._from_rows, *args), outcome(oracles.from_rows_by_columns, *args)
+        if got[0] == want[0] == "ok":
+            same = oracles.same_operator(got[1], want[1]) and same_block(got[1], want[1])
+        else:
+            same = got == want
+        if not same:
+            bad += 1
+            print(f"MISMATCH {name} _from_rows call {k} (levels {args[4]}..{args[5]} over ({args[7]}, {args[8]}])")
+    print(f"{name}: {len(calls)} _from_rows calls replayed against the column route, {bad} mismatches")
+    return bad
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true", help="replay once and check; no timing")
@@ -425,6 +463,7 @@ def main(argv=None) -> int:
         bad += replay_actions(name, calls["_action_rows"])
         bad += replay_inverses(name, calls["verify_inverse"], check)
         bad += replay_composites(name, calls["compose"], check)
+        bad += replay_from_rows(name, calls["_from_rows"])
     print(f"{bad} mismatches")
     return 1 if bad else 0
 

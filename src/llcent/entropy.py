@@ -256,6 +256,15 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     (EngineInvariant otherwise); a zero gain is a chain fixed point, hence
     EXACT.
 
+    Step one of a full-window U, whose window has rank window_dim(tail,
+    top) so that U = U_top (every chain member C_m), is decided from the
+    first images before any kernel is built.  With a0 <= tail, U modulo
+    U_{a0} is every coordinate over (a0, top], so an image lies in U
+    exactly when its part above top is zero, and the step-one gain is the
+    rank of that part.  When that part is zero the chain is at a fixed
+    point at step one, and the loop returns the one EXACT reading the
+    step would give, with nothing packed or merged.
+
     The steps run on the kernels of `_chain_rows`, which hold the rows
     as packed ints over GF(2) (`gf2rows.ChainRows`) and as arrays
     otherwise (`_ArrayRows`); each kernel returns in its own format what
@@ -368,11 +377,14 @@ def _grow_chain(img_op, u, a0, offset, cfg, horizon, noun):
     stepping gives.  The stopping step still merges, and a gain that
     differs from the previous step's raises EngineInvariant.
     """
-    k = _chain_rows(img_op, a0)
     lo, top = a0, u.top
-    settled: list = []
+    p = img_op.profile
     delta, delta_top = image_rows_mod_tail(img_op, u, a0)
-    basis, delta = k.start(u.expand_window(a0, u.top), delta)
+    if u.window.rank == p.window_dim(u.tail, top) and not np.count_nonzero(delta[:, p.window_dim(a0, top) :]):
+        return EntropyResult(offset, Status.EXACT, (offset,), u, 1)
+    k = _chain_rows(img_op, a0)
+    settled: list = []
+    basis, delta = k.start(u.expand_window(a0, top), delta)
     delta_lo = a0
     readings: list = []
     front = None  # the last step's front state, taken while lo >= b_hi

@@ -197,7 +197,8 @@ def random_automorphism(
     Composes a few invertible factors; retries until the band width and
     boundary region fit the requested budget.  The composite's region and
     width follow from the factors' (`_composite_region`), so an attempt
-    that does not fit composes nothing.
+    that does not fit composes nothing.  The pair is verified once and
+    kept on the operator, so the limit-free engine does not verify it again.
     """
     for _attempt in range(64):
         factors = []
@@ -224,6 +225,7 @@ def random_automorphism(
             inv = _reverse_inverse(factors)
             if not verify_inverse(op, inv):
                 raise EngineInvariant("generator produced a bad inverse pair")
+            op._inverse = inv  # the verified pair, as `entropy._check_pair` keeps it
             return op, inv
     raise RuntimeError("could not fit an automorphism into the requested budget")
 

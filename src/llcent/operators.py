@@ -77,7 +77,7 @@ class BandedOperator:
         self._stacks = {}  # side -> `_stationary_rows`' kept rows
         self._edge_power = None
         self._packed = {}  # the GF(2) chain loop's action tables (gf2rows)
-        self._inverse = None  # the inverse entropy._check_pair verified
+        self._inverse = None  # a verified inverse (entropy._check_pair, generators.random_automorphism)
         self._tail_ranks = {}  # (tail, a0) -> the limit-free tail constant (entropy)
         violations = validate(self)
         if violations:
@@ -625,7 +625,8 @@ def decompose_vc_vd(op: BandedOperator) -> ComponentDecomposition:
 
     The corners are the blocks of op's boundary action rows, split at
     level 0 on both sides; validity puts the region around level 0.  The
-    four recombine to op's own columns, an independent check.
+    four corners' own action rows recombine to those rows, a check of the
+    corners as built.
     """
     p = op.profile
     f = p.field
@@ -658,12 +659,14 @@ def decompose_vc_vd(op: BandedOperator) -> ComponentDecomposition:
     cd = _from_rows(p, w, {}, {}, b_lo, b_hi, cd_rows, lo, hi)
     dc = _from_rows(p, w, {}, {}, b_lo, b_hi, dc_rows, lo, hi)
 
-    # reassembly: the four corners recombine to op on the boundary region
-    for n in range(b_lo, b_hi + 1):
-        own, cross = (cc, cd) if n <= 0 else (dd, dc)
-        for i in range(p.dim(n)):
-            if LlcVector(p, own.column(n, i).support).add(cross.column(n, i)) != op.column(n, i):
-                raise EngineInvariant("corner reassembly mismatch")
+    # reassembly: the four corners' action rows, each at its profile's
+    # coordinates, recombine to op's on the boundary region
+    window = (b_lo - 1, b_hi, lo, hi)
+    total = _action_rows(cd, *window) + _action_rows(dc, *window)
+    total[:r0, :c0] += _action_rows(cc, *window)
+    total[r0:, c0:] += _action_rows(dd, *window)
+    if not np.array_equal(f.normalize(total), rows):
+        raise EngineInvariant("corner reassembly mismatch")
 
     return ComponentDecomposition(op, cc, cd, dc, dd, c_profile, d_profile, cd_image_dim)
 

@@ -511,6 +511,107 @@ class TestFrontRepeat:
         assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
 
 
+class TestStepOne:
+    """A full-window member whose first images stay inside it is a fixed
+    point, decided from those images before any chain kernel is built; the
+    full-window loop is the reference."""
+
+    FIELDS = [F2, F3, PrimeField(2**31 - 1), QQ]
+
+    @staticmethod
+    def _count_kernels(monkeypatch):
+        """The list that `_chain_rows` appends to on every chain that steps."""
+        built = []
+        real = entropy_module._chain_rows
+        monkeypatch.setattr(entropy_module, "_chain_rows", lambda op, a0: built.append(op) or real(op, a0))
+        return built
+
+    @staticmethod
+    def _results(pairs, endos, m_max):
+        out = []
+        for m in range(m_max + 1):
+            for op, inv in pairs:
+                c = cofinal_chain(op.profile, m)
+                out.append(trajectory_relative_entropy(op, c))
+                out.append(limit_free_relative_entropy(op, inv, c))
+            for endo in endos:
+                out.append(trajectory_relative_entropy(endo, cofinal_chain(endo.profile, m)))
+        return [_summary(r) for r in out]
+
+    def test_matches_full_window_loop(self, monkeypatch):
+        built = self._count_kernels(monkeypatch)
+        decided = stepped = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            field = self.FIELDS[seed % 4]
+            if seed >= 4:
+                d_right = 1 if field is QQ else 2
+                profile = Profile.from_dims(field, {-1: 1, 0: 2, 1: 0, 2: 3}, 2, d_right)
+                pairs = []
+            else:
+                profile = Profile.constant(field, rng.choice([1, 2]))
+                right, left = make_shift(profile, "right"), make_shift(profile, "left")
+                pairs = [(right, left), (left, right)]
+            pairs.append(random_automorphism(rng, profile))
+            endos = [
+                random_endomorphism(rng, profile, width=rng.choice([1, 2]), boundary=rng.randint(0, 2)),
+                degenerate_endomorphism(rng, profile, width=rng.choice([1, 2]), boundary=rng.randint(0, 2)),
+            ]
+            built.clear()
+            got = self._results(pairs, endos, 4)
+            with monkeypatch.context() as m:
+                m.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+                want = self._results(pairs, endos, 4)
+            assert got == want, f"seed {seed}"
+            decided += len(got) - len(built)
+            stepped += len(built)
+        # both kinds of chain occur: fixed points decided at step one, and
+        # chains whose first images leave the member
+        assert decided and stepped
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=lambda f: f.name)
+    def test_invariant_member_builds_no_kernel(self, field, monkeypatch):
+        # the left shift keeps every C_m; the limit-free engine of the right
+        # shift maps with the left one
+        p = Profile.constant(field, 2)
+        right, left = make_shift(p, "right"), make_shift(p, "left")
+
+        def raising(*args):
+            raise AssertionError("a kernel was built for a fixed point")
+
+        monkeypatch.setattr(entropy_module, "_chain_rows", raising)
+        monkeypatch.setattr(CompactOpenSubspace, "expand_window", raising)
+        for m in range(5):
+            c = cofinal_chain(p, m)
+            assert _summary(trajectory_relative_entropy(left, c)) == (0, Status.EXACT, (0,), 1)
+            assert _summary(limit_free_relative_entropy(right, left, c)) == (2, Status.EXACT, (2,), 1)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=lambda f: f.name)
+    def test_leaving_member_still_steps(self, field, monkeypatch):
+        built = self._count_kernels(monkeypatch)
+        p = Profile.constant(field, 2)
+        right, left = make_shift(p, "right"), make_shift(p, "left")
+        for m in range(5):
+            c = cofinal_chain(p, m)
+            # H(right, C_m) = 2; the limit-free engine of the left shift maps
+            # with the right one, and its readings are offset to H(left, C_m) = 0
+            runs = (trajectory_relative_entropy(right, c), limit_free_relative_entropy(left, right, c))
+            assert [r.value for r in runs] == [2, 0] and all(r.iterations > 1 for r in runs)
+        assert built == [right, right] * 5
+
+    def test_partial_window_is_not_decided_at_step_one(self, monkeypatch):
+        # the slot swap keeps every level, so the images of U_0 + <e_{1,0}>
+        # vanish above its top, yet e_{1,1} is not in U: the chain steps
+        swap = [[0, 1], [1, 0]]
+        p = Profile.constant(F3, 2)
+        op = BandedOperator(p, 0, {0: swap}, {0: swap}, {0: [LlcVector.unit(p, 0, 1), LlcVector.unit(p, 0, 0)]})
+        u = CompactOpenSubspace.make(p, 0, [LlcVector.unit(p, 1, 0)])
+        r = trajectory_relative_entropy(op, u)
+        assert _summary(r) == (0, Status.EXACT, (1, 0), 2)
+        monkeypatch.setattr(entropy_module, "_grow_chain", grow_chain_full_window)
+        assert _summary(trajectory_relative_entropy(op, u)) == _summary(r)
+
+
 class TestFrontKey:
     """Front keys hash by top - lo and the row counts, and are equal exactly
     when the states are, relative to lo: the packed block as a set of rows,
@@ -968,9 +1069,15 @@ class TestTotalEntropy:
     @pytest.mark.parametrize("field", [F2, F3], ids=lambda f: f.name)
     def test_pickled_operator_keeps_its_tables(self, field, monkeypatch):
         # default slot pickling, as the benchmark worker receives operators
-        op, inv = random_automorphism(random.Random(2), Profile.constant(field, 2))
+        p = Profile.constant(field, 2)
+        op, inv = random_automorphism(random.Random(2), p)
         r = total_entropy(op, inverse=inv)
         assert op._inverse is inv and inv._tail_ranks
+        # every chain member of op is a fixed point, decided at step one
+        # with no kernel; the packed tables come from a chain that steps
+        leaving = CompactOpenSubspace.make(p, 0, [LlcVector.unit(p, 3, 0)])
+        stepped = trajectory_relative_entropy(op, leaving)
+        assert stepped.iterations > 1
         assert bool(op._packed) == (field is F2)
         copy = pickle.loads(pickle.dumps(op))
         assert copy._packed == op._packed
@@ -983,6 +1090,7 @@ class TestTotalEntropy:
         calls = []
         monkeypatch.setattr(entropy_module, "verify_inverse", lambda f, g: calls.append(1))
         assert total_entropy(copy, inverse=copy._inverse) == r
+        assert trajectory_relative_entropy(copy, leaving) == stepped
         assert calls == []  # the pair stays verified
 
     def test_one_tail_constant_elimination_per_tail(self, monkeypatch):
@@ -1265,7 +1373,7 @@ import llcent.theorems as T
 from llcent.errors import EngineInvariant
 from llcent.fields import PrimeField
 from llcent.operators import make_shift
-from llcent.spaces import BlockwisePattern, LlcVector, Profile, cofinal_chain
+from llcent.spaces import BlockwisePattern, Profile, cofinal_chain
 
 assert sys.flags.optimize == 1
 try:
@@ -1351,11 +1459,20 @@ def rows_off_the_left_stack(f_op, g_op):
 O._composite_rows = rows_off_the_left_stack
 print(fired(lambda: O.compose(right, right)))
 O._composite_rows = real_rows
-real_eq = LlcVector.__eq__
-LlcVector.__eq__ = lambda self, other: False
-print(fired(lambda: O.decompose_vc_vd(right)))
-LlcVector.__eq__ = real_eq
 real_action = O._action_rows
+
+
+def corner_rows_one_off(op, *window):
+    # every corner reads back one entry off the rows it was built from
+    rows = real_action(op, *window)
+    if op is not right:
+        rows[-1, -1] = (rows[-1, -1] + 1) % P
+    return rows
+
+
+O._action_rows = corner_rows_one_off
+print(fired(lambda: O.decompose_vc_vd(right)))
+O._action_rows = real_action
 
 
 def rows_from_the_deep_tail(op, *window):

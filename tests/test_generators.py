@@ -1,11 +1,17 @@
-"""Seeded generators: the unipotent inverse series and changes of basis."""
+"""Seeded generators: the unipotent inverse series, changes of basis and the
+verified pairs of random automorphisms."""
 
+import pickle
 import random
 import sys
 
 import numpy as np
+import pytest
 
+import llcent.entropy as entropy_module
 import llcent.generators as generators_module
+from llcent.entropy import total_entropy
+from llcent.errors import NotAnInverse
 from llcent.fields import QQ, PrimeField
 from llcent.generators import (
     levelwise_change_of_basis,
@@ -13,7 +19,7 @@ from llcent.generators import (
     unipotent_pair,
 )
 from llcent.linalg import invert_matrix
-from llcent.operators import verify_inverse
+from llcent.operators import compose, identity_operator, make_shift, power, verify_inverse
 from llcent.spaces import Profile
 
 from _oracles import random_automorphism_composing_each_attempt, same_operator, unipotent_pair_by_terms
@@ -113,6 +119,29 @@ class TestRandomAutomorphism:
             # per factor after the first; a rejected attempt adds nothing
             [factors] = calls["kept"]
             assert calls["compose"] == 2 * (factors - 1), i
+
+    def test_the_verified_pair_is_kept(self, monkeypatch):
+        calls = []
+        real = entropy_module.verify_inverse
+        monkeypatch.setattr(entropy_module, "verify_inverse", lambda f, g: calls.append((f, g)) or real(f, g))
+        for seed, profile in enumerate(PROFILES[:12]):
+            op, inv = random_automorphism(random.Random(seed), profile)
+            assert op._inverse is inv and inv._inverse is None, seed
+            # composites and powers are new operators, with no pair recorded
+            assert compose(op, inv)._inverse is None and power(op, 2)._inverse is None, seed
+            copy = pickle.loads(pickle.dumps(op))
+            calls.clear()
+            r = total_entropy(op, inverse=inv)
+            assert total_entropy(copy, inverse=copy._inverse) == r
+            assert calls == [], seed
+            # another candidate is verified: an equal copy passes, a wrong one raises
+            other = pickle.loads(pickle.dumps(inv))
+            assert total_entropy(op, inverse=other) == r and calls == [(op, other)], seed
+            candidates = (op, identity_operator(profile), make_shift(profile, "right"))
+            wrong = next(g for g in candidates if not real(op, g))
+            with pytest.raises(NotAnInverse):
+                total_entropy(op, inverse=wrong)
+            assert calls[1:] == [(op, wrong)], seed
 
 
 class TestLevelwiseChangeOfBasis:

@@ -94,3 +94,13 @@ def test_from_rows_replay_flags_a_broken_route(monkeypatch):
 
     monkeypatch.setattr(operators, "_from_rows", first_entry_dropped)
     assert replay.replay_from_rows("broken", calls) == sum(bool(args[6].any()) for args in calls) > 0
+
+
+def test_chain_replay_counts_the_step_one_decisions():
+    # every chain here is a member C_m, decided at step one exactly when
+    # its first reading is a fixed point
+    calls = replay.recorded(entropy_with_inverse)["_grow_chain"]
+    bad, counts = replay.chain_runs(calls)
+    [c] = counts.values()
+    fixed = sum(replay.entropy._grow_chain(*args).iterations == 1 for args in calls)
+    assert bad == [] and 0 < c["decided"] == fixed < c["chains"] == len(calls)

@@ -27,9 +27,11 @@ oracle in tests/_oracles.py, and prints a ``MISMATCH`` line for each of:
 * ``_grow_chain`` against ``grow_chain_full_window``, the loop that never
   stops early: another value, status, certificate or step count.  Per
   catalog and shape (field, d_right, band width) it prints how many chains
-  stopped early at a full-rank leading edge and at a repeated front state,
-  how many steps that saved, and how many of the leading-edge rank tests
-  of the steps taken the loop skipped because an earlier one failed;
+  were decided at step one (a fixed point read off the first images,
+  with no chain kernel built), how many stopped early at a full-rank
+  leading edge and at a repeated front state, how many steps that saved,
+  and how many of the leading-edge rank tests of the steps taken the loop
+  skipped because an earlier one failed;
 * ``_action_rows`` against ``action_rows_by_columns``, which fills the
   dense action one ``column()`` entry at a time: another matrix or dtype
   than the recorded one, or another exception;
@@ -285,7 +287,7 @@ def shape(args):
     return f"{op.profile.field.name} d={op.profile.d_right} w={op.width}"
 
 
-KEYS = ("chains", "edge", "front", "filled", "steps", "tests", "skipped")
+KEYS = ("chains", "decided", "edge", "front", "filled", "steps", "tests", "skipped")
 KERNELS = (entropy._ArrayRows, gf2rows.ChainRows)
 
 
@@ -293,7 +295,8 @@ def chain_runs(calls):
     """(mismatches, {shape: {key: count for key in KEYS}}) over the _grow_chain calls."""
     stop = []  # "edge" or "front" for the step that ended the stepping, then the steps it saved
     tested = []  # one entry per edge test the current call ran
-    real_fixed, real_fill = entropy._readings_fixed, entropy._fill_repeated
+    built = []  # one entry per chain kernel the current call built
+    real_fixed, real_fill, real_kernels = entropy._readings_fixed, entropy._fill_repeated, entropy._chain_rows
 
     def counting(real):
         def edge(self, *args):
@@ -313,23 +316,34 @@ def chain_runs(calls):
         stop.append(r.iterations - stepped)
         return r
 
-    got, stops, tests = [], [], []
-    counters = [(entropy, "_readings_fixed", fixed), (entropy, "_fill_repeated", fill)]
+    def building(img_op, a0):
+        built.append(None)
+        return real_kernels(img_op, a0)
+
+    got, stops, tests, decided = [], [], [], []
+    counters = [
+        (entropy, "_readings_fixed", fixed),
+        (entropy, "_fill_repeated", fill),
+        (entropy, "_chain_rows", building),
+    ]
     with patched(counters + [(kernels, "edge", counting(kernels.edge)) for kernels in KERNELS]):
         for args in calls:
             stop.clear()
             tested.clear()
+            built.clear()
             got.append(entropy._grow_chain(*args))
             stops.append(tuple(stop) if len(stop) == 2 else None)
             tests.append(len(tested))
+            decided.append(not built)
     bad = []
     counts = defaultdict(lambda: dict.fromkeys(KEYS, 0))
-    for k, (args, r, s, ran) in enumerate(zip(calls, got, stops, tests)):
+    for k, (args, r, s, ran, first) in enumerate(zip(calls, got, stops, tests, decided)):
         want = oracles.grow_chain_full_window(*args)
         if summary(r) != summary(want):
             bad.append(f"call {k} ({args[-1]}): got {summary(r)}, oracle {summary(want)}")
         c = counts[shape(args)]
         c["chains"] += 1
+        c["decided"] += first
         c["steps"] += r.iterations
         if s:
             c[s[0]] += 1
@@ -343,7 +357,8 @@ def chain_runs(calls):
 
 def line(label, c):
     return (
-        f"{label}: {c['chains']} chains, {c['edge']} stopped at a leading edge and {c['front']} at a "
+        f"{label}: {c['chains']} chains, {c['decided']} decided at step one, "
+        f"{c['edge']} stopped at a leading edge and {c['front']} at a "
         f"repeated front, {c['filled']} of {c['steps']} steps filled ({c['filled'] / max(c['steps'], 1):.0%}), "
         f"{c['skipped']} of {c['tests']} edge rank tests skipped"
     )
